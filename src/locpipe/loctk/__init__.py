@@ -23,7 +23,7 @@ _REGISTRY: dict[str, tuple[str, int]] = {
     "loc.prepare": ("locpipe.loctk.prepare", 1),
     "loc.featurize": ("locpipe.loctk.featurize", 1),
     "loc.split": ("locpipe.loctk.split", 1),
-    "loc.gridsearch": ("locpipe.loctk.gridsearch", 1),
+    "loc.gridsearch": ("locpipe.loctk.gridsearch", 2),
     "loc.report": ("locpipe.loctk.report", 1),
     "loc.scale": ("locpipe.loctk.scale", 1),
 }
@@ -133,14 +133,6 @@ def section(request: StageRequest, key: str) -> dict:
             f"stage '{request.stage}' ({request.builtin}): expected a '{key}' parameter "
             f"mapping (declare `params: [{key}]` in pipeline.yaml)"
         )
-    return value
-
-
-def optional_section(request: StageRequest, key: str) -> dict:
-    nested = nest_params(request.params)
-    value = nested.get(key, {})
-    if not isinstance(value, dict):
-        raise BuiltinError(f"stage '{request.stage}': parameter '{key}' must be a mapping")
     return value
 
 

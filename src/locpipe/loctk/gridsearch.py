@@ -19,7 +19,7 @@ from ..canonical import dump_canonical, fmt_num
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .metrics import METRIC_KEYS, compute_metrics
-from .models import artifact_doc, fit_model
+from .models import RidgeStats, artifact_doc, fit_model
 from .split import load_fold_file
 from .tables import Table, read_table
 
@@ -92,14 +92,33 @@ def select_index(mean_primary: list[float]) -> int:
     return best
 
 
-def _fold_views(table: Table, fold: dict) -> tuple[list, list, list, list, list[int]]:
-    train = fold["train"]
-    test = fold["test"]
-    train_x = [table.values[i] for i in train]
-    train_y = [list(table.targets[i]) for i in train]
-    test_x = [table.values[i] for i in test]
-    test_y = [list(table.targets[i]) for i in test]
-    return train_x, train_y, test_x, test_y, test
+def ridge_fold_stats(
+    table: Table, folds: list[dict]
+) -> tuple[list[RidgeStats | None], RidgeStats | None]:
+    """One statistics pass over the rows: (train statistics per fold, statistics of all rows).
+
+    Rows are grouped by the folds whose train list holds them, counting
+    repeats; each fold merges the groups it holds, once per occurrence, and
+    the all-rows statistics merge every group once. A fold with no train
+    rows gets None.
+    """
+    member_of: list[list[int]] = [[] for _ in range(table.n_rows)]
+    for fold_idx, fold in enumerate(folds):
+        for idx in fold["train"]:
+            member_of[idx].append(fold_idx)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for idx, signature in enumerate(member_of):
+        groups.setdefault(tuple(signature), []).append(idx)
+
+    fold_stats: list[RidgeStats | None] = [None] * len(folds)
+    all_stats: RidgeStats | None = None
+    for signature, idxs in groups.items():
+        stats = RidgeStats.from_rows([table.values[i] for i in idxs], [table.targets[i] for i in idxs])
+        all_stats = stats if all_stats is None else all_stats.merge(stats)
+        for fold_idx in signature:
+            prior = fold_stats[fold_idx]
+            fold_stats[fold_idx] = stats if prior is None else prior.merge(stats)
+    return fold_stats, all_stats
 
 
 def run_grid_search(
@@ -109,7 +128,11 @@ def run_grid_search(
     primary_metric: str = "rmse",
     report_metrics: list[str] | None = None,
 ) -> tuple[dict, dict, list[dict], dict]:
-    """Returns (cv_results, model_artifact, prediction_rows, metrics_doc)."""
+    """Returns (cv_results, model_artifact, prediction_rows, metrics_doc).
+
+    Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
+    kNN candidates are fit on each fold's train rows.
+    """
     if primary_metric not in METRIC_KEYS:
         raise BuiltinError(f"gridsearch: unknown primary metric '{primary_metric}'")
     report_metrics = report_metrics or [primary_metric]
@@ -123,26 +146,46 @@ def run_grid_search(
             f"gridsearch: fold file covers {folds_doc['n_samples']} samples, "
             f"feature table has {table.n_rows}"
         )
+    n_rows = table.n_rows
     for fold in folds:
         for idx in fold["train"] + fold["test"]:
-            if not 0 <= idx < table.n_rows:
+            if not 0 <= idx < n_rows:
                 raise BuiltinError(f"gridsearch: fold index {idx} out of range")
 
     candidates = expand_grid(grid_cfg)
+    fold_stats, all_stats = (
+        ridge_fold_stats(table, folds) if any(c.model == "ridge" for c in candidates) else ([], None)
+    )
+
+    def fit_fold(cand: Candidate, fold_idx: int):
+        if cand.model == "ridge":
+            stats = fold_stats[fold_idx]
+            if stats is None:
+                raise BuiltinError("ridge: empty training set")
+            return stats.solve(**cand.params)
+        train = folds[fold_idx]["train"]
+        return fit_model(
+            cand.model, cand.params, [table.values[i] for i in train], [table.targets[i] for i in train]
+        )
+
+    test_views = [
+        ([table.values[i] for i in fold["test"]], [table.targets[i] for i in fold["test"]])
+        for fold in folds
+    ]
     rows = []
     aggregates = []
     mean_primary = []
     for cand in candidates:
         fold_metrics = []
-        for fold_idx, fold in enumerate(folds):
-            train_x, train_y, test_x, test_y, _ = _fold_views(table, fold)
-            if cand.model == "knn" and cand.params["k"] >= len(train_x):
+        for fold_idx, (test_x, test_y) in enumerate(test_views):
+            train_size = len(folds[fold_idx]["train"])
+            if cand.model == "knn" and cand.params["k"] >= train_size:
                 raise BuiltinError(
                     f"gridsearch: candidate {cand.index} (knn) has k={cand.params['k']} "
-                    f">= training fold size {len(train_x)}"
+                    f">= training fold size {train_size}"
                 )
             try:
-                fitted = fit_model(cand.model, cand.params, train_x, train_y)
+                fitted = fit_fold(cand, fold_idx)
             except BuiltinError as exc:
                 raise BuiltinError(f"gridsearch: candidate {cand.index} ({cand.model}): {exc}") from None
             metrics = compute_metrics(fitted.predict(test_x), test_y)
@@ -169,12 +212,12 @@ def run_grid_search(
     selected = select_index(mean_primary)
     chosen = candidates[selected]
 
-    # Per-fold predictions of the selected candidate, refit fold by fold.
+    # Per-fold predictions of the selected candidate, refit fold by fold: a
+    # ridge re-solve gives the very coefficients its CV rows were scored with.
     pred_rows = []
-    for fold_idx, fold in enumerate(folds):
-        train_x, train_y, test_x, test_y, test_idxs = _fold_views(table, fold)
-        fitted = fit_model(chosen.model, chosen.params, train_x, train_y)
-        for idx, pred, true in zip(test_idxs, fitted.predict(test_x), test_y):
+    for fold_idx, (test_x, test_y) in enumerate(test_views):
+        fitted = fit_fold(chosen, fold_idx)
+        for idx, pred, true in zip(folds[fold_idx]["test"], fitted.predict(test_x), test_y):
             pred_rows.append({
                 "sample_id": table.ids[idx],
                 "fold": fold_idx,
@@ -184,7 +227,10 @@ def run_grid_search(
                 "true_y": true[1],
             })
 
-    final = fit_model(chosen.model, chosen.params, table.values, [list(t) for t in table.targets])
+    if chosen.model == "ridge":
+        final = all_stats.solve(**chosen.params)
+    else:
+        final = fit_model(chosen.model, chosen.params, table.values, table.targets)
     artifact = artifact_doc(chosen.model, chosen.params, final)
 
     cv_results = {

@@ -10,6 +10,7 @@ least squares.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,60 +74,107 @@ class RidgeModel:
         return preds
 
 
+@dataclass(frozen=True)
+class RidgeStats:
+    """Sufficient statistics of a ridge fit over a set of rows.
+
+    ``xtx`` and ``xty`` are the co-moments centered on the row means, so
+    RSSI-like features (means near -70 dBm, spreads of a few dB) lose no
+    precision to cancellation. Statistics of disjoint row sets combine with
+    ``merge``; every ``alpha`` and ``fit_intercept`` is then one small
+    m x m solve.
+    """
+
+    n: int
+    x_mean: list[float]
+    y_mean: list[float]
+    xtx: Matrix             # m x m, centered
+    xty: Matrix             # m x 2, centered
+
+    @staticmethod
+    def from_rows(x_rows: Sequence[Sequence[float]], y_rows: Sequence[Sequence[float]]) -> "RidgeStats":
+        """Two passes: exact column means, then exactly summed centered products."""
+        n = len(x_rows)
+        if n == 0:
+            raise BuiltinError("ridge: empty training set")
+        x_cols = list(zip(*x_rows))
+        y_cols = list(zip(*y_rows))
+        x_mean = [math.fsum(col) / n for col in x_cols]
+        y_mean = [math.fsum(col) / n for col in y_cols]
+        xc = [[v - mu for v in col] for col, mu in zip(x_cols, x_mean)]
+        yc = [[v - mu for v in col] for col, mu in zip(y_cols, y_mean)]
+        m = len(xc)
+        xtx = [[0.0] * m for _ in range(m)]
+        for j in range(m):
+            for l in range(j, m):
+                xtx[j][l] = xtx[l][j] = math.fsum(map(operator.mul, xc[j], xc[l]))
+        xty = [[math.fsum(map(operator.mul, xc[j], yt)) for yt in yc] for j in range(m)]
+        return RidgeStats(n, x_mean, y_mean, xtx, xty)
+
+    def merge(self, other: "RidgeStats") -> "RidgeStats":
+        """Pairwise update of Chan, Golub & LeVeque (1979): the statistics of
+        the union of both row sets, counting a row once per occurrence."""
+        n = self.n + other.n
+        weight = self.n * other.n / n
+        dx = [b - a for a, b in zip(self.x_mean, other.x_mean)]
+        dy = [b - a for a, b in zip(self.y_mean, other.y_mean)]
+        return RidgeStats(
+            n=n,
+            x_mean=[a + d * other.n / n for a, d in zip(self.x_mean, dx)],
+            y_mean=[a + d * other.n / n for a, d in zip(self.y_mean, dy)],
+            xtx=[
+                [a + b + dj * dl * weight for a, b, dl in zip(row_a, row_b, dx)]
+                for row_a, row_b, dj in zip(self.xtx, other.xtx, dx)
+            ],
+            xty=[
+                [a + b + dj * dt * weight for a, b, dt in zip(row_a, row_b, dy)]
+                for row_a, row_b, dj in zip(self.xty, other.xty, dx)
+            ],
+        )
+
+    def solve(self, alpha: float, fit_intercept: bool) -> RidgeModel:
+        """Normal-equation ridge fit, one solve shared by both target columns.
+
+        With ``fit_intercept`` the centered moments are solved and the
+        intercept is recovered afterwards, so the penalty never applies to
+        it. Without, the raw moments are rebuilt as ``C + n mu mu^T``, which
+        only adds terms.
+        """
+        m = len(self.x_mean)
+        if fit_intercept:
+            a = [list(row) for row in self.xtx]
+            b = self.xty
+        else:
+            a = [
+                [c + self.n * mj * ml for c, ml in zip(row, self.x_mean)]
+                for row, mj in zip(self.xtx, self.x_mean)
+            ]
+            b = [
+                [c + self.n * mj * mt for c, mt in zip(row, self.y_mean)]
+                for row, mj in zip(self.xty, self.x_mean)
+            ]
+        for j in range(m):
+            a[j][j] += alpha
+        coef = _cholesky_solve(a, b)
+        intercept = [0.0, 0.0]
+        if fit_intercept:
+            intercept = [
+                self.y_mean[t] - sum(self.x_mean[j] * coef[j][t] for j in range(m))
+                for t in (0, 1)
+            ]
+        return RidgeModel(coef=coef, intercept=intercept)
+
+
 def ridge_fit(
     x_rows: Sequence[Sequence[float]],
     y_rows: Sequence[Sequence[float]],
     alpha: float,
     fit_intercept: bool,
 ) -> RidgeModel:
-    """Normal-equation ridge fit, one solve shared by both target columns.
-
-    With ``fit_intercept`` the design and targets are centered on the
-    training data and the intercept is recovered afterwards, so the penalty
-    never applies to the intercept.
-    """
+    """Ridge fit of both target columns on the given rows; see ``RidgeStats.solve``."""
     if alpha < 0:
         raise BuiltinError(f"ridge: alpha must be >= 0, got {alpha}")
-    n = len(x_rows)
-    if n == 0:
-        raise BuiltinError("ridge: empty training set")
-    m = len(x_rows[0])
-    x_mean = [0.0] * m
-    y_mean = [0.0, 0.0]
-    if fit_intercept:
-        for row in x_rows:
-            for j, value in enumerate(row):
-                x_mean[j] += value
-        x_mean = [v / n for v in x_mean]
-        for row in y_rows:
-            y_mean[0] += row[0]
-            y_mean[1] += row[1]
-        y_mean = [v / n for v in y_mean]
-
-    xtx = [[0.0] * m for _ in range(m)]
-    xty = [[0.0, 0.0] for _ in range(m)]
-    for row, target in zip(x_rows, y_rows):
-        xc = [row[j] - x_mean[j] for j in range(m)]
-        yc = [target[0] - y_mean[0], target[1] - y_mean[1]]
-        for j in range(m):
-            xj = xc[j]
-            for l in range(j, m):
-                xtx[j][l] += xj * xc[l]
-            xty[j][0] += xj * yc[0]
-            xty[j][1] += xj * yc[1]
-    for j in range(m):
-        for l in range(j):
-            xtx[j][l] = xtx[l][j]
-        xtx[j][j] += alpha
-
-    coef = _cholesky_solve(xtx, xty)
-    intercept = [0.0, 0.0]
-    if fit_intercept:
-        intercept = [
-            y_mean[0] - sum(x_mean[j] * coef[j][0] for j in range(m)),
-            y_mean[1] - sum(x_mean[j] * coef[j][1] for j in range(m)),
-        ]
-    return RidgeModel(coef=coef, intercept=intercept)
+    return RidgeStats.from_rows(x_rows, y_rows).solve(alpha, fit_intercept)
 
 
 @dataclass(frozen=True)

@@ -504,8 +504,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
 
     run_id = _make_run_id()
     project.runs_dir.mkdir(parents=True, exist_ok=True)
-    run_logs = project.logs_dir / run_id
-    run_logs.mkdir(parents=True, exist_ok=True)
+    run_logs = project.logs_dir / run_id  # created when the first stage executes
     project.tmp_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, StageResult] = {}
@@ -606,6 +605,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                                     deps=stage.deps,
                                     outs=stage.outs,
                                 ).to_json_file(request_path)
+                            run_logs.mkdir(parents=True, exist_ok=True)
                             future = pool.submit(
                                 _spawn_stage, stage, request_path, project.root,
                                 run_logs / f"{name}.out", run_logs / f"{name}.err",

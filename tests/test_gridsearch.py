@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -11,8 +13,8 @@ from locpipe.loctk.gridsearch import (
     run_grid_search,
     select_index,
 )
-from locpipe.loctk.metrics import METRIC_KEYS
-from locpipe.loctk.models import load_artifact
+from locpipe.loctk.metrics import METRIC_KEYS, compute_metrics
+from locpipe.loctk.models import load_artifact, ridge_fit
 from locpipe.loctk.split import make_fold_file
 from locpipe.loctk.tables import Table
 
@@ -163,16 +165,18 @@ class TestRunGridSearch:
         table = make_table(n=10)
         grid = {"knn": {"k": [8], "weights": ["uniform"], "metric": ["euclidean"]}}
         # 5 folds of 10 samples -> train folds of 8; k == 8 must be refused
-        with pytest.raises(BuiltinError, match="k=8"):
+        with pytest.raises(BuiltinError) as info:
             run_grid_search(table, folds_for(table, k=5), grid, "rmse", ["rmse"])
+        assert str(info.value) == "gridsearch: candidate 0 (knn) has k=8 >= training fold size 8"
 
     def test_singular_candidate_named(self):
         table = make_table(n=12, m=2)
         for row in table.values:
             row[1] = row[0]  # duplicate feature column
         grid = {"ridge": {"alpha": [0.0], "fit_intercept": [False]}}
-        with pytest.raises(BuiltinError, match="candidate 0"):
+        with pytest.raises(BuiltinError) as info:
             run_grid_search(table, folds_for(table, k=3), grid, "rmse", ["rmse"])
+        assert str(info.value) == "gridsearch: candidate 0 (ridge): normal equations are singular"
 
     def test_fold_table_mismatch(self):
         table = make_table(n=20)
@@ -204,3 +208,80 @@ class TestRunGridSearch:
         cv, _, _, _ = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"])
         assert len(cv["aggregates"]) == 2
         assert {a["model"] for a in cv["aggregates"]} == {"knn", "ridge"}
+
+
+RIDGE_SWEEP = {"ridge": {"alpha": [0.0, 0.5, 10.0], "fit_intercept": [True, False]}}
+
+
+def fold_files(table: Table) -> dict[str, dict]:
+    """kfold, overlapping shuffle repeats, groupkfold, and a hand-written file
+    with a repeated train index and a row in no fold."""
+    n = table.n_rows
+    groups = [f"g{i % 7}" for i in range(n)]
+    hand = {
+        "strategy": "kfold", "seed": 0, "n_samples": n,
+        "folds": [
+            {"train": list(range(0, 20)) + [3, 3], "test": list(range(20, 30))},
+            {"train": list(range(10, 34)), "test": list(range(0, 10))},
+        ],
+    }
+    return {
+        "kfold": folds_for(table),
+        "shuffle": make_fold_file(n, {"strategy": "shuffle", "test_fraction": 0.3, "repeats": 4, "seed": 5}, None),
+        "groupkfold": make_fold_file(n, {"strategy": "groupkfold", "k": 3}, groups),
+        "hand": hand,
+    }
+
+
+def assert_close(ours: float, ref: float) -> None:
+    assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1.0), (ours, ref)
+
+
+def parsed_predictions(pred_rows: list[dict]) -> dict[int, tuple[list, list]]:
+    """fold -> (predictions, truths), read back from the predictions CSV bytes."""
+    by_fold: dict[int, tuple[list, list]] = {}
+    for row in csv.DictReader(io.StringIO(predictions_csv(pred_rows))):
+        preds, truths = by_fold.setdefault(int(row["fold"]), ([], []))
+        preds.append([float(row["pred_x"]), float(row["pred_y"])])
+        truths.append([float(row["true_x"]), float(row["true_y"])])
+    return by_fold
+
+
+class TestRidgeFromStatistics:
+    @pytest.mark.parametrize("kind", ["kfold", "shuffle", "groupkfold", "hand"])
+    def test_cv_rows_match_ridge_fit_on_train_rows(self, kind):
+        table = make_table(n=40, m=4, seed=3)
+        folds_doc = fold_files(table)[kind]
+        cv, artifact, _, _ = run_grid_search(table, folds_doc, RIDGE_SWEEP, "rmse", ["rmse"])
+        folds = folds_doc["folds"]
+        assert len(cv["rows"]) == 6 * len(folds)
+        for row in cv["rows"]:
+            fold = folds[row["fold"]]
+            model = ridge_fit(
+                [table.values[i] for i in fold["train"]],
+                [table.targets[i] for i in fold["train"]],
+                row["params"]["alpha"], row["params"]["fit_intercept"],
+            )
+            expected = compute_metrics(
+                model.predict([table.values[i] for i in fold["test"]]),
+                [table.targets[i] for i in fold["test"]],
+            )
+            for key in METRIC_KEYS:
+                assert_close(row["metrics"][key], expected[key])
+        chosen = cv["aggregates"][cv["selected"]]["params"]
+        final = ridge_fit(table.values, table.targets, chosen["alpha"], chosen["fit_intercept"])
+        for ours, ref in zip(artifact["coef"], final.coef):
+            assert_close(ours[0], ref[0])
+            assert_close(ours[1], ref[1])
+        for ours, ref in zip(artifact["intercept"], final.intercept):
+            assert_close(ours, ref)
+
+    @pytest.mark.parametrize("kind", ["kfold", "shuffle", "groupkfold", "hand"])
+    def test_predictions_reproduce_selected_cv_rows_exactly(self, kind):
+        table = make_table(n=40, m=4, seed=3)
+        cv, _, preds, _ = run_grid_search(table, fold_files(table)[kind], RIDGE_SWEEP, "rmse", ["rmse"])
+        selected_rows = [r for r in cv["rows"] if r["candidate"] == cv["selected"]]
+        by_fold = parsed_predictions(preds)
+        assert sorted(by_fold) == [r["fold"] for r in selected_rows]
+        for row in selected_rows:
+            assert compute_metrics(*by_fold[row["fold"]]) == row["metrics"]

@@ -1,13 +1,17 @@
 import json
 import math
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locpipe.canonical import canonical_bytes
 from locpipe.errors import BuiltinError
 from locpipe.loctk.models import (
     KnnModel,
+    RidgeStats,
     SingularSystemError,
     artifact_doc,
     fit_model,
@@ -99,6 +103,67 @@ class TestRidge:
         model = ridge_fit([[1.0], [2.0]], [[1.0, 2.0], [2.0, 4.0]], 0.0, True)
         preds = model.predict([[3.0]])
         assert len(preds) == 1 and len(preds[0]) == 2
+
+
+def assert_matches_reference(model, x_rows, y_rows, alpha, fit_intercept):
+    for t in (0, 1):
+        ref_coef, ref_intercept = ridge_reference(x_rows, [y[t] for y in y_rows], alpha, fit_intercept)
+        for j, ref in enumerate(ref_coef):
+            assert abs(model.coef[j][t] - ref) <= 1e-9 * max(abs(ref), 1.0)
+        assert abs(model.intercept[t] - ref_intercept) <= 1e-9 * max(abs(ref_intercept), 1.0)
+
+
+class TestRidgeStats:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        extra_rows=st.integers(3, 30),
+        cut_draws=st.lists(st.floats(0.0, 1.0), max_size=4),
+        rssi_mean=st.floats(-75.0, -65.0),
+        spread=st.floats(1.0, 6.0),
+        alpha=st.sampled_from([0.0, 0.1, 10.0]),
+        fit_intercept=st.booleans(),
+    )
+    def test_merged_parts_solve_like_one_pass(
+        self, seed, m, extra_rows, cut_draws, rssi_mean, spread, alpha, fit_intercept
+    ):
+        # RSSI-like features: means near -70 dBm, a few dB of spread
+        rng = random.Random(seed)
+        n = m + extra_rows
+        x_rows = [[rng.gauss(rssi_mean, spread) for _ in range(m)] for _ in range(n)]
+        y_rows = [
+            [sum(row) * 0.4 + rng.gauss(0, 2), sum(row) * -0.2 + rng.gauss(0, 2)]
+            for row in x_rows
+        ]
+        cuts = sorted({1 + int(draw * (n - 1)) for draw in cut_draws} - {n})
+        bounds = [0, *cuts, n]
+        parts = [
+            RidgeStats.from_rows(x_rows[lo:hi], y_rows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        merged = reduce(RidgeStats.merge, parts).solve(alpha, fit_intercept)
+        assert_matches_reference(merged, x_rows, y_rows, alpha, fit_intercept)
+
+        whole = RidgeStats.from_rows(x_rows, y_rows).solve(alpha, fit_intercept)
+        for t in (0, 1):
+            for j in range(m):
+                assert abs(merged.coef[j][t] - whole.coef[j][t]) <= 1e-9 * max(abs(whole.coef[j][t]), 1.0)
+            assert abs(merged.intercept[t] - whole.intercept[t]) <= 1e-9 * max(abs(whole.intercept[t]), 1.0)
+
+    def test_merge_counts_a_repeated_part_twice(self):
+        rng = random.Random(8)
+        x_rows, y_rows, _, _ = linear_dataset(rng, 12, 3, noise=1.0)
+        part = RidgeStats.from_rows(x_rows[:5], y_rows[:5])
+        merged = part.merge(part).merge(RidgeStats.from_rows(x_rows[5:], y_rows[5:]))
+        doubled_x = x_rows[:5] + x_rows
+        doubled_y = y_rows[:5] + y_rows
+        assert merged.n == 17
+        assert_matches_reference(merged.solve(0.5, True), doubled_x, doubled_y, 0.5, True)
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(BuiltinError, match="empty training set"):
+            RidgeStats.from_rows([], [])
 
 
 TRAIN_X = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]]

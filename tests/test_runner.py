@@ -53,6 +53,14 @@ class TestRepro:
         report = run(shell_project)
         assert report.executed == 0 and report.cached == 3
 
+    def test_noop_run_adds_no_log_directory(self, shell_project):
+        first = run(shell_project)
+        logs = sorted(p.name for p in shell_project.logs_dir.iterdir())
+        assert logs == [first.run_id]
+        second = run(shell_project)
+        assert second.executed == 0
+        assert sorted(p.name for p in shell_project.logs_dir.iterdir()) == logs
+
     def test_cached_stage_restores_deleted_outs(self, shell_project):
         run(shell_project)
         (shell_project.root / "upper.txt").unlink()
