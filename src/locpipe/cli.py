@@ -101,10 +101,8 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     from .runner import ExecOptions, Project, plan, repro
 
     project = Project.discover()
-    opts = ExecOptions(
-        targets=tuple(args.targets), force=args.force, dry_run=args.dry_run, jobs=args.jobs
-    )
-    if opts.dry_run:
+    opts = ExecOptions(targets=tuple(args.targets), force=args.force, jobs=args.jobs)
+    if args.dry_run:
         _print_plan(plan(project, opts).entries)
         return 0
     report = repro(project, opts)

@@ -92,10 +92,6 @@ class StageSpec:
     metrics: tuple[str, ...] = ()
     env: tuple[str, ...] = ()  # extra environment variable names passed through to the stage
 
-    @property
-    def kind_label(self) -> str:
-        return f"builtin {self.builtin}" if self.builtin is not None else f"cmd {self.cmd!r}"
-
 
 @dataclass(frozen=True)
 class PipelineSpec:
@@ -103,12 +99,6 @@ class PipelineSpec:
 
     version: int
     stages: dict[str, StageSpec] = field(default_factory=dict)
-
-    def stage(self, name: str) -> StageSpec:
-        try:
-            return self.stages[name]
-        except KeyError:
-            raise ConfigError(f"unknown stage '{name}'") from None
 
 
 def _norm_path(raw: object, stage: str, role: str) -> str:

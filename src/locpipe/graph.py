@@ -49,12 +49,6 @@ class PlanEntry:
 class ExecutionPlan:
     entries: tuple[PlanEntry, ...]
 
-    def action_of(self, stage: str) -> str:
-        for entry in self.entries:
-            if entry.stage == stage:
-                return entry.action
-        raise KeyError(stage)
-
 
 def _dep_under_out(dep: str, out: str) -> bool:
     return dep == out or dep.startswith(out + "/")

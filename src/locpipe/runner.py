@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .canonical import canonical_bytes
@@ -50,14 +51,17 @@ from .store import (
     LockEntry,
     LockFile,
     ObjectStore,
+    OutRecord,
     cache_lookup,
     commit_outputs,
     hash_file,
     hash_path,
     load_lock,
+    missing_outs,
     parse_manifest,
     restore_outputs,
     stage_fingerprint,
+    stage_kind,
     write_lock,
 )
 
@@ -65,6 +69,9 @@ PIPELINE_FILE = "pipeline.yaml"
 PARAMS_FILE = "params.yaml"
 LOCK_FILE = "pipeline.lock.json"
 DOT_DIR = ".locpipe"
+
+# The reason a stage with no lock entry misses the cache.
+NEVER_RUN = "never run"
 
 # Environment scrubbing: stages see only this allowlist plus names they
 # declare in `env`, so nothing can silently depend on ambient variables.
@@ -133,7 +140,6 @@ class Project:
 class ExecOptions:
     targets: tuple[str, ...] = ()
     force: bool = False
-    dry_run: bool = False
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -262,60 +268,127 @@ def _validate_resolvable(spec: PipelineSpec, params: dict, planned: list[str]) -
             builtin_version(stage.builtin)
 
 
-def _stage_kind(stage: StageSpec) -> dict:
-    if stage.builtin is not None:
-        return {"builtin": stage.builtin, "builtin_version": builtin_version(stage.builtin)}
-    return {"cmd": stage.cmd}
-
-
 @dataclass
-class _StagePrep:
-    stage: StageSpec
+class StageState:
+    """One stage resolved against the lock and the store.
+
+    `fingerprint` and `hit` are None when a dep is missing. `reasons` say why
+    the stage misses the cache; they are empty exactly when `hit` is set.
+    """
+
+    kind: dict
     dep_hashes: dict[str, ContentHash]
     params_canonical: bytes
-    fingerprint: ContentHash
-    cache_entry: LockEntry | None
-    missing_deps: list[str]
+    fingerprint: ContentHash | None
+    missing_deps: tuple[str, ...]
+    hit: LockEntry | None
+    reasons: tuple[str, ...] = ()
 
 
-def _prepare_stage(
+def resolve_stage(
     stage: StageSpec,
     params: dict,
     lock: LockFile,
     store: ObjectStore,
-    root: Path,
-) -> _StagePrep:
-    dep_hashes: dict[str, ContentHash] = {}
-    missing: list[str] = []
-    for dep in stage.deps:
-        path = root / dep
-        if not path.exists():
-            missing.append(dep)
-            continue
-        dep_hashes[dep] = hash_path(path)[0]
-    if missing:
-        return _StagePrep(stage, dep_hashes, b"", ContentHash(""), None, missing)
-    params_canonical = canonicalize(select_params(params, stage.params, stage=stage.name))
+    dep_hash: Callable[[str], ContentHash | None],
+) -> StageState:
+    """The one place dep hashes become a fingerprint and a cache decision.
+
+    `dep_hash` gives the content hash a dep will have when the stage runs,
+    or None if it will be missing.
+    """
+    found = {dep: dep_hash(dep) for dep in stage.deps}
+    dep_hashes = {dep: ch for dep, ch in found.items() if ch is not None}
+    missing = [dep for dep, ch in found.items() if ch is None]
+    current = select_params(params, stage.params, stage=stage.name)
+    params_canonical = canonicalize(current)
     version = builtin_version(stage.builtin) if stage.builtin is not None else None
-    fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical, version)
-    entry = cache_lookup(lock, store, stage.name, fingerprint)
-    return _StagePrep(stage, dep_hashes, params_canonical, fingerprint, entry, [])
+    kind = stage_kind(stage, version)
+    fingerprint = hit = None
+    if not missing:
+        fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical, version)
+        hit = cache_lookup(lock, store, stage.name, fingerprint)
+    state = StageState(kind, dep_hashes, params_canonical, fingerprint, tuple(missing), hit)
+    if hit is None:
+        state.reasons = _miss_reasons(stage, state, current, lock.get(stage.name), store)
+    return state
 
 
-def _predicted_dep_hash(
-    dep: str, predicted_outs: dict[str, tuple[str, bool]], store: ObjectStore
-) -> ContentHash | None:
-    """Resolve a dep against outs a cached upstream stage will restore."""
-    if dep in predicted_outs:
-        return ContentHash(predicted_outs[dep][0])
-    for out, (hexd, is_tree) in predicted_outs.items():
-        if is_tree and dep.startswith(out + "/"):
-            rel = dep[len(out) + 1:]
-            for member_rel, member_hex in parse_manifest(store.read_bytes(hexd)):
-                if member_rel == rel:
-                    return ContentHash(member_hex)
-            return None
-    return None
+def _param_diffs(prefix: str, recorded: object, current: object) -> list[str]:
+    """Deepest dotted paths where two param values differ in canonical bytes."""
+    if isinstance(recorded, dict) and isinstance(current, dict):
+        paths = []
+        for key in sorted(set(recorded) | set(current)):
+            if key not in recorded or key not in current:
+                paths.append(f"{prefix}.{key}")
+            else:
+                paths.extend(_param_diffs(f"{prefix}.{key}", recorded[key], current[key]))
+        return paths
+    return [prefix] if canonical_bytes(recorded) != canonical_bytes(current) else []
+
+
+def _miss_reasons(
+    stage: StageSpec, state: StageState, current: dict, entry: LockEntry | None, store: ObjectStore
+) -> tuple[str, ...]:
+    """Why a stage misses the cache, named against its lock entry."""
+    if entry is None:
+        return (NEVER_RUN,)
+    reasons: list[str] = []
+    if state.kind != entry.kind:
+        reasons.append("builtin" if stage.builtin is not None else "cmd")
+    for dep in stage.deps:
+        if dep not in entry.deps:
+            reasons.append(f"deps: {dep} (added)")
+        elif dep not in state.dep_hashes:
+            reasons.append(f"deps: {dep} (missing)")
+        elif state.dep_hashes[dep].hex != entry.deps[dep]:
+            reasons.append(f"deps: {dep}")
+    reasons.extend(f"deps: {dep} (removed)" for dep in entry.deps if dep not in stage.deps)
+    recorded = json.loads(entry.params)
+    for key in stage.params:
+        if key not in recorded:
+            reasons.append(f"params: {key} (added)")
+        else:
+            reasons.extend(f"params: {p}" for p in _param_diffs(key, recorded[key], current[key]))
+    reasons.extend(f"params: {key} (removed)" for key in recorded if key not in stage.params)
+    if sorted(stage.outs) != sorted(entry.outs):
+        reasons.append("outs")
+    if not reasons and state.fingerprint is not None and state.fingerprint.hex == entry.fingerprint:
+        reasons = [f"outs: {out} (missing from store)" for out in missing_outs(store, entry)]
+    # a lock entry whose fingerprint disagrees with its own recorded fields
+    return tuple(reasons) or ("fingerprint",)
+
+
+def _workspace_hash(root: Path, dep: str) -> ContentHash | None:
+    path = root / dep
+    return hash_path(path)[0] if path.exists() else None
+
+
+def _predicting_resolver(project: Project, params: dict) -> Callable[[StageSpec], StageState]:
+    """`resolve_stage` for stages given in topological order, against the
+    workspace as `repro` will find it and without touching it: a dep that a
+    cached upstream stage will restore gets the hash of the restored out, any
+    other dep its workspace hash."""
+    lock = load_lock(project.lock_path)
+    store = ObjectStore(project.cache_dir)
+    restored: dict[str, OutRecord] = {}
+
+    def dep_hash(dep: str) -> ContentHash | None:
+        if dep in restored:
+            return ContentHash(restored[dep].hash)
+        for out, rec in restored.items():
+            if rec.tree and dep.startswith(out + "/"):
+                member = dict(parse_manifest(store.read_bytes(rec.hash))).get(dep[len(out) + 1:])
+                return ContentHash(member) if member is not None else None
+        return _workspace_hash(project.root, dep)
+
+    def resolve(stage: StageSpec) -> StageState:
+        state = resolve_stage(stage, params, lock, store, dep_hash)
+        if state.hit is not None:
+            restored.update(state.hit.outs)
+        return state
+
+    return resolve
 
 
 def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
@@ -331,9 +404,8 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     graph = build_graph(spec)
     planned = _planned_stages(spec, graph, opts.targets)
     _validate_resolvable(spec, params, planned)
-    lock = load_lock(project.lock_path)
-    store = ObjectStore(project.cache_dir)
     producers = graph.producers()
+    resolve = _predicting_resolver(project, params)
 
     # a dep nobody produces is a source file: it must exist on disk no matter what
     produced = [out for stage_name in planned for out in spec.stages[stage_name].outs]
@@ -341,63 +413,33 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     def is_source(dep: str) -> bool:
         return not any(dep == out or dep.startswith(out + "/") for out in produced)
 
-    entries: list[PlanEntry] = []
-    actions: dict[str, str] = {}
-    predicted_outs: dict[str, tuple[str, bool]] = {}
+    entries: dict[str, PlanEntry] = {}
     for name in planned:
         stage = spec.stages[name]
-        upstream = [p for p in producers[name] if p in actions]
-        blocked_up = [p for p in upstream if actions[p] == ACTION_BLOCKED]
-        running_up = [p for p in upstream if actions[p] == ACTION_RUN]
+        upstream = [p for p in producers[name] if p in entries]
+        blocked_up = [p for p in upstream if entries[p].action == ACTION_BLOCKED]
+        running_up = [p for p in upstream if entries[p].action == ACTION_RUN]
         source_missing = [
             dep for dep in stage.deps if is_source(dep) and not (project.root / dep).exists()
         ]
         if blocked_up:
-            entries.append(PlanEntry(name, ACTION_BLOCKED, f"upstream blocked: {blocked_up[0]}"))
-            actions[name] = ACTION_BLOCKED
-            continue
-        if source_missing:
-            entries.append(PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {source_missing[0]}"))
-            actions[name] = ACTION_BLOCKED
-            continue
-        if opts.force:
-            entries.append(PlanEntry(name, ACTION_RUN, "forced"))
-            actions[name] = ACTION_RUN
-            continue
-        if running_up:
-            entries.append(PlanEntry(name, ACTION_RUN, f"upstream will run: {running_up[0]}"))
-            actions[name] = ACTION_RUN
-            continue
-
-        dep_hashes: dict[str, ContentHash] = {}
-        missing: list[str] = []
-        for dep in stage.deps:
-            path = project.root / dep
-            predicted = _predicted_dep_hash(dep, predicted_outs, store)
-            if predicted is not None:
-                dep_hashes[dep] = predicted
-            elif path.exists():
-                dep_hashes[dep] = hash_path(path)[0]
-            else:
-                missing.append(dep)
-        if missing:
-            entries.append(PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {missing[0]}"))
-            actions[name] = ACTION_BLOCKED
-            continue
-        params_canonical = canonicalize(select_params(params, stage.params, stage=name))
-        version = builtin_version(stage.builtin) if stage.builtin is not None else None
-        fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical, version)
-        entry = cache_lookup(lock, store, name, fingerprint)
-        if entry is not None:
-            entries.append(PlanEntry(name, ACTION_CACHED))
-            actions[name] = ACTION_CACHED
-            for out, rec in entry.outs.items():
-                predicted_outs[out] = (rec.hash, rec.tree)
+            entry = PlanEntry(name, ACTION_BLOCKED, f"upstream blocked: {blocked_up[0]}")
+        elif source_missing:
+            entry = PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {source_missing[0]}")
+        elif opts.force:
+            entry = PlanEntry(name, ACTION_RUN, "forced")
+        elif running_up:
+            entry = PlanEntry(name, ACTION_RUN, f"upstream will run: {running_up[0]}")
         else:
-            reason = "never run" if name not in lock else "changed"
-            entries.append(PlanEntry(name, ACTION_RUN, reason))
-            actions[name] = ACTION_RUN
-    return ExecutionPlan(tuple(entries))
+            state = resolve(stage)
+            if state.missing_deps:
+                entry = PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {state.missing_deps[0]}")
+            elif state.hit is not None:
+                entry = PlanEntry(name, ACTION_CACHED)
+            else:
+                entry = PlanEntry(name, ACTION_RUN, "; ".join(state.reasons))
+        entries[name] = entry
+    return ExecutionPlan(tuple(entries.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +536,6 @@ def _config_hashes(project: Project) -> dict[str, str]:
 def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     """Execute the plan. Raises ConfigError/StoreError for environment-level
     problems; stage failures are reported through the returned RunReport."""
-    if opts.dry_run:
-        raise ValueError("repro() does not take dry_run options; call plan() instead")
     start = time.perf_counter()
     spec, params = project.load()
     graph = build_graph(spec)
@@ -518,8 +558,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 pending = list(planned)
                 running: dict = {}
 
-                def finalize(prep: _StagePrep, outcome: _ExecOutcome) -> None:
-                    stage = prep.stage
+                def finalize(stage: StageSpec, state: StageState, outcome: _ExecOutcome) -> None:
                     result = StageResult(
                         stage=stage.name,
                         action="executed",
@@ -528,6 +567,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         peak_rss_bytes=outcome.peak_rss_bytes,
                         exit_code=outcome.exit_code,
                         pid=outcome.pid,
+                        reason="forced" if opts.force else "; ".join(state.reasons),
                         log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
                         log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
                     )
@@ -544,7 +584,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         return
                     # A stage must not rewrite its own inputs; that would make
                     # the recorded fingerprint a lie.
-                    for dep, before in prep.dep_hashes.items():
+                    for dep, before in state.dep_hashes.items():
                         after = hash_path(project.root / dep)[0]
                         if after.hex != before.hex:
                             result.action = "failed"
@@ -552,8 +592,8 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             results[stage.name] = result
                             return
                     entry = commit_outputs(
-                        store, stage, prep.fingerprint, _stage_kind(stage),
-                        prep.dep_hashes, prep.params_canonical, project.root,
+                        store, stage, state.fingerprint, state.kind,
+                        state.dep_hashes, state.params_canonical, project.root,
                     )
                     lock[stage.name] = entry
                     write_lock(lock, project.lock_path)
@@ -574,18 +614,21 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             pending.remove(name)
                             dispatched = True
                             continue
-                        prep = _prepare_stage(spec.stages[name], params, lock, store, project.root)
-                        if prep.missing_deps:
+                        stage = spec.stages[name]
+                        state = resolve_stage(
+                            stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
+                        )
+                        if state.missing_deps:
                             results[name] = StageResult(
                                 stage=name, action="failed",
-                                reason=f"missing dependency: {prep.missing_deps[0]}",
+                                reason=f"missing dependency: {state.missing_deps[0]}",
                             )
                             pending.remove(name)
                             dispatched = True
                             continue
-                        if prep.cache_entry is not None and not opts.force:
+                        if state.hit is not None and not opts.force:
                             restore_start = time.perf_counter()
-                            restore_outputs(store, prep.cache_entry, project.root)
+                            restore_outputs(store, state.hit, project.root)
                             results[name] = StageResult(
                                 stage=name, action="cached",
                                 wall_s=time.perf_counter() - restore_start,
@@ -595,7 +638,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             continue
                         if len(running) < opts.jobs:
                             request_path = None
-                            stage = prep.stage
                             if stage.builtin is not None:
                                 request_path = project.tmp_dir / f"{run_id}-{name}.json"
                                 StageRequest(
@@ -610,7 +652,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                                 _spawn_stage, stage, request_path, project.root,
                                 run_logs / f"{name}.out", run_logs / f"{name}.err",
                             )
-                            running[future] = (prep, request_path)
+                            running[future] = (stage, state, request_path)
                             pending.remove(name)
                             dispatched = True
                         else:
@@ -618,9 +660,9 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     if running and (not dispatched or not pending or len(running) >= opts.jobs):
                         done, _ = wait(running, return_when=FIRST_COMPLETED)
                         for future in done:
-                            prep, request_path = running.pop(future)
+                            stage, state, request_path = running.pop(future)
                             try:
-                                finalize(prep, future.result())
+                                finalize(stage, state, future.result())
                             finally:
                                 if request_path is not None:
                                     Path(request_path).unlink(missing_ok=True)
@@ -639,7 +681,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 "options": {
                     "targets": list(opts.targets),
                     "force": opts.force,
-                    "dry_run": opts.dry_run,
                     "jobs": opts.jobs,
                 },
                 "results": [r.to_json() for r in ordered],
@@ -664,61 +705,22 @@ class StageStatus:
     reasons: tuple[str, ...] = ()
 
 
-def _diff_paths(prefix: str, recorded: object, current: object) -> list[str]:
-    """Deepest dotted paths where two param values differ."""
-    if isinstance(recorded, dict) and isinstance(current, dict):
-        paths = []
-        for key in sorted(set(recorded) | set(current)):
-            if key not in recorded or key not in current:
-                paths.append(f"{prefix}.{key}")
-            elif recorded[key] != current[key]:
-                paths.extend(_diff_paths(f"{prefix}.{key}", recorded[key], current[key]))
-        return paths
-    return [prefix] if recorded != current else []
-
-
 def status(project: Project) -> list[StageStatus]:
-    """Per-stage change report against the lock file (content, never mtimes)."""
+    """Per-stage change report against the lock file (content, never mtimes).
+
+    Each stage is resolved as `plan` resolves it, against its own lock entry:
+    a stage is never reported changed only because an upstream stage is.
+    """
     spec, params = project.load()
-    graph = build_graph(spec)
-    lock = load_lock(project.lock_path)
+    resolve = _predicting_resolver(project, params)
     out: list[StageStatus] = []
-    for name in topo_order(graph):
-        stage = spec.stages[name]
-        entry = lock.get(name)
-        if entry is None:
-            out.append(StageStatus(stage=name, state="never-run"))
-            continue
-        reasons: list[str] = []
-        if _stage_kind(stage) != entry.kind:
-            reasons.append("builtin" if stage.builtin is not None else "cmd")
-        recorded_deps = entry.deps
-        for dep in stage.deps:
-            if dep not in recorded_deps:
-                reasons.append(f"deps: {dep} (added)")
-                continue
-            path = project.root / dep
-            if not path.exists():
-                reasons.append(f"deps: {dep} (missing)")
-            elif hash_path(path)[0].hex != recorded_deps[dep]:
-                reasons.append(f"deps: {dep}")
-        for dep in recorded_deps:
-            if dep not in stage.deps:
-                reasons.append(f"deps: {dep} (removed)")
-        current = select_params(params, stage.params, stage=name)
-        recorded = json.loads(entry.params)
-        for key in stage.params:
-            if key not in recorded:
-                reasons.append(f"params: {key} (added)")
-            elif current[key] != recorded[key]:
-                reasons.extend(f"params: {p}" for p in _diff_paths(key, recorded[key], current[key]))
-        for key in recorded:
-            if key not in stage.params:
-                reasons.append(f"params: {key} (removed)")
-        if sorted(stage.outs) != sorted(entry.outs):
-            reasons.append("outs")
-        state = "changed" if reasons else "unchanged"
-        out.append(StageStatus(stage=name, state=state, reasons=tuple(reasons)))
+    for name in topo_order(build_graph(spec)):
+        state = resolve(spec.stages[name])
+        if state.hit is not None:
+            out.append(StageStatus(stage=name, state="unchanged"))
+        else:
+            changed = state.reasons != (NEVER_RUN,)
+            out.append(StageStatus(name, "changed" if changed else "never-run", state.reasons))
     return out
 
 

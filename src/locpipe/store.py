@@ -210,6 +210,16 @@ class ObjectStore:
 # Fingerprints
 
 
+def stage_kind(stage: StageSpec, builtin_version: int | None = None) -> dict:
+    """What a stage runs, as fingerprinted and recorded in its lock entry:
+    the command string, or the builtin id and version."""
+    if stage.builtin is None:
+        return {"cmd": stage.cmd}
+    if builtin_version is None:
+        raise StoreError(f"stage '{stage.name}': builtin version required for fingerprint")
+    return {"builtin": stage.builtin, "builtin_version": builtin_version}
+
+
 def stage_fingerprint(
     stage: StageSpec,
     dep_hashes: Mapping[str, ContentHash | str],
@@ -227,15 +237,9 @@ def stage_fingerprint(
     if declared != provided:
         missing = sorted(declared - provided) + sorted(provided - declared)
         raise StoreError(f"stage '{stage.name}': dep hash set mismatch: {missing}")
-    if stage.builtin is not None:
-        if builtin_version is None:
-            raise StoreError(f"stage '{stage.name}': builtin version required for fingerprint")
-        kind: dict = {"builtin": stage.builtin, "builtin_version": builtin_version}
-    else:
-        kind = {"cmd": stage.cmd}
     payload = {
         "deps": {path: str(dep_hashes[path]) for path in sorted(dep_hashes)},
-        "kind": kind,
+        "kind": stage_kind(stage, builtin_version),
         "outs": sorted(stage.outs),
         "params": params_canonical.decode("utf-8"),
     }
@@ -323,19 +327,25 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
+    """Sorted outs of `entry` whose object, or one of whose tree members, is
+    gone from the store."""
+    missing = []
+    for out, rec in sorted(entry.outs.items()):
+        if not store.has(rec.hash) or (
+            rec.tree
+            and not all(store.has(member) for _, member in parse_manifest(store.read_bytes(rec.hash)))
+        ):
+            missing.append(out)
+    return missing
+
+
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: ContentHash) -> LockEntry | None:
     """Hit iff a lock entry exists with an equal fingerprint and every committed
     object (including tree members) is still present in the store."""
     entry = lock.get(stage)
-    if entry is None or entry.fingerprint != fingerprint.hex:
+    if entry is None or entry.fingerprint != fingerprint.hex or missing_outs(store, entry):
         return None
-    for rec in entry.outs.values():
-        if not store.has(rec.hash):
-            return None
-        if rec.tree:
-            for _, member in parse_manifest(store.read_bytes(rec.hash)):
-                if not store.has(member):
-                    return None
     return entry
 
 

@@ -2,14 +2,19 @@
 
 import json
 import os
+import shutil
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import edit_params, executed_stages, run, tree_snapshot, write_params, write_pipeline
+from locpipe import runner
 from locpipe.errors import ConfigError
+from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
 from locpipe.store import load_lock
+from locpipe.templates import init_experiment
 
 
 @pytest.fixture
@@ -400,6 +405,150 @@ class TestStatus:
         by_stage = {s.stage: s for s in status(shell_project)}
         assert by_stage["transform"].state == "changed"
         assert "cmd" in by_stage["transform"].reasons
+
+
+@pytest.fixture(scope="module")
+def warm_baseline(tmp_path_factory):
+    """A fully run baseline project; copy it before changing anything."""
+    root = tmp_path_factory.mktemp("warm") / "exp"
+    init_experiment(root, "baseline")
+    assert run(Project(root=root)).executed == 6
+    return root
+
+
+def _store_object(project: Project, stage: str, out: str):
+    hexd = load_lock(project.lock_path)[stage].outs[out].hash
+    return project.cache_dir / "sha256" / hexd[:2] / hexd[2:]
+
+
+def _edit_lock_fingerprint(project: Project, stage: str) -> None:
+    doc = json.loads(project.lock_path.read_text())
+    doc["stages"][stage]["fingerprint"] = "0" * 64
+    project.lock_path.write_text(json.dumps(doc))
+
+
+def _append(path, text: str) -> None:
+    with open(path, "a") as handle:
+        handle.write(text)
+
+
+SHELL_STAGES = ("generate", "transform", "summarize")
+
+# (id, project, perturbation, {stage: status reasons} for every stage whose
+# status is not "unchanged"). "shell" projects start unrun; "baseline" ones
+# start as a copy of a fully run baseline.
+AGREEMENT_CASES = [
+    ("fresh", "shell", None, {s: ("never run",) for s in SHELL_STAGES}),
+    ("dep-edit", "shell", lambda p: (p.root / "seed.txt").write_text("beta\n"),
+     {"generate": ("deps: seed.txt",)}),
+    ("cmd-edit", "shell",
+     lambda p: p.pipeline_path.write_text(p.pipeline_path.read_text().replace("A-Z <", "A-Z  <")),
+     {"transform": ("cmd",)}),
+    ("lock-fingerprint-edited", "shell", lambda p: _edit_lock_fingerprint(p, "generate"),
+     {"generate": ("fingerprint",)}),
+    ("param-edit", "baseline", lambda p: edit_params(p, "model.grid.ridge.alpha", [0.1]),
+     {"gridsearch": ("params: model.grid.ridge.alpha",)}),
+    ("store-object-missing", "baseline", lambda p: _store_object(p, "split", "data/folds.json").unlink(),
+     {"split": ("outs: data/folds.json (missing from store)",)}),
+    ("int-to-float", "baseline", lambda p: edit_params(p, "split.k", 5.0),
+     {"split": ("params: split.k",)}),
+    ("float-to-int", "baseline", lambda p: edit_params(p, "prepare.fill_value", -100),
+     {"prepare": ("params: prepare.fill_value",)}),
+    ("cached-out-edited", "baseline", lambda p: _append(p.root / "data/features.csv", "1,2\n"), {}),
+    ("cached-out-deleted", "baseline", lambda p: (p.root / "data/folds.json").unlink(), {}),
+]
+
+
+class TestStatusPlanReproAgree:
+    """`status`, `repro --dry-run` and `repro` read one stage state."""
+
+    @pytest.mark.parametrize(
+        "kind, perturb, expected",
+        [case[1:] for case in AGREEMENT_CASES],
+        ids=[case[0] for case in AGREEMENT_CASES],
+    )
+    def test_agreement(self, kind, perturb, expected, shell_project, warm_baseline, tmp_path):
+        if kind == "baseline":
+            project = Project(root=tmp_path / "copy")
+            shutil.copytree(warm_baseline, project.root)
+        else:
+            project = shell_project
+            if perturb is not None:
+                run(project)
+        if perturb is not None:
+            perturb(project)
+
+        before = tree_snapshot(project.root)
+        states = {s.stage: s for s in status(project)}
+        entries = {e.stage: e for e in plan(project).entries}
+        assert tree_snapshot(project.root) == before
+        assert {n: s.reasons for n, s in states.items() if s.state != "unchanged"} == expected
+
+        graph = build_graph(project.load()[0])
+        running = {n for n, e in entries.items() if e.action == "run"}
+        for name, entry in entries.items():
+            if running & (upstream_closure(graph, [name]) - {name}):
+                assert entry.reason.startswith("upstream will run: ")
+                continue
+            assert "; ".join(states[name].reasons) == entry.reason
+            assert (states[name].state == "unchanged") == (entry.action == "cached")
+
+        report = repro(project, ExecOptions())
+        manifest = json.loads(report.manifest_path.read_text())["results"]
+        for result in manifest:
+            entry = entries[result["stage"]]
+            if result["action"] == "executed":
+                assert entry.action == "run"
+                if not entry.reason.startswith("upstream will run: "):
+                    assert result["reason"] == entry.reason
+                else:  # found at dispatch, once the upstream outs exist
+                    assert result["reason"]
+            if entry.action == "cached":
+                assert result["action"] == "cached"
+
+    def test_forced_run_records_forced(self, shell_project):
+        run(shell_project)
+        report = run(shell_project, force=True)
+        doc = json.loads(report.manifest_path.read_text())
+        assert [r["reason"] for r in doc["results"]] == ["forced"] * 3
+        assert doc["options"] == {"force": True, "jobs": 1, "targets": []}
+
+
+class TestStoreCallsThroughRunner:
+    """Every hash and cache lookup goes through the `runner` module names,
+    which the benchmark's tracer rebinds from outside."""
+
+    def count_calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for name in ("hash_path", "cache_lookup"):
+            def counting(*args, _name=name, _original=getattr(runner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(runner, name, counting)
+        return calls
+
+    def test_baseline_plan_status_noop_repro(self, baseline_project, monkeypatch):
+        run(baseline_project)
+        calls = self.count_calls(monkeypatch)
+        plan(baseline_project)
+        # every dep is an out a cached upstream stage restores: nothing to hash
+        assert calls == Counter(cache_lookup=6)
+        calls.clear()
+        status(baseline_project)
+        assert calls == Counter(cache_lookup=6)
+        calls.clear()
+        assert run(baseline_project).cached == 6
+        assert calls == Counter(cache_lookup=6, hash_path=7)
+
+    def test_source_dep_hashed_by_plan_and_status(self, shell_project, monkeypatch):
+        run(shell_project)
+        calls = self.count_calls(monkeypatch)
+        plan(shell_project)
+        assert calls == Counter(cache_lookup=3, hash_path=1)
+        calls.clear()
+        status(shell_project)
+        assert calls == Counter(cache_lookup=3, hash_path=1)
 
 
 class TestMetricsShow:
