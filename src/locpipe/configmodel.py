@@ -208,30 +208,6 @@ def parse_pipeline(text: str, filename: str = "pipeline.yaml") -> PipelineSpec:
     return PipelineSpec(version=version, stages=stages)
 
 
-def pipeline_to_dict(spec: PipelineSpec) -> dict:
-    """Plain-data form of a PipelineSpec, suitable for YAML emission."""
-    stages: dict[str, dict] = {}
-    for name, stage in spec.stages.items():
-        body: dict = {}
-        if stage.cmd is not None:
-            body["cmd"] = stage.cmd
-        else:
-            body["builtin"] = stage.builtin
-        for key, value in (
-            ("deps", stage.deps), ("params", stage.params),
-            ("outs", stage.outs), ("metrics", stage.metrics), ("env", stage.env),
-        ):
-            if value:
-                body[key] = list(value)
-        stages[name] = body
-    return {"version": spec.version, "stages": stages}
-
-
-def serialize_pipeline(spec: PipelineSpec) -> str:
-    """Emit a YAML text that re-parses to an identical PipelineSpec."""
-    return yaml.safe_dump(pipeline_to_dict(spec), sort_keys=False)
-
-
 # ---------------------------------------------------------------------------
 # Parameter tree
 

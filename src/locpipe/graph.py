@@ -138,11 +138,6 @@ def _closure(graph: StageGraph, start: Iterable[str], neighbours: dict[str, list
     return seen
 
 
-def downstream_closure(graph: StageGraph, changed: Iterable[str]) -> set[str]:
-    """The changed stages plus every stage reachable through consumer edges."""
-    return _closure(graph, changed, graph.consumers())
-
-
 def upstream_closure(graph: StageGraph, targets: Iterable[str]) -> set[str]:
     """The targets plus every producer they transitively depend on."""
     return _closure(graph, targets, graph.producers())

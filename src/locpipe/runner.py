@@ -2,9 +2,10 @@
 
 Per stage: fingerprint -> cache check -> fresh-process execution with a
 scrubbed environment -> output verification -> commit. Cached stages have
-their outputs restored from the store instead. Every invocation writes a run
-manifest (one JSON file per run, timings and process accounting included),
-even when stages fail.
+their outputs restored from the store instead; a hit the run cache serves
+also becomes the stage's lock entry. Every invocation writes a run manifest
+(one JSON file per run, timings and process accounting included), even when
+stages fail.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .store import (
     load_lock,
     missing_outs,
     parse_manifest,
+    record_run,
     restore_outputs,
     stage_fingerprint,
     stage_kind,
@@ -517,6 +519,21 @@ def _spawn_stage(
     )
 
 
+def _stage_failure(stage: StageSpec, state: StageState, outcome: _ExecOutcome, root: Path) -> str | None:
+    """Why a stage that ran must not be committed, or None if it may be."""
+    if outcome.exit_code != 0:
+        return f"command exited with status {outcome.exit_code}"
+    missing = [o for o in stage.outs if not (root / o).exists()]
+    if missing:
+        return f"declared out not produced: {missing[0]}"
+    # A stage must not rewrite its own inputs; that would make the recorded
+    # fingerprint a lie.
+    for dep, before in state.dep_hashes.items():
+        if hash_path(root / dep)[0].hex != before.hex:
+            return f"stage modified its own dependency: {dep}"
+    return None
+
+
 def _make_run_id() -> str:
     now = datetime.now(timezone.utc)
     salt = hashlib.sha256(
@@ -571,32 +588,18 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
                         log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
                     )
-                    if outcome.exit_code != 0:
+                    failure = _stage_failure(stage, state, outcome, project.root)
+                    if failure is not None:
                         result.action = "failed"
-                        result.reason = f"command exited with status {outcome.exit_code}"
-                        results[stage.name] = result
-                        return
-                    missing = [o for o in stage.outs if not (project.root / o).exists()]
-                    if missing:
-                        result.action = "failed"
-                        result.reason = f"declared out not produced: {missing[0]}"
-                        results[stage.name] = result
-                        return
-                    # A stage must not rewrite its own inputs; that would make
-                    # the recorded fingerprint a lie.
-                    for dep, before in state.dep_hashes.items():
-                        after = hash_path(project.root / dep)[0]
-                        if after.hex != before.hex:
-                            result.action = "failed"
-                            result.reason = f"stage modified its own dependency: {dep}"
-                            results[stage.name] = result
-                            return
-                    entry = commit_outputs(
-                        store, stage, state.fingerprint, state.kind,
-                        state.dep_hashes, state.params_canonical, project.root,
-                    )
-                    lock[stage.name] = entry
-                    write_lock(lock, project.lock_path)
+                        result.reason = f"{result.reason}; {failure}"
+                    else:
+                        entry = commit_outputs(
+                            store, stage, state.fingerprint, state.kind,
+                            state.dep_hashes, state.params_canonical, project.root,
+                        )
+                        record_run(store, entry)
+                        lock[stage.name] = entry
+                        write_lock(lock, project.lock_path)
                     results[stage.name] = result
 
                 while pending or running:
@@ -633,6 +636,10 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                                 stage=name, action="cached",
                                 wall_s=time.perf_counter() - restore_start,
                             )
+                            if state.hit is not lock.get(name):  # served by the run cache
+                                lock[name] = state.hit
+                                write_lock(lock, project.lock_path)
+                                results[name].reason = "run cache"
                             pending.remove(name)
                             dispatched = True
                             continue

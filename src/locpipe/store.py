@@ -2,9 +2,11 @@
 and the lock file recording committed stage executions.
 
 Objects live at ``<cache>/sha256/<2 hex>/<62 hex>`` so every object is
-self-verifying: its content hashes to its own address. All file writes are
-atomic (write to a temp path on the same filesystem, then rename), so a
-crash never leaves a partially written object or lock file.
+self-verifying: its content hashes to its own address. The run cache keeps
+every committed execution at ``<cache>/runcache/<fingerprint>.json``, so a
+return to an earlier input restores instead of re-executing. All file writes
+are atomic (write to a temp path on the same filesystem, then rename), so a
+crash never leaves a partially written object, run-cache entry or lock file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .canonical import canonical_bytes
 from .configmodel import StageSpec
@@ -25,6 +27,7 @@ from .errors import StoreError
 HASH_ALGORITHM = "sha256"
 _CHUNK = 1 << 20
 _MANIFEST_SEP = "\t"
+_RUNCACHE_DIR = "runcache"
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,6 @@ def parse_manifest(data: bytes) -> list[tuple[str, str]]:
     return entries
 
 
-def hash_tree(path: Path | str) -> ContentHash:
-    return hash_bytes(tree_manifest(path))
-
-
 def hash_path(path: Path | str) -> tuple[ContentHash, bool, int]:
     """Hash a file or directory. Returns (hash, is_tree, size_bytes)."""
     path = Path(path)
@@ -126,10 +125,10 @@ class ObjectStore:
     def has(self, ch: ContentHash | str) -> bool:
         return self._addr(str(ch)).is_file()
 
-    def _tmp_path(self) -> Path:
+    def _tmp_path(self, prefix: str = "obj") -> Path:
         tmp_dir = self.root / "tmp"
         tmp_dir.mkdir(parents=True, exist_ok=True)
-        return tmp_dir / f"obj-{os.getpid()}-{os.urandom(8).hex()}"
+        return tmp_dir / f"{prefix}-{os.getpid()}-{os.urandom(8).hex()}"
 
     def _install(self, tmp: Path, hexd: str) -> None:
         target = self._addr(hexd)
@@ -237,11 +236,21 @@ def stage_fingerprint(
     if declared != provided:
         missing = sorted(declared - provided) + sorted(provided - declared)
         raise StoreError(f"stage '{stage.name}': dep hash set mismatch: {missing}")
+    return _fingerprint(
+        stage_kind(stage, builtin_version), dep_hashes, params_canonical.decode("utf-8"), stage.outs
+    )
+
+
+def _fingerprint(
+    kind: dict, deps: Mapping[str, ContentHash | str], params: str, outs: Iterable[str]
+) -> ContentHash:
+    """The one payload every fingerprint hashes, whether of a stage about to
+    run or of a recorded execution."""
     payload = {
-        "deps": {path: str(dep_hashes[path]) for path in sorted(dep_hashes)},
-        "kind": stage_kind(stage, builtin_version),
-        "outs": sorted(stage.outs),
-        "params": params_canonical.decode("utf-8"),
+        "deps": {path: str(deps[path]) for path in sorted(deps)},
+        "kind": kind,
+        "outs": sorted(outs),
+        "params": params,
     }
     return hash_bytes(canonical_bytes(payload))
 
@@ -340,13 +349,56 @@ def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
     return missing
 
 
+def _derived_fingerprint(entry: LockEntry) -> str:
+    """The fingerprint an entry's own recorded fields give."""
+    return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs).hex
+
+
+def _run_path(store: ObjectStore, fingerprint: str) -> Path:
+    return store.root / _RUNCACHE_DIR / f"{fingerprint}.json"
+
+
+def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
+    """The run-cache entry for `fingerprint`, or None if it is absent or
+    unreadable, or if its own fingerprint, or the one its recorded fields
+    re-derive, differs, as after an edit."""
+    try:
+        entry = LockEntry.from_json(json.loads(_run_path(store, fingerprint).read_bytes()))
+        if entry.fingerprint == _derived_fingerprint(entry) == fingerprint:
+            return entry
+    except (FileNotFoundError, ValueError, TypeError, StoreError):
+        pass  # malformed entries are misses; gc deletes them
+    return None
+
+
+def record_run(store: ObjectStore, entry: LockEntry) -> None:
+    """Keep a committed execution in the run cache, keyed by its fingerprint."""
+    path = _run_path(store, entry.fingerprint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = store._tmp_path("run")
+    tmp.write_bytes(canonical_bytes(entry.to_json()) + b"\n")
+    os.replace(tmp, path)
+
+
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: ContentHash) -> LockEntry | None:
-    """Hit iff a lock entry exists with an equal fingerprint and every committed
-    object (including tree members) is still present in the store."""
+    """The committed execution with this fingerprint, or None.
+
+    The stage's lock entry is asked first; if it records another execution,
+    the run cache is. A run-cache entry counts only if its own recorded
+    fields re-derive the fingerprint, so an edited entry is never served.
+    Either way it is a hit only while every committed object (including
+    tree members) is still present in the store.
+    """
     entry = lock.get(stage)
-    if entry is None or entry.fingerprint != fingerprint.hex or missing_outs(store, entry):
-        return None
-    return entry
+    if entry is None or entry.fingerprint != fingerprint.hex:
+        if entry is not None and _derived_fingerprint(entry) == fingerprint.hex:
+            # the lock entry records this execution under a wrong fingerprint:
+            # a miss, so the stage runs again and repairs the lock
+            return None
+        entry = _recorded_run(store, fingerprint.hex)
+        if entry is None:
+            return None
+    return None if missing_outs(store, entry) else entry
 
 
 def commit_outputs(
@@ -422,7 +474,12 @@ def referenced_hexes(lock: LockFile, store: ObjectStore) -> set[str]:
 
 
 def gc(lock: LockFile, store: ObjectStore) -> int:
-    """Remove store objects referenced by no current lock entry; returns removed count."""
+    """Remove store objects referenced by no current lock entry; returns removed count.
+
+    Then drop each run-cache entry that cannot be read or names an object no
+    longer in the store, and the temp files a crashed write left in the
+    store. Call it holding the project lock, so no write is in flight.
+    """
     refs = referenced_hexes(lock, store)
     removed = 0
     failures = []
@@ -436,4 +493,10 @@ def gc(lock: LockFile, store: ObjectStore) -> int:
             failures.append(f"{hexd}: {exc}")
     if failures:
         raise StoreError(f"gc removed {removed} object(s) but failed on: " + "; ".join(failures))
+    for path in (store.root / _RUNCACHE_DIR).glob("*.json"):
+        entry = _recorded_run(store, path.stem)
+        if entry is None or missing_outs(store, entry):
+            path.unlink()
+    for tmp in (store.root / "tmp").glob("*"):
+        tmp.unlink()
     return removed

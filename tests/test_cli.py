@@ -146,6 +146,23 @@ class TestOtherCommands:
         removed = int(out.split()[1])
         assert removed >= 1
 
+    def test_gc_sweeps_crash_leftovers(self, in_project, capsys):
+        assert main(["repro"]) == 0
+        leftovers = [
+            in_project / ".locpipe/cache/tmp/obj-1-0123456789abcdef",
+            in_project / ".locpipe/cache/tmp/run-1-0123456789abcdef",
+            in_project / ".locpipe/tmp/20260101T000000000000Z-deadbeef-synth.json",
+        ]
+        for path in leftovers:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("partial")
+        capsys.readouterr()
+        assert main(["gc"]) == 0
+        assert capsys.readouterr().out == "removed 0 unreferenced object(s)\n"
+        assert [path for path in leftovers if path.exists()] == []
+        assert main(["repro"]) == 0
+        assert "0 executed, 6 cached" in capsys.readouterr().out
+
     def test_unknown_subcommand_exits_2(self, in_project, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -8,7 +8,6 @@ from locpipe.configmodel import (
     parse_params,
     parse_pipeline,
     select_params,
-    serialize_pipeline,
 )
 from locpipe.errors import ConfigError
 
@@ -105,11 +104,6 @@ stages:
     def test_syntax_error_reports_location(self):
         with pytest.raises(ConfigError, match=r"pipeline\.yaml:\d+"):
             parse_pipeline("version: 1\nstages:\n  a: [unclosed\n")
-
-    def test_parse_serialize_parse_fixpoint(self):
-        spec = parse_pipeline(FOUR_STAGE)
-        again = parse_pipeline(serialize_pipeline(spec))
-        assert again == spec
 
 
 class TestParseParams:

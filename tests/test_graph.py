@@ -9,7 +9,6 @@ from locpipe.configmodel import PipelineSpec, StageSpec, parse_pipeline
 from locpipe.errors import ConfigError
 from locpipe.graph import (
     build_graph,
-    downstream_closure,
     to_dot,
     topo_order,
     upstream_closure,
@@ -123,28 +122,9 @@ class TestTopoOrder:
 
 
 class TestDownstreamClosure:
-    def test_chain_middle(self):
-        graph = build_graph(CHAIN)
-        assert downstream_closure(graph, {"split"}) == {"split", "gridsearch"}
-
-    def test_empty(self):
-        assert downstream_closure(build_graph(CHAIN), set()) == set()
-
-    def test_diamond_bfs_oracle(self):
-        graph = build_graph(DIAMOND)
-        # oracle: plain BFS over the consumer map
-        consumers = {"A": ["B", "C"], "B": ["D"], "C": ["D"], "D": []}
-        frontier, seen = ["B"], {"B"}
-        while frontier:
-            for nxt in consumers[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        assert downstream_closure(graph, {"B"}) == seen == {"B", "D"}
-
     def test_unknown_stage(self):
         with pytest.raises(ConfigError, match="unknown stage"):
-            downstream_closure(build_graph(CHAIN), {"nope"})
+            upstream_closure(build_graph(CHAIN), {"nope"})
 
     def test_upstream_closure(self):
         graph = build_graph(DIAMOND)
@@ -181,7 +161,7 @@ def test_closure_monotone(spec, data):
     nodes = list(graph.nodes)
     small = set(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes))))
     extra = set(data.draw(st.lists(st.sampled_from(nodes), max_size=len(nodes))))
-    assert downstream_closure(graph, small) <= downstream_closure(graph, small | extra)
+    assert upstream_closure(graph, small) <= upstream_closure(graph, small | extra)
 
 
 def test_dot_output_stable():

@@ -432,6 +432,20 @@ def _append(path, text: str) -> None:
         handle.write(text)
 
 
+def _alpha_there_and_back(project: Project) -> None:
+    """Run the ridge alpha at another value, then set the first one back."""
+    first = project.load()[1]["model"]["grid"]["ridge"]["alpha"]
+    edit_params(project, "model.grid.ridge.alpha", [0.1])
+    assert executed_stages(run(project)) == {"gridsearch", "report"}
+    edit_params(project, "model.grid.ridge.alpha", first)
+
+
+def _copy_of(warm_baseline, tmp_path) -> Project:
+    project = Project(root=tmp_path / "copy")
+    shutil.copytree(warm_baseline, project.root)
+    return project
+
+
 SHELL_STAGES = ("generate", "transform", "summarize")
 
 # (id, project, perturbation, {stage: status reasons} for every stage whose
@@ -456,6 +470,7 @@ AGREEMENT_CASES = [
      {"prepare": ("params: prepare.fill_value",)}),
     ("cached-out-edited", "baseline", lambda p: _append(p.root / "data/features.csv", "1,2\n"), {}),
     ("cached-out-deleted", "baseline", lambda p: (p.root / "data/folds.json").unlink(), {}),
+    ("return-to-earlier-value", "baseline", _alpha_there_and_back, {}),
 ]
 
 
@@ -506,6 +521,36 @@ class TestStatusPlanReproAgree:
             if entry.action == "cached":
                 assert result["action"] == "cached"
 
+    def test_return_to_earlier_value_restores_first_run(self, warm_baseline, tmp_path):
+        project = _copy_of(warm_baseline, tmp_path)
+        first_lock = load_lock(project.lock_path)
+        outs = [out for entry in first_lock.values() for out in entry.outs]
+        first_bytes = {out: (project.root / out).read_bytes() for out in outs}
+        _alpha_there_and_back(project)
+        report = run(project)
+        assert report.executed == 0 and report.cached == 6
+        manifest = json.loads(report.manifest_path.read_text())["results"]
+        assert {r["stage"]: r["reason"] for r in manifest if r["reason"]} == {
+            "gridsearch": "run cache", "report": "run cache",
+        }
+        assert {out: (project.root / out).read_bytes() for out in outs} == first_bytes
+        lock = load_lock(project.lock_path)
+        assert lock["gridsearch"] == first_lock["gridsearch"]
+        assert lock == first_lock
+
+    def test_failed_stage_keeps_why_it_ran(self, warm_baseline, tmp_path, monkeypatch, capsys):
+        from locpipe.cli import main
+
+        project = _copy_of(warm_baseline, tmp_path)
+        edit_params(project, "split.k", 5.0)  # the split builtin rejects a float k
+        monkeypatch.chdir(project.root)
+        assert main(["repro"]) == 1
+        assert "split: failed (params: split.k; command exited with status 1)\n" in capsys.readouterr().out
+        manifest = max(project.runs_dir.iterdir())
+        results = {r["stage"]: r for r in json.loads(manifest.read_text())["results"]}
+        assert results["split"]["action"] == "failed"
+        assert results["split"]["reason"] == "params: split.k; command exited with status 1"
+
     def test_forced_run_records_forced(self, shell_project):
         run(shell_project)
         report = run(shell_project, force=True)
@@ -518,9 +563,9 @@ class TestStoreCallsThroughRunner:
     """Every hash and cache lookup goes through the `runner` module names,
     which the benchmark's tracer rebinds from outside."""
 
-    def count_calls(self, monkeypatch) -> Counter:
+    def count_calls(self, monkeypatch, *extra: str) -> Counter:
         calls: Counter = Counter()
-        for name in ("hash_path", "cache_lookup"):
+        for name in ("hash_path", "cache_lookup", *extra):
             def counting(*args, _name=name, _original=getattr(runner, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -539,6 +584,14 @@ class TestStoreCallsThroughRunner:
         assert calls == Counter(cache_lookup=6)
         calls.clear()
         assert run(baseline_project).cached == 6
+        assert calls == Counter(cache_lookup=6, hash_path=7)
+
+    def test_return_to_earlier_value_spawns_nothing(self, warm_baseline, tmp_path, monkeypatch):
+        project = _copy_of(warm_baseline, tmp_path)
+        _alpha_there_and_back(project)
+        calls = self.count_calls(monkeypatch, "_spawn_stage")
+        assert run(project).cached == 6
+        # the same lookups and hashes as a no-op, and no stage process
         assert calls == Counter(cache_lookup=6, hash_path=7)
 
     def test_source_dep_hashed_by_plan_and_status(self, shell_project, monkeypatch):

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run, write_params, write_pipeline
 from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
+from locpipe.runner import Project, status
 from locpipe.store import (
     ContentHash,
+    LockEntry,
     ObjectStore,
     cache_lookup,
     commit_outputs,
@@ -19,8 +22,8 @@ from locpipe.store import (
     hash_bytes,
     hash_file,
     hash_path,
-    hash_tree,
     load_lock,
+    missing_outs,
     restore_outputs,
     stage_fingerprint,
     write_lock,
@@ -79,7 +82,7 @@ class TestHashTree:
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "d"
         empty.mkdir()
-        assert hash_tree(empty).hex == EMPTY_SHA
+        assert hash_path(empty)[0].hex == EMPTY_SHA
 
     def test_creation_order_irrelevant(self, tmp_path):
         one = tmp_path / "one"
@@ -88,7 +91,7 @@ class TestHashTree:
             root.mkdir()
             for name in order:
                 (root / name).write_text(name)
-        assert hash_tree(one) == hash_tree(two)
+        assert hash_path(one)[0] == hash_path(two)[0]
 
     def test_against_hand_built_manifest(self, tmp_path):
         root = tmp_path / "tree"
@@ -96,15 +99,15 @@ class TestHashTree:
         (root / "a.txt").write_bytes(b"alpha")
         (root / "b" / "c.txt").write_bytes(b"gamma")
         expected = manifest_digest([("a.txt", b"alpha"), ("b/c.txt", b"gamma")])
-        assert hash_tree(root).hex == expected
+        assert hash_path(root)[0].hex == expected
 
     def test_empty_subdirs_contribute_nothing(self, tmp_path):
         root = tmp_path / "tree"
         (root / "sub").mkdir(parents=True)
         (root / "a").write_text("x")
-        with_empty = hash_tree(root)
+        with_empty = hash_path(root)[0]
         (root / "sub").rmdir()
-        assert hash_tree(root) == with_empty
+        assert hash_path(root)[0] == with_empty
 
     def test_symlink_inside_tree_rejected(self, tmp_path):
         root = tmp_path / "tree"
@@ -112,7 +115,7 @@ class TestHashTree:
         (root / "real").write_text("x")
         (root / "link").symlink_to(root / "real")
         with pytest.raises(StoreError, match="symlink"):
-            hash_tree(root)
+            hash_path(root)
 
 
 STAGE = StageSpec(name="s", cmd="do", deps=("a", "b"), outs=("out.txt",))
@@ -264,10 +267,10 @@ class TestCommitRestore:
         stage = StageSpec(name="s", cmd="do", outs=("d",))
         files = {"d/a": b"1", "d/sub/b": b"22"}
         root, store, _, entry = _commit(tmp_path, stage, files)
-        before = hash_tree(root / "d")
+        before = hash_path(root / "d")[0]
         shutil.rmtree(root / "d")
         restore_outputs(store, entry, root)
-        assert hash_tree(root / "d") == before
+        assert hash_path(root / "d")[0] == before
         assert before.hex == entry.outs["d"].hash
 
 
@@ -374,6 +377,78 @@ class TestGc:
         _, store, _, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/b": b"2"})
         assert gc({"s": entry}, store) == 0
         assert len(list(store.iter_hexes())) == 3
+
+
+class TestRunCache:
+    """Every committed execution stays in the run cache, so setting a param
+    back to an earlier value restores that run's outs instead of re-executing."""
+
+    def project(self, tmp_path, value) -> Project:
+        root = tmp_path / "proj"
+        root.mkdir(exist_ok=True)
+        write_pipeline(root, {
+            "emit": {"cmd": "grep value params.yaml > out.txt", "params": ["knob"], "outs": ["out.txt"]},
+        })
+        write_params(root, {"knob": {"value": value}})
+        return Project(root=root)
+
+    def there_and_back(self, tmp_path):
+        """Run value 1, then value 2, then set value 1 back; returns the
+        project and value 1's lock entry."""
+        project = self.project(tmp_path, 1)
+        assert run(project).executed == 1
+        first = load_lock(project.lock_path)["emit"]
+        self.project(tmp_path, 2)
+        assert run(project).executed == 1
+        self.project(tmp_path, 1)
+        return project, first
+
+    def run_path(self, project, entry):
+        return project.cache_dir / "runcache" / f"{entry.fingerprint}.json"
+
+    def test_return_restores_first_run(self, tmp_path):
+        project, first = self.there_and_back(tmp_path)
+        assert [s.state for s in status(project)] == ["unchanged"]
+        report = run(project)
+        assert (report.executed, report.cached, report.results[0].reason) == (0, 1, "run cache")
+        assert (project.root / "out.txt").read_text() == "  value: 1\n"
+        assert load_lock(project.lock_path) == {"emit": first}
+
+    @pytest.mark.parametrize("edit", [
+        {"params": '{"knob":{"value":3}}'},
+        {"deps": ["not", "a", "mapping"]},
+        {"kind": float("nan")},
+    ], ids=["params", "deps", "kind"])
+    def test_edited_entry_ignored(self, tmp_path, edit):
+        project, first = self.there_and_back(tmp_path)
+        path = self.run_path(project, first)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+        store = ObjectStore(project.cache_dir)
+        assert cache_lookup(load_lock(project.lock_path), store, "emit", ContentHash(first.fingerprint)) is None
+        # a miss named against the lock entry, which records value 2
+        assert [(s.state, s.reasons) for s in status(project)] == [("changed", ("params: knob.value",))]
+        assert run(project).executed == 1
+
+    def test_entry_with_removed_object_reexecutes(self, tmp_path):
+        project, first = self.there_and_back(tmp_path)
+        ObjectStore(project.cache_dir).remove(first.outs["out.txt"].hash)
+        report = run(project)
+        assert report.executed == 1
+        assert (project.root / "out.txt").read_text() == "  value: 1\n"
+        assert load_lock(project.lock_path)["emit"].outs == first.outs
+
+    def test_gc_drops_entries_naming_missing_objects(self, tmp_path):
+        project, first = self.there_and_back(tmp_path)
+        store = ObjectStore(project.cache_dir)
+        runcache = project.cache_dir / "runcache"
+        (runcache / "garbage.json").write_text("{not json")
+        lock = load_lock(project.lock_path)
+        assert gc(lock, store) == 1  # value 1's out
+        remaining = sorted(runcache.iterdir())
+        assert remaining == [self.run_path(project, lock["emit"])]
+        for path in remaining:
+            assert missing_outs(store, LockEntry.from_json(json.loads(path.read_text()))) == []
+        assert run(project).executed == 1
 
 
 @settings(max_examples=30, deadline=None)
