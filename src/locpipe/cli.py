@@ -1,9 +1,9 @@
 """Command-line interface.
 
 One binary exposes the orchestrator (`init`, `repro`, `status`, `dag`,
-`metrics show`, `gc`), the standalone reporter (`report`), the scaling
-benchmark (`bench scale`), and the internal `run-builtin` entry point used
-to give builtin stages the same fresh-process isolation as shell commands.
+`metrics show`, `gc`), the standalone reporter (`report`) and the scaling
+benchmark (`bench scale`). Stages never come back through this parser: the
+orchestrator forks each one from the `repro` process.
 
 Exit codes: 0 success (including all-cached), 1 stage failure, 2 config or
 usage error, 3 store/IO error. Stdout carries no timestamps; timestamps live
@@ -61,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--repeats", type=int, default=1, help="forced runs per factor")
     p_scale.add_argument("--out", default="bench/results.csv", metavar="FILE", help="CSV output path")
     p_scale.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
-
-    p_builtin = sub.add_parser("run-builtin", help=argparse.SUPPRESS)
-    p_builtin.add_argument("builtin_id")
-    p_builtin.add_argument("--request", required=True, metavar="FILE")
 
     return parser
 
@@ -195,7 +191,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     project = Project.discover()
     with project_lock(project):
         removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
-        for request in project.tmp_dir.glob("*.json"):  # builtin requests a crashed run left
+        for request in project.tmp_dir.glob("*.json"):  # builtin requests older versions left
             request.unlink()
     print(f"removed {removed} unreferenced object(s)")
     return 0
@@ -219,14 +215,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run_builtin(args: argparse.Namespace) -> int:
-    from .loctk import StageRequest, run_builtin
-
-    request = StageRequest.from_json_file(args.request)
-    run_builtin(args.builtin_id, request)
-    return 0
-
-
 _HANDLERS = {
     "init": _cmd_init,
     "repro": _cmd_repro,
@@ -239,21 +227,18 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    in_builtin_child = args.command == "run-builtin"
     try:
         if args.command == "metrics":
             return _cmd_metrics_show(args)
         if args.command == "bench":
             return _cmd_bench_scale(args)
-        if in_builtin_child:
-            return _cmd_run_builtin(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1 if in_builtin_child else 2
+        return 2
     except StoreError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1 if in_builtin_child else 3
+        return 3
     except BuiltinError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,16 +1,15 @@
 """Builtin localization stage executors.
 
 Each builtin is a deterministic function from (params, deps) to declared
-outs, invoked by the orchestrator in a fresh OS process via
-``locpipe run-builtin <id> --request <file>``. Builtins carry an explicit
-version that must be bumped on any behavior change so stale cache entries
-are invalidated.
+outs. The orchestrator forks a child per executed stage, and the child calls
+``run_builtin`` on the stage's in-memory ``StageRequest``; only the child
+imports the builtin's module. Builtins carry an explicit version that must
+be bumped on any behavior change so stale cache entries are invalidated.
 """
 
 from __future__ import annotations
 
 import importlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,30 +48,6 @@ class StageRequest:
     params: dict = field(default_factory=dict)  # dotted key -> resolved value
     deps: tuple[str, ...] = ()
     outs: tuple[str, ...] = ()
-
-    def to_json_file(self, path: Path | str) -> None:
-        doc = {
-            "stage": self.stage,
-            "builtin": self.builtin,
-            "params": self.params,
-            "deps": list(self.deps),
-            "outs": list(self.outs),
-        }
-        Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-
-    @staticmethod
-    def from_json_file(path: Path | str) -> "StageRequest":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-            return StageRequest(
-                stage=doc["stage"],
-                builtin=doc["builtin"],
-                params=doc["params"],
-                deps=tuple(doc["deps"]),
-                outs=tuple(doc["outs"]),
-            )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise BuiltinError(f"unreadable stage request {path}: {exc}") from None
 
     def dep(self, index: int, label: str) -> Path:
         if index >= len(self.deps):

@@ -1,11 +1,11 @@
 """The orchestrator: plan, execute, record.
 
-Per stage: fingerprint -> cache check -> fresh-process execution with a
-scrubbed environment -> output verification -> commit. Cached stages have
-their outputs restored from the store instead; a hit the run cache serves
-also becomes the stage's lock entry. Every invocation writes a run manifest
-(one JSON file per run, timings and process accounting included), even when
-stages fail.
+Per stage: fingerprint -> cache check -> execution in a child forked from
+this single-threaded scheduler, with a scrubbed environment -> output
+verification -> commit. Cached stages have their outputs restored from the
+store instead; a hit the run cache serves also becomes the stage's lock
+entry. Every invocation writes a run manifest (one JSON file per run,
+timings and process accounting included), even when stages fail.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import subprocess
+import signal
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import __version__
 from .canonical import canonical_bytes
@@ -34,7 +33,7 @@ from .configmodel import (
     parse_pipeline,
     select_params,
 )
-from .errors import ConfigError, StoreError
+from .errors import ConfigError, LocpipeError, StoreError
 from .graph import (
     ACTION_BLOCKED,
     ACTION_CACHED,
@@ -46,7 +45,7 @@ from .graph import (
     topo_order,
     upstream_closure,
 )
-from .loctk import StageRequest, builtin_version
+from .loctk import StageRequest, builtin_version, run_builtin
 from .store import (
     ContentHash,
     LockEntry,
@@ -114,6 +113,7 @@ class Project:
 
     @property
     def tmp_dir(self) -> Path:
+        """Builtin request files that older versions wrote; `gc` sweeps them."""
         return self.dot_dir / "tmp"
 
     @staticmethod
@@ -448,81 +448,87 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 # Execution
 
 
-def _package_src_dir() -> str:
-    return str(Path(__file__).resolve().parent.parent)
-
-
-def _child_env(stage: StageSpec, for_builtin: bool) -> dict[str, str]:
-    env: dict[str, str] = {}
-    for key in (*ENV_ALLOWLIST, *stage.env):
-        if key in os.environ:
-            env[key] = os.environ[key]
-    if for_builtin:
-        # Internal invocation: the child must be able to import this package.
-        env["PYTHONPATH"] = _package_src_dir()
-    return env
-
-
-@dataclass
-class _ExecOutcome:
-    wall_s: float
-    cpu_s: float
-    peak_rss_bytes: int
-    exit_code: int
-    pid: int
-
-
-def _wait_with_accounting(proc: subprocess.Popen) -> tuple[int, float, int]:
-    """Reap the child, returning (exit_code, cpu_s, peak_rss_bytes)."""
-    if hasattr(os, "wait4"):
-        _, status, usage = os.wait4(proc.pid, 0)
-        exit_code = os.waitstatus_to_exitcode(status)
-        proc.returncode = exit_code  # keep Popen consistent after the manual reap
-        rss_scale = 1 if sys.platform == "darwin" else 1024
-        return exit_code, usage.ru_utime + usage.ru_stime, usage.ru_maxrss * rss_scale
-    return proc.wait(), 0.0, 0  # pragma: no cover - non-POSIX fallback
-
-
 def _spawn_stage(
     stage: StageSpec,
-    request_path: Path | None,
+    request: StageRequest | None,
     root: Path,
     log_out: Path,
     log_err: Path,
-) -> _ExecOutcome:
+) -> int:
+    """Fork the child that runs one stage, and return its pid.
+
+    Only the calling thread exists in a forked child, so the caller must be
+    a process that has started no threads. A builtin runs `request` in the
+    child; a `cmd` stage (request None) execs `/bin/sh -c`.
+    """
     for out in stage.outs:
         (root / out).parent.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
+    env = {key: os.environ[key] for key in (*ENV_ALLOWLIST, *stage.env) if key in os.environ}
+    # bytes buffered here must not reach a stage log through the child's copy
+    sys.stdout.flush()
+    sys.stderr.flush()
     with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
-        if stage.builtin is not None:
-            argv = [
-                sys.executable, "-m", "locpipe", "run-builtin", stage.builtin,
-                "--request", str(request_path),
-            ]
-            proc = subprocess.Popen(
-                argv, cwd=root, env=_child_env(stage, for_builtin=True),
-                stdout=stdout, stderr=stderr,
-            )
-        else:
-            proc = subprocess.Popen(
-                stage.cmd, shell=True, cwd=root, env=_child_env(stage, for_builtin=False),
-                stdout=stdout, stderr=stderr,
-            )
-        pid = proc.pid
-        exit_code, cpu_s, rss = _wait_with_accounting(proc)
-    return _ExecOutcome(
-        wall_s=time.perf_counter() - start,
-        cpu_s=cpu_s,
-        peak_rss_bytes=rss,
-        exit_code=exit_code,
-        pid=pid,
-    )
+        pid = os.fork()
+        if pid == 0:
+            _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
+    return pid
 
 
-def _stage_failure(stage: StageSpec, state: StageState, outcome: _ExecOutcome, root: Path) -> str | None:
+def _run_child(
+    stage: StageSpec, request: StageRequest | None, root: Path, env: dict[str, str], out_fd: int, err_fd: int
+) -> NoReturn:
+    """The forked child: stage logs on fds 1 and 2, no other fd from 3 up,
+    the project root as cwd and the scrubbed env. It never returns."""
+    status = 1
+    try:
+        os.dup2(out_fd, 1)
+        os.dup2(err_fd, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+        os.chdir(root)
+        os.environ.clear()
+        os.environ.update(env)
+        if request is None:
+            # the signal dispositions a shell started by Popen gets
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+            os.execve("/bin/sh", ["/bin/sh", "-c", stage.cmd], env)
+        run_builtin(request.builtin, request)
+        status = 0
+    except LocpipeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+    except BaseException:  # the child's top level: report, then leave through os._exit
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _reap_first(pids: list[int]) -> tuple[int, int, os.struct_rusage]:
+    """Wait for the first of `pids` to exit and reap it: (pid, status, usage).
+
+    Only these pids are waited on. A lone child is waited on blocking;
+    several are polled, since no single call waits for the first of them.
+    """
+    flags = 0 if len(pids) == 1 else os.WNOHANG
+    while True:
+        for pid in pids:
+            reaped, status, usage = os.wait4(pid, flags)
+            if reaped:
+                return pid, status, usage
+        time.sleep(0.001)
+
+
+def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Path) -> str | None:
     """Why a stage that ran must not be committed, or None if it may be."""
-    if outcome.exit_code != 0:
-        return f"command exited with status {outcome.exit_code}"
+    if exit_code != 0:
+        return f"command exited with status {exit_code}"
     missing = [o for o in stage.outs if not (root / o).exists()]
     if missing:
         return f"declared out not produced: {missing[0]}"
@@ -562,7 +568,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     run_id = _make_run_id()
     project.runs_dir.mkdir(parents=True, exist_ok=True)
     run_logs = project.logs_dir / run_id  # created when the first stage executes
-    project.tmp_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, StageResult] = {}
     with project_lock(project):
@@ -570,25 +575,82 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         lock = load_lock(project.lock_path)
         producers = graph.producers()
         planned_set = set(planned)
+        pending = list(planned)
+        # pid -> (stage, state, start) of every child not yet reaped
+        running: dict[int, tuple[StageSpec, StageState, float]] = {}
         try:
-            with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-                pending = list(planned)
-                running: dict = {}
-
-                def finalize(stage: StageSpec, state: StageState, outcome: _ExecOutcome) -> None:
+            while pending or running:
+                progressed = False
+                for name in list(pending):
+                    ups = [p for p in producers[name] if p in planned_set]
+                    if not all(p in results for p in ups):
+                        continue
+                    bad = [p for p in ups if results[p].action in ("failed", "skipped")]
+                    if bad:
+                        results[name] = StageResult(
+                            stage=name, action="skipped",
+                            reason=f"upstream failure: {bad[0]}",
+                        )
+                        pending.remove(name)
+                        progressed = True
+                        continue
+                    if len(running) >= opts.jobs:
+                        break  # resolve a stage only once a slot is free to run it
+                    pending.remove(name)
+                    progressed = True
+                    stage = spec.stages[name]
+                    state = resolve_stage(
+                        stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
+                    )
+                    if state.missing_deps:
+                        results[name] = StageResult(
+                            stage=name, action="failed",
+                            reason=f"missing dependency: {state.missing_deps[0]}",
+                        )
+                    elif state.hit is not None and not opts.force:
+                        restore_start = time.perf_counter()
+                        restore_outputs(store, state.hit, project.root)
+                        results[name] = StageResult(
+                            stage=name, action="cached",
+                            wall_s=time.perf_counter() - restore_start,
+                        )
+                        if state.hit is not lock.get(name):  # served by the run cache
+                            lock[name] = state.hit
+                            write_lock(lock, project.lock_path)
+                            results[name].reason = "run cache"
+                    else:
+                        request = None
+                        if stage.builtin is not None:
+                            request = StageRequest(
+                                stage=name,
+                                builtin=stage.builtin,
+                                params=select_params(params, stage.params, stage=name),
+                                deps=stage.deps,
+                                outs=stage.outs,
+                            )
+                        run_logs.mkdir(parents=True, exist_ok=True)
+                        started = time.perf_counter()
+                        pid = _spawn_stage(
+                            stage, request, project.root,
+                            run_logs / f"{name}.out", run_logs / f"{name}.err",
+                        )
+                        running[pid] = (stage, state, started)
+                if running and (not progressed or not pending or len(running) >= opts.jobs):
+                    pid, wait_status, usage = _reap_first(list(running))
+                    stage, state, started = running.pop(pid)
                     result = StageResult(
                         stage=stage.name,
                         action="executed",
-                        wall_s=outcome.wall_s,
-                        cpu_s=outcome.cpu_s,
-                        peak_rss_bytes=outcome.peak_rss_bytes,
-                        exit_code=outcome.exit_code,
-                        pid=outcome.pid,
+                        wall_s=time.perf_counter() - started,
+                        cpu_s=usage.ru_utime + usage.ru_stime,
+                        peak_rss_bytes=usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024),
+                        exit_code=os.waitstatus_to_exitcode(wait_status),
+                        pid=pid,
                         reason="forced" if opts.force else "; ".join(state.reasons),
                         log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
                         log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
                     )
-                    failure = _stage_failure(stage, state, outcome, project.root)
+                    failure = _stage_failure(stage, state, result.exit_code, project.root)
                     if failure is not None:
                         result.action = "failed"
                         result.reason = f"{result.reason}; {failure}"
@@ -601,81 +663,11 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         lock[stage.name] = entry
                         write_lock(lock, project.lock_path)
                     results[stage.name] = result
-
-                while pending or running:
-                    dispatched = False
-                    for name in list(pending):
-                        ups = [p for p in producers[name] if p in planned_set]
-                        if not all(p in results for p in ups):
-                            continue
-                        bad = [p for p in ups if results[p].action in ("failed", "skipped")]
-                        if bad:
-                            results[name] = StageResult(
-                                stage=name, action="skipped",
-                                reason=f"upstream failure: {bad[0]}",
-                            )
-                            pending.remove(name)
-                            dispatched = True
-                            continue
-                        stage = spec.stages[name]
-                        state = resolve_stage(
-                            stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
-                        )
-                        if state.missing_deps:
-                            results[name] = StageResult(
-                                stage=name, action="failed",
-                                reason=f"missing dependency: {state.missing_deps[0]}",
-                            )
-                            pending.remove(name)
-                            dispatched = True
-                            continue
-                        if state.hit is not None and not opts.force:
-                            restore_start = time.perf_counter()
-                            restore_outputs(store, state.hit, project.root)
-                            results[name] = StageResult(
-                                stage=name, action="cached",
-                                wall_s=time.perf_counter() - restore_start,
-                            )
-                            if state.hit is not lock.get(name):  # served by the run cache
-                                lock[name] = state.hit
-                                write_lock(lock, project.lock_path)
-                                results[name].reason = "run cache"
-                            pending.remove(name)
-                            dispatched = True
-                            continue
-                        if len(running) < opts.jobs:
-                            request_path = None
-                            if stage.builtin is not None:
-                                request_path = project.tmp_dir / f"{run_id}-{name}.json"
-                                StageRequest(
-                                    stage=name,
-                                    builtin=stage.builtin,
-                                    params=select_params(params, stage.params, stage=name),
-                                    deps=stage.deps,
-                                    outs=stage.outs,
-                                ).to_json_file(request_path)
-                            run_logs.mkdir(parents=True, exist_ok=True)
-                            future = pool.submit(
-                                _spawn_stage, stage, request_path, project.root,
-                                run_logs / f"{name}.out", run_logs / f"{name}.err",
-                            )
-                            running[future] = (stage, state, request_path)
-                            pending.remove(name)
-                            dispatched = True
-                        else:
-                            break
-                    if running and (not dispatched or not pending or len(running) >= opts.jobs):
-                        done, _ = wait(running, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            stage, state, request_path = running.pop(future)
-                            try:
-                                finalize(stage, state, future.result())
-                            finally:
-                                if request_path is not None:
-                                    Path(request_path).unlink(missing_ok=True)
-                    elif not running and not dispatched and pending:  # pragma: no cover
-                        raise StoreError(f"scheduler stalled on stages: {pending}")
+                elif not running and not progressed and pending:  # pragma: no cover
+                    raise StoreError(f"scheduler stalled on stages: {pending}")
         finally:
+            for pid in running:  # an error left these running: let them end, then reap
+                os.waitpid(pid, 0)
             ordered = [results[name] for name in planned if name in results]
             report = RunReport(
                 run_id=run_id,

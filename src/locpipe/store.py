@@ -17,7 +17,7 @@ import os
 import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .canonical import canonical_bytes
@@ -184,6 +184,22 @@ class ObjectStore:
             os.replace(tmp, dest)
         finally:
             tmp.unlink(missing_ok=True)
+
+    def same_bytes(self, ch: ContentHash | str, path: Path | str) -> bool:
+        """True when `path` is a regular file holding exactly the bytes of object `ch`."""
+        path = Path(path)
+        try:
+            if path.is_symlink() or not path.is_file():
+                return False
+            with open(self._addr(str(ch)), "rb") as obj, open(path, "rb") as handle:
+                if os.fstat(obj.fileno()).st_size != os.fstat(handle.fileno()).st_size:
+                    return False
+                while chunk := obj.read(_CHUNK):
+                    if handle.read(len(chunk)) != chunk:
+                        return False
+            return True
+        except OSError:
+            return False
 
     def iter_hexes(self) -> Iterator[str]:
         base = self.root / HASH_ALGORITHM
@@ -444,21 +460,43 @@ def commit_outputs(
     )
 
 
+def _tree_in_place(store: ObjectStore, members: list[tuple[str, str]], dest: Path) -> bool:
+    """True when directory `dest` holds exactly `members` and no other file or
+    directory, each member with its object's bytes."""
+    if dest.is_symlink() or not dest.is_dir():
+        return False
+    expected = {rel for rel, _ in members}
+    expected |= {str(parent) for rel in expected for parent in PurePosixPath(rel).parents}
+    expected.discard(".")
+    found = set()
+    for current, dirnames, filenames in os.walk(dest):
+        base = Path(current).relative_to(dest)
+        found.update((base / name).as_posix() for name in (*dirnames, *filenames))
+    return found == expected and all(store.same_bytes(hexd, dest / rel) for rel, hexd in members)
+
+
 def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> None:
-    """Materialize every out of a committed entry into the workspace (copy semantics)."""
+    """Materialize every out of a committed entry into the workspace (copy semantics).
+
+    An out whose workspace copy already holds exactly its objects' bytes is
+    left alone: restoring it would rewrite the same bytes.
+    """
     root = Path(root)
     for out, rec in sorted(entry.outs.items()):
         dest = root / out
         if rec.tree:
-            if dest.exists() and not dest.is_dir():
+            members = parse_manifest(store.read_bytes(rec.hash))
+            if _tree_in_place(store, members, dest):
+                continue
+            if dest.is_symlink() or (dest.exists() and not dest.is_dir()):
                 dest.unlink()
-            if dest.is_dir():
+            elif dest.is_dir():
                 shutil.rmtree(dest)
             dest.mkdir(parents=True, exist_ok=True)
-            for rel, member in parse_manifest(store.read_bytes(rec.hash)):
+            for rel, member in members:
                 store.materialize(member, dest / rel)
-        else:
-            if dest.is_dir():
+        elif not store.same_bytes(rec.hash, dest):
+            if dest.is_dir() and not dest.is_symlink():
                 shutil.rmtree(dest)
             store.materialize(rec.hash, dest)
 

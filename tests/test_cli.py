@@ -173,10 +173,6 @@ class TestOtherCommands:
             main(["repro", "--turbo"])
         assert exc.value.code == 2
 
-    def test_run_builtin_bad_request(self, in_project, capsys):
-        assert main(["run-builtin", "loc.synth", "--request", "missing.json"]) == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestStdoutDeterminism:
     def test_repeated_commands_identical_output(self, in_project, capsys):

@@ -3,13 +3,16 @@
 import json
 import os
 import shutil
+import sys
+import threading
 import time
+import types
 from collections import Counter
 
 import pytest
 
 from conftest import edit_params, executed_stages, run, tree_snapshot, write_params, write_pipeline
-from locpipe import runner
+from locpipe import loctk, runner
 from locpipe.errors import ConfigError
 from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
@@ -282,6 +285,173 @@ class TestProcessIsolation:
         result = report.results[0]
         assert (root / result.log_out).read_text() == "to-stdout\n"
         assert (root / result.log_err).read_text() == "to-stderr\n"
+
+    def test_noop_leaves_correct_outs_untouched(self, shell_project):
+        run(shell_project)
+        outs = ["gen.txt", "upper.txt", "count.txt"]
+        before = {out: (shell_project.root / out).stat() for out in outs}
+        assert run(shell_project).cached == 3
+        for out in outs:
+            after = (shell_project.root / out).stat()
+            assert (after.st_ino, after.st_mtime_ns) == (before[out].st_ino, before[out].st_mtime_ns)
+
+
+# a module global a probe stage may set; each stage's child has its own copy
+_PROBE_GLOBAL: list[str] = []
+
+
+def _open_fds() -> list[int]:
+    fds = []
+    for fd in range(256):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        fds.append(fd)
+    return fds
+
+
+def _raise_runtime_error(request):
+    raise RuntimeError("probe fault")
+
+
+@pytest.fixture
+def probe(monkeypatch, tmp_path):
+    """Register the builtin `test.probe` and return (root, actions, make).
+
+    `actions[stage]` is called with the stage's StageRequest in its child,
+    which inherits the registration and the functions through fork.
+    `make(stages)` writes a pipeline of probe stages, name -> extra fields.
+    """
+    actions: dict = {}
+    module = types.ModuleType("locpipe_test_probe")
+    module.run = lambda request: actions[request.stage](request)
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    monkeypatch.setitem(loctk._REGISTRY, "test.probe", (module.__name__, 1))
+    root = tmp_path / "probe"
+    root.mkdir()
+
+    def make(stages: dict) -> Project:
+        write_pipeline(root, {name: {"builtin": "test.probe", **body} for name, body in stages.items()})
+        write_params(root, {})
+        return Project(root=root)
+
+    return root, actions, make
+
+
+class TestForkedStages:
+    """Each stage runs in a child forked from the single-threaded scheduler."""
+
+    def test_module_global_unseen_by_next_stage(self, probe):
+        root, actions, make = probe
+
+        def first(request):
+            _PROBE_GLOBAL.append("first")
+            request.out(0, "seen").write_text(json.dumps(_PROBE_GLOBAL))
+
+        def second(request):
+            request.out(0, "seen").write_text(json.dumps(_PROBE_GLOBAL))
+
+        actions.update(first=first, second=second)
+        project = make({
+            "first": {"outs": ["first.json"]},
+            "second": {"deps": ["first.json"], "outs": ["second.json"]},
+        })
+        assert run(project).executed == 2
+        assert json.loads((root / "first.json").read_text()) == ["first"]
+        assert json.loads((root / "second.json").read_text()) == []
+        assert _PROBE_GLOBAL == []
+
+    def test_environment_is_allowlist_plus_declared(self, probe, monkeypatch):
+        root, actions, make = probe
+        monkeypatch.setenv("LOCPIPE_DECLARED", "yes")
+        monkeypatch.setenv("LOCPIPE_UNDECLARED", "no")
+        actions["env"] = lambda request: request.out(0, "env").write_text(json.dumps(dict(os.environ)))
+        project = make({"env": {"outs": ["env.json"], "env": ["LOCPIPE_DECLARED"]}})
+        assert run(project).executed == 1
+        expected = {
+            key: os.environ[key]
+            for key in (*runner.ENV_ALLOWLIST, "LOCPIPE_DECLARED") if key in os.environ
+        }
+        assert json.loads((root / "env.json").read_text()) == expected
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="fd layout checked on Linux")
+    def test_only_standard_fds_open(self, probe):
+        root, actions, make = probe
+
+        def fds(request):
+            found = _open_fds()  # before the out file takes an fd of its own
+            request.out(0, "fds").write_text(json.dumps(found))
+
+        actions["fds"] = fds
+        project = make({"fds": {"outs": ["fds.json"]}})
+        assert run(project).executed == 1
+        stdin = [0] if 0 in _open_fds() else []
+        assert json.loads((root / "fds.json").read_text()) == [*stdin, 1, 2]
+
+    @pytest.mark.parametrize("fault, expected", [
+        (_raise_runtime_error, "RuntimeError: probe fault"),
+        (lambda request: sys.exit(3), "SystemExit: 3"),
+    ], ids=["raises", "sys-exit"])
+    def test_failing_builtin_fails_only_its_stage(self, probe, fault, expected):
+        root, actions, make = probe
+        actions["bad"] = fault
+        actions["good"] = lambda request: request.out(0, "ok").write_text("ok")
+        project = make({"bad": {"outs": ["bad.txt"]}, "good": {"outs": ["good.txt"]}})
+        orchestrator = os.getpid()
+        report = run(project)
+        assert os.getpid() == orchestrator
+        bad, good = report.results
+        assert (bad.action, bad.exit_code) == ("failed", 1)
+        err = (root / bad.log_err).read_text()
+        assert "Traceback (most recent call last)" in err and expected in err
+        assert good.action == "executed" and (root / "good.txt").read_text() == "ok"
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_every_fork_from_a_single_thread(self, tmp_path, monkeypatch, jobs):
+        root = tmp_path / "proj"
+        root.mkdir()
+        stages = {f"w{i}": {"cmd": f"echo {i} > w{i}.txt", "outs": [f"w{i}.txt"]} for i in range(4)}
+        stages["join"] = {
+            "cmd": "cat w0.txt w1.txt w2.txt w3.txt > all.txt",
+            "deps": [f"w{i}.txt" for i in range(4)],
+            "outs": ["all.txt"],
+        }
+        write_pipeline(root, stages)
+        write_params(root, {})
+        threads_at_fork = []
+        real_fork = os.fork
+
+        def fork():
+            threads_at_fork.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run(Project(root=root), jobs=jobs).executed == 5
+        assert threads_at_fork == [1] * 5
+
+    def test_unflushed_stdout_never_reaches_a_stage_log(self, probe, monkeypatch):
+        root, actions, make = probe
+        actions["talk"] = lambda request: (print("from-builtin"), request.out(0, "o").write_text("x"))
+        make({"talk": {"outs": ["talk.txt"]}})
+        write_pipeline(root, {
+            "talk": {"builtin": "test.probe", "outs": ["talk.txt"]},
+            "shell": {"cmd": "echo from-shell > shell.txt", "outs": ["shell.txt"]},
+        })
+        project = Project(root=root)
+        # a block-buffered stdout on fd 1, as the CLI has when piped to a file
+        with open(1, "w", buffering=1 << 16, closefd=False) as parent_stdout, monkeypatch.context() as m:
+            m.setattr(sys, "stdout", parent_stdout)
+            sys.stdout.write("UNFLUSHED-MARKER")
+            report = run(project)
+        assert report.executed == 2
+        logs = {
+            path: (root / path).read_text()
+            for result in report.results for path in (result.log_out, result.log_err)
+        }
+        assert not any("UNFLUSHED-MARKER" in text for text in logs.values())
+        talk = report.results[[r.stage for r in report.results].index("talk")]
+        assert logs[talk.log_out] == "from-builtin\n"
 
 
 class TestParallel:
@@ -585,6 +755,12 @@ class TestStoreCallsThroughRunner:
         calls.clear()
         assert run(baseline_project).cached == 6
         assert calls == Counter(cache_lookup=6, hash_path=7)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_baseline_resolves_each_stage_once(self, baseline_project, monkeypatch, jobs):
+        calls = self.count_calls(monkeypatch)
+        assert run(baseline_project, jobs=jobs).executed == 6
+        assert calls["cache_lookup"] == 6
 
     def test_return_to_earlier_value_spawns_nothing(self, warm_baseline, tmp_path, monkeypatch):
         project = _copy_of(warm_baseline, tmp_path)

@@ -274,6 +274,70 @@ class TestCommitRestore:
         assert before.hex == entry.outs["d"].hash
 
 
+def _identity(path):
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+class TestRestoreSkipsOutsInPlace:
+    """An out whose workspace copy already holds its object's bytes is left
+    alone; anything else is restored, never reported as an error."""
+
+    def test_correct_file_and_tree_untouched(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt", "d"))
+        files = {"out.txt": b"payload", "d/a": b"1", "d/sub/b": b"22"}
+        root, store, _, entry = _commit(tmp_path, stage, files)
+        before = {rel: _identity(root / rel) for rel in files}
+        restore_outputs(store, entry, root)
+        assert {rel: _identity(root / rel) for rel in files} == before
+
+    def test_flipped_byte_restored(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
+        root, store, _, entry = _commit(tmp_path, stage, {"out.txt": b"payload"})
+        (root / "out.txt").write_bytes(b"paxload")
+        restore_outputs(store, entry, root)
+        assert (root / "out.txt").read_bytes() == b"payload"
+
+    def test_tree_with_extra_member_restored(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        root, store, _, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/sub/b": b"22"})
+        (root / "d" / "extra").write_bytes(b"x")
+        (root / "d" / "empty").mkdir()
+        restore_outputs(store, entry, root)
+        assert sorted(p.relative_to(root).as_posix() for p in (root / "d").rglob("*")) == [
+            "d/a", "d/sub", "d/sub/b",
+        ]
+        assert hash_path(root / "d")[0].hex == entry.outs["d"].hash
+
+    def test_tree_member_flipped_restored(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        root, store, _, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/sub/b": b"22"})
+        (root / "d" / "sub" / "b").write_bytes(b"23")
+        restore_outputs(store, entry, root)
+        assert (root / "d" / "sub" / "b").read_bytes() == b"22"
+
+    def test_symlinks_replaced(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt", "d"))
+        root, store, _, entry = _commit(tmp_path, stage, {"out.txt": b"payload", "d/a": b"1"})
+        # each symlink points at the right bytes, but a symlink is never an out
+        shutil.move(root / "out.txt", tmp_path / "same.txt")
+        (root / "out.txt").symlink_to(tmp_path / "same.txt")
+        shutil.move(root / "d", tmp_path / "same_dir")
+        (root / "d").symlink_to(tmp_path / "same_dir", target_is_directory=True)
+        restore_outputs(store, entry, root)
+        assert not (root / "out.txt").is_symlink() and not (root / "d").is_symlink()
+        assert (root / "out.txt").read_bytes() == b"payload"
+        assert hash_path(root / "d")[0].hex == entry.outs["d"].hash
+
+    def test_compared_with_the_object_not_the_recorded_hash(self, tmp_path):
+        # a damaged object still reaches the workspace, where checks can see it
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
+        root, store, _, entry = _commit(tmp_path, stage, {"out.txt": b"payload"})
+        store._addr(entry.outs["out.txt"].hash).write_bytes(b"paxload")
+        restore_outputs(store, entry, root)
+        assert (root / "out.txt").read_bytes() == b"paxload"
+
+
 class TestCacheLookup:
     def test_fresh_project_misses(self, tmp_path):
         store = ObjectStore(tmp_path / "cache")
