@@ -13,9 +13,10 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 
-from ..canonical import dump_canonical, fmt_num
+from ..canonical import dump_canonical
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .metrics import METRIC_KEYS, compute_metrics
@@ -25,6 +26,8 @@ from .tables import Table, read_table
 
 _RIDGE_PARAMS = ("alpha", "fit_intercept")
 _KNN_PARAMS = ("k", "metric", "weights")
+# the numeric columns of the predictions CSV, after sample_id
+_PRED_NUMBERS = ("fold", "pred_x", "pred_y", "true_x", "true_y")
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,12 @@ def run_grid_search(
 
 
 def predictions_csv(pred_rows: list[dict]) -> str:
+    """Render the prediction rows; ``repr`` is `canonical.fmt_num`'s text for an int or a float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample_id", "fold", "pred_x", "pred_y", "true_x", "true_y"])
-    for row in pred_rows:
-        writer.writerow([
-            row["sample_id"], str(row["fold"]),
-            fmt_num(row["pred_x"]), fmt_num(row["pred_y"]),
-            fmt_num(row["true_x"]), fmt_num(row["true_y"]),
-        ])
+    writer.writerow(["sample_id", *_PRED_NUMBERS])
+    numbers = itemgetter(*_PRED_NUMBERS)
+    writer.writerows([row["sample_id"], *map(repr, numbers(row))] for row in pred_rows)
     return buf.getvalue()
 
 

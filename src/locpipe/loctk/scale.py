@@ -2,33 +2,65 @@
 
 Rows are repeated `factor` times in order (copy 0 first, then copy 1, ...).
 For factor >= 2 every sample id gains a ``#<copy>`` suffix to stay unique;
-factor 1 leaves the table untouched.
+factor 1 writes the table back through `write_table` unchanged.
+
+Each source row's value-and-target text is rendered once and written
+`factor` times, each copy behind its own id cell. The output bytes are those
+of `write_table` over the expanded table: csv.writer renders every cell, id
+cells included, so an id gets exactly the quoting it would get there.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .tables import Table, read_table, write_table
 
 
-def concat_scale(table: Table, factor: int) -> Table:
-    if factor < 1:
-        raise BuiltinError(f"scale: factor must be >= 1, got {factor}")
-    if factor == 1:
-        return table
-    ids = []
-    values = []
-    targets = []
-    for copy in range(factor):
-        ids.extend(f"{sample_id}#{copy}" for sample_id in table.ids)
-        values.extend(list(row) for row in table.values)
-        targets.extend(table.targets)
-    return Table(prefix=table.prefix, ids=ids, values=values, targets=targets)
+def _id_affixes(sample_id: str) -> tuple[str, str]:
+    """(head, tail) such that ``head + str(copy) + tail`` is the rendered id
+    cell of ``<sample_id>#<copy>``.
+
+    ``#`` and digits never need quoting, so every copy is quoted exactly
+    when ``<sample_id>#`` is, and a quoted cell keeps its closing quote last.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([f"{sample_id}#", ""])
+    cell = buf.getvalue()[:-2]  # drop the empty second cell: "," and "\n"
+    return (cell, "") if cell.endswith("#") else (cell[:-1], '"')
+
+
+def render_scaled(table: Table, factor: int) -> str:
+    """The CSV text of `factor` block-wise copies of `table` (factor >= 2)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.header())
+    # an empty first cell stands in for the id: each source row renders once,
+    # as ",<values>,x,y\n"
+    writer.writerows(
+        ["", *map(repr, row), repr(x), repr(y)] for row, (x, y) in zip(table.values, table.targets)
+    )
+    header, *rests = buf.getvalue().splitlines(keepends=True)
+    affixes = [_id_affixes(sample_id) for sample_id in table.ids]
+    return header + "".join(
+        f"{head}{copy}{tail}{rest}"
+        for copy in range(factor)
+        for (head, tail), rest in zip(affixes, rests)
+    )
 
 
 def run(request: StageRequest) -> None:
     cfg = section(request, "scale")
     factor = get(cfg, "factor", "int", f"stage '{request.stage}'")
     table = read_table(request.dep(0, "prepared CSV"))
-    write_table(concat_scale(table, factor), request.out(0, "scaled CSV"))
+    if factor < 1:
+        raise BuiltinError(f"scale: factor must be >= 1, got {factor}")
+    out = request.out(0, "scaled CSV")
+    if factor == 1:
+        write_table(table, out)
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(render_scaled(table, factor), encoding="utf-8")

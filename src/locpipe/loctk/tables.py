@@ -4,6 +4,13 @@ Tables are header-carrying CSV with ``\\n`` line endings: a ``sample_id``
 column, one block of indexed value columns (``rssi_1..rssi_m`` after
 prepare, ``f_1..f_m`` after featurize), and the ``x``, ``y`` position
 targets in meters. All decimals are rendered in shortest round-trip form.
+
+Both directions work a whole row at a time. The reader parses a row's cells
+in one ``map(float, ...)`` and checks them in one ``all(map(math.isfinite,
+...))``; it is exactly as strict as a per-cell check, and a row that fails is
+re-scanned from the left so the error names the same first bad cell. The
+writer renders cells with ``repr``, which is `canonical.fmt_num`'s text for
+every int and float.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..canonical import fmt_num
 from ..errors import BuiltinError
 
 RSSI_PREFIX = "rssi"
@@ -69,7 +75,12 @@ def _parse_cell(cell: str, where: str) -> float:
 
 
 def read_table(path: Path | str) -> Table:
-    """Strict reader for prepared/feature tables: every cell must be a finite number."""
+    """Strict reader for prepared/feature tables: every cell must be a finite number.
+
+    A row's cells are parsed in one ``map(float, ...)`` and checked in one
+    ``all(map(math.isfinite, ...))``. Only a row that fails is scanned again,
+    cell by cell from the left, to name its first bad cell.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -82,12 +93,18 @@ def read_table(path: Path | str) -> Table:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width + 3:
                 raise BuiltinError(f"{path}:{lineno}: expected {width + 3} cells, got {len(row)}")
+            try:
+                cells = list(map(float, row[1:]))
+                ok = all(map(math.isfinite, cells))
+            except ValueError:
+                ok = False
+            if not ok:
+                for cell in row[1:]:  # raises at the row's first bad cell
+                    _parse_cell(cell, f"{path}:{lineno}")
             ids.append(row[0])
-            values.append([_parse_cell(c, f"{path}:{lineno}") for c in row[1:-2]])
-            targets.append((
-                _parse_cell(row[-2], f"{path}:{lineno}"),
-                _parse_cell(row[-1], f"{path}:{lineno}"),
-            ))
+            targets.append((cells[-2], cells[-1]))
+            del cells[-2:]
+            values.append(cells)
     return Table(prefix=prefix, ids=ids, values=values, targets=targets)
 
 
@@ -97,8 +114,10 @@ def write_table(table: Table, path: Path | str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.header())
-    for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets):
-        writer.writerow([sample_id] + [fmt_num(v) for v in row] + [fmt_num(x), fmt_num(y)])
+    writer.writerows(
+        [sample_id, *map(repr, row), repr(x), repr(y)]
+        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets)
+    )
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 

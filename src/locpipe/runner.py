@@ -156,6 +156,9 @@ class StageResult:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     peak_rss_bytes: int = 0        # 0 = unavailable
+    # the orchestrator's resident set when it forked the stage, which the
+    # child's peak includes; None for a stage not forked, 0 = unavailable
+    orchestrator_rss_bytes: int | None = None
     exit_code: int | None = None
     pid: int | None = None
     reason: str = ""
@@ -163,7 +166,7 @@ class StageResult:
     log_err: str | None = None
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "stage": self.stage,
             "action": self.action,
             "wall_s": self.wall_s,
@@ -175,6 +178,9 @@ class StageResult:
             "log_out": self.log_out,
             "log_err": self.log_err,
         }
+        if self.orchestrator_rss_bytes is not None:
+            doc["orchestrator_rss_bytes"] = self.orchestrator_rss_bytes
+        return doc
 
 
 @dataclass
@@ -454,8 +460,9 @@ def _spawn_stage(
     root: Path,
     log_out: Path,
     log_err: Path,
-) -> int:
-    """Fork the child that runs one stage, and return its pid.
+) -> tuple[int, int]:
+    """Fork the child that runs one stage: (its pid, this process's resident
+    set in bytes just before the fork, 0 where unavailable).
 
     Only the calling thread exists in a forked child, so the caller must be
     a process that has started no threads. A builtin runs `request` in the
@@ -468,10 +475,21 @@ def _spawn_stage(
     sys.stdout.flush()
     sys.stderr.flush()
     with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
+        rss = _resident_bytes()
         pid = os.fork()
         if pid == 0:
             _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
-    return pid
+    return pid, rss
+
+
+def _resident_bytes() -> int:
+    """This process's current resident set from ``/proc/self/statm``; 0 where
+    that file does not exist (it is Linux-only)."""
+    try:
+        with open("/proc/self/statm", "rb") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, IndexError, ValueError):
+        return 0
 
 
 def _run_child(
@@ -576,8 +594,8 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         producers = graph.producers()
         planned_set = set(planned)
         pending = list(planned)
-        # pid -> (stage, state, start) of every child not yet reaped
-        running: dict[int, tuple[StageSpec, StageState, float]] = {}
+        # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
+        running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
         try:
             while pending or running:
                 progressed = False
@@ -630,20 +648,21 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             )
                         run_logs.mkdir(parents=True, exist_ok=True)
                         started = time.perf_counter()
-                        pid = _spawn_stage(
+                        pid, rss = _spawn_stage(
                             stage, request, project.root,
                             run_logs / f"{name}.out", run_logs / f"{name}.err",
                         )
-                        running[pid] = (stage, state, started)
+                        running[pid] = (stage, state, started, rss)
                 if running and (not progressed or not pending or len(running) >= opts.jobs):
                     pid, wait_status, usage = _reap_first(list(running))
-                    stage, state, started = running.pop(pid)
+                    stage, state, started, rss = running.pop(pid)
                     result = StageResult(
                         stage=stage.name,
                         action="executed",
                         wall_s=time.perf_counter() - started,
                         cpu_s=usage.ru_utime + usage.ru_stime,
                         peak_rss_bytes=usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024),
+                        orchestrator_rss_bytes=rss,
                         exit_code=os.waitstatus_to_exitcode(wait_status),
                         pid=pid,
                         reason="forced" if opts.force else "; ".join(state.reasons),

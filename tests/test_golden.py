@@ -1,0 +1,60 @@
+"""Golden output digests of the `baseline` and `scaling` templates.
+
+Each builtin carries a hand-bumped version in `loctk._REGISTRY`, and a cache
+entry stays valid only while its bytes do. These digests pin every committed
+out of two full runs, so a change that moves an output byte without bumping
+the version fails here. A change that is meant to move bytes bumps the
+versions of the builtins it touches and updates these digests with it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from locpipe.store import load_lock
+
+from conftest import edit_params, run
+
+GOLDEN = {
+    "baseline": {
+        "data/raw.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepared.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepare_summary.json": "e01881be14f114582d601fbf84bd38c1f9bc12f5eefb6d7e8709fa10e8ff0b83",
+        "data/features.csv": "1ba1f261966456eef2832e832f2cec2651bebd4c89104cf8137a741390037e87",
+        "data/folds.json": "4a9d9ff8ff560a28c90ac30aab4321a912539d5bf27f9a1faa9beb816fc378d0",
+        "out/cv_results.json": "7e54f4cb9088c54aca32fee0d70c1226609882dbea359f15c9e569b13e1dd31d",
+        "out/model.json": "dcafe0896cccf0886603ff988e09ee63b37436dae66a5120eba902b90a86e496",
+        "out/predictions.csv": "5f1b35aafc484c43856b44fa17fb553b4eb898b48cd82c480d40bab405fcde95",
+        "out/metrics.json": "a4f7651d8e1b1f6f0d1bd280b1ab91e3412899ab15e73b04fdaa65db7549e379",
+        "report/report.md": "df303653a817898f404717b970a1d525e1a88c51c879efe51d34f0506ea416f5",
+        "report/summary.csv": "f34cf450e446d2c39ee3a06f45417ecf5155bbfbda64eba4708ad3247c175983",
+    },
+    "scaling": {
+        "data/raw.csv": "d6e1dc5169a15bd04fb0d6af72563e2a393969f537e0c55d9c05d64e804528c2",
+        "data/prepared.csv": "d6e1dc5169a15bd04fb0d6af72563e2a393969f537e0c55d9c05d64e804528c2",
+        "data/prepare_summary.json": "1c876e83596e31cd950213f668c0388effee5e34489810aade38a857b3b30a13",
+        "data/scaled.csv": "3fe0b30c104fc95f5b7bed7d975bff053c44217e7cc79f880ac956c2f08ed51e",
+        "data/features.csv": "7ded9aa6ef3bf54e2bb877e2f2b3aa8552d4bbc4df8e3ecd0994376880335f41",
+        "data/folds.json": "baa86dabf93328ff813cabce2c61512e8dcc3d4f4ff0ce5fdec62e2d686d4fe1",
+        "out/cv_results.json": "d2b87765fc488fb6bdbaf87b4f17ef3e008211a5246f7a5d16cc5aaa9fee3ac4",
+        "out/model.json": "5f5a933a0b591b242621985aed2334f26086b9357d03d9f255362cfe41cb1222",
+        "out/predictions.csv": "c3eeb4ba84db14d9b9c301d2433d2fdea3de7b705cf43ee76ddbc59ce5886a1f",
+        "out/metrics.json": "ca3db68f5886e9909985c1e29199cfd5c2ce68b7523b257854f58c78ef03a30f",
+        "report/report.md": "7277b392e4a8cf196da7fd762d4e194c1150b518ae3823299117cee32d1ac262",
+        "report/summary.csv": "5f784ee7b4dacf4c3ef33d293cf795306bc639ce26c8b0cb7ffa3eb3adf426b1",
+    },
+}
+
+
+@pytest.mark.parametrize("template, factor", [("baseline", None), ("scaling", 2)])
+def test_committed_outs_match_golden_digests(make_project, template, factor):
+    project = make_project(template)
+    if factor is not None:
+        edit_params(project, "scale.factor", factor)
+    report = run(project)
+    assert report.failed == 0 and report.cached == 0
+    outs = [out for entry in load_lock(project.lock_path).values() for out in entry.outs]
+    digests = {out: hashlib.sha256((project.root / out).read_bytes()).hexdigest() for out in outs}
+    assert digests == GOLDEN[template]

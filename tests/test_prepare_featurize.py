@@ -1,7 +1,13 @@
+import csv
+import io
+from pathlib import Path
+
 import pytest
 
+from locpipe.canonical import fmt_num
 from locpipe.errors import BuiltinError
 from locpipe.loctk.featurize import featurize, parse_transforms
+from locpipe.loctk.gridsearch import predictions_csv
 from locpipe.loctk.prepare import prepare_rows
 from locpipe.loctk.tables import Table, read_table, write_table
 
@@ -170,3 +176,93 @@ class TestTablesRoundTrip:
         path.write_text("sample_id,f_1,x,y\na,oops,1.0,2.0\n")
         with pytest.raises(BuiltinError, match="non-numeric"):
             read_table(path)
+
+
+class TestStrictReader:
+    """Each bad table fails with the full ``path:line: ...`` message of its first bad cell."""
+
+    def failure(self, tmp_path, body: str) -> tuple[Path, str]:
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,f_1,f_2,x,y\n" + body)
+        with pytest.raises(BuiltinError) as info:
+            read_table(path)
+        return path, str(info.value)
+
+    @pytest.mark.parametrize("row", [
+        "a,nan,-60.0,1.0,2.0",     # value column
+        "a,-50.0,-60.0,nan,2.0",   # target x
+        "a,-50.0,-60.0,1.0,nan",   # target y
+    ])
+    def test_nan(self, tmp_path, row):
+        path, message = self.failure(tmp_path, row + "\n")
+        assert message == f"{path}:2: non-finite cell 'nan'"
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("column", [1, 3, 4])
+    def test_infinite(self, tmp_path, cell, column):
+        cells = ["a", "-50.0", "-60.0", "1.0", "2.0"]
+        cells[column] = cell
+        path, message = self.failure(tmp_path, "b,1.0,2.0,3.0,4.0\n" + ",".join(cells) + "\n")
+        assert message == f"{path}:3: non-finite cell {cell!r}"
+
+    @pytest.mark.parametrize("row, got", [("a,-50.0,1.0,2.0", 4), ("a,-50.0,-60.0,1.0,2.0,9", 6)])
+    def test_wrong_row_width(self, tmp_path, row, got):
+        path, message = self.failure(tmp_path, "b,1.0,2.0,3.0,4.0\n" + row + "\n")
+        assert message == f"{path}:3: expected 5 cells, got {got}"
+
+    def test_width_checked_before_cells(self, tmp_path):
+        path, message = self.failure(tmp_path, "a,oops,1.0,2.0\n")
+        assert message == f"{path}:2: expected 5 cells, got 4"
+
+    def test_first_bad_cell_from_the_left(self, tmp_path):
+        path, message = self.failure(tmp_path, "a,nan,oops,1.0,2.0\n")
+        assert message == f"{path}:2: non-finite cell 'nan'"
+        path, message = self.failure(tmp_path, "a,oops,nan,1.0,2.0\n")
+        assert message == f"{path}:2: non-numeric cell 'oops'"
+        path, message = self.failure(tmp_path, "a,-50.0,-60.0,inf,y\n")
+        assert message == f"{path}:2: non-finite cell 'inf'"
+
+    def test_non_numeric_target(self, tmp_path):
+        path, message = self.failure(tmp_path, "a,-50.0,-60.0,1.0,\n")
+        assert message == f"{path}:2: non-numeric cell ''"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path, message = self.failure(tmp_path, "a,1.0,2.0,3.0,4.0\nb,1.0,nan,3.0,4.0\nc,1.0\n")
+        assert message == f"{path}:3: non-finite cell 'nan'"
+
+
+class TestWriterBytes:
+    TRICKY = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 1 / 3, 7]
+
+    def test_matches_fmt_num_oracle(self, tmp_path):
+        table = Table(
+            prefix="f",
+            ids=["a", "b,c", 'q"d'],
+            values=[self.TRICKY, list(reversed(self.TRICKY)), [-1e-7, 2.5, -3, 1e300, 1e-300, 0.0, 123456789.125]],
+            targets=[(-0.0, 5e-324), (1e22, 1 / 3), (7, 0.1 + 0.2)],
+        )
+        path = tmp_path / "t.csv"
+        write_table(table, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(table.header())
+        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets):
+            writer.writerow([sample_id] + [fmt_num(v) for v in row] + [fmt_num(x), fmt_num(y)])
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert b"-0.0,5e-324,1e+16,1e+22,0.30000000000000004,0.3333333333333333,7" in path.read_bytes()
+
+    def test_predictions_csv_matches_fmt_num_oracle(self):
+        rows = [
+            {"sample_id": "s,1", "fold": 3, "pred_x": -0.0, "pred_y": 1e22,
+             "true_x": 0.1 + 0.2, "true_y": 5e-324},
+            {"sample_id": "s2", "fold": 0, "pred_x": 1 / 3, "pred_y": 1e16,
+             "true_x": 7, "true_y": -2.5},
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["sample_id", "fold", "pred_x", "pred_y", "true_x", "true_y"])
+        for row in rows:
+            writer.writerow([row["sample_id"], str(row["fold"])] + [
+                fmt_num(row[key]) for key in ("pred_x", "pred_y", "true_x", "true_y")
+            ])
+        assert predictions_csv(rows) == buf.getvalue()

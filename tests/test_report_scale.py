@@ -1,13 +1,17 @@
+import csv
+import io
 import random
+from pathlib import Path
 
 import pytest
 
+from locpipe.canonical import fmt_num
 from locpipe.errors import BuiltinError
+from locpipe.loctk import StageRequest, run_builtin
 from locpipe.loctk.gridsearch import run_grid_search
 from locpipe.loctk.report import build_report, classify
-from locpipe.loctk.scale import concat_scale
 from locpipe.loctk.split import make_fold_file
-from locpipe.loctk.tables import Table
+from locpipe.loctk.tables import Table, read_table, write_table
 
 from test_gridsearch import RIDGE_GRID, folds_for, make_table
 
@@ -80,31 +84,70 @@ def prepared_table(n=4) -> Table:
     )
 
 
-class TestConcatScale:
-    def test_factor_one_identity(self):
-        table = prepared_table()
-        scaled = concat_scale(table, 1)
-        assert scaled == table  # no #0 suffix at factor 1
+def run_scale(tmp_path, table: Table, factor: int) -> Path:
+    """Run the loc.scale builtin on `table` written as its prepared CSV; return the out path."""
+    src, out = tmp_path / "prepared.csv", tmp_path / "data" / "scaled.csv"
+    write_table(table, src)
+    run_builtin("loc.scale", StageRequest(
+        stage="scale", builtin="loc.scale", params={"scale.factor": factor},
+        deps=(str(src),), outs=(str(out),),
+    ))
+    return out
 
-    def test_factor_five_row_count(self):
+
+def expanded_csv(table: Table, factor: int) -> str:
+    """Oracle: csv.writer over the expanded rows, one `fmt_num` per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.header())
+    for copy in range(factor):
+        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets):
+            cell = sample_id if factor == 1 else f"{sample_id}#{copy}"
+            writer.writerow([cell] + [fmt_num(v) for v in row] + [fmt_num(x), fmt_num(y)])
+    return buf.getvalue()
+
+
+class TestScaleStage:
+    def test_factor_one_identity(self, tmp_path):
+        out = run_scale(tmp_path, prepared_table(), 1)
+        # no #0 suffix at factor 1: the prepared bytes pass through
+        assert out.read_bytes() == (tmp_path / "prepared.csv").read_bytes()
+
+    def test_factor_five_row_count(self, tmp_path):
         table = prepared_table(n=4)
-        scaled = concat_scale(table, 5)
+        scaled = read_table(run_scale(tmp_path, table, 5))
         assert scaled.n_rows == 20
         assert scaled.values == table.values * 5
+        assert scaled.targets == table.targets * 5
 
-    def test_factor_ten_ids_unique(self):
-        table = prepared_table(n=3)
-        scaled = concat_scale(table, 10)
+    def test_factor_ten_ids_unique(self, tmp_path):
+        scaled = read_table(run_scale(tmp_path, prepared_table(n=3), 10))
         assert scaled.n_rows == 30
         assert len(set(scaled.ids)) == 30
         assert scaled.ids[0] == "s0#0"
         assert scaled.ids[3] == "s0#1"  # block-wise concatenation
 
-    def test_order_is_blockwise(self):
-        table = prepared_table(n=2)
-        scaled = concat_scale(table, 2)
+    def test_order_is_blockwise(self, tmp_path):
+        scaled = read_table(run_scale(tmp_path, prepared_table(n=2), 2))
         assert scaled.ids == ["s0#0", "s1#0", "s0#1", "s1#1"]
 
-    def test_invalid_factor(self):
-        with pytest.raises(BuiltinError, match="factor"):
-            concat_scale(prepared_table(), 0)
+    def test_invalid_factor(self, tmp_path):
+        with pytest.raises(BuiltinError, match="factor must be >= 1, got 0"):
+            run_scale(tmp_path, prepared_table(), 0)
+        assert not (tmp_path / "data" / "scaled.csv").exists()
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_bytes_match_csv_writer_oracle(self, tmp_path, factor):
+        table = Table(
+            prefix="rssi",
+            ids=["plain", "a,b", 'say "hi"', '"', "line\nbreak", "", "x#1", " pad "],
+            values=[[-0.0, 5e-324], [1e16, 1e22], [0.1 + 0.2, 1 / 3], [-90.5, -40.0],
+                    [1.0, 2.0], [3.0, 4.0], [-1e-7, 123456789.0], [0.5, -0.5]],
+            targets=[(float(i), 0.25 * i) for i in range(8)],
+        )
+        out = run_scale(tmp_path, table, factor)
+        assert out.read_text(encoding="utf-8") == expanded_csv(table, factor)
+        scaled = read_table(out)
+        assert scaled.values == table.values * factor
+        if factor > 1:
+            assert scaled.ids[8] == "plain#1" and scaled.ids[9] == "a,b#1"

@@ -453,6 +453,29 @@ class TestForkedStages:
         talk = report.results[[r.stage for r in report.results].index("talk")]
         assert logs[talk.log_out] == "from-builtin\n"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    def test_manifest_records_orchestrator_rss_at_fork(self, shell_project):
+        executed = json.loads(run(shell_project).manifest_path.read_text())["results"]
+        assert [r["action"] for r in executed] == ["executed"] * 3
+        for result in executed:
+            assert result["orchestrator_rss_bytes"] > 0
+            assert result["orchestrator_rss_bytes"] % os.sysconf("SC_PAGE_SIZE") == 0
+        cached = json.loads(run(shell_project).manifest_path.read_text())["results"]
+        assert [r["action"] for r in cached] == ["cached"] * 3
+        assert not any("orchestrator_rss_bytes" in r for r in cached)
+
+    def test_orchestrator_rss_zero_without_statm(self, shell_project, monkeypatch):
+        real_open = open
+
+        def no_statm(path, *args, **kwargs):
+            if path == "/proc/self/statm":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", no_statm)
+        report = run(shell_project)
+        assert [r.orchestrator_rss_bytes for r in report.results] == [0, 0, 0]
+
 
 class TestParallel:
     def test_independent_stages_parallel_correctness(self, tmp_path):
