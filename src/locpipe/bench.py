@@ -5,8 +5,8 @@ wall/CPU/RSS from the run manifests, then measures a no-op (fully cached)
 repro per factor. Scaling happens after the prepare stage, so prepare cost
 is factor-invariant; the no-op wall time is the pure orchestration overhead.
 
-Timings must not contend, so the bench is sequential by design and refuses
-``jobs > 1``.
+Timings must not contend, so the bench runs its stages one at a time and has
+no ``--jobs`` option.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--factors", default="1,5,10", help="comma-separated dataset multiples")
     p_scale.add_argument("--repeats", type=int, default=1, help="forced runs per factor")
     p_scale.add_argument("--out", default="bench/results.csv", metavar="FILE", help="CSV output path")
-    p_scale.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
     return parser
 
@@ -201,8 +200,6 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     from .bench import run_scaling_bench, write_bench_report
     from .runner import Project
 
-    if args.jobs != 1:
-        raise ConfigError("bench runs stages sequentially; --jobs > 1 is not supported")
     try:
         factors = [int(part) for part in args.factors.split(",") if part.strip()]
     except ValueError:

@@ -3,28 +3,31 @@
 Each builtin is a deterministic function from (params, deps) to declared
 outs. The orchestrator forks a child per executed stage, and the child calls
 ``run_builtin`` on the stage's in-memory ``StageRequest``; only the child
-imports the builtin's module. Builtins carry an explicit version that must
-be bumped on any behavior change so stale cache entries are invalidated.
+imports the builtin's module. Every builtin's identity is one digest of the
+code it runs (`builtin_version`), so any edit to this package or to
+``canonical.py`` invalidates every cached builtin stage.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import importlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BuiltinError, ConfigError
 
-# builtin id -> (module, version). Bump the version whenever output bytes
-# for identical inputs could change.
-_REGISTRY: dict[str, tuple[str, int]] = {
-    "loc.synth": ("locpipe.loctk.synth", 1),
-    "loc.prepare": ("locpipe.loctk.prepare", 1),
-    "loc.featurize": ("locpipe.loctk.featurize", 1),
-    "loc.split": ("locpipe.loctk.split", 1),
-    "loc.gridsearch": ("locpipe.loctk.gridsearch", 2),
-    "loc.report": ("locpipe.loctk.report", 1),
-    "loc.scale": ("locpipe.loctk.scale", 1),
+# builtin id -> module
+_REGISTRY: dict[str, str] = {
+    "loc.synth": "locpipe.loctk.synth",
+    "loc.prepare": "locpipe.loctk.prepare",
+    "loc.featurize": "locpipe.loctk.featurize",
+    "loc.split": "locpipe.loctk.split",
+    "loc.gridsearch": "locpipe.loctk.gridsearch",
+    "loc.report": "locpipe.loctk.report",
+    "loc.scale": "locpipe.loctk.scale",
 }
 
 
@@ -32,11 +35,25 @@ def builtin_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def builtin_version(builtin_id: str) -> int:
-    try:
-        return _REGISTRY[builtin_id][1]
-    except KeyError:
-        raise ConfigError(f"unknown builtin '{builtin_id}' (known: {', '.join(builtin_ids())})") from None
+@functools.cache
+def _code_digest() -> str:
+    """SHA-256 over Python major.minor and the path and bytes of every
+    ``loctk/*.py`` (sorted) and of ``canonical.py``."""
+    package = Path(__file__).parent
+    sources = sorted(package.glob("*.py")) + [package.parent / "canonical.py"]
+    digest = hashlib.sha256(f"python {sys.version_info.major}.{sys.version_info.minor}\0".encode())
+    for path in sources:
+        data = path.read_bytes()
+        name = path.relative_to(package.parent).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def builtin_version(builtin_id: str) -> str:
+    """The identity of a builtin's code: one digest shared by every builtin."""
+    if builtin_id not in _REGISTRY:
+        raise ConfigError(f"unknown builtin '{builtin_id}' (known: {', '.join(builtin_ids())})")
+    return _code_digest()
 
 
 @dataclass(frozen=True)
@@ -69,7 +86,7 @@ def run_builtin(builtin_id: str, request: StageRequest) -> None:
         raise ConfigError(f"unknown builtin '{builtin_id}'")
     if request.builtin != builtin_id:
         raise BuiltinError(f"request was built for '{request.builtin}', not '{builtin_id}'")
-    module = importlib.import_module(_REGISTRY[builtin_id][0])
+    module = importlib.import_module(_REGISTRY[builtin_id])
     module.run(request)
 
 

@@ -61,12 +61,12 @@ def compute_metrics(
         residuals.append(p[0] - t[0])
         residuals.append(p[1] - t[1])
     m = len(residuals)
-    rmse = math.sqrt(sum(r * r for r in residuals) / m)
+    ss_res = sum(r * r for r in residuals)
+    rmse = math.sqrt(ss_res / m)
     abs_residuals = sorted(abs(r) for r in residuals)
     mae = sum(abs_residuals) / m
     median_ae = _median(abs_residuals)
 
-    ss_res = sum(r * r for r in residuals)
     mean_x = sum(t[0] for t in truth) / len(truth)
     mean_y = sum(t[1] for t in truth) / len(truth)
     ss_tot = sum((t[0] - mean_x) ** 2 + (t[1] - mean_y) ** 2 for t in truth)

@@ -78,6 +78,10 @@ def prepare_rows(
                     filled.append(fill_value)
                 else:
                     filled.append(cell)
+            if "\r" in row[0]:  # csv.writer leaves \r unquoted, so no reader could split the row
+                raise BuiltinError(
+                    f"{raw_path}:{rows_in + 1}: sample id {row[0]!r} contains a carriage return"
+                )
             ids.append(row[0])
             values.append(filled)
             targets.append((x, y))

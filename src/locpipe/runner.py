@@ -10,12 +10,12 @@ timings and process accounting included), even when stages fail.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import signal
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -215,41 +215,21 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Advisory project lock (one orchestrator per project; reentrant in-process)
-
-_held_locks: set[str] = set()
-_held_guard = threading.Lock()
+# Advisory project lock (one orchestrator per project)
 
 
 @contextmanager
 def project_lock(project: Project):
     lock_file = project.dot_dir / "orchestrator.lock"
-    key = str(lock_file.resolve()) if lock_file.parent.exists() else str(lock_file)
-    with _held_guard:
-        reentrant = key in _held_locks
-        if not reentrant:
-            _held_locks.add(key)
-    if reentrant:
-        yield
-        return
     lock_file.parent.mkdir(parents=True, exist_ok=True)
-    handle = open(lock_file, "a+")
-    try:
+    with open(lock_file, "a+") as handle:
         try:
-            import fcntl
-
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except ImportError:  # pragma: no cover - non-POSIX
-            pass
         except OSError:
             raise StoreError(
                 f"another orchestrator process holds the project lock ({lock_file})"
             ) from None
         yield
-    finally:
-        handle.close()
-        with _held_guard:
-            _held_locks.discard(key)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +290,10 @@ def resolve_stage(
     missing = [dep for dep, ch in found.items() if ch is None]
     current = select_params(params, stage.params, stage=stage.name)
     params_canonical = canonicalize(current)
-    version = builtin_version(stage.builtin) if stage.builtin is not None else None
-    kind = stage_kind(stage, version)
+    kind = stage_kind(stage)
     fingerprint = hit = None
     if not missing:
-        fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical, version)
+        fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical)
         hit = cache_lookup(lock, store, stage.name, fingerprint)
     state = StageState(kind, dep_hashes, params_canonical, fingerprint, tuple(missing), hit)
     if hit is None:

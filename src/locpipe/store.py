@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .canonical import canonical_bytes
 from .configmodel import StageSpec
 from .errors import StoreError
+from .loctk import builtin_version
 
 HASH_ALGORITHM = "sha256"
 _CHUNK = 1 << 20
@@ -225,25 +226,20 @@ class ObjectStore:
 # Fingerprints
 
 
-def stage_kind(stage: StageSpec, builtin_version: int | None = None) -> dict:
+def stage_kind(stage: StageSpec) -> dict:
     """What a stage runs, as fingerprinted and recorded in its lock entry:
-    the command string, or the builtin id and version."""
+    the command string, or the builtin id and the digest of builtin code."""
     if stage.builtin is None:
         return {"cmd": stage.cmd}
-    if builtin_version is None:
-        raise StoreError(f"stage '{stage.name}': builtin version required for fingerprint")
-    return {"builtin": stage.builtin, "builtin_version": builtin_version}
+    return {"builtin": stage.builtin, "code": builtin_version(stage.builtin)}
 
 
 def stage_fingerprint(
-    stage: StageSpec,
-    dep_hashes: Mapping[str, ContentHash | str],
-    params_canonical: bytes,
-    builtin_version: int | None = None,
+    stage: StageSpec, dep_hashes: Mapping[str, ContentHash | str], params_canonical: bytes
 ) -> ContentHash:
     """Content-derived identity of one stage execution.
 
-    Covers the stage kind (command string, or builtin id + version), the
+    Covers the stage kind (command string, or builtin id + code digest), the
     sorted dep path -> hash pairs, the canonical param subset, and the sorted
     out path list. Independent of dep declaration order by construction.
     """
@@ -253,7 +249,7 @@ def stage_fingerprint(
         missing = sorted(declared - provided) + sorted(provided - declared)
         raise StoreError(f"stage '{stage.name}': dep hash set mismatch: {missing}")
     return _fingerprint(
-        stage_kind(stage, builtin_version), dep_hashes, params_canonical.decode("utf-8"), stage.outs
+        stage_kind(stage), dep_hashes, params_canonical.decode("utf-8"), stage.outs
     )
 
 

@@ -107,8 +107,10 @@ class TestBenchCli:
 
         project = make_project("scaling")
         monkeypatch.chdir(project.root)
-        assert main(["bench", "scale", "--jobs", "2"]) == 2
-        assert "sequentially" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "scale", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_bad_factors_refused(self, make_project, monkeypatch, capsys):
         from locpipe.cli import main

@@ -1,10 +1,10 @@
 """Golden output digests of the `baseline` and `scaling` templates.
 
-Each builtin carries a hand-bumped version in `loctk._REGISTRY`, and a cache
-entry stays valid only while its bytes do. These digests pin every committed
-out of two full runs, so a change that moves an output byte without bumping
-the version fails here. A change that is meant to move bytes bumps the
-versions of the builtins it touches and updates these digests with it.
+Every builtin's identity is a digest of the builtin code, so any code edit
+re-executes every builtin stage. These digests pin every committed out of two
+full runs, so a change meant to keep output bytes (a speed-up, a refactor)
+shows here that it keeps them. A change that is meant to move bytes updates
+these digests with it.
 """
 
 from __future__ import annotations

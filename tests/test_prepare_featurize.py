@@ -94,6 +94,18 @@ class TestPrepare:
         assert table.ids == ["b"]
         assert summary["rows_dropped"] == 1
 
+    def test_carriage_return_in_id_rejected(self, tmp_path):
+        path = raw(tmp_path, 'a,-50.0,-60.0,1.0,2.0\n"b\rc",-55.0,-61.0,3.0,4.0\n')
+        with pytest.raises(BuiltinError) as exc:
+            prepare_rows(path)
+        assert str(exc.value) == f"{path}:3: sample id 'b\\rc' contains a carriage return"
+
+    def test_quoted_newline_in_id_round_trips(self, tmp_path):
+        table, _ = prepare_rows(raw(tmp_path, '"b\nc",-55.0,-61.0,3.0,4.0\n'))
+        assert table.ids == ["b\nc"]
+        write_table(table, tmp_path / "prepared.csv")
+        assert read_table(tmp_path / "prepared.csv").ids == ["b\nc"]
+
     def test_row_order_stable(self, tmp_path):
         body = "".join(f"r{i},-5{i % 10}.0,-60.0,{i}.0,1.0\n" for i in range(20))
         table, _ = prepare_rows(raw(tmp_path, body))

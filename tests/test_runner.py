@@ -3,11 +3,13 @@
 import json
 import os
 import shutil
+import subprocess
 import sys
 import threading
 import time
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -327,7 +329,7 @@ def probe(monkeypatch, tmp_path):
     module = types.ModuleType("locpipe_test_probe")
     module.run = lambda request: actions[request.stage](request)
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    monkeypatch.setitem(loctk._REGISTRY, "test.probe", (module.__name__, 1))
+    monkeypatch.setitem(loctk._REGISTRY, "test.probe", module.__name__)
     root = tmp_path / "probe"
     root.mkdir()
 
@@ -956,3 +958,95 @@ class TestProjectDiscovery:
     def test_no_project_found(self, tmp_path):
         with pytest.raises(ConfigError, match="pipeline.yaml"):
             Project.discover(tmp_path)
+
+
+def _locpipe_env(src: Path) -> dict:
+    """Environment for a subprocess that imports locpipe from `src`."""
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+SRC = Path(runner.__file__).resolve().parents[1]
+
+
+class TestProjectLock:
+    def test_second_orchestrator_refused(self, shell_project):
+        with runner.project_lock(shell_project):
+            proc = subprocess.run(
+                [sys.executable, "-m", "locpipe", "repro"], cwd=shell_project.root,
+                env=_locpipe_env(SRC), capture_output=True, text=True, timeout=60,
+            )
+        assert proc.returncode == 3
+        assert "another orchestrator process holds the project lock" in proc.stderr
+        assert not shell_project.lock_path.exists()
+
+    def test_stage_cannot_take_its_own_project_lock(self, probe):
+        root, actions, make = probe
+
+        def grab(request):
+            with runner.project_lock(Project(root=root)):
+                request.out(0, "o").write_text("locked")
+
+        actions["grab"] = grab
+        project = make({"grab": {"outs": ["grab.txt"]}})
+        result = run(project).results[0]
+        assert result.action == "failed"
+        assert "error: another orchestrator process holds the project lock" in (
+            (root / result.log_err).read_text()
+        )
+        assert not (root / "grab.txt").exists()
+
+
+class TestBuiltinIdentity:
+    """One digest of the builtin code is every builtin's identity."""
+
+    @staticmethod
+    def identity(src: Path) -> str:
+        code = "from locpipe.loctk import builtin_version; print(builtin_version('loc.synth'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(src), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        return proc.stdout.strip()
+
+    @pytest.mark.parametrize("source, moves", [
+        ("loctk/models.py", True),
+        ("loctk/__init__.py", True),
+        ("canonical.py", True),
+        ("runner.py", False),
+    ])
+    def test_one_byte_edit(self, tmp_path, source, moves):
+        shutil.copytree(SRC / "locpipe", tmp_path / "locpipe", ignore=shutil.ignore_patterns("__pycache__"))
+        before = self.identity(tmp_path)
+        assert before == loctk.builtin_version("loc.report")
+        path = tmp_path / "locpipe" / source
+        data = path.read_bytes()
+        path.write_bytes(data[:-1] + b" ")  # the trailing newline becomes a space
+        assert (self.identity(tmp_path) != before) is moves
+
+    def test_cmd_only_pipeline_reads_no_source(self, shell_project, monkeypatch):
+        def unreadable():
+            raise AssertionError("builtin code digested for a cmd-only pipeline")
+
+        monkeypatch.setattr(loctk, "_code_digest", unreadable)
+        assert run(shell_project).executed == 3
+        assert [s.state for s in status(shell_project)] == ["unchanged"] * 3
+        assert run(shell_project).cached == 3
+
+    def test_code_change_reruns_every_builtin_with_same_bytes(self, baseline_project, monkeypatch):
+        def outs() -> dict[str, str]:
+            return {
+                path: digest for path, digest in tree_snapshot(baseline_project.root).items()
+                if not path.startswith(".locpipe/") and path != "pipeline.lock.json"
+            }
+
+        run(baseline_project)
+        before = outs()
+        monkeypatch.setattr(loctk, "_code_digest", lambda: "0" * 64)
+        states = status(baseline_project)
+        assert {(s.state, s.reasons) for s in states} == {("changed", ("builtin",))}
+        assert run(baseline_project).executed == len(states)
+        assert outs() == before
+        assert run(baseline_project).executed == 0
+        params = baseline_project.params_path
+        params.write_text(params.read_text().replace(": ", ":   ").replace("\n", "\n\n"))
+        assert run(baseline_project).executed == 0

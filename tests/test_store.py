@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run, write_params, write_pipeline
+from locpipe import loctk
 from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
 from locpipe.runner import Project, status
@@ -163,10 +164,12 @@ class TestFingerprint:
         with pytest.raises(StoreError, match="mismatch"):
             stage_fingerprint(STAGE, {"a": hash_bytes(b"1")}, b"{}")
 
-    def test_builtin_version_enters_fingerprint(self):
-        stage = StageSpec(name="s", builtin="loc.x", deps=(), outs=("o",))
-        one = stage_fingerprint(stage, {}, b"{}", builtin_version=1)
-        two = stage_fingerprint(stage, {}, b"{}", builtin_version=2)
+    def test_builtin_version_enters_fingerprint(self, monkeypatch):
+        stage = StageSpec(name="s", builtin="loc.synth", deps=(), outs=("o",))
+        monkeypatch.setattr(loctk, "_code_digest", lambda: "1" * 64)
+        one = stage_fingerprint(stage, {}, b"{}")
+        monkeypatch.setattr(loctk, "_code_digest", lambda: "2" * 64)
+        two = stage_fingerprint(stage, {}, b"{}")
         assert one != two
 
     def test_collision_freedom_at_test_scale(self):
