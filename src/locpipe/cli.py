@@ -190,8 +190,6 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     project = Project.discover()
     with project_lock(project):
         removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
-        for request in project.tmp_dir.glob("*.json"):  # builtin requests older versions left
-            request.unlink()
     print(f"removed {removed} unreferenced object(s)")
     return 0
 

@@ -3,7 +3,8 @@
 Edges are derived purely from declared paths (a consumer dep that equals or
 lies under a producer out), never from reading files, so planning works
 before any stage has run. All orderings are deterministic with lexicographic
-tie-breaking.
+tie-breaking. What a plan does with the graph (its actions and reasons) lives
+with its only producer, `runner.plan`.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from typing import Iterable
 
 from .configmodel import PipelineSpec
 from .errors import ConfigError
-
-ACTION_RUN = "run"
-ACTION_CACHED = "cached"
-ACTION_BLOCKED = "blocked"
 
 
 @dataclass(frozen=True)
@@ -36,18 +33,6 @@ class StageGraph:
         for producer, consumer in self.edges:
             out[consumer].append(producer)
         return out
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    stage: str
-    action: str  # run | cached | blocked
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    entries: tuple[PlanEntry, ...]
 
 
 def _dep_under_out(dep: str, out: str) -> bool:

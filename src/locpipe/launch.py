@@ -1,0 +1,111 @@
+"""The fork launcher: run one stage in a child forked from the orchestrator,
+and reap children. The child gets the stage's logs on fds 1 and 2, the
+project root as cwd and a scrubbed environment. The cache, the lock and the
+stage graph stay in `runner`; this module imports none of them.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+import sys
+import time
+from pathlib import Path
+from typing import NoReturn
+
+from .configmodel import StageSpec
+from .errors import LocpipeError
+from .loctk import StageRequest, run_builtin
+
+# Environment scrubbing: stages see only this allowlist plus names they
+# declare in `env`, so nothing can silently depend on ambient variables.
+ENV_ALLOWLIST = ("PATH", "HOME", "TMPDIR")
+
+
+def spawn_stage(
+    stage: StageSpec,
+    request: StageRequest | None,
+    root: Path,
+    log_out: Path,
+    log_err: Path,
+) -> tuple[int, int]:
+    """Fork the child that runs one stage: (its pid, this process's resident
+    set in bytes just before the fork, 0 where unavailable).
+
+    Only the calling thread exists in a forked child, so the caller must be
+    a process that has started no threads. A builtin runs `request` in the
+    child; a `cmd` stage (request None) execs `/bin/sh -c`.
+    """
+    for out in stage.outs:
+        (root / out).parent.mkdir(parents=True, exist_ok=True)
+    env = {key: os.environ[key] for key in (*ENV_ALLOWLIST, *stage.env) if key in os.environ}
+    # bytes buffered here must not reach a stage log through the child's copy
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
+        rss = _resident_bytes()
+        pid = os.fork()
+        if pid == 0:
+            _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
+    return pid, rss
+
+
+def _resident_bytes() -> int:
+    """This process's current resident set from ``/proc/self/statm``; 0 where
+    that file does not exist (it is Linux-only)."""
+    try:
+        with open("/proc/self/statm", "rb") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, IndexError, ValueError):
+        return 0
+
+
+def _run_child(
+    stage: StageSpec, request: StageRequest | None, root: Path, env: dict[str, str], out_fd: int, err_fd: int
+) -> NoReturn:
+    """The forked child: stage logs on fds 1 and 2, no other fd from 3 up,
+    the project root as cwd and the scrubbed env. It never returns."""
+    status = 1
+    try:
+        os.dup2(out_fd, 1)
+        os.dup2(err_fd, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+        os.chdir(root)
+        os.environ.clear()
+        os.environ.update(env)
+        if request is None:
+            # the signal dispositions a shell started by Popen gets
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+            os.execve("/bin/sh", ["/bin/sh", "-c", stage.cmd], env)
+        run_builtin(request.builtin, request)
+        status = 0
+    except LocpipeError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+    except BaseException:  # the child's top level: report, then leave through os._exit
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def reap_first(pids: list[int]) -> tuple[int, int, os.struct_rusage]:
+    """Wait for the first of `pids` to exit and reap it: (pid, status, usage).
+
+    Only these pids are waited on. A lone child is waited on blocking;
+    several are polled, since no single call waits for the first of them.
+    """
+    flags = 0 if len(pids) == 1 else os.WNOHANG
+    while True:
+        for pid in pids:
+            reaped, status, usage = os.wait4(pid, flags)
+            if reaped:
+                return pid, status, usage
+        time.sleep(0.001)

@@ -101,6 +101,8 @@ def read_table(path: Path | str) -> Table:
             if not ok:
                 for cell in row[1:]:  # raises at the row's first bad cell
                     _parse_cell(cell, f"{path}:{lineno}")
+            if "\r" in row[0]:  # csv.writer leaves \r unquoted, so no reader could split the row
+                raise BuiltinError(f"{path}:{lineno}: sample id {row[0]!r} contains a carriage return")
             ids.append(row[0])
             targets.append((cells[-2], cells[-1]))
             del cells[-2:]

@@ -1,11 +1,12 @@
 """The orchestrator: plan, execute, record.
 
-Per stage: fingerprint -> cache check -> execution in a child forked from
-this single-threaded scheduler, with a scrubbed environment -> output
-verification -> commit. Cached stages have their outputs restored from the
-store instead; a hit the run cache serves also becomes the stage's lock
-entry. Every invocation writes a run manifest (one JSON file per run,
-timings and process accounting included), even when stages fail.
+`_load_plan` orders the planned stages, and `resolve_stage` turns a stage's
+dep hashes into a fingerprint and a cache decision. `plan` resolves each
+stage once against the workspace `repro` will find, and `status` reads its
+reasons. `repro` runs one loop that either dispatches the next ready stage
+(skip, fail, restore, or fork through `launch.spawn_stage`) or reaps a child
+and commits its outs. Every invocation writes a run manifest, even when
+stages fail.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import fcntl
 import hashlib
 import json
 import os
-import signal
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable
 
 from . import __version__
 from .canonical import canonical_bytes
@@ -33,19 +33,10 @@ from .configmodel import (
     parse_pipeline,
     select_params,
 )
-from .errors import ConfigError, LocpipeError, StoreError
-from .graph import (
-    ACTION_BLOCKED,
-    ACTION_CACHED,
-    ACTION_RUN,
-    ExecutionPlan,
-    PlanEntry,
-    StageGraph,
-    build_graph,
-    topo_order,
-    upstream_closure,
-)
-from .loctk import StageRequest, builtin_version, run_builtin
+from .errors import ConfigError, StoreError
+from .graph import StageGraph, build_graph, topo_order, upstream_closure
+from .launch import reap_first, spawn_stage
+from .loctk import StageRequest, builtin_version
 from .store import (
     ContentHash,
     LockEntry,
@@ -73,10 +64,6 @@ DOT_DIR = ".locpipe"
 
 # The reason a stage with no lock entry misses the cache.
 NEVER_RUN = "never run"
-
-# Environment scrubbing: stages see only this allowlist plus names they
-# declare in `env`, so nothing can silently depend on ambient variables.
-ENV_ALLOWLIST = ("PATH", "HOME", "TMPDIR")
 
 
 @dataclass(frozen=True)
@@ -110,11 +97,6 @@ class Project:
     @property
     def logs_dir(self) -> Path:
         return self.dot_dir / "logs"
-
-    @property
-    def tmp_dir(self) -> Path:
-        """Builtin request files that older versions wrote; `gc` sweeps them."""
-        return self.dot_dir / "tmp"
 
     @staticmethod
     def discover(start: Path | str | None = None) -> "Project":
@@ -166,20 +148,9 @@ class StageResult:
     log_err: str | None = None
 
     def to_json(self) -> dict:
-        doc = {
-            "stage": self.stage,
-            "action": self.action,
-            "wall_s": self.wall_s,
-            "cpu_s": self.cpu_s,
-            "peak_rss_bytes": self.peak_rss_bytes,
-            "exit_code": self.exit_code,
-            "pid": self.pid,
-            "reason": self.reason,
-            "log_out": self.log_out,
-            "log_err": self.log_err,
-        }
-        if self.orchestrator_rss_bytes is not None:
-            doc["orchestrator_rss_bytes"] = self.orchestrator_rss_bytes
+        doc = asdict(self)
+        if self.orchestrator_rss_bytes is None:
+            del doc["orchestrator_rss_bytes"]
         return doc
 
 
@@ -187,7 +158,6 @@ class StageResult:
 class RunReport:
     run_id: str
     results: list[StageResult]
-    total_wall_s: float
     manifest_path: Path | None = None
 
     def count(self, action: str) -> int:
@@ -236,24 +206,38 @@ def project_lock(project: Project):
 # Planning
 
 
-def _planned_stages(spec: PipelineSpec, graph: StageGraph, targets: tuple[str, ...]) -> list[str]:
-    order = topo_order(graph)
-    if not targets:
-        return order
-    for target in targets:
-        if target not in spec.stages:
-            raise ConfigError(f"unknown target stage '{target}'")
-    needed = upstream_closure(graph, targets)
-    return [name for name in order if name in needed]
+@dataclass(frozen=True)
+class PlanEntry:
+    stage: str
+    action: str  # run | cached | blocked
+    reason: str = ""
+    reasons: tuple[str, ...] = ()  # the stage's own miss reasons (`StageState.reasons`)
 
 
-def _validate_resolvable(spec: PipelineSpec, params: dict, planned: list[str]) -> None:
-    """Fail fast, before anything runs: params resolvable, builtins known."""
+@dataclass(frozen=True)
+class ExecutionPlan:
+    entries: tuple[PlanEntry, ...]
+
+
+def _load_plan(project: Project, opts: ExecOptions) -> tuple[PipelineSpec, dict, StageGraph, list[str]]:
+    """Load the config and order the planned stages: the targets and their
+    upstream closure, or every stage. Fails fast, before anything runs, on an
+    unknown target, an unresolvable param or an unknown builtin."""
+    spec, params = project.load()
+    graph = build_graph(spec)
+    planned = topo_order(graph)
+    if opts.targets:
+        for target in opts.targets:
+            if target not in spec.stages:
+                raise ConfigError(f"unknown target stage '{target}'")
+        needed = upstream_closure(graph, opts.targets)
+        planned = [name for name in planned if name in needed]
     for name in planned:
         stage = spec.stages[name]
         select_params(params, stage.params, stage=name)
         if stage.builtin is not None:
             builtin_version(stage.builtin)
+    return spec, params, graph, planned
 
 
 @dataclass
@@ -381,16 +365,14 @@ def _predicting_resolver(project: Project, params: dict) -> Callable[[StageSpec]
 def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     """Predict the action for every planned stage without touching the workspace.
 
-    A stage downstream of one that will run is itself marked ``run``: its
-    true fingerprint is unknowable until the upstream outputs exist. The
-    executor re-evaluates fingerprints stage by stage, so a re-run that
-    regenerates identical outputs still turns downstream stages into cache
-    hits.
+    Every stage is resolved once, in order; its action then follows from its
+    state, its upstream actions and `force`. A stage downstream of one that
+    will run is itself marked ``run``: its true fingerprint is unknowable
+    until the upstream outputs exist. The executor re-evaluates fingerprints
+    stage by stage, so a re-run that regenerates identical outputs still
+    turns downstream stages into cache hits.
     """
-    spec, params = project.load()
-    graph = build_graph(spec)
-    planned = _planned_stages(spec, graph, opts.targets)
-    _validate_resolvable(spec, params, planned)
+    spec, params, graph, planned = _load_plan(project, opts)
     producers = graph.producers()
     resolve = _predicting_resolver(project, params)
 
@@ -402,124 +384,29 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 
     entries: dict[str, PlanEntry] = {}
     for name in planned:
-        stage = spec.stages[name]
-        upstream = [p for p in producers[name] if p in entries]
-        blocked_up = [p for p in upstream if entries[p].action == ACTION_BLOCKED]
-        running_up = [p for p in upstream if entries[p].action == ACTION_RUN]
-        source_missing = [
-            dep for dep in stage.deps if is_source(dep) and not (project.root / dep).exists()
-        ]
+        state = resolve(spec.stages[name])
+        blocked_up = [p for p in producers[name] if entries[p].action == "blocked"]
+        running_up = [p for p in producers[name] if entries[p].action == "run"]
+        # a running upstream stage may yet produce a missing dep, unless it is a source
+        missing = [dep for dep in state.missing_deps if not running_up or is_source(dep)]
         if blocked_up:
-            entry = PlanEntry(name, ACTION_BLOCKED, f"upstream blocked: {blocked_up[0]}")
-        elif source_missing:
-            entry = PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {source_missing[0]}")
+            action, reason = "blocked", f"upstream blocked: {blocked_up[0]}"
+        elif missing:
+            action, reason = "blocked", f"missing dependency: {missing[0]}"
         elif opts.force:
-            entry = PlanEntry(name, ACTION_RUN, "forced")
+            action, reason = "run", "forced"
         elif running_up:
-            entry = PlanEntry(name, ACTION_RUN, f"upstream will run: {running_up[0]}")
+            action, reason = "run", f"upstream will run: {running_up[0]}"
+        elif state.hit is not None:
+            action, reason = "cached", ""
         else:
-            state = resolve(stage)
-            if state.missing_deps:
-                entry = PlanEntry(name, ACTION_BLOCKED, f"missing dependency: {state.missing_deps[0]}")
-            elif state.hit is not None:
-                entry = PlanEntry(name, ACTION_CACHED)
-            else:
-                entry = PlanEntry(name, ACTION_RUN, "; ".join(state.reasons))
-        entries[name] = entry
+            action, reason = "run", "; ".join(state.reasons)
+        entries[name] = PlanEntry(name, action, reason, state.reasons)
     return ExecutionPlan(tuple(entries.values()))
 
 
 # ---------------------------------------------------------------------------
 # Execution
-
-
-def _spawn_stage(
-    stage: StageSpec,
-    request: StageRequest | None,
-    root: Path,
-    log_out: Path,
-    log_err: Path,
-) -> tuple[int, int]:
-    """Fork the child that runs one stage: (its pid, this process's resident
-    set in bytes just before the fork, 0 where unavailable).
-
-    Only the calling thread exists in a forked child, so the caller must be
-    a process that has started no threads. A builtin runs `request` in the
-    child; a `cmd` stage (request None) execs `/bin/sh -c`.
-    """
-    for out in stage.outs:
-        (root / out).parent.mkdir(parents=True, exist_ok=True)
-    env = {key: os.environ[key] for key in (*ENV_ALLOWLIST, *stage.env) if key in os.environ}
-    # bytes buffered here must not reach a stage log through the child's copy
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
-        rss = _resident_bytes()
-        pid = os.fork()
-        if pid == 0:
-            _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
-    return pid, rss
-
-
-def _resident_bytes() -> int:
-    """This process's current resident set from ``/proc/self/statm``; 0 where
-    that file does not exist (it is Linux-only)."""
-    try:
-        with open("/proc/self/statm", "rb") as statm:
-            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, IndexError, ValueError):
-        return 0
-
-
-def _run_child(
-    stage: StageSpec, request: StageRequest | None, root: Path, env: dict[str, str], out_fd: int, err_fd: int
-) -> NoReturn:
-    """The forked child: stage logs on fds 1 and 2, no other fd from 3 up,
-    the project root as cwd and the scrubbed env. It never returns."""
-    status = 1
-    try:
-        os.dup2(out_fd, 1)
-        os.dup2(err_fd, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
-        os.chdir(root)
-        os.environ.clear()
-        os.environ.update(env)
-        if request is None:
-            # the signal dispositions a shell started by Popen gets
-            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
-            os.execve("/bin/sh", ["/bin/sh", "-c", stage.cmd], env)
-        run_builtin(request.builtin, request)
-        status = 0
-    except LocpipeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-    except BaseException:  # the child's top level: report, then leave through os._exit
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-
-def _reap_first(pids: list[int]) -> tuple[int, int, os.struct_rusage]:
-    """Wait for the first of `pids` to exit and reap it: (pid, status, usage).
-
-    Only these pids are waited on. A lone child is waited on blocking;
-    several are polled, since no single call waits for the first of them.
-    """
-    flags = 0 if len(pids) == 1 else os.WNOHANG
-    while True:
-        for pid in pids:
-            reaped, status, usage = os.wait4(pid, flags)
-            if reaped:
-                return pid, status, usage
-        time.sleep(0.001)
 
 
 def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Path) -> str | None:
@@ -556,11 +443,8 @@ def _config_hashes(project: Project) -> dict[str, str]:
 def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     """Execute the plan. Raises ConfigError/StoreError for environment-level
     problems; stage failures are reported through the returned RunReport."""
-    start = time.perf_counter()
-    spec, params = project.load()
-    graph = build_graph(spec)
-    planned = _planned_stages(spec, graph, opts.targets)
-    _validate_resolvable(spec, params, planned)
+    spec, params, graph, planned = _load_plan(project, opts)
+    producers = graph.producers()
 
     run_id = _make_run_id()
     project.runs_dir.mkdir(parents=True, exist_ok=True)
@@ -570,70 +454,18 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     with project_lock(project):
         store = ObjectStore(project.cache_dir)
         lock = load_lock(project.lock_path)
-        producers = graph.producers()
-        planned_set = set(planned)
         pending = list(planned)
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
         try:
             while pending or running:
-                progressed = False
-                for name in list(pending):
-                    ups = [p for p in producers[name] if p in planned_set]
-                    if not all(p in results for p in ups):
-                        continue
-                    bad = [p for p in ups if results[p].action in ("failed", "skipped")]
-                    if bad:
-                        results[name] = StageResult(
-                            stage=name, action="skipped",
-                            reason=f"upstream failure: {bad[0]}",
-                        )
-                        pending.remove(name)
-                        progressed = True
-                        continue
-                    if len(running) >= opts.jobs:
-                        break  # resolve a stage only once a slot is free to run it
-                    pending.remove(name)
-                    progressed = True
-                    stage = spec.stages[name]
-                    state = resolve_stage(
-                        stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
-                    )
-                    if state.missing_deps:
-                        results[name] = StageResult(
-                            stage=name, action="failed",
-                            reason=f"missing dependency: {state.missing_deps[0]}",
-                        )
-                    elif state.hit is not None and not opts.force:
-                        restore_start = time.perf_counter()
-                        restore_outputs(store, state.hit, project.root)
-                        results[name] = StageResult(
-                            stage=name, action="cached",
-                            wall_s=time.perf_counter() - restore_start,
-                        )
-                        if state.hit is not lock.get(name):  # served by the run cache
-                            lock[name] = state.hit
-                            write_lock(lock, project.lock_path)
-                            results[name].reason = "run cache"
-                    else:
-                        request = None
-                        if stage.builtin is not None:
-                            request = StageRequest(
-                                stage=name,
-                                builtin=stage.builtin,
-                                params=select_params(params, stage.params, stage=name),
-                                deps=stage.deps,
-                                outs=stage.outs,
-                            )
-                        run_logs.mkdir(parents=True, exist_ok=True)
-                        started = time.perf_counter()
-                        pid, rss = _spawn_stage(
-                            stage, request, project.root,
-                            run_logs / f"{name}.out", run_logs / f"{name}.err",
-                        )
-                        running[pid] = (stage, state, started, rss)
-                if running and (not progressed or not pending or len(running) >= opts.jobs):
-                    pid, wait_status, usage = _reap_first(list(running))
+                # the first pending stage whose producers all have results
+                name = next((n for n in pending if all(p in results for p in producers[n])), None)
+                if name is None or len(running) >= opts.jobs:
+                    # reap: a stage is resolved only once a slot is free to run it
+                    if not running:  # pragma: no cover
+                        raise StoreError(f"scheduler stalled on stages: {pending}")
+                    pid, wait_status, usage = reap_first(list(running))
                     stage, state, started, rss = running.pop(pid)
                     result = StageResult(
                         stage=stage.name,
@@ -661,17 +493,54 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         lock[stage.name] = entry
                         write_lock(lock, project.lock_path)
                     results[stage.name] = result
-                elif not running and not progressed and pending:  # pragma: no cover
-                    raise StoreError(f"scheduler stalled on stages: {pending}")
+                    continue
+
+                # dispatch: skip, fail on a missing dep, restore, or fork
+                pending.remove(name)
+                bad = [p for p in producers[name] if results[p].action in ("failed", "skipped")]
+                if bad:
+                    results[name] = StageResult(name, "skipped", reason=f"upstream failure: {bad[0]}")
+                    continue
+                stage = spec.stages[name]
+                state = resolve_stage(
+                    stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
+                )
+                if state.missing_deps:
+                    results[name] = StageResult(
+                        name, "failed", reason=f"missing dependency: {state.missing_deps[0]}"
+                    )
+                elif state.hit is not None and not opts.force:
+                    restore_start = time.perf_counter()
+                    restore_outputs(store, state.hit, project.root)
+                    results[name] = StageResult(
+                        name, "cached", wall_s=time.perf_counter() - restore_start
+                    )
+                    if state.hit is not lock.get(name):  # served by the run cache
+                        lock[name] = state.hit
+                        write_lock(lock, project.lock_path)
+                        results[name].reason = "run cache"
+                else:
+                    request = None
+                    if stage.builtin is not None:
+                        request = StageRequest(
+                            stage=name,
+                            builtin=stage.builtin,
+                            params=select_params(params, stage.params, stage=name),
+                            deps=stage.deps,
+                            outs=stage.outs,
+                        )
+                    run_logs.mkdir(parents=True, exist_ok=True)
+                    started = time.perf_counter()
+                    pid, rss = spawn_stage(
+                        stage, request, project.root,
+                        run_logs / f"{name}.out", run_logs / f"{name}.err",
+                    )
+                    running[pid] = (stage, state, started, rss)
         finally:
             for pid in running:  # an error left these running: let them end, then reap
                 os.waitpid(pid, 0)
             ordered = [results[name] for name in planned if name in results]
-            report = RunReport(
-                run_id=run_id,
-                results=ordered,
-                total_wall_s=time.perf_counter() - start,
-            )
+            report = RunReport(run_id=run_id, results=ordered)
             manifest = {
                 "run_id": run_id,
                 "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
@@ -687,7 +556,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
             manifest_path = project.runs_dir / f"{run_id}.json"
             manifest_path.write_bytes(canonical_bytes(manifest) + b"\n")
             report.manifest_path = manifest_path
-    report.total_wall_s = time.perf_counter() - start
     return report
 
 
@@ -705,20 +573,12 @@ class StageStatus:
 def status(project: Project) -> list[StageStatus]:
     """Per-stage change report against the lock file (content, never mtimes).
 
-    Each stage is resolved as `plan` resolves it, against its own lock entry:
-    a stage is never reported changed only because an upstream stage is.
+    It reads `plan`'s own reasons for each stage, named against the stage's
+    own lock entry: a stage is never reported changed only because an
+    upstream stage is.
     """
-    spec, params = project.load()
-    resolve = _predicting_resolver(project, params)
-    out: list[StageStatus] = []
-    for name in topo_order(build_graph(spec)):
-        state = resolve(spec.stages[name])
-        if state.hit is not None:
-            out.append(StageStatus(stage=name, state="unchanged"))
-        else:
-            changed = state.reasons != (NEVER_RUN,)
-            out.append(StageStatus(name, "changed" if changed else "never-run", state.reasons))
-    return out
+    states = {(): "unchanged", (NEVER_RUN,): "never-run"}
+    return [StageStatus(e.stage, states.get(e.reasons, "changed"), e.reasons) for e in plan(project).entries]
 
 
 @dataclass(frozen=True)

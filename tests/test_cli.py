@@ -151,7 +151,6 @@ class TestOtherCommands:
         leftovers = [
             in_project / ".locpipe/cache/tmp/obj-1-0123456789abcdef",
             in_project / ".locpipe/cache/tmp/run-1-0123456789abcdef",
-            in_project / ".locpipe/tmp/20260101T000000000000Z-deadbeef-synth.json",
         ]
         for path in leftovers:
             path.parent.mkdir(parents=True, exist_ok=True)

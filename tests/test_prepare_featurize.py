@@ -200,6 +200,11 @@ class TestStrictReader:
             read_table(path)
         return path, str(info.value)
 
+    def test_carriage_return_in_id(self, tmp_path):
+        # a table that did not come from loc.prepare; write_table would emit this id unquoted
+        path, message = self.failure(tmp_path, 'a,-50.0,-60.0,1.0,2.0\n"b\rc",-55.0,-61.0,3.0,4.0\n')
+        assert message == f"{path}:3: sample id 'b\\rc' contains a carriage return"
+
     @pytest.mark.parametrize("row", [
         "a,nan,-60.0,1.0,2.0",     # value column
         "a,-50.0,-60.0,nan,2.0",   # target x

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import edit_params, executed_stages, run, tree_snapshot, write_params, write_pipeline
-from locpipe import loctk, runner
+from locpipe import launch, loctk, runner
 from locpipe.errors import ConfigError
 from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
@@ -373,7 +373,7 @@ class TestForkedStages:
         assert run(project).executed == 1
         expected = {
             key: os.environ[key]
-            for key in (*runner.ENV_ALLOWLIST, "LOCPIPE_DECLARED") if key in os.environ
+            for key in (*launch.ENV_ALLOWLIST, "LOCPIPE_DECLARED") if key in os.environ
         }
         assert json.loads((root / "env.json").read_text()) == expected
 
@@ -479,6 +479,19 @@ class TestForkedStages:
         assert [r.orchestrator_rss_bytes for r in report.results] == [0, 0, 0]
 
 
+class TestLaunchBoundary:
+    def test_launcher_imports_no_store_graph_or_runner(self):
+        code = (
+            "import sys, locpipe.launch; "
+            "print(sorted({'locpipe.store', 'locpipe.graph', 'locpipe.runner'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout == "[]\n"
+
+
 class TestParallel:
     def test_independent_stages_parallel_correctness(self, tmp_path):
         root = tmp_path / "proj"
@@ -512,6 +525,43 @@ class TestParallel:
         elapsed = time.perf_counter() - start
         assert report.executed == 2
         assert elapsed < 1.1  # sequential would need >= 1.2 s
+
+
+    def test_same_outcome_at_every_jobs_count(self, tmp_path):
+        """Cache hits, a failure, a skip, a missing dep and a run, mixed in one
+        pipeline, end the same whatever the number of slots."""
+        warm = tmp_path / "warm"
+        warm.mkdir()
+        for name in ("source.txt", "gone.txt", "edit.txt"):
+            (warm / name).write_text(f"{name}\n")
+        write_pipeline(warm, {
+            "hit": {"cmd": "cat source.txt > hit.txt", "deps": ["source.txt"], "outs": ["hit.txt"]},
+            "hit_user": {"cmd": "cat hit.txt hit.txt > user.txt", "deps": ["hit.txt"], "outs": ["user.txt"]},
+            "boom": {"cmd": "exit 3", "outs": ["boom.txt"]},
+            "boom_user": {"cmd": "cat boom.txt > after.txt", "deps": ["boom.txt"], "outs": ["after.txt"]},
+            "needs_gone": {"cmd": "cat gone.txt > needs.txt", "deps": ["gone.txt"], "outs": ["needs.txt"]},
+            "edited": {"cmd": "cat edit.txt > edited.txt", "deps": ["edit.txt"], "outs": ["edited.txt"]},
+        })
+        write_params(warm, {})
+        assert run(Project(root=warm)).executed == 4
+        (warm / "gone.txt").unlink()
+        (warm / "edit.txt").write_text("edited\n")
+
+        outcomes = {}
+        for jobs in (1, 2, 3):
+            root = tmp_path / f"jobs{jobs}"
+            shutil.copytree(warm, root)
+            report = run(Project(root=root), jobs=jobs)
+            outcomes[jobs] = [(r.stage, r.action, r.reason, r.exit_code) for r in report.results]
+        assert sorted(outcomes[1]) == [
+            ("boom", "failed", "never run; command exited with status 3", 3),
+            ("boom_user", "skipped", "upstream failure: boom", None),
+            ("edited", "executed", "deps: edit.txt", 0),
+            ("hit", "cached", "", None),
+            ("hit_user", "cached", "", None),
+            ("needs_gone", "failed", "missing dependency: gone.txt", None),
+        ]
+        assert outcomes[2] == outcomes[1] and outcomes[3] == outcomes[1]
 
 
 class TestPlan:
@@ -790,7 +840,7 @@ class TestStoreCallsThroughRunner:
     def test_return_to_earlier_value_spawns_nothing(self, warm_baseline, tmp_path, monkeypatch):
         project = _copy_of(warm_baseline, tmp_path)
         _alpha_there_and_back(project)
-        calls = self.count_calls(monkeypatch, "_spawn_stage")
+        calls = self.count_calls(monkeypatch, "spawn_stage")
         assert run(project).cached == 6
         # the same lookups and hashes as a no-op, and no stage process
         assert calls == Counter(cache_lookup=6, hash_path=7)
