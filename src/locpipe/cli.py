@@ -17,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_FAILURE, EXIT_STORE
 from .errors import BuiltinError, ConfigError, LocpipeError, StoreError
 
 
@@ -69,7 +70,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
     target = init_experiment(args.directory, args.template)
     print(f"initialized '{args.template}' experiment in {target}")
-    return 0
+    return EXIT_OK
 
 
 def _print_plan(plan_entries) -> None:
@@ -99,7 +100,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     opts = ExecOptions(targets=tuple(args.targets), force=args.force, jobs=args.jobs)
     if args.dry_run:
         _print_plan(plan(project, opts).entries)
-        return 0
+        return EXIT_OK
     report = repro(project, opts)
     for result in report.results:
         if result.action == "failed":
@@ -131,7 +132,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"{entry.stage}: never run")
         else:
             print(f"{entry.stage}: unchanged")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_dag(args: argparse.Namespace) -> int:
@@ -145,7 +146,7 @@ def _cmd_dag(args: argparse.Namespace) -> int:
     else:
         for name in topo_order(graph):
             print(name)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_metrics_show(args: argparse.Namespace) -> int:
@@ -161,7 +162,7 @@ def _cmd_metrics_show(args: argparse.Namespace) -> int:
         for row in rows:
             value = json.dumps(row.value) if isinstance(row.value, (bool, str)) else row.value
             print(f"{row.stage}\t{row.path}\t{row.key}\t{value}")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -180,7 +181,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.csv:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         Path(args.csv).write_text(table, encoding="utf-8")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
@@ -191,7 +192,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     with project_lock(project):
         removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
     print(f"removed {removed} unreferenced object(s)")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_bench_scale(args: argparse.Namespace) -> int:
@@ -207,7 +208,7 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     csv_path, md_path = write_bench_report(project, rows, project.root / args.out)
     sys.stdout.write(md_path.read_text(encoding="utf-8"))
     print(f"wrote {csv_path} and {md_path}")
-    return 0
+    return EXIT_OK
 
 
 _HANDLERS = {
@@ -230,19 +231,13 @@ def main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except StoreError as exc:
+        return EXIT_CONFIG
+    except (StoreError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except BuiltinError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return EXIT_STORE
     except LocpipeError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return EXIT_STAGE_FAILURE
 
 
 if __name__ == "__main__":

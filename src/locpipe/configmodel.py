@@ -112,7 +112,8 @@ def _norm_path(raw: object, stage: str, role: str) -> str:
     return norm
 
 
-def _paths_overlap(a: str, b: str) -> bool:
+def paths_overlap(a: str, b: str) -> bool:
+    """True when one path equals the other or lies under it."""
     return a == b or a.startswith(b + "/") or b.startswith(a + "/")
 
 
@@ -186,7 +187,7 @@ def parse_pipeline(text: str, filename: str = "pipeline.yaml") -> PipelineSpec:
                 raise ConfigError(f"stage '{name}': duplicate {role} path")
         for dep in deps:
             for out in outs:
-                if _paths_overlap(dep, out):
+                if paths_overlap(dep, out):
                     raise ConfigError(
                         f"stage '{name}': dep '{dep}' overlaps out '{out}' within one stage"
                     )

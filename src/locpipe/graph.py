@@ -1,10 +1,11 @@
 """Stage dependency graph: derivation from declared paths, ordering, closures.
 
-Edges are derived purely from declared paths (a consumer dep that equals or
-lies under a producer out), never from reading files, so planning works
-before any stage has run. All orderings are deterministic with lexicographic
-tie-breaking. What a plan does with the graph (its actions and reasons) lives
-with its only producer, `runner.plan`.
+Edges are derived purely from declared paths (a consumer dep that equals,
+lies under or contains a producer out: `configmodel.paths_overlap`), never
+from reading files, so planning works before any stage has run. `topo_order`
+orders the stages and reports a cycle in one walk, deterministically with
+lexicographic tie-breaking. What a plan does with the graph (its actions and
+reasons) lives with its only producer, `runner.plan`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .configmodel import PipelineSpec
+from .configmodel import PipelineSpec, paths_overlap
 from .errors import ConfigError
 
 
@@ -35,12 +36,9 @@ class StageGraph:
         return out
 
 
-def _dep_under_out(dep: str, out: str) -> bool:
-    return dep == out or dep.startswith(out + "/")
-
-
 def build_graph(spec: PipelineSpec) -> StageGraph:
-    """Derive the producer -> consumer graph; deps with no producer are source files."""
+    """Derive the producer -> consumer graph; deps with no producer are source
+    files. Raises ConfigError on a cycle."""
     names = sorted(spec.stages)
     edges: set[tuple[str, str]] = set()
     for consumer_name in names:
@@ -49,49 +47,22 @@ def build_graph(spec: PipelineSpec) -> StageGraph:
             if producer_name == consumer_name:
                 continue
             producer = spec.stages[producer_name]
-            if any(_dep_under_out(d, o) for d in consumer.deps for o in producer.outs):
+            if any(paths_overlap(d, o) for d in consumer.deps for o in producer.outs):
                 edges.add((producer_name, consumer_name))
     graph = StageGraph(nodes=tuple(names), edges=tuple(sorted(edges)))
-    _check_acyclic(graph)
+    topo_order(graph)
     return graph
 
 
-def _check_acyclic(graph: StageGraph) -> None:
-    if len(topo_order(graph, _raise_on_cycle=False)) == len(graph.nodes):
-        return
-    # Find one concrete cycle for the error message.
-    consumers = graph.consumers()
-    state: dict[str, int] = {}  # 0 = visiting, 1 = done
-    stack: list[str] = []
+def topo_order(graph: StageGraph) -> list[str]:
+    """Kahn's algorithm with a min-heap: producers first, ties by ascending name.
 
-    def visit(node: str) -> list[str] | None:
-        state[node] = 0
-        stack.append(node)
-        for nxt in consumers[node]:
-            if state.get(nxt) == 0:
-                return stack[stack.index(nxt):] + [nxt]
-            if nxt not in state:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 1
-        return None
-
-    for node in graph.nodes:
-        if node not in state:
-            cycle = visit(node)
-            if cycle:
-                raise ConfigError("dependency cycle: " + " -> ".join(cycle))
-    raise ConfigError("dependency cycle detected")  # pragma: no cover
-
-
-def topo_order(graph: StageGraph, _raise_on_cycle: bool = True) -> list[str]:
-    """Kahn's algorithm with a min-heap: producers first, ties by ascending name."""
-    indegree = {n: 0 for n in graph.nodes}
-    consumers = graph.consumers()
-    for _, consumer in graph.edges:
-        indegree[consumer] += 1
+    Stages left unordered each have an unordered producer, so walking back
+    along those from any of them must revisit a stage; that loop is the
+    cycle reported.
+    """
+    consumers, producers = graph.consumers(), graph.producers()
+    indegree = {n: len(producers[n]) for n in graph.nodes}
     ready = [n for n in graph.nodes if indegree[n] == 0]
     heapq.heapify(ready)
     order: list[str] = []
@@ -102,8 +73,12 @@ def topo_order(graph: StageGraph, _raise_on_cycle: bool = True) -> list[str]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
-    if _raise_on_cycle and len(order) != len(graph.nodes):
-        _check_acyclic(graph)
+    if len(order) < len(graph.nodes):
+        walk = [min(n for n in graph.nodes if indegree[n])]
+        while walk.count(walk[-1]) == 1:
+            walk.append(min(p for p in producers[walk[-1]] if indegree[p]))
+        cycle = walk[walk.index(walk[-1]):]
+        raise ConfigError("dependency cycle: " + " -> ".join(reversed(cycle)))
     return order
 
 

@@ -1,12 +1,14 @@
 """The fork launcher: run one stage in a child forked from the orchestrator,
 and reap children. The child gets the stage's logs on fds 1 and 2, the
 project root as cwd and a scrubbed environment. The cache, the lock and the
-stage graph stay in `runner`; this module imports none of them.
+stage graph stay in `runner`; this module imports none of them. While
+children run, the orchestrator blocks on their pidfds rather than polling.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import signal
 import sys
 import time
@@ -99,9 +101,22 @@ def _run_child(
 def reap_first(pids: list[int]) -> tuple[int, int, os.struct_rusage]:
     """Wait for the first of `pids` to exit and reap it: (pid, status, usage).
 
-    Only these pids are waited on. A lone child is waited on blocking;
-    several are polled, since no single call waits for the first of them.
+    Only these pids are waited on. The wait blocks on a pidfd per child;
+    where pidfds are missing, a lone child is waited on blocking and several
+    are polled.
     """
+    fds: list[int] = []
+    try:
+        poller = select.poll()
+        for pid in pids:
+            fds.append(os.pidfd_open(pid))
+            poller.register(fds[-1], select.POLLIN)
+        pids = [pids[fds.index(poller.poll()[0][0])]]
+    except (AttributeError, OSError):
+        pass  # no pidfds on this platform or kernel: wait on the pids themselves
+    finally:
+        for fd in fds:
+            os.close(fd)
     flags = 0 if len(pids) == 1 else os.WNOHANG
     while True:
         for pid in pids:

@@ -31,27 +31,26 @@ from .configmodel import (
     canonicalize,
     parse_params,
     parse_pipeline,
+    paths_overlap,
     select_params,
 )
-from .errors import ConfigError, StoreError
+from .errors import EXIT_OK, EXIT_STAGE_FAILURE, ConfigError, StoreError
 from .graph import StageGraph, build_graph, topo_order, upstream_closure
 from .launch import reap_first, spawn_stage
 from .loctk import StageRequest, builtin_version
 from .store import (
-    ContentHash,
     LockEntry,
     LockFile,
     ObjectStore,
-    OutRecord,
     cache_lookup,
     commit_outputs,
     hash_file,
     hash_path,
     load_lock,
     missing_outs,
-    parse_manifest,
     record_run,
     restore_outputs,
+    restored_hash,
     stage_fingerprint,
     stage_kind,
     write_lock,
@@ -181,7 +180,7 @@ class RunReport:
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.failed else 0
+        return EXIT_STAGE_FAILURE if self.failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +248,9 @@ class StageState:
     """
 
     kind: dict
-    dep_hashes: dict[str, ContentHash]
+    dep_hashes: dict[str, str]
     params_canonical: bytes
-    fingerprint: ContentHash | None
+    fingerprint: str | None
     missing_deps: tuple[str, ...]
     hit: LockEntry | None
     reasons: tuple[str, ...] = ()
@@ -262,7 +261,7 @@ def resolve_stage(
     params: dict,
     lock: LockFile,
     store: ObjectStore,
-    dep_hash: Callable[[str], ContentHash | None],
+    dep_hash: Callable[[str], str | None],
 ) -> StageState:
     """The one place dep hashes become a fingerprint and a cache decision.
 
@@ -312,7 +311,7 @@ def _miss_reasons(
             reasons.append(f"deps: {dep} (added)")
         elif dep not in state.dep_hashes:
             reasons.append(f"deps: {dep} (missing)")
-        elif state.dep_hashes[dep].hex != entry.deps[dep]:
+        elif state.dep_hashes[dep] != entry.deps[dep]:
             reasons.append(f"deps: {dep}")
     reasons.extend(f"deps: {dep} (removed)" for dep in entry.deps if dep not in stage.deps)
     recorded = json.loads(entry.params)
@@ -324,33 +323,29 @@ def _miss_reasons(
     reasons.extend(f"params: {key} (removed)" for key in recorded if key not in stage.params)
     if sorted(stage.outs) != sorted(entry.outs):
         reasons.append("outs")
-    if not reasons and state.fingerprint is not None and state.fingerprint.hex == entry.fingerprint:
+    if not reasons and state.fingerprint == entry.fingerprint:
         reasons = [f"outs: {out} (missing from store)" for out in missing_outs(store, entry)]
     # a lock entry whose fingerprint disagrees with its own recorded fields
     return tuple(reasons) or ("fingerprint",)
 
 
-def _workspace_hash(root: Path, dep: str) -> ContentHash | None:
+def _workspace_hash(root: Path, dep: str) -> str | None:
     path = root / dep
     return hash_path(path)[0] if path.exists() else None
 
 
 def _predicting_resolver(project: Project, params: dict) -> Callable[[StageSpec], StageState]:
     """`resolve_stage` for stages given in topological order, against the
-    workspace as `repro` will find it and without touching it: a dep that a
-    cached upstream stage will restore gets the hash of the restored out, any
-    other dep its workspace hash."""
+    workspace as `repro` will find it and without touching it: a dep that
+    overlaps an out a cached upstream stage will restore gets the hash it
+    will have after that restore, any other dep its workspace hash."""
     lock = load_lock(project.lock_path)
     store = ObjectStore(project.cache_dir)
-    restored: dict[str, OutRecord] = {}
+    restored: dict = {}  # out path -> record of every out a cached upstream stage restores
 
-    def dep_hash(dep: str) -> ContentHash | None:
-        if dep in restored:
-            return ContentHash(restored[dep].hash)
-        for out, rec in restored.items():
-            if rec.tree and dep.startswith(out + "/"):
-                member = dict(parse_manifest(store.read_bytes(rec.hash))).get(dep[len(out) + 1:])
-                return ContentHash(member) if member is not None else None
+    def dep_hash(dep: str) -> str | None:
+        if any(paths_overlap(dep, out) for out in restored):
+            return restored_hash(store, restored, project.root, dep)
         return _workspace_hash(project.root, dep)
 
     def resolve(stage: StageSpec) -> StageState:
@@ -375,20 +370,14 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     spec, params, graph, planned = _load_plan(project, opts)
     producers = graph.producers()
     resolve = _predicting_resolver(project, params)
-
-    # a dep nobody produces is a source file: it must exist on disk no matter what
-    produced = [out for stage_name in planned for out in spec.stages[stage_name].outs]
-
-    def is_source(dep: str) -> bool:
-        return not any(dep == out or dep.startswith(out + "/") for out in produced)
-
     entries: dict[str, PlanEntry] = {}
     for name in planned:
         state = resolve(spec.stages[name])
         blocked_up = [p for p in producers[name] if entries[p].action == "blocked"]
         running_up = [p for p in producers[name] if entries[p].action == "run"]
-        # a running upstream stage may yet produce a missing dep, unless it is a source
-        missing = [dep for dep in state.missing_deps if not running_up or is_source(dep)]
+        # a missing dep is waited for only if an upstream stage that will run may produce it
+        upcoming = [out for p in running_up for out in spec.stages[p].outs]
+        missing = [d for d in state.missing_deps if not any(paths_overlap(d, o) for o in upcoming)]
         if blocked_up:
             action, reason = "blocked", f"upstream blocked: {blocked_up[0]}"
         elif missing:
@@ -419,7 +408,7 @@ def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Pa
     # A stage must not rewrite its own inputs; that would make the recorded
     # fingerprint a lie.
     for dep, before in state.dep_hashes.items():
-        if hash_path(root / dep)[0].hex != before.hex:
+        if hash_path(root / dep)[0] != before:
             return f"stage modified its own dependency: {dep}"
     return None
 
@@ -436,7 +425,7 @@ def _config_hashes(project: Project) -> dict[str, str]:
     hashes = {}
     for path in (project.pipeline_path, project.params_path):
         if path.exists():
-            hashes[path.name] = hash_file(path).hex
+            hashes[path.name] = hash_file(path)
     return hashes
 
 

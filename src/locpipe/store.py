@@ -1,10 +1,13 @@
 """Content hashing, the content-addressed object store, stage fingerprints,
 and the lock file recording committed stage executions.
 
-Objects live at ``<cache>/sha256/<2 hex>/<62 hex>`` so every object is
-self-verifying: its content hashes to its own address. The run cache keeps
-every committed execution at ``<cache>/runcache/<fingerprint>.json``, so a
-return to an earlier input restores instead of re-executing. All file writes
+Every digest is a lowercase hex SHA-256 string. Objects live at
+``<cache>/sha256/<2 hex>/<62 hex>`` so every object is self-verifying: its
+content hashes to its own address. A directory hashes to its tree manifest,
+built from one walk (`_tree_files`) and read back only by
+`ObjectStore.members`. The run cache keeps every committed execution at
+``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
+restores instead of re-executing. All file writes
 are atomic (write to a temp path on the same filesystem, then rename), so a
 crash never leaves a partially written object, run-cache entry or lock file.
 """
@@ -15,13 +18,13 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .canonical import canonical_bytes
-from .configmodel import StageSpec
+from .configmodel import StageSpec, paths_overlap
 from .errors import StoreError
 from .loctk import builtin_version
 
@@ -31,20 +34,11 @@ _MANIFEST_SEP = "\t"
 _RUNCACHE_DIR = "runcache"
 
 
-@dataclass(frozen=True)
-class ContentHash:
-    hex: str
-    algorithm: str = HASH_ALGORITHM
-
-    def __str__(self) -> str:
-        return self.hex
+def hash_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def hash_bytes(data: bytes) -> ContentHash:
-    return ContentHash(hashlib.sha256(data).hexdigest())
-
-
-def hash_file(path: Path | str) -> ContentHash:
+def hash_file(path: Path | str) -> str:
     """Streamed SHA-256 of a regular file; symlinks are rejected."""
     path = Path(path)
     if path.is_symlink():
@@ -58,55 +52,43 @@ def hash_file(path: Path | str) -> ContentHash:
         raise StoreError(f"missing file: {path}") from None
     except PermissionError:
         raise StoreError(f"permission denied: {path}") from None
-    return ContentHash(digest.hexdigest())
+    return digest.hexdigest()
 
 
-def tree_manifest(path: Path | str) -> bytes:
-    """Canonical directory manifest: sorted ``<relpath>\\t<hex>`` lines, newline-joined.
+def _tree_files(root: Path) -> list[tuple[str, Path]]:
+    """Every file under directory `root` as sorted (relpath, path) pairs.
 
-    Empty directories contribute nothing; symlinks anywhere in the tree are
-    rejected.
+    Empty directories contribute nothing. A symlinked directory is rejected
+    here, a symlinked file by `hash_file` or `put_file` when it is read.
     """
-    root = Path(path)
-    if not root.is_dir():
-        raise StoreError(f"not a directory: {root}")
-    entries: list[tuple[str, str]] = []
+    files: list[tuple[str, Path]] = []
     for current, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for sub in list(dirnames):
-            if (Path(current) / sub).is_symlink():
-                raise StoreError(f"symlink not allowed: {Path(current) / sub}")
-        for filename in sorted(filenames):
-            file_path = Path(current) / filename
-            rel = file_path.relative_to(root).as_posix()
+        base = Path(current).relative_to(root)
+        for name in dirnames:
+            if (Path(current) / name).is_symlink():
+                raise StoreError(f"symlink not allowed: {Path(current) / name}")
+        for name in filenames:
+            rel = (base / name).as_posix()
             if _MANIFEST_SEP in rel or "\n" in rel:
                 raise StoreError(f"unsupported character in file name: {rel!r}")
-            entries.append((rel, hash_file(file_path).hex))
-    entries.sort()
-    return "\n".join(f"{rel}{_MANIFEST_SEP}{hexd}" for rel, hexd in entries).encode("utf-8")
+            files.append((rel, Path(current) / name))
+    return sorted(files)
 
 
-def parse_manifest(data: bytes) -> list[tuple[str, str]]:
-    if not data:
-        return []
-    entries = []
-    for line in data.decode("utf-8").split("\n"):
-        rel, _, hexd = line.partition(_MANIFEST_SEP)
-        if not rel or len(hexd) != 64:
-            raise StoreError("corrupt tree manifest")
-        entries.append((rel, hexd))
-    return entries
+def _manifest(members: Iterable[tuple[str, str]]) -> bytes:
+    """Canonical tree manifest: sorted ``<relpath>\\t<hex>`` lines, newline-joined."""
+    return "\n".join(f"{rel}{_MANIFEST_SEP}{hexd}" for rel, hexd in sorted(members)).encode("utf-8")
 
 
-def hash_path(path: Path | str) -> tuple[ContentHash, bool, int]:
+def hash_path(path: Path | str) -> tuple[str, bool, int]:
     """Hash a file or directory. Returns (hash, is_tree, size_bytes)."""
     path = Path(path)
     if path.is_symlink():
         raise StoreError(f"symlink not allowed: {path}")
     if path.is_dir():
-        manifest = tree_manifest(path)
-        size = sum((Path(path) / rel).stat().st_size for rel, _ in parse_manifest(manifest))
-        return hash_bytes(manifest), True, size
+        files = _tree_files(path)
+        manifest = _manifest((rel, hash_file(member)) for rel, member in files)
+        return hash_bytes(manifest), True, sum(member.stat().st_size for _, member in files)
     return hash_file(path), False, path.stat().st_size
 
 
@@ -123,8 +105,8 @@ class ObjectStore:
     def _addr(self, hexd: str) -> Path:
         return self.root / HASH_ALGORITHM / hexd[:2] / hexd[2:]
 
-    def has(self, ch: ContentHash | str) -> bool:
-        return self._addr(str(ch)).is_file()
+    def has(self, hexd: str) -> bool:
+        return self._addr(hexd).is_file()
 
     def _tmp_path(self, prefix: str = "obj") -> Path:
         tmp_dir = self.root / "tmp"
@@ -139,15 +121,15 @@ class ObjectStore:
         target.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, target)
 
-    def put_bytes(self, data: bytes) -> ContentHash:
-        ch = hash_bytes(data)
-        if not self.has(ch):
+    def put_bytes(self, data: bytes) -> str:
+        hexd = hash_bytes(data)
+        if not self.has(hexd):
             tmp = self._tmp_path()
             tmp.write_bytes(data)
-            self._install(tmp, ch.hex)
-        return ch
+            self._install(tmp, hexd)
+        return hexd
 
-    def put_file(self, path: Path | str) -> ContentHash:
+    def put_file(self, path: Path | str) -> str:
         path = Path(path)
         if path.is_symlink():
             raise StoreError(f"symlink not allowed: {path}")
@@ -161,22 +143,34 @@ class ObjectStore:
         except FileNotFoundError:
             tmp.unlink(missing_ok=True)
             raise StoreError(f"missing file: {path}") from None
-        ch = ContentHash(digest.hexdigest())
-        self._install(tmp, ch.hex)
-        return ch
+        hexd = digest.hexdigest()
+        self._install(tmp, hexd)
+        return hexd
 
-    def read_bytes(self, ch: ContentHash | str) -> bytes:
-        addr = self._addr(str(ch))
+    def read_bytes(self, hexd: str) -> bytes:
         try:
-            return addr.read_bytes()
+            return self._addr(hexd).read_bytes()
         except FileNotFoundError:
-            raise StoreError(f"object missing from store: {ch}") from None
+            raise StoreError(f"object missing from store: {hexd}") from None
 
-    def materialize(self, ch: ContentHash | str, dest: Path | str) -> None:
+    def members(self, hexd: str) -> list[tuple[str, str]]:
+        """The sorted (relpath, hex) members of the tree manifest object `hexd`."""
+        data = self.read_bytes(hexd)
+        if not data:
+            return []
+        members = []
+        for line in data.decode("utf-8").split("\n"):
+            rel, _, member = line.partition(_MANIFEST_SEP)
+            if not rel or len(member) != 64:
+                raise StoreError("corrupt tree manifest")
+            members.append((rel, member))
+        return members
+
+    def materialize(self, hexd: str, dest: Path | str) -> None:
         """Copy an object out to `dest` atomically (copy semantics, never links)."""
-        addr = self._addr(str(ch))
+        addr = self._addr(hexd)
         if not addr.is_file():
-            raise StoreError(f"object missing from store: {ch}")
+            raise StoreError(f"object missing from store: {hexd}")
         dest = Path(dest)
         dest.parent.mkdir(parents=True, exist_ok=True)
         tmp = dest.parent / f".locpipe-restore-{os.getpid()}-{os.urandom(4).hex()}"
@@ -186,13 +180,13 @@ class ObjectStore:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def same_bytes(self, ch: ContentHash | str, path: Path | str) -> bool:
-        """True when `path` is a regular file holding exactly the bytes of object `ch`."""
+    def same_bytes(self, hexd: str, path: Path | str) -> bool:
+        """True when `path` is a regular file holding exactly the bytes of object `hexd`."""
         path = Path(path)
         try:
             if path.is_symlink() or not path.is_file():
                 return False
-            with open(self._addr(str(ch)), "rb") as obj, open(path, "rb") as handle:
+            with open(self._addr(hexd), "rb") as obj, open(path, "rb") as handle:
                 if os.fstat(obj.fileno()).st_size != os.fstat(handle.fileno()).st_size:
                     return False
                 while chunk := obj.read(_CHUNK):
@@ -217,7 +211,7 @@ class ObjectStore:
         """Re-hash every stored object; returns addresses whose content mismatches."""
         bad = []
         for hexd in self.iter_hexes():
-            if hash_file(self._addr(hexd)).hex != hexd:
+            if hash_file(self._addr(hexd)) != hexd:
                 bad.append(hexd)
         return bad
 
@@ -235,8 +229,8 @@ def stage_kind(stage: StageSpec) -> dict:
 
 
 def stage_fingerprint(
-    stage: StageSpec, dep_hashes: Mapping[str, ContentHash | str], params_canonical: bytes
-) -> ContentHash:
+    stage: StageSpec, dep_hashes: Mapping[str, str], params_canonical: bytes
+) -> str:
     """Content-derived identity of one stage execution.
 
     Covers the stage kind (command string, or builtin id + code digest), the
@@ -254,12 +248,12 @@ def stage_fingerprint(
 
 
 def _fingerprint(
-    kind: dict, deps: Mapping[str, ContentHash | str], params: str, outs: Iterable[str]
-) -> ContentHash:
+    kind: dict, deps: Mapping[str, str], params: str, outs: Iterable[str]
+) -> str:
     """The one payload every fingerprint hashes, whether of a stage about to
     run or of a recorded execution."""
     payload = {
-        "deps": {path: str(deps[path]) for path in sorted(deps)},
+        "deps": {path: deps[path] for path in sorted(deps)},
         "kind": kind,
         "outs": sorted(outs),
         "params": params,
@@ -288,17 +282,7 @@ class LockEntry:
     committed_at: str
 
     def to_json(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "kind": self.kind,
-            "deps": dict(sorted(self.deps.items())),
-            "params": self.params,
-            "outs": {
-                path: {"hash": rec.hash, "size": rec.size, "tree": rec.tree}
-                for path, rec in sorted(self.outs.items())
-            },
-            "committed_at": self.committed_at,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc: dict) -> "LockEntry":
@@ -355,7 +339,7 @@ def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
     for out, rec in sorted(entry.outs.items()):
         if not store.has(rec.hash) or (
             rec.tree
-            and not all(store.has(member) for _, member in parse_manifest(store.read_bytes(rec.hash)))
+            and not all(store.has(member) for _, member in store.members(rec.hash))
         ):
             missing.append(out)
     return missing
@@ -363,7 +347,7 @@ def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
 
 def _derived_fingerprint(entry: LockEntry) -> str:
     """The fingerprint an entry's own recorded fields give."""
-    return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs).hex
+    return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs)
 
 
 def _run_path(store: ObjectStore, fingerprint: str) -> Path:
@@ -392,7 +376,7 @@ def record_run(store: ObjectStore, entry: LockEntry) -> None:
     os.replace(tmp, path)
 
 
-def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: ContentHash) -> LockEntry | None:
+def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: str) -> LockEntry | None:
     """The committed execution with this fingerprint, or None.
 
     The stage's lock entry is asked first; if it records another execution,
@@ -402,12 +386,12 @@ def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: Co
     tree members) is still present in the store.
     """
     entry = lock.get(stage)
-    if entry is None or entry.fingerprint != fingerprint.hex:
-        if entry is not None and _derived_fingerprint(entry) == fingerprint.hex:
+    if entry is None or entry.fingerprint != fingerprint:
+        if entry is not None and _derived_fingerprint(entry) == fingerprint:
             # the lock entry records this execution under a wrong fingerprint:
             # a miss, so the stage runs again and repairs the lock
             return None
-        entry = _recorded_run(store, fingerprint.hex)
+        entry = _recorded_run(store, fingerprint)
         if entry is None:
             return None
     return None if missing_outs(store, entry) else entry
@@ -416,15 +400,16 @@ def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: Co
 def commit_outputs(
     store: ObjectStore,
     stage: StageSpec,
-    fingerprint: ContentHash,
+    fingerprint: str,
     kind: dict,
-    dep_hashes: Mapping[str, ContentHash | str],
+    dep_hashes: Mapping[str, str],
     params_canonical: bytes,
     root: Path | str,
 ) -> LockEntry:
     """Ingest every declared out into the store and build the lock entry.
 
-    Directory outs are ingested file-wise plus a manifest object.
+    Directory outs are ingested file-wise plus a manifest object built from
+    the digests the ingest returns, so each member is read once.
     """
     root = Path(root)
     outs: dict[str, OutRecord] = {}
@@ -433,23 +418,18 @@ def commit_outputs(
         if path.is_symlink():
             raise StoreError(f"stage '{stage.name}': symlink not allowed: {out}")
         if path.is_dir():
-            manifest = tree_manifest(path)
-            size = 0
-            for rel, _ in parse_manifest(manifest):
-                member = path / rel
-                store.put_file(member)
-                size += member.stat().st_size
-            ch = store.put_bytes(manifest)
-            outs[out] = OutRecord(hash=ch.hex, size=size, tree=True)
+            files = _tree_files(path)
+            manifest = _manifest((rel, store.put_file(member)) for rel, member in files)
+            size = sum(member.stat().st_size for _, member in files)
+            outs[out] = OutRecord(hash=store.put_bytes(manifest), size=size, tree=True)
         elif path.is_file():
-            ch = store.put_file(path)
-            outs[out] = OutRecord(hash=ch.hex, size=path.stat().st_size, tree=False)
+            outs[out] = OutRecord(hash=store.put_file(path), size=path.stat().st_size, tree=False)
         else:
             raise StoreError(f"stage '{stage.name}' declared out '{out}' but did not produce it")
     return LockEntry(
-        fingerprint=fingerprint.hex,
+        fingerprint=fingerprint,
         kind=kind,
-        deps={path: str(ch) for path, ch in dep_hashes.items()},
+        deps=dict(dep_hashes),
         params=params_canonical.decode("utf-8"),
         outs=outs,
         committed_at=_utc_now(),
@@ -481,7 +461,7 @@ def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> N
     for out, rec in sorted(entry.outs.items()):
         dest = root / out
         if rec.tree:
-            members = parse_manifest(store.read_bytes(rec.hash))
+            members = store.members(rec.hash)
             if _tree_in_place(store, members, dest):
                 continue
             if dest.is_symlink() or (dest.exists() and not dest.is_dir()):
@@ -497,13 +477,42 @@ def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> N
             store.materialize(rec.hash, dest)
 
 
+def restored_hash(store: ObjectStore, outs: Mapping[str, OutRecord], root: Path | str, path: str) -> str | None:
+    """The hash that workspace `path`, which equals, lies under or holds an
+    out in `outs`, will have once `restore_outputs` has put those outs in
+    place under `root`; None if it will then be missing.
+
+    A directory that holds outs hashes to the manifest of its own files
+    outside them plus the outs' recorded members.
+    """
+    if path in outs:
+        return outs[path].hash
+    restored: dict[str, str] = {}  # workspace path -> hash of every file the outs restore
+    for out, rec in outs.items():
+        if rec.tree:
+            restored.update((f"{out}/{rel}", hexd) for rel, hexd in store.members(rec.hash))
+        else:
+            restored[out] = rec.hash
+    if path in restored:
+        return restored[path]
+    prefix = path + "/"
+    members = [(file[len(prefix):], hexd) for file, hexd in restored.items() if file.startswith(prefix)]
+    holds_outs = any(out.startswith(prefix) for out in outs)
+    if holds_outs and (Path(root) / path).is_dir():
+        members += [
+            (rel, hash_file(file)) for rel, file in _tree_files(Path(root) / path)
+            if not any(paths_overlap(prefix + rel, out) for out in outs)
+        ]
+    return hash_bytes(_manifest(members)) if members or holds_outs else None
+
+
 def referenced_hexes(lock: LockFile, store: ObjectStore) -> set[str]:
     refs: set[str] = set()
     for entry in lock.values():
         for rec in entry.outs.values():
             refs.add(rec.hash)
             if rec.tree and store.has(rec.hash):
-                refs.update(member for _, member in parse_manifest(store.read_bytes(rec.hash)))
+                refs.update(member for _, member in store.members(rec.hash))
     return refs
 
 

@@ -527,6 +527,23 @@ class TestParallel:
         assert elapsed < 1.1  # sequential would need >= 1.2 s
 
 
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs os.pidfd_open")
+    def test_waits_on_children_without_polling(self, tmp_path, monkeypatch):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {
+            "a": {"cmd": "sleep 0.3 && echo a > a.txt", "outs": ["a.txt"]},
+            "b": {"cmd": "sleep 0.3 && echo b > b.txt", "outs": ["b.txt"]},
+        })
+        write_params(root, {})
+
+        def no_sleep(seconds):
+            raise AssertionError("reap_first polled")
+
+        monkeypatch.setattr(launch.time, "sleep", no_sleep)
+        report = run(Project(root=root), jobs=2)
+        assert report.executed == 2 and report.failed == 0
+
     def test_same_outcome_at_every_jobs_count(self, tmp_path):
         """Cache hits, a failure, a skip, a missing dep and a run, mixed in one
         pipeline, end the same whatever the number of slots."""

@@ -14,7 +14,6 @@ from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
 from locpipe.runner import Project, status
 from locpipe.store import (
-    ContentHash,
     LockEntry,
     ObjectStore,
     cache_lookup,
@@ -37,8 +36,8 @@ ABC_SHA = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 class TestHashing:
     def test_published_vectors(self):
-        assert hash_bytes(b"").hex == EMPTY_SHA
-        assert hash_bytes(b"abc").hex == ABC_SHA
+        assert hash_bytes(b"") == EMPTY_SHA
+        assert hash_bytes(b"abc") == ABC_SHA
 
     def test_hash_repeatable(self):
         data = os.urandom(1000)
@@ -47,12 +46,12 @@ class TestHashing:
     def test_hash_file_matches_bytes(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_bytes(b"abc")
-        assert hash_file(path).hex == ABC_SHA
+        assert hash_file(path) == ABC_SHA
 
     def test_zero_byte_file(self, tmp_path):
         path = tmp_path / "empty"
         path.touch()
-        assert hash_file(path).hex == EMPTY_SHA
+        assert hash_file(path) == EMPTY_SHA
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError, match="missing"):
@@ -68,7 +67,7 @@ class TestHashing:
         expected = subprocess.run(
             ["sha256sum", str(path)], capture_output=True, text=True, check=True
         ).stdout.split()[0]
-        assert hash_file(path).hex == expected
+        assert hash_file(path) == expected
 
     def test_symlink_rejected(self, tmp_path):
         target = tmp_path / "real"
@@ -83,7 +82,7 @@ class TestHashTree:
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "d"
         empty.mkdir()
-        assert hash_path(empty)[0].hex == EMPTY_SHA
+        assert hash_path(empty)[0] == EMPTY_SHA
 
     def test_creation_order_irrelevant(self, tmp_path):
         one = tmp_path / "one"
@@ -100,7 +99,7 @@ class TestHashTree:
         (root / "a.txt").write_bytes(b"alpha")
         (root / "b" / "c.txt").write_bytes(b"gamma")
         expected = manifest_digest([("a.txt", b"alpha"), ("b/c.txt", b"gamma")])
-        assert hash_path(root)[0].hex == expected
+        assert hash_path(root)[0] == expected
 
     def test_empty_subdirs_contribute_nothing(self, tmp_path):
         root = tmp_path / "tree"
@@ -179,7 +178,7 @@ class TestFingerprint:
             dep_bytes = rng.randbytes(rng.randint(0, 32))
             params = f'{{"knob":{i % 7},"salt":{rng.randint(0, 10**6)}}}'.encode()
             key = (dep_bytes, params)
-            fp = stage_fingerprint(STAGE, self.hashes(dep_bytes, b"fixed"), params).hex
+            fp = stage_fingerprint(STAGE, self.hashes(dep_bytes, b"fixed"), params)
             if fp in seen:
                 assert seen[fp] == key, "distinct inputs produced the same fingerprint"
             seen[fp] = key
@@ -193,7 +192,7 @@ class TestObjectStore:
         assert store.has(ch)
         assert store.read_bytes(ch) == b"hello"
         # address structure: sha256/<2 hex>/<62 hex>
-        addr = (tmp_path / "cache" / "sha256" / ch.hex[:2] / ch.hex[2:])
+        addr = (tmp_path / "cache" / "sha256" / ch[:2] / ch[2:])
         assert addr.is_file()
 
     def test_self_verification_scan(self, tmp_path):
@@ -205,8 +204,8 @@ class TestObjectStore:
     def test_verify_detects_corruption(self, tmp_path):
         store = ObjectStore(tmp_path / "cache")
         ch = store.put_bytes(b"payload")
-        (tmp_path / "cache" / "sha256" / ch.hex[:2] / ch.hex[2:]).write_bytes(b"tampered")
-        assert store.verify() == [ch.hex]
+        (tmp_path / "cache" / "sha256" / ch[:2] / ch[2:]).write_bytes(b"tampered")
+        assert store.verify() == [ch]
 
     def test_put_file_streams(self, tmp_path):
         store = ObjectStore(tmp_path / "cache")
@@ -235,7 +234,7 @@ class TestCommitRestore:
         stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
         _, store, _, entry = _commit(tmp_path, stage, {"out.txt": b"payload"})
         assert list(entry.outs) == ["out.txt"]
-        assert entry.outs["out.txt"].hash == hash_bytes(b"payload").hex
+        assert entry.outs["out.txt"].hash == hash_bytes(b"payload")
         assert entry.outs["out.txt"].size == len(b"payload")
 
     def test_directory_out_counts_objects(self, tmp_path):
@@ -266,6 +265,21 @@ class TestCommitRestore:
         restore_outputs(store, entry, root)
         assert (root / "out.txt").read_bytes() == b"payload"
 
+    def test_tree_members_hashed_only_by_their_ingest(self, tmp_path, monkeypatch):
+        """A tree out's manifest is built from the digests `put_file` returns."""
+        def no_hash(path):
+            raise AssertionError(f"member hashed apart from its ingest: {path}")
+
+        monkeypatch.setattr("locpipe.store.hash_file", no_hash)
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        files = {"d/a": b"1", "d/sub/b": b"22", "d/sub/c": b"333"}
+        root, store, _, entry = _commit(tmp_path, stage, files)
+        shutil.rmtree(root / "d")
+        restore_outputs(store, entry, root)
+        assert {rel: (root / rel).read_bytes() for rel in files} == files
+        monkeypatch.undo()
+        assert hash_path(root / "d")[0] == entry.outs["d"].hash
+
     def test_restore_directory_tree_hash_matches(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("d",))
         files = {"d/a": b"1", "d/sub/b": b"22"}
@@ -274,7 +288,7 @@ class TestCommitRestore:
         shutil.rmtree(root / "d")
         restore_outputs(store, entry, root)
         assert hash_path(root / "d")[0] == before
-        assert before.hex == entry.outs["d"].hash
+        assert before == entry.outs["d"].hash
 
 
 def _identity(path):
@@ -310,7 +324,7 @@ class TestRestoreSkipsOutsInPlace:
         assert sorted(p.relative_to(root).as_posix() for p in (root / "d").rglob("*")) == [
             "d/a", "d/sub", "d/sub/b",
         ]
-        assert hash_path(root / "d")[0].hex == entry.outs["d"].hash
+        assert hash_path(root / "d")[0] == entry.outs["d"].hash
 
     def test_tree_member_flipped_restored(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("d",))
@@ -330,7 +344,7 @@ class TestRestoreSkipsOutsInPlace:
         restore_outputs(store, entry, root)
         assert not (root / "out.txt").is_symlink() and not (root / "d").is_symlink()
         assert (root / "out.txt").read_bytes() == b"payload"
-        assert hash_path(root / "d")[0].hex == entry.outs["d"].hash
+        assert hash_path(root / "d")[0] == entry.outs["d"].hash
 
     def test_compared_with_the_object_not_the_recorded_hash(self, tmp_path):
         # a damaged object still reaches the workspace, where checks can see it
@@ -361,7 +375,7 @@ class TestCacheLookup:
     def test_deleted_tree_member_misses(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("d",))
         _, store, fp, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/b": b"2"})
-        store.remove(hash_bytes(b"1").hex)
+        store.remove(hash_bytes(b"1"))
         assert cache_lookup({"s": entry}, store, "s", fp) is None
 
     def test_corrupt_lock_file(self, tmp_path):
@@ -376,11 +390,11 @@ class TestLockFile:
         from locpipe.store import LockEntry, OutRecord
 
         return LockEntry(
-            fingerprint=hash_bytes(b"fp").hex,
+            fingerprint=hash_bytes(b"fp"),
             kind={"cmd": "do"},
-            deps={"a": hash_bytes(b"1").hex},
+            deps={"a": hash_bytes(b"1")},
             params="{}",
-            outs={"out.txt": OutRecord(hash=hash_bytes(b"p").hex, size=1)},
+            outs={"out.txt": OutRecord(hash=hash_bytes(b"p"), size=1)},
             committed_at="2026-01-01T00:00:00Z",
         )
 
@@ -491,7 +505,7 @@ class TestRunCache:
         path = self.run_path(project, first)
         path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
         store = ObjectStore(project.cache_dir)
-        assert cache_lookup(load_lock(project.lock_path), store, "emit", ContentHash(first.fingerprint)) is None
+        assert cache_lookup(load_lock(project.lock_path), store, "emit", first.fingerprint) is None
         # a miss named against the lock entry, which records value 2
         assert [(s.state, s.reasons) for s in status(project)] == [("changed", ("params: knob.value",))]
         assert run(project).executed == 1
