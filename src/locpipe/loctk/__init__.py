@@ -6,6 +6,10 @@ outs. The orchestrator forks a child per executed stage, and the child calls
 imports the builtin's module. Every builtin's identity is one digest of the
 code it runs (`builtin_version`), so any edit to this package or to
 ``canonical.py`` invalidates every cached builtin stage.
+
+The table readers may memoize parses under `table_memo_dir`: a memo entry is
+keyed by the CSV's content digest, inside a directory named after the same
+code digest, so a code edit never reads an older parse.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
+def table_memo_dir(cache_root: Path | str) -> Path:
+    """``<cache>/tables/<code digest>``: the parsed-table memo of this code.
+
+    Its entries are written through ``<cache>/tmp``, and `store.gc` sweeps
+    the directories of other code digests.
+    """
+    return Path(cache_root) / "tables" / _code_digest()
+
+
 def builtin_version(builtin_id: str) -> str:
     """The identity of a builtin's code: one digest shared by every builtin."""
     if builtin_id not in _REGISTRY:
@@ -65,6 +78,7 @@ class StageRequest:
     params: dict = field(default_factory=dict)  # dotted key -> resolved value
     deps: tuple[str, ...] = ()
     outs: tuple[str, ...] = ()
+    table_memo: Path | None = None  # a `table_memo_dir`; None parses every table afresh
 
     def dep(self, index: int, label: str) -> Path:
         if index >= len(self.deps):

@@ -25,13 +25,24 @@ def _make_clip(lo: float, hi: float) -> Transform:
     return lambda v: min(max(v, lo), hi)
 
 
+def _make_dbm_to_mw(where: str) -> Transform:
+    def dbm_to_mw(v: float) -> float:
+        try:
+            return 10.0 ** (v / 10.0)
+        except OverflowError:
+            raise BuiltinError(f"{where}: dbm_to_mw overflows on value {v!r}") from None
+
+    return dbm_to_mw
+
+
 def parse_transforms(raw: list, where: str = "featurize") -> list[Transform]:
+    """The transforms of `raw` in order; ``identity`` contributes none."""
     transforms: list[Transform] = []
     for item in raw:
         if item == "identity":
-            transforms.append(lambda v: v)
-        elif item == "dbm_to_mw":
-            transforms.append(lambda v: 10.0 ** (v / 10.0))
+            continue
+        if item == "dbm_to_mw":
+            transforms.append(_make_dbm_to_mw(where))
         elif isinstance(item, dict) and set(item) == {"clip"}:
             spec = item["clip"]
             if not isinstance(spec, dict):
@@ -47,12 +58,10 @@ def parse_transforms(raw: list, where: str = "featurize") -> list[Transform]:
 def featurize(table: Table, transforms: list[Transform]) -> Table:
     values = []
     for row in table.values:
-        out_row = []
-        for cell in row:
-            for transform in transforms:
-                cell = transform(cell)
-            out_row.append(cell)
-        values.append(out_row)
+        cells = row
+        for transform in transforms:
+            cells = map(transform, cells)
+        values.append(list(cells))
     return Table(prefix=FEATURE_PREFIX, ids=list(table.ids), values=values, targets=list(table.targets))
 
 
@@ -61,5 +70,5 @@ def run(request: StageRequest) -> None:
     where = f"stage '{request.stage}'"
     raw = get(cfg, "transforms", "list", where, default=["identity"])
     transforms = parse_transforms(raw, where)
-    table = read_table(request.dep(0, "prepared CSV"))
+    table = read_table(request.dep(0, "prepared CSV"), request.table_memo)
     write_table(featurize(table, transforms), request.out(0, "feature CSV"))

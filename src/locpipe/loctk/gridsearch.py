@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import csv
 import io
+from array import array
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from pathlib import Path
+from typing import TextIO
 
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
 from . import StageRequest, get, section
-from .metrics import METRIC_KEYS, compute_metrics
+from .metrics import METRIC_KEYS, left_sum, score_columns, truth_columns
 from .models import RidgeStats, artifact_doc, fit_model
 from .split import load_fold_file
 from .tables import Table, read_table
@@ -124,6 +125,31 @@ def ridge_fold_stats(
     return fold_stats, all_stats
 
 
+def check_folds(folds: object, n_rows: int) -> None:
+    """Raise a BuiltinError naming the first fold that is not a mapping of
+    ``train`` and ``test`` lists of int row indices in ``[0, n_rows)``, or
+    whose test indices also appear in its train list."""
+    if not isinstance(folds, list):
+        raise BuiltinError("gridsearch: the fold file's 'folds' must be a list")
+    for fold_idx, fold in enumerate(folds):
+        where = f"gridsearch: fold {fold_idx}"
+        if not isinstance(fold, dict):
+            raise BuiltinError(f"{where}: must be a mapping with 'train' and 'test' index lists")
+        for part in ("train", "test"):
+            idxs = fold.get(part)
+            if not isinstance(idxs, list):
+                raise BuiltinError(f"{where}: '{part}' must be a list of row indices")
+            if not set(map(type, idxs)) <= {int}:  # bool is not int here
+                bad = next(i for i in idxs if type(i) is not int)
+                raise BuiltinError(f"{where}: {part} index {bad!r} is not an int")
+            if idxs and not (min(idxs) >= 0 and max(idxs) < n_rows):
+                bad = next(i for i in idxs if not 0 <= i < n_rows)
+                raise BuiltinError(f"{where}: {part} index {bad} out of range for {n_rows} rows")
+        leaked = set(fold["test"]).intersection(fold["train"])
+        if leaked:
+            raise BuiltinError(f"{where}: test index {min(leaked)} is also a train index")
+
+
 def run_grid_search(
     table: Table,
     folds_doc: dict,
@@ -134,7 +160,10 @@ def run_grid_search(
     """Returns (cv_results, model_artifact, prediction_rows, metrics_doc).
 
     Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
-    kNN candidates are fit on each fold's train rows.
+    kNN candidates are fit on each fold's train rows. Each fold's test
+    columns and truth are built once and scored column-wise for every
+    candidate, and the running-best candidate's predictions are kept for the
+    predictions CSV.
     """
     if primary_metric not in METRIC_KEYS:
         raise BuiltinError(f"gridsearch: unknown primary metric '{primary_metric}'")
@@ -149,11 +178,7 @@ def run_grid_search(
             f"gridsearch: fold file covers {folds_doc['n_samples']} samples, "
             f"feature table has {table.n_rows}"
         )
-    n_rows = table.n_rows
-    for fold in folds:
-        for idx in fold["train"] + fold["test"]:
-            if not 0 <= idx < n_rows:
-                raise BuiltinError(f"gridsearch: fold index {idx} out of range")
+    check_folds(folds, table.n_rows)
 
     candidates = expand_grid(grid_cfg)
     fold_stats, all_stats = (
@@ -171,16 +196,20 @@ def run_grid_search(
             cand.model, cand.params, [table.values[i] for i in train], [table.targets[i] for i in train]
         )
 
-    test_views = [
-        ([table.values[i] for i in fold["test"]], [table.targets[i] for i in fold["test"]])
-        for fold in folds
-    ]
+    # per fold: (test rows, test feature columns, truth)
+    test_views = []
+    for fold in folds:
+        test_rows = [table.values[i] for i in fold["test"]]
+        truth = truth_columns([table.targets[i] for i in fold["test"]])
+        test_views.append((test_rows, list(zip(*test_rows)), truth))
     rows = []
     aggregates = []
     mean_primary = []
+    best_preds: list[tuple] = []  # per fold (pred_x, pred_y) of the best candidate so far
     for cand in candidates:
         fold_metrics = []
-        for fold_idx, (test_x, test_y) in enumerate(test_views):
+        fold_preds = []
+        for fold_idx, (test_rows, test_cols, truth) in enumerate(test_views):
             train_size = len(folds[fold_idx]["train"])
             if cand.model == "knn" and cand.params["k"] >= train_size:
                 raise BuiltinError(
@@ -191,8 +220,13 @@ def run_grid_search(
                 fitted = fit_fold(cand, fold_idx)
             except BuiltinError as exc:
                 raise BuiltinError(f"gridsearch: candidate {cand.index} ({cand.model}): {exc}") from None
-            metrics = compute_metrics(fitted.predict(test_x), test_y)
+            if cand.model == "ridge":
+                preds = fitted.predict_columns(test_cols, len(test_rows))
+            else:
+                preds = tuple(zip(*fitted.predict(test_rows)))
+            metrics = score_columns(*preds, truth)
             fold_metrics.append(metrics)
+            fold_preds.append((array("d", preds[0]), array("d", preds[1])))  # floats, unboxed
             rows.append({
                 "candidate": cand.index,
                 "fold": fold_idx,
@@ -201,7 +235,7 @@ def run_grid_search(
                 "metrics": metrics,
             })
         means = {
-            key: sum(fm[key] for fm in fold_metrics) / len(fold_metrics)
+            key: left_sum(fm[key] for fm in fold_metrics) / len(fold_metrics)
             for key in METRIC_KEYS
         }
         aggregates.append({
@@ -211,23 +245,22 @@ def run_grid_search(
             "metrics": means,
         })
         mean_primary.append(means[primary_metric])
+        if select_index(mean_primary) == cand.index:
+            best_preds = fold_preds
 
     selected = select_index(mean_primary)
     chosen = candidates[selected]
 
-    # Per-fold predictions of the selected candidate, refit fold by fold: a
-    # ridge re-solve gives the very coefficients its CV rows were scored with.
     pred_rows = []
-    for fold_idx, (test_x, test_y) in enumerate(test_views):
-        fitted = fit_fold(chosen, fold_idx)
-        for idx, pred, true in zip(folds[fold_idx]["test"], fitted.predict(test_x), test_y):
+    for fold_idx, (fold, (pred_x, pred_y), (_, _, truth)) in enumerate(zip(folds, best_preds, test_views)):
+        for idx, px, py, tx, ty in zip(fold["test"], pred_x, pred_y, truth.x, truth.y):
             pred_rows.append({
                 "sample_id": table.ids[idx],
                 "fold": fold_idx,
-                "pred_x": pred[0],
-                "pred_y": pred[1],
-                "true_x": true[0],
-                "true_y": true[1],
+                "pred_x": px,
+                "pred_y": py,
+                "true_x": tx,
+                "true_y": ty,
             })
 
     if chosen.model == "ridge":
@@ -250,13 +283,19 @@ def run_grid_search(
     return cv_results, artifact, pred_rows, metrics_doc
 
 
-def predictions_csv(pred_rows: list[dict]) -> str:
-    """Render the prediction rows; ``repr`` is `canonical.fmt_num`'s text for an int or a float."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_predictions(pred_rows: list[dict], handle: TextIO) -> None:
+    """Render the prediction rows to `handle`; ``repr`` is `canonical.fmt_num`'s
+    text for an int or a float."""
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["sample_id", *_PRED_NUMBERS])
     numbers = itemgetter(*_PRED_NUMBERS)
     writer.writerows([row["sample_id"], *map(repr, numbers(row))] for row in pred_rows)
+
+
+def predictions_csv(pred_rows: list[dict]) -> str:
+    """The text `write_predictions` writes."""
+    buf = io.StringIO()
+    write_predictions(pred_rows, buf)
     return buf.getvalue()
 
 
@@ -267,7 +306,7 @@ def run(request: StageRequest) -> None:
     report_metrics = get(cfg, "report_metrics", "list", where, default=[primary])
     grid_cfg = get(cfg, "grid", "mapping", where)
 
-    table = read_table(request.dep(0, "feature CSV"))
+    table = read_table(request.dep(0, "feature CSV"), request.table_memo)
     folds_doc = load_fold_file(request.dep(1, "fold file JSON"))
     cv_results, artifact, pred_rows, metrics_doc = run_grid_search(
         table, folds_doc, grid_cfg, primary, list(report_metrics)
@@ -277,5 +316,6 @@ def run(request: StageRequest) -> None:
         request.out(index, label).parent.mkdir(parents=True, exist_ok=True)
     dump_canonical(cv_results, request.out(0, "cv results"))
     dump_canonical(artifact, request.out(1, "model artifact"))
-    Path(request.out(2, "predictions")).write_text(predictions_csv(pred_rows), encoding="utf-8")
+    with open(request.out(2, "predictions"), "w", encoding="utf-8", newline="") as handle:
+        write_predictions(pred_rows, handle)
     dump_canonical(metrics_doc, request.out(3, "metrics"))

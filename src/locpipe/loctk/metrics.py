@@ -8,8 +8,11 @@ interpolation between order statistics at rank 0.95 * (n - 1).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from ..errors import BuiltinError
 
@@ -45,45 +48,73 @@ def percentile_linear(sorted_values: list[float], q: float) -> float:
     return sorted_values[lo] + frac * (sorted_values[lo + 1] - sorted_values[lo])
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Left-to-right sum with one rounding per addition.
+
+    Builtin ``sum()`` compensates float additions from Python 3.12 on, which
+    would move output bytes between interpreter versions.
+    """
+    return functools.reduce(operator.add, values, 0)
+
+
+@dataclass(frozen=True)
+class Truth:
+    """True positions as coordinate columns, with their total sum of squares."""
+
+    x: list[float]
+    y: list[float]
+    ss_tot: float
+
+
+def truth_columns(truth: Sequence[Sequence[float]]) -> Truth:
+    if len(truth) == 0:
+        raise BuiltinError("metrics: empty input")
+    if any(len(t) != 2 for t in truth):
+        raise BuiltinError("metrics: rows must have exactly two coordinates")
+    xs = [t[0] for t in truth]
+    ys = [t[1] for t in truth]
+    mean_x = left_sum(xs) / len(truth)
+    mean_y = left_sum(ys) / len(truth)
+    ss_tot = left_sum((x - mean_x) ** 2 + (y - mean_y) ** 2 for x, y in zip(xs, ys))
+    return Truth(xs, ys, ss_tot)
+
+
+def score_columns(pred_x: Sequence[float], pred_y: Sequence[float], truth: Truth) -> dict[str, float]:
+    """The metrics of predicted coordinate columns against `truth`.
+
+    Residuals are pooled in row order (x then y of each sample), so every sum
+    and sort sees the same values in the same order as a row-by-row walk.
+    """
+    res_x = list(map(operator.sub, pred_x, truth.x))
+    res_y = list(map(operator.sub, pred_y, truth.y))
+    residuals = [0.0] * (2 * len(res_x))
+    residuals[0::2] = res_x
+    residuals[1::2] = res_y
+    m = len(residuals)
+    ss_res = left_sum(map(operator.mul, residuals, residuals))
+    abs_residuals = sorted(map(abs, residuals))
+    if truth.ss_tot == 0.0:
+        r2 = 1.0 if ss_res == 0.0 else 0.0
+    else:
+        r2 = 1.0 - ss_res / truth.ss_tot
+    errors = sorted(map(math.hypot, res_x, res_y))
+    return {
+        "rmse": math.sqrt(ss_res / m),
+        "mae": left_sum(abs_residuals) / m,
+        "median_ae": _median(abs_residuals),
+        "r2": r2,
+        "loc_err_mean": left_sum(errors) / len(errors),
+        "loc_err_median": _median(errors),
+        "loc_err_p95": percentile_linear(errors, 0.95),
+    }
+
+
 def compute_metrics(
     pred: Sequence[Sequence[float]], truth: Sequence[Sequence[float]]
 ) -> dict[str, float]:
     if len(pred) != len(truth):
         raise BuiltinError(f"metrics: shape mismatch ({len(pred)} vs {len(truth)} rows)")
-    if len(pred) == 0:
-        raise BuiltinError("metrics: empty input")
-    for p, t in zip(pred, truth):
-        if len(p) != 2 or len(t) != 2:
-            raise BuiltinError("metrics: rows must have exactly two coordinates")
-
-    residuals = []
-    for p, t in zip(pred, truth):
-        residuals.append(p[0] - t[0])
-        residuals.append(p[1] - t[1])
-    m = len(residuals)
-    ss_res = sum(r * r for r in residuals)
-    rmse = math.sqrt(ss_res / m)
-    abs_residuals = sorted(abs(r) for r in residuals)
-    mae = sum(abs_residuals) / m
-    median_ae = _median(abs_residuals)
-
-    mean_x = sum(t[0] for t in truth) / len(truth)
-    mean_y = sum(t[1] for t in truth) / len(truth)
-    ss_tot = sum((t[0] - mean_x) ** 2 + (t[1] - mean_y) ** 2 for t in truth)
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-
-    errors = sorted(
-        math.hypot(p[0] - t[0], p[1] - t[1]) for p, t in zip(pred, truth)
-    )
-    return {
-        "rmse": rmse,
-        "mae": mae,
-        "median_ae": median_ae,
-        "r2": r2,
-        "loc_err_mean": sum(errors) / len(errors),
-        "loc_err_median": _median(errors),
-        "loc_err_p95": percentile_linear(errors, 0.95),
-    }
+    if any(len(p) != 2 for p in pred):
+        raise BuiltinError("metrics: rows must have exactly two coordinates")
+    columns = truth_columns(truth)
+    return score_columns([p[0] for p in pred], [p[1] for p in pred], columns)

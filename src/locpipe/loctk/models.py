@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 from ..errors import BuiltinError
+from .metrics import left_sum
 
 KNN_WEIGHTS = ("uniform", "distance")
 KNN_METRICS = ("euclidean", "manhattan")
@@ -34,7 +36,7 @@ def _cholesky_solve(a: Matrix, b: Matrix) -> Matrix:
     lower = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            acc = sum(lower[i][m] * lower[j][m] for m in range(j))
+            acc = left_sum(lower[i][m] * lower[j][m] for m in range(j))
             if i == j:
                 diag = a[i][i] - acc
                 if diag <= tol:
@@ -47,13 +49,13 @@ def _cholesky_solve(a: Matrix, b: Matrix) -> Matrix:
     z = [[0.0] * cols for _ in range(n)]
     for i in range(n):
         for c in range(cols):
-            acc = sum(lower[i][m] * z[m][c] for m in range(i))
+            acc = left_sum(lower[i][m] * z[m][c] for m in range(i))
             z[i][c] = (b[i][c] - acc) / lower[i][i]
     # back substitution: L^T x = z
     x = [[0.0] * cols for _ in range(n)]
     for i in range(n - 1, -1, -1):
         for c in range(cols):
-            acc = sum(lower[m][i] * x[m][c] for m in range(i + 1, n))
+            acc = left_sum(lower[m][i] * x[m][c] for m in range(i + 1, n))
             x[i][c] = (z[i][c] - acc) / lower[i][i]
     return x
 
@@ -64,14 +66,19 @@ class RidgeModel:
     intercept: list[float]  # per target
 
     def predict(self, rows: Sequence[Sequence[float]]) -> Matrix:
-        preds = []
-        for row in rows:
-            out = list(self.intercept)
-            for value, coefs in zip(row, self.coef):
-                out[0] += value * coefs[0]
-                out[1] += value * coefs[1]
-            preds.append(out)
-        return preds
+        return [list(pred) for pred in zip(*self.predict_columns(list(zip(*rows)), len(rows)))]
+
+    def predict_columns(self, columns: Sequence[Sequence[float]], n: int) -> tuple[list[float], list[float]]:
+        """(x, y) predictions of `n` rows given as feature columns.
+
+        Each prediction starts at the intercept and adds ``value * coef`` one
+        feature at a time, in feature order.
+        """
+        pred_x, pred_y = [self.intercept[0]] * n, [self.intercept[1]] * n
+        for column, (coef_x, coef_y) in zip(columns, self.coef):
+            pred_x = list(map(operator.add, pred_x, map(operator.mul, column, repeat(coef_x))))
+            pred_y = list(map(operator.add, pred_y, map(operator.mul, column, repeat(coef_y))))
+        return pred_x, pred_y
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ class RidgeStats:
         intercept = [0.0, 0.0]
         if fit_intercept:
             intercept = [
-                self.y_mean[t] - sum(self.x_mean[j] * coef[j][t] for j in range(m))
+                self.y_mean[t] - left_sum(self.x_mean[j] * coef[j][t] for j in range(m))
                 for t in (0, 1)
             ]
         return RidgeModel(coef=coef, intercept=intercept)
@@ -192,8 +199,8 @@ class KnnModel:
 
 def _distance(a: Sequence[float], b: Sequence[float], metric: str) -> float:
     if metric == "euclidean":
-        return math.sqrt(sum((u - v) ** 2 for u, v in zip(a, b)))
-    return sum(abs(u - v) for u, v in zip(a, b))
+        return math.sqrt(left_sum((u - v) ** 2 for u, v in zip(a, b)))
+    return left_sum(abs(u - v) for u, v in zip(a, b))
 
 
 def knn_predict_one(
@@ -224,8 +231,8 @@ def knn_predict_one(
         exact = [idx for dist, idx in scored if dist == 0.0]
         if exact:
             return [
-                sum(train_y[i][0] for i in exact) / len(exact),
-                sum(train_y[i][1] for i in exact) / len(exact),
+                left_sum(train_y[i][0] for i in exact) / len(exact),
+                left_sum(train_y[i][1] for i in exact) / len(exact),
             ]
         total = 0.0
         acc = [0.0, 0.0]
@@ -236,8 +243,8 @@ def knn_predict_one(
             acc[1] += w * train_y[idx][1]
         return [acc[0] / total, acc[1] / total]
     return [
-        sum(train_y[idx][0] for _, idx in scored) / k,
-        sum(train_y[idx][1] for _, idx in scored) / k,
+        left_sum(train_y[idx][0] for _, idx in scored) / k,
+        left_sum(train_y[idx][1] for _, idx in scored) / k,
     ]
 
 

@@ -55,7 +55,7 @@ def render_scaled(table: Table, factor: int) -> str:
 def run(request: StageRequest) -> None:
     cfg = section(request, "scale")
     factor = get(cfg, "factor", "int", f"stage '{request.stage}'")
-    table = read_table(request.dep(0, "prepared CSV"))
+    table = read_table(request.dep(0, "prepared CSV"), request.table_memo)
     if factor < 1:
         raise BuiltinError(f"scale: factor must be >= 1, got {factor}")
     out = request.out(0, "scaled CSV")

@@ -111,7 +111,7 @@ def run(request: StageRequest) -> None:
     cfg = section(request, "split")
     where = f"stage '{request.stage}'"
     table_path = request.dep(0, "prepared CSV")
-    table = read_table(table_path)
+    table = read_table(table_path, request.table_memo)
     groups = None
     if get(cfg, "strategy", "str", where) == "groupkfold":
         column = get(cfg, "group_column", "str", where)

@@ -11,13 +11,25 @@ in one ``map(float, ...)`` and checks them in one ``all(map(math.isfinite,
 re-scanned from the left so the error names the same first bad cell. The
 writer renders cells with ``repr``, which is `canonical.fmt_num`'s text for
 every int and float.
+
+Given a memo directory (a `loctk.table_memo_dir`), `read_table` parses a
+file's bytes only once per content digest. The entry ``<memo>/<sha256 of the
+CSV>`` holds the SHA-256 of its payload, then the ``marshal`` payload of the
+`Table`; an entry whose payload does not match that header is parsed again
+and rewritten. An entry is written only after a parse succeeds, through a
+temp file in the cache's ``tmp`` directory, and a failed write leaves the
+read's result alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import marshal
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,40 +86,83 @@ def _parse_cell(cell: str, where: str) -> float:
     return value
 
 
-def read_table(path: Path | str) -> Table:
+def read_table(path: Path | str, memo: Path | None = None) -> Table:
     """Strict reader for prepared/feature tables: every cell must be a finite number.
 
     A row's cells are parsed in one ``map(float, ...)`` and checked in one
     ``all(map(math.isfinite, ...))``. Only a row that fails is scanned again,
-    cell by cell from the left, to name its first bad cell.
+    cell by cell from the left, to name its first bad cell. With `memo`, a
+    verified memo entry of the file's bytes stands in for the parse.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    data = path.read_bytes()
+    if memo is None:
+        return _parse(data, path)
+    entry = Path(memo) / hashlib.sha256(data).hexdigest()
+    table = _load_memo(entry)
+    if table is None:
+        table = _parse(data, path)
+        _save_memo(table, entry)
+    return table
+
+
+def _parse(data: bytes, path: Path) -> Table:
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise BuiltinError(f"{path}: empty file") from None
+    prefix, width = parse_header(header, path)
+    ids, values, targets = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width + 3:
+            raise BuiltinError(f"{path}:{lineno}: expected {width + 3} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise BuiltinError(f"{path}: empty file") from None
-        prefix, width = parse_header(header, path)
-        ids, values, targets = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 3:
-                raise BuiltinError(f"{path}:{lineno}: expected {width + 3} cells, got {len(row)}")
-            try:
-                cells = list(map(float, row[1:]))
-                ok = all(map(math.isfinite, cells))
-            except ValueError:
-                ok = False
-            if not ok:
-                for cell in row[1:]:  # raises at the row's first bad cell
-                    _parse_cell(cell, f"{path}:{lineno}")
-            if "\r" in row[0]:  # csv.writer leaves \r unquoted, so no reader could split the row
-                raise BuiltinError(f"{path}:{lineno}: sample id {row[0]!r} contains a carriage return")
-            ids.append(row[0])
-            targets.append((cells[-2], cells[-1]))
-            del cells[-2:]
-            values.append(cells)
+            cells = list(map(float, row[1:]))
+            ok = all(map(math.isfinite, cells))
+        except ValueError:
+            ok = False
+        if not ok:
+            for cell in row[1:]:  # raises at the row's first bad cell
+                _parse_cell(cell, f"{path}:{lineno}")
+        if "\r" in row[0]:  # csv.writer leaves \r unquoted, so no reader could split the row
+            raise BuiltinError(f"{path}:{lineno}: sample id {row[0]!r} contains a carriage return")
+        ids.append(row[0])
+        targets.append((cells[-2], cells[-1]))
+        del cells[-2:]
+        values.append(cells)
     return Table(prefix=prefix, ids=ids, values=values, targets=targets)
+
+
+def _load_memo(entry: Path) -> Table | None:
+    """The table memoized at `entry`; None if it is missing or fails its check."""
+    try:
+        blob = memoryview(entry.read_bytes())
+    except OSError:
+        return None
+    if hashlib.sha256(blob[32:]).digest() != blob[:32]:
+        return None
+    try:
+        prefix, ids, values, targets = marshal.loads(blob[32:])
+    except (EOFError, TypeError, ValueError):
+        return None
+    return Table(prefix=prefix, ids=ids, values=values, targets=targets)
+
+
+def _save_memo(table: Table, entry: Path) -> None:
+    payload = marshal.dumps((table.prefix, table.ids, table.values, table.targets))
+    # entry is <cache>/tables/<code digest>/<csv digest>; temp files go to <cache>/tmp
+    tmp = entry.parent.parent.parent / "tmp" / f"table-{os.getpid()}-{os.urandom(8).hex()}"
+    try:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(hashlib.sha256(payload).digest())
+            handle.write(payload)
+        os.replace(tmp, entry)
+    except OSError:  # the memo only saves work: a failed write costs a parse later
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def write_table(table: Table, path: Path | str) -> None:

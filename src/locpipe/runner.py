@@ -37,7 +37,7 @@ from .configmodel import (
 from .errors import EXIT_OK, EXIT_STAGE_FAILURE, ConfigError, StoreError
 from .graph import StageGraph, build_graph, topo_order, upstream_closure
 from .launch import reap_first, spawn_stage
-from .loctk import StageRequest, builtin_version
+from .loctk import StageRequest, builtin_version, table_memo_dir
 from .store import (
     LockEntry,
     LockFile,
@@ -517,6 +517,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             params=select_params(params, stage.params, stage=name),
                             deps=stage.deps,
                             outs=stage.outs,
+                            table_memo=table_memo_dir(project.cache_dir.absolute()),
                         )
                     run_logs.mkdir(parents=True, exist_ok=True)
                     started = time.perf_counter()

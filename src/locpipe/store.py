@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping
 from .canonical import canonical_bytes
 from .configmodel import StageSpec, paths_overlap
 from .errors import StoreError
-from .loctk import builtin_version
+from .loctk import builtin_version, table_memo_dir
 
 HASH_ALGORITHM = "sha256"
 _CHUNK = 1 << 20
@@ -520,8 +520,10 @@ def gc(lock: LockFile, store: ObjectStore) -> int:
     """Remove store objects referenced by no current lock entry; returns removed count.
 
     Then drop each run-cache entry that cannot be read or names an object no
-    longer in the store, and the temp files a crashed write left in the
-    store. Call it holding the project lock, so no write is in flight.
+    longer in the store, every parsed-table memo directory of other builtin
+    code, each memo entry whose CSV digest no lock entry records as a dep or
+    an out, and the temp files a crashed write left in the store. Call it
+    holding the project lock, so no write is in flight.
     """
     refs = referenced_hexes(lock, store)
     removed = 0
@@ -540,6 +542,14 @@ def gc(lock: LockFile, store: ObjectStore) -> int:
         entry = _recorded_run(store, path.stem)
         if entry is None or missing_outs(store, entry):
             path.unlink()
+    memo = table_memo_dir(store.root)
+    recorded = refs.union(*(entry.deps.values() for entry in lock.values()))
+    for stale in (store.root / "tables").glob("*"):
+        if stale != memo:
+            shutil.rmtree(stale)
+    for entry in memo.glob("*"):
+        if entry.name not in recorded:
+            entry.unlink()
     for tmp in (store.root / "tmp").glob("*"):
         tmp.unlink()
     return removed

@@ -1,10 +1,11 @@
-"""Golden output digests of the `baseline` and `scaling` templates.
+"""Golden output digests of the `baseline`, `scaling`, `two-model` and
+`change-cv` templates.
 
 Every builtin's identity is a digest of the builtin code, so any code edit
-re-executes every builtin stage. These digests pin every committed out of two
-full runs, so a change meant to keep output bytes (a speed-up, a refactor)
-shows here that it keeps them. A change that is meant to move bytes updates
-these digests with it.
+re-executes every builtin stage. These digests pin every committed out of
+four full runs (ridge and kNN, k-fold and shuffle splits), so a change meant
+to keep output bytes (a speed-up, a refactor) shows here that it keeps them.
+A change that is meant to move bytes updates these digests with it.
 """
 
 from __future__ import annotations
@@ -45,10 +46,38 @@ GOLDEN = {
         "report/report.md": "7277b392e4a8cf196da7fd762d4e194c1150b518ae3823299117cee32d1ac262",
         "report/summary.csv": "5f784ee7b4dacf4c3ef33d293cf795306bc639ce26c8b0cb7ffa3eb3adf426b1",
     },
+    "two-model": {
+        "data/raw.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepared.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepare_summary.json": "e01881be14f114582d601fbf84bd38c1f9bc12f5eefb6d7e8709fa10e8ff0b83",
+        "data/features.csv": "1ba1f261966456eef2832e832f2cec2651bebd4c89104cf8137a741390037e87",
+        "data/folds.json": "4a9d9ff8ff560a28c90ac30aab4321a912539d5bf27f9a1faa9beb816fc378d0",
+        "out/cv_results.json": "8470c3e856de0f6d491002ff6c3ee9d93905a313298b20c4c50d3a5760c3f455",
+        "out/model.json": "a1a2a140ad2272968834514707c885f2e64d352321100b0bb90da4e914765b92",
+        "out/predictions.csv": "5f0fca9016781aaad7d2927524bde98605f6a6211c11575fa0e8af40537480c4",
+        "out/metrics.json": "d39bfd186517295b20a7c2bcdc8e597d92bb75d2795457dc142c37e22ce854e3",
+        "report/report.md": "ab3075727340910ca52d25b31f195cbd05300d81986f46aa68fbc47faf465c4d",
+        "report/summary.csv": "975adf657534f61cf0e5dc6b4111a3fbfbd79c5b4cc83a2f9d5a656cc88a9e51",
+    },
+    "change-cv": {
+        "data/raw.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepared.csv": "2885c2b4e10f4c219f115310c1842e1da91aefa5e2edca113855d16772e399e6",
+        "data/prepare_summary.json": "e01881be14f114582d601fbf84bd38c1f9bc12f5eefb6d7e8709fa10e8ff0b83",
+        "data/features.csv": "1ba1f261966456eef2832e832f2cec2651bebd4c89104cf8137a741390037e87",
+        "data/folds.json": "e7eb91c7a43f0df798ff6f8d56eed6aa77446e11cf3622407afd55287b903fd7",
+        "out/cv_results.json": "d0209513a1b18f623c247c8c672fb30ad2c77b410689109484e823383ed7333b",
+        "out/model.json": "d98548f839f65017e4ed7d770faa2b1cba55c41c3839cd01e59ed4a5025f1092",
+        "out/predictions.csv": "40a8c23e3e2d9885c2aad3073a569ad4e8a5704c43cdb642ec00dfa26b4bbc36",
+        "out/metrics.json": "d1f38b1d9e7a9414146d051b820ab36fae7145088273258d68f2a27f2776a566",
+        "report/report.md": "fed1e665704efc0a15770490d4ac2e3ec4a31ea2cf0128ae42ddaf3952ca7916",
+        "report/summary.csv": "4aa1116d1ca25433ec3d5bdd7ba913ef2028c257400b3342093d46697282de41",
+    },
 }
 
 
-@pytest.mark.parametrize("template, factor", [("baseline", None), ("scaling", 2)])
+@pytest.mark.parametrize("template, factor", [
+    ("baseline", None), ("scaling", 2), ("two-model", None), ("change-cv", None),
+])
 def test_committed_outs_match_golden_digests(make_project, template, factor):
     project = make_project(template)
     if factor is not None:

@@ -117,8 +117,10 @@ class TestRunGridSearch:
         for agg in cv["aggregates"]:
             rows = [r for r in cv["rows"] if r["candidate"] == agg["candidate"]]
             for key in METRIC_KEYS:
-                mean = sum(r["metrics"][key] for r in rows) / len(rows)
-                assert agg["metrics"][key] == mean
+                total = 0.0
+                for r in rows:  # left to right: builtin sum() compensates from Python 3.12 on
+                    total += r["metrics"][key]
+                assert agg["metrics"][key] == total / len(rows)
 
     def test_selection_is_argmin_of_primary(self):
         table = make_table()
@@ -208,6 +210,55 @@ class TestRunGridSearch:
         cv, _, _, _ = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"])
         assert len(cv["aggregates"]) == 2
         assert {a["model"] for a in cv["aggregates"]} == {"knn", "ridge"}
+
+
+class TestFoldValidation:
+    """A malformed fold is refused with a message naming it, before any scoring."""
+
+    def refused(self, folds: list) -> str:
+        table = make_table(n=10)
+        doc = {"strategy": "kfold", "seed": 0, "n_samples": 10, "folds": folds}
+        with pytest.raises(BuiltinError) as info:
+            run_grid_search(table, doc, RIDGE_GRID, "rmse", ["rmse"])
+        return str(info.value)
+
+    GOOD = {"train": [0, 1, 2, 3, 4], "test": [5, 6, 7, 8, 9]}
+
+    def test_missing_or_non_list_part(self):
+        assert self.refused([self.GOOD, {"test": [0, 1]}]) == (
+            "gridsearch: fold 1: 'train' must be a list of row indices"
+        )
+        assert self.refused([{"train": [0, 1], "test": (2, 3)}]) == (
+            "gridsearch: fold 0: 'test' must be a list of row indices"
+        )
+        assert self.refused([self.GOOD, [0, 1]]) == (
+            "gridsearch: fold 1: must be a mapping with 'train' and 'test' index lists"
+        )
+
+    def test_non_int_index(self):
+        assert self.refused([self.GOOD, {"train": [0, 1.0, 2], "test": [5]}]) == (
+            "gridsearch: fold 1: train index 1.0 is not an int"
+        )
+
+    def test_bool_index(self):
+        assert self.refused([{"train": [0, 1], "test": [5, True]}]) == (
+            "gridsearch: fold 0: test index True is not an int"
+        )
+
+    def test_index_out_of_range(self):
+        assert self.refused([self.GOOD, {"train": [0, 1], "test": [9, 10]}]) == (
+            "gridsearch: fold 1: test index 10 out of range for 10 rows"
+        )
+        assert self.refused([{"train": [-1, 1], "test": [5]}]) == (
+            "gridsearch: fold 0: train index -1 out of range for 10 rows"
+        )
+
+    def test_test_rows_in_train_refused(self):
+        # scored silently, such a fold reports a near-zero error for a leak
+        leaky = {"train": list(range(10)), "test": [7, 3]}
+        assert self.refused([self.GOOD, leaky]) == (
+            "gridsearch: fold 1: test index 3 is also a train index"
+        )
 
 
 RIDGE_SWEEP = {"ridge": {"alpha": [0.0, 0.5, 10.0], "fit_intercept": [True, False]}}

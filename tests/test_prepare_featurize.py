@@ -6,6 +6,7 @@ import pytest
 
 from locpipe.canonical import fmt_num
 from locpipe.errors import BuiltinError
+from locpipe.loctk import StageRequest, run_builtin
 from locpipe.loctk.featurize import featurize, parse_transforms
 from locpipe.loctk.gridsearch import predictions_csv
 from locpipe.loctk.prepare import prepare_rows
@@ -147,6 +148,19 @@ class TestFeaturize:
         assert a == 10.0 ** (-60.0 / 10.0)
         assert b == -40.0  # mw value 1e-8 then clipped up to lo... deliberately different
         assert a != b
+
+    def test_dbm_to_mw_overflow_names_stage_and_value(self, tmp_path):
+        prepared = tmp_path / "prepared.csv"
+        write_table(make_table([[-30.0], [3100.0]]), prepared)
+        request = StageRequest(
+            stage="feat", builtin="loc.featurize",
+            params={"featurize.transforms": ["dbm_to_mw"]},
+            deps=(str(prepared),), outs=(str(tmp_path / "features.csv"),),
+        )
+        with pytest.raises(BuiltinError) as info:
+            run_builtin("loc.featurize", request)
+        assert str(info.value) == "stage 'feat': dbm_to_mw overflows on value 3100.0"
+        assert not (tmp_path / "features.csv").exists()
 
     def test_clip_lo_above_hi(self):
         with pytest.raises(BuiltinError, match="lo"):
