@@ -37,7 +37,11 @@ class _StrictLoader(yaml.SafeLoader):
     """SafeLoader that refuses duplicate mapping keys instead of keeping the last."""
 
 
-def _strict_construct_mapping(loader: _StrictLoader, node: yaml.Node, deep: bool = False) -> dict:
+class _FastStrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
+    """The same strict loader on libyaml's parser, where PyYAML was built with it."""
+
+
+def _strict_construct_mapping(loader: yaml.BaseLoader, node: yaml.Node, deep: bool = False) -> dict:
     mapping: dict = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
@@ -55,15 +59,29 @@ def _strict_construct_mapping(loader: _StrictLoader, node: yaml.Node, deep: bool
     return mapping
 
 
-_StrictLoader.construct_mapping = _strict_construct_mapping  # type: ignore[method-assign]
-_StrictLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
-    lambda loader, node: _strict_construct_mapping(loader, node),
-)
+for _loader in (_StrictLoader, _FastStrictLoader):
+    _loader.construct_mapping = _strict_construct_mapping  # type: ignore[method-assign]
+    _loader.add_constructor(
+        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+        lambda loader, node: _strict_construct_mapping(loader, node),
+    )
+
+
+# The text libyaml may parse. A differential test of the two loaders found
+# libyaml accepting text the pure-Python loader refuses (tabs, '?' in a flow
+# sequence, a comment right after a block scalar indicator) or reading another
+# value (an empty '!' tag, a byte-order mark). Text outside these characters
+# goes to the pure-Python loader alone.
+_LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n\r_.:,\[\]{}'\"#/+=~<()*&;$^\\-]*")
 
 
 def _load_yaml(text: str, filename: str) -> object:
     try:
+        if _LIBYAML_TEXT.fullmatch(text):
+            try:
+                return yaml.load(text, Loader=_FastStrictLoader)
+            except yaml.YAMLError:
+                pass  # libyaml words its errors differently: the pure-Python loader's error stands
         return yaml.load(text, Loader=_StrictLoader)
     except ConfigError as exc:
         raise ConfigError(f"{filename}: {exc}") from None

@@ -3,10 +3,16 @@ and reap children. The child gets the stage's logs on fds 1 and 2, the
 project root as cwd and a scrubbed environment. The cache, the lock and the
 stage graph stay in `runner`; this module imports none of them. While
 children run, the orchestrator blocks on their pidfds rather than polling.
+
+A builtin child starts warm: the orchestrator imports the builtin's module
+just before the fork, so each module is compiled once per run rather than
+once per stage, and it freezes its heap around the fork, so the child's
+collections never walk (and copy-on-write) the orchestrator's objects.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import select
 import signal
@@ -17,7 +23,7 @@ from typing import NoReturn
 
 from .configmodel import StageSpec
 from .errors import LocpipeError
-from .loctk import StageRequest, run_builtin
+from .loctk import StageRequest, load_builtin, run_builtin
 
 # Environment scrubbing: stages see only this allowlist plus names they
 # declare in `env`, so nothing can silently depend on ambient variables.
@@ -36,8 +42,14 @@ def spawn_stage(
 
     Only the calling thread exists in a forked child, so the caller must be
     a process that has started no threads. A builtin runs `request` in the
-    child; a `cmd` stage (request None) execs `/bin/sh -c`.
+    child, which inherits the builtin's module imported here; a `cmd` stage
+    (request None) execs `/bin/sh -c`.
     """
+    if request is not None:
+        try:
+            load_builtin(request.builtin)
+        except (Exception, SystemExit):
+            pass  # the child imports it again and fails its own stage, with the traceback in its log
     for out in stage.outs:
         (root / out).parent.mkdir(parents=True, exist_ok=True)
     env = {key: os.environ[key] for key in (*ENV_ALLOWLIST, *stage.env) if key in os.environ}
@@ -46,9 +58,13 @@ def spawn_stage(
     sys.stderr.flush()
     with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
         rss = _resident_bytes()
-        pid = os.fork()
-        if pid == 0:
-            _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
+        gc.freeze()  # the child never unfreezes; this process does, right after the fork
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
+        finally:
+            gc.unfreeze()
     return pid, rss
 
 

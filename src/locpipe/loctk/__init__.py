@@ -2,10 +2,12 @@
 
 Each builtin is a deterministic function from (params, deps) to declared
 outs. The orchestrator forks a child per executed stage, and the child calls
-``run_builtin`` on the stage's in-memory ``StageRequest``; only the child
-imports the builtin's module. Every builtin's identity is one digest of the
-code it runs (`builtin_version`), so any edit to this package or to
-``canonical.py`` invalidates every cached builtin stage.
+``run_builtin`` on the stage's in-memory ``StageRequest``. Just before that
+fork the orchestrator imports the builtin's module (``load_builtin``), so the
+child inherits its compiled code; only the child calls the module's ``run``.
+Every builtin's identity is one digest of the code it runs
+(`builtin_version`), so any edit to this package or to ``canonical.py``
+invalidates every cached builtin stage.
 
 The table readers may memoize parses under `table_memo_dir`: a memo entry is
 keyed by the CSV's content digest, inside a directory named after the same
@@ -20,6 +22,7 @@ import importlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import ModuleType
 
 from ..errors import BuiltinError, ConfigError
 
@@ -95,12 +98,22 @@ class StageRequest:
         return Path(self.outs[index])
 
 
-def run_builtin(builtin_id: str, request: StageRequest) -> None:
+def load_builtin(builtin_id: str) -> ModuleType:
+    """Import a builtin's module, or return it if it is already loaded.
+
+    Importing one runs no builtin code: it starts no thread and changes
+    neither the working directory nor the environment, so the orchestrator
+    may import it before it forks.
+    """
     if builtin_id not in _REGISTRY:
         raise ConfigError(f"unknown builtin '{builtin_id}'")
+    return importlib.import_module(_REGISTRY[builtin_id])
+
+
+def run_builtin(builtin_id: str, request: StageRequest) -> None:
+    module = load_builtin(builtin_id)
     if request.builtin != builtin_id:
         raise BuiltinError(f"request was built for '{request.builtin}', not '{builtin_id}'")
-    module = importlib.import_module(_REGISTRY[builtin_id])
     module.run(request)
 
 

@@ -44,7 +44,6 @@ from .store import (
     ObjectStore,
     cache_lookup,
     commit_outputs,
-    hash_file,
     hash_path,
     load_lock,
     missing_outs,
@@ -106,17 +105,27 @@ class Project:
                 return Project(root=candidate)
         raise ConfigError(f"no {PIPELINE_FILE} found in {current} or any parent directory")
 
-    def load(self) -> tuple[PipelineSpec, dict]:
+    def load(self, config_hashes: dict[str, str] | None = None) -> tuple[PipelineSpec, dict]:
+        """Parse and validate both config files. `config_hashes`, when given,
+        receives the SHA-256 of the bytes parsed, keyed by file name."""
         try:
-            pipeline_text = self.pipeline_path.read_text(encoding="utf-8")
+            pipeline_text = _read_config(self.pipeline_path, config_hashes)
         except FileNotFoundError:
             raise ConfigError(f"missing {self.pipeline_path}") from None
         spec = parse_pipeline(pipeline_text, PIPELINE_FILE)
+        params = {}
         if self.params_path.exists():
-            params = parse_params(self.params_path.read_text(encoding="utf-8"), PARAMS_FILE)
-        else:
-            params = {}
+            params = parse_params(_read_config(self.params_path, config_hashes), PARAMS_FILE)
         return spec, params
+
+
+def _read_config(path: Path, config_hashes: dict[str, str] | None) -> str:
+    """A config file's text, with the newline translation `Path.read_text`
+    applies; its bytes' SHA-256 goes to `config_hashes` when given."""
+    data = path.read_bytes()
+    if config_hashes is not None:
+        config_hashes[path.name] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 @dataclass(frozen=True)
@@ -218,11 +227,14 @@ class ExecutionPlan:
     entries: tuple[PlanEntry, ...]
 
 
-def _load_plan(project: Project, opts: ExecOptions) -> tuple[PipelineSpec, dict, StageGraph, list[str]]:
-    """Load the config and order the planned stages: the targets and their
-    upstream closure, or every stage. Fails fast, before anything runs, on an
-    unknown target, an unresolvable param or an unknown builtin."""
-    spec, params = project.load()
+def _load_plan(
+    project: Project, opts: ExecOptions, config_hashes: dict[str, str] | None = None
+) -> tuple[PipelineSpec, dict, StageGraph, list[str]]:
+    """Load the config (see `Project.load` for `config_hashes`) and order the
+    planned stages: the targets and their upstream closure, or every stage.
+    Fails fast, before anything runs, on an unknown target, an unresolvable
+    param or an unknown builtin."""
+    spec, params = project.load(config_hashes)
     graph = build_graph(spec)
     planned = topo_order(graph)
     if opts.targets:
@@ -421,18 +433,11 @@ def _make_run_id() -> str:
     return now.strftime("%Y%m%dT%H%M%S%fZ") + "-" + salt
 
 
-def _config_hashes(project: Project) -> dict[str, str]:
-    hashes = {}
-    for path in (project.pipeline_path, project.params_path):
-        if path.exists():
-            hashes[path.name] = hash_file(path)
-    return hashes
-
-
 def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     """Execute the plan. Raises ConfigError/StoreError for environment-level
     problems; stage failures are reported through the returned RunReport."""
-    spec, params, graph, planned = _load_plan(project, opts)
+    config_hashes: dict[str, str] = {}  # of the bytes parsed, not of the files as the run leaves them
+    spec, params, graph, planned = _load_plan(project, opts, config_hashes)
     producers = graph.producers()
 
     run_id = _make_run_id()
@@ -541,7 +546,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 },
                 "results": [r.to_json() for r in ordered],
                 "tool_version": __version__,
-                "config_hashes": _config_hashes(project),
+                "config_hashes": config_hashes,
             }
             manifest_path = project.runs_dir / f"{run_id}.json"
             manifest_path.write_bytes(canonical_bytes(manifest) + b"\n")

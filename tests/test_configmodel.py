@@ -2,7 +2,10 @@ import copy
 import random
 
 import pytest
+import yaml
 
+from locpipe import configmodel
+from locpipe.canonical import canonical_bytes
 from locpipe.configmodel import (
     canonicalize,
     parse_params,
@@ -10,6 +13,7 @@ from locpipe.configmodel import (
     select_params,
 )
 from locpipe.errors import ConfigError
+from locpipe.templates import TEMPLATES
 
 FOUR_STAGE = """\
 version: 1
@@ -194,3 +198,85 @@ class TestCanonicalize:
         one = parse_params("alpha: 2.50")
         two = parse_params("alpha: 2.5")
         assert canonicalize(one) == canonicalize(two) == b'{"alpha":2.5}'
+
+
+# ---------------------------------------------------------------------------
+# The two YAML loaders: libyaml where it is safe, pure Python otherwise
+
+
+@pytest.fixture
+def pure_python_loader(monkeypatch):
+    """Parse every text with the pure-Python loader, as where PyYAML lacks libyaml."""
+    monkeypatch.setattr(configmodel, "_FastStrictLoader", configmodel._StrictLoader)
+
+
+@pytest.mark.usefixtures("pure_python_loader")
+class TestParsePipelinePurePython(TestParsePipeline):
+    pass
+
+
+@pytest.mark.usefixtures("pure_python_loader")
+class TestParseParamsPurePython(TestParseParams):
+    pass
+
+
+def _types(doc: object) -> object:
+    if isinstance(doc, dict):
+        return {key: _types(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_types(value) for value in doc]
+    return type(doc).__name__
+
+
+def _outcome(text: str) -> tuple[str, str]:
+    try:
+        return "ok", repr(configmodel._load_yaml(text, "f.yaml"))
+    except ConfigError as exc:
+        return "error", str(exc)
+
+
+# Fragments of YAML text; the first row stays inside `_LIBYAML_TEXT`, the
+# second has inputs on which the two loaders were seen to disagree.
+_FRAGMENTS = [
+    "a", "b", ":", " ", "\n", "  ", "- ", "[", "]", "{", "}", ",", "'", '"', " #c", "1", "1.5",
+    "1e3", ".inf", "&x ", "*x", "<<: ", "~", "null", "0x1F", "yes", "2021-01-01", "\r\n", "\\",
+    "\t", "?", "|", ">", "!", "%", "@", "\ufeff", "é", "!!str ", "---",
+]
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_templates_parse_alike_on_both_loaders(self, template):
+        for name, text in TEMPLATES[template].items():
+            if not name.endswith(".yaml"):
+                continue
+            assert configmodel._LIBYAML_TEXT.fullmatch(text), name
+            fast = yaml.load(text, Loader=configmodel._FastStrictLoader)
+            pure = yaml.load(text, Loader=configmodel._StrictLoader)
+            assert canonical_bytes(fast) == canonical_bytes(pure)
+            assert _types(fast) == _types(pure)
+
+    @pytest.mark.parametrize("text", [
+        "a: !\n",          # libyaml reads '', the pure-Python loader None
+        "x: [a.?b]\n",     # libyaml accepts '?' inside a flow scalar
+        "a: b\tc\n",       # libyaml accepts a tab inside a plain scalar
+        "a: >#c\n",        # libyaml accepts a comment right after '>'
+    ])
+    def test_text_the_loaders_disagree_on_takes_the_pure_python_reading(self, text, monkeypatch):
+        shipped = _outcome(text)
+        monkeypatch.setattr(configmodel, "_FastStrictLoader", configmodel._StrictLoader)
+        assert shipped == _outcome(text)
+
+    def test_random_texts_load_alike_on_both_loaders(self, monkeypatch):
+        rng = random.Random(20261018)
+        texts = []
+        for _ in range(1500):
+            if rng.random() < 0.3:
+                base = rng.choice([t for files in TEMPLATES.values() for t in files.values()])
+                at = rng.randrange(len(base) + 1)
+                texts.append(base[:at] + "".join(rng.choices(_FRAGMENTS, k=rng.randint(1, 3))) + base[at:])
+            else:
+                texts.append("".join(rng.choices(_FRAGMENTS, k=rng.randint(1, 25))))
+        shipped = [_outcome(text) for text in texts]
+        monkeypatch.setattr(configmodel, "_FastStrictLoader", configmodel._StrictLoader)
+        assert shipped == [_outcome(text) for text in texts]

@@ -1,5 +1,7 @@
 """Orchestrator behavior on small hand-built pipelines (real child processes)."""
 
+import gc
+import hashlib
 import json
 import os
 import shutil
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from conftest import edit_params, executed_stages, run, tree_snapshot, write_params, write_pipeline
-from locpipe import launch, loctk, runner
+from locpipe import cli, launch, loctk, runner
+from locpipe.configmodel import StageSpec
 from locpipe.errors import ConfigError
 from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
@@ -190,6 +193,22 @@ class TestRepro:
         assert doc["results"][0]["action"] == "failed"
         assert doc["tool_version"]
         assert set(doc["config_hashes"]) == {"pipeline.yaml", "params.yaml"}
+
+    def test_manifest_hashes_the_config_bytes_parsed(self, tmp_path):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {
+            "edit": {"cmd": "echo '# edited' >> params.yaml && echo x > o.txt", "outs": ["o.txt"]},
+        })
+        write_params(root, {"knob": 1})
+        parsed = {
+            name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in ("pipeline.yaml", "params.yaml")
+        }
+        report = run(Project(root=root))
+        assert report.executed == 1
+        assert hashlib.sha256((root / "params.yaml").read_bytes()).hexdigest() != parsed["params.yaml"]
+        assert json.loads(report.manifest_path.read_text())["config_hashes"] == parsed
 
     def test_param_fingerprinting(self, tmp_path):
         root = tmp_path / "proj"
@@ -391,6 +410,42 @@ class TestForkedStages:
         stdin = [0] if 0 in _open_fds() else []
         assert json.loads((root / "fds.json").read_text()) == [*stdin, 1, 2]
 
+    def test_builtin_module_global_unseen_by_next_stage(self, probe):
+        root, actions, make = probe
+        module = loctk.load_builtin("test.probe")
+        module.calls = []  # the value the orchestrator's copy of the module holds
+
+        def record(request):
+            module.calls.append(request.stage)
+            request.out(0, "calls").write_text(json.dumps(module.calls))
+
+        actions.update(a=record, b=record)
+        project = make({
+            "a": {"outs": ["a.json"]},
+            "b": {"deps": ["a.json"], "outs": ["b.json"]},
+        })
+        assert run(project).executed == 2
+        assert json.loads((root / "a.json").read_text()) == ["a"]
+        assert json.loads((root / "b.json").read_text()) == ["b"]
+        assert module.calls == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    def test_heap_frozen_in_the_child_only(self, probe, enabled):
+        root, actions, make = probe
+        actions["s"] = lambda request: request.out(0, "frozen").write_text(str(gc.get_freeze_count()))
+        stage = StageSpec("s", builtin="test.probe", outs=("s.txt",))
+        request = loctk.StageRequest(stage="s", builtin="test.probe", outs=("s.txt",))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            pid, _ = launch.spawn_stage(stage, request, root, root / "s.out", root / "s.err")
+            assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        _, status, _ = launch.reap_first([pid])
+        assert os.waitstatus_to_exitcode(status) == 0, (root / "s.err").read_text()
+        assert int((root / "s.txt").read_text()) > 0
+
     @pytest.mark.parametrize("fault, expected", [
         (_raise_runtime_error, "RuntimeError: probe fault"),
         (lambda request: sys.exit(3), "SystemExit: 3"),
@@ -490,6 +545,97 @@ class TestLaunchBoundary:
             check=True, timeout=60,
         )
         assert proc.stdout == "[]\n"
+
+
+@pytest.fixture(params=[
+    ('raise RuntimeError("broken at import")\n', "RuntimeError: broken at import"),
+    ("import sys\nsys.exit(3)\n", "SystemExit: 3"),
+], ids=["raises", "sys-exit"])
+def broken_builtin(request, monkeypatch, tmp_path):
+    """Register the builtin `test.broken`, whose module fails at import, and
+    return the last line of that failure's traceback."""
+    source, expected = request.param
+    modules = tmp_path / "modules"
+    modules.mkdir()
+    (modules / "locpipe_test_broken.py").write_text(source)
+    monkeypatch.syspath_prepend(str(modules))
+    monkeypatch.setitem(loctk._REGISTRY, "test.broken", "locpipe_test_broken")
+    return expected
+
+
+class TestWarmFork:
+    """The orchestrator imports a builtin's module just before forking its
+    stage, and never calls its `run`."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_import_failure_fails_only_its_stage(self, broken_builtin, tmp_path, monkeypatch, capsys, jobs):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {
+            "broken": {"builtin": "test.broken", "outs": ["broken.txt"]},
+            "good": {"cmd": "echo ok > good.txt", "outs": ["good.txt"]},
+        })
+        write_params(root, {})
+        monkeypatch.chdir(root)
+        assert cli.main(["repro", "--jobs", str(jobs)]) == 1
+        out = capsys.readouterr().out
+        assert "broken: failed (never run; command exited with status 1)" in out and "good: executed" in out
+        assert (root / "good.txt").read_text() == "ok\n"
+        [err] = root.glob(".locpipe/logs/*/broken.err")
+        text = err.read_text()
+        assert "Traceback (most recent call last)" in text and broken_builtin in text
+        assert "locpipe_test_broken" not in sys.modules
+
+    def test_orchestrator_imports_the_builtins_it_forks(self, tmp_path):
+        root = tmp_path / "exp"
+        init_experiment(root, "baseline")
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from locpipe import loctk\n"
+            "from locpipe.runner import ExecOptions, Project, repro\n"
+            f"report = repro(Project(root=Path({str(root)!r})), ExecOptions(targets=('split',)))\n"
+            "assert report.executed == 3\n"
+            "print(sorted(b for b, m in loctk._REGISTRY.items() if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout == "['loc.prepare', 'loc.split', 'loc.synth']\n"
+
+    def test_cached_run_imports_no_builtin_module(self, warm_baseline, tmp_path):
+        project = _copy_of(warm_baseline, tmp_path)
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from locpipe.runner import Project, repro\n"
+            f"assert repro(Project(root=Path({str(project.root)!r}))).cached == 6\n"
+            "print(sorted(m for m in sys.modules if m.startswith('locpipe.loctk.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout == "[]\n"
+
+    def test_importing_every_builtin_starts_no_thread_and_keeps_cwd_and_env(self):
+        code = (
+            "import os, sys, threading\n"
+            "from locpipe import loctk\n"
+            "def state():\n"
+            "    tasks = os.listdir('/proc/self/task') if os.path.isdir('/proc/self/task') else []\n"
+            "    return threading.active_count(), len(tasks), os.getcwd(), dict(os.environ)\n"
+            "before = state()\n"
+            "for builtin in loctk.builtin_ids():\n"
+            "    loctk.load_builtin(builtin)\n"
+            "print(state() == before, sorted(set(loctk._REGISTRY.values()) - set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout == "True []\n"
 
 
 class TestParallel:
