@@ -91,6 +91,9 @@ def _load_yaml(text: str, filename: str) -> object:
         raise ConfigError(f"{where}: {exc.problem or exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{filename}: {exc}") from None
+    except RecursionError:
+        # PyYAML composes and constructs nested nodes recursively
+        raise ConfigError(f"{filename}: nesting too deep to parse") from None
 
 
 # ---------------------------------------------------------------------------

@@ -71,32 +71,24 @@ def build_report(inputs: list[tuple[str, dict]]) -> tuple[str, str]:
         else:
             metric_sources.append((name, doc))
 
-    table_rows = []
+    header = ["source", "candidate", "model", "params", *METRIC_KEYS, "selected"]
+    table_rows = []  # the cells of each row, shared by the Markdown table and the CSV
     for name, doc in cv_sources:
         selected = doc.get("selected")
         for agg in sorted(doc["aggregates"], key=lambda a: a["candidate"]):
-            table_rows.append({
-                "source": name,
-                "candidate": agg["candidate"],
-                "model": agg["model"],
-                "params": canonical_json(agg["params"]),
-                "metrics": agg["metrics"],
-                "selected": agg["candidate"] == selected,
-            })
+            table_rows.append([
+                name, str(agg["candidate"]), agg["model"], canonical_json(agg["params"]),
+                *(_cell(agg["metrics"].get(key, "")) for key in METRIC_KEYS),
+                "yes" if agg["candidate"] == selected else "",
+            ])
 
     md = io.StringIO()
     md.write("# Experiment report\n")
     if table_rows:
         md.write("\n## Cross-validation aggregates\n\n")
-        header = ["source", "candidate", "model", "params", *METRIC_KEYS, "selected"]
         md.write("| " + " | ".join(header) + " |\n")
         md.write("|" + "---|" * len(header) + "\n")
-        for row in table_rows:
-            cells = [
-                row["source"], str(row["candidate"]), row["model"], row["params"],
-                *(_cell(row["metrics"].get(key, "")) for key in METRIC_KEYS),
-                "yes" if row["selected"] else "",
-            ]
+        for cells in table_rows:
             md.write("| " + " | ".join(cells) + " |\n")
     if metric_sources:
         md.write("\n## Recorded metrics\n\n")
@@ -106,14 +98,7 @@ def build_report(inputs: list[tuple[str, dict]]) -> tuple[str, str]:
                 md.write(f"| {name} | {key} | {_cell(value)} |\n")
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "candidate", "model", "params", *METRIC_KEYS, "selected"])
-    for row in table_rows:
-        writer.writerow([
-            row["source"], str(row["candidate"]), row["model"], row["params"],
-            *(_cell(row["metrics"].get(key, "")) for key in METRIC_KEYS),
-            "yes" if row["selected"] else "",
-        ])
+    csv.writer(buf, lineterminator="\n").writerows([header, *table_rows])
     return md.getvalue(), buf.getvalue()
 
 

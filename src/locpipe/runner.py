@@ -7,6 +7,13 @@ reasons. `repro` runs one loop that either dispatches the next ready stage
 (skip, fail, restore, or fork through `launch.spawn_stage`) or reaps a child
 and commits its outs. Every invocation writes a run manifest, even when
 stages fail.
+
+`plan`, `status` and `repro` find a dep's hash by one rule, `dep_hash`: a
+dep that overlaps an out the run has restored or committed (in `plan`, will
+restore) gets the hash of that out's recorded bytes, so `repro` never hashes
+such an out again. After a stage runs, `_stage_failure` hashes each of its
+deps in the workspace, and a dep that does not hold its recorded bytes fails
+the stage.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Mapping
 
 from . import __version__
 from .canonical import canonical_bytes
@@ -42,6 +49,7 @@ from .store import (
     LockEntry,
     LockFile,
     ObjectStore,
+    OutRecord,
     cache_lookup,
     commit_outputs,
     hash_path,
@@ -125,7 +133,11 @@ def _read_config(path: Path, config_hashes: dict[str, str] | None) -> str:
     data = path.read_bytes()
     if config_hashes is not None:
         config_hashes[path.name] = hashlib.sha256(data).hexdigest()
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @dataclass(frozen=True)
@@ -268,19 +280,31 @@ class StageState:
     reasons: tuple[str, ...] = ()
 
 
+def dep_hash(store: ObjectStore, known: Mapping[str, OutRecord], root: Path, dep: str) -> str | None:
+    """The hash `dep` has when its stage runs, or None if it is missing.
+
+    `known` maps the path of every out this run has restored or committed so
+    far (or, in `plan`, will restore) to its record. A dep that overlaps one
+    of them gets the hash those recorded bytes give it; any other dep is
+    hashed in the workspace. So no out is hashed again once it is recorded.
+    """
+    if any(paths_overlap(dep, out) for out in known):
+        return restored_hash(store, known, root, dep)
+    path = root / dep
+    return hash_path(path)[0] if path.exists() else None
+
+
 def resolve_stage(
     stage: StageSpec,
     params: dict,
     lock: LockFile,
     store: ObjectStore,
-    dep_hash: Callable[[str], str | None],
+    root: Path,
+    known: Mapping[str, OutRecord],
 ) -> StageState:
-    """The one place dep hashes become a fingerprint and a cache decision.
-
-    `dep_hash` gives the content hash a dep will have when the stage runs,
-    or None if it will be missing.
-    """
-    found = {dep: dep_hash(dep) for dep in stage.deps}
+    """The one place dep hashes become a fingerprint and a cache decision;
+    each dep is hashed by `dep_hash`."""
+    found = {dep: dep_hash(store, known, root, dep) for dep in stage.deps}
     dep_hashes = {dep: ch for dep, ch in found.items() if ch is not None}
     missing = [dep for dep, ch in found.items() if ch is None]
     current = select_params(params, stage.params, stage=stage.name)
@@ -341,34 +365,6 @@ def _miss_reasons(
     return tuple(reasons) or ("fingerprint",)
 
 
-def _workspace_hash(root: Path, dep: str) -> str | None:
-    path = root / dep
-    return hash_path(path)[0] if path.exists() else None
-
-
-def _predicting_resolver(project: Project, params: dict) -> Callable[[StageSpec], StageState]:
-    """`resolve_stage` for stages given in topological order, against the
-    workspace as `repro` will find it and without touching it: a dep that
-    overlaps an out a cached upstream stage will restore gets the hash it
-    will have after that restore, any other dep its workspace hash."""
-    lock = load_lock(project.lock_path)
-    store = ObjectStore(project.cache_dir)
-    restored: dict = {}  # out path -> record of every out a cached upstream stage restores
-
-    def dep_hash(dep: str) -> str | None:
-        if any(paths_overlap(dep, out) for out in restored):
-            return restored_hash(store, restored, project.root, dep)
-        return _workspace_hash(project.root, dep)
-
-    def resolve(stage: StageSpec) -> StageState:
-        state = resolve_stage(stage, params, lock, store, dep_hash)
-        if state.hit is not None:
-            restored.update(state.hit.outs)
-        return state
-
-    return resolve
-
-
 def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     """Predict the action for every planned stage without touching the workspace.
 
@@ -381,10 +377,14 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     """
     spec, params, graph, planned = _load_plan(project, opts)
     producers = graph.producers()
-    resolve = _predicting_resolver(project, params)
+    lock = load_lock(project.lock_path)
+    store = ObjectStore(project.cache_dir)
+    known: dict[str, OutRecord] = {}  # every out a cached stage will restore
     entries: dict[str, PlanEntry] = {}
     for name in planned:
-        state = resolve(spec.stages[name])
+        state = resolve_stage(spec.stages[name], params, lock, store, project.root, known)
+        if state.hit is not None:
+            known.update(state.hit.outs)
         blocked_up = [p for p in producers[name] if entries[p].action == "blocked"]
         running_up = [p for p in producers[name] if entries[p].action == "run"]
         # a missing dep is waited for only if an upstream stage that will run may produce it
@@ -417,8 +417,9 @@ def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Pa
     missing = [o for o in stage.outs if not (root / o).exists()]
     if missing:
         return f"declared out not produced: {missing[0]}"
-    # A stage must not rewrite its own inputs; that would make the recorded
-    # fingerprint a lie.
+    # A stage must not rewrite its own inputs, nor run on a dep whose bytes
+    # differ from its recorded hash (a restore from a damaged store object);
+    # either would make the recorded fingerprint a lie.
     for dep, before in state.dep_hashes.items():
         if hash_path(root / dep)[0] != before:
             return f"stage modified its own dependency: {dep}"
@@ -448,6 +449,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     with project_lock(project):
         store = ObjectStore(project.cache_dir)
         lock = load_lock(project.lock_path)
+        known: dict[str, OutRecord] = {}  # every out restored or committed so far
         pending = list(planned)
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
@@ -484,6 +486,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             state.dep_hashes, state.params_canonical, project.root,
                         )
                         record_run(store, entry)
+                        known.update(entry.outs)
                         lock[stage.name] = entry
                         write_lock(lock, project.lock_path)
                     results[stage.name] = result
@@ -496,9 +499,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     results[name] = StageResult(name, "skipped", reason=f"upstream failure: {bad[0]}")
                     continue
                 stage = spec.stages[name]
-                state = resolve_stage(
-                    stage, params, lock, store, lambda dep: _workspace_hash(project.root, dep)
-                )
+                state = resolve_stage(stage, params, lock, store, project.root, known)
                 if state.missing_deps:
                     results[name] = StageResult(
                         name, "failed", reason=f"missing dependency: {state.missing_deps[0]}"
@@ -506,6 +507,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 elif state.hit is not None and not opts.force:
                     restore_start = time.perf_counter()
                     restore_outputs(store, state.hit, project.root)
+                    known.update(state.hit.outs)
                     results[name] = StageResult(
                         name, "cached", wall_s=time.perf_counter() - restore_start
                     )

@@ -85,6 +85,31 @@ class TestReproCli:
         assert main(["status"]) == 2
 
 
+def _nested_mapping(depth: int) -> str:
+    """A block mapping `extra: {a: {a: ...}}` nested `depth` levels deep."""
+    lines = ["extra:", *("  " * level + "a:" for level in range(1, depth)), "  " * depth + "a: 1"]
+    return "\n".join(lines) + "\n"
+
+
+class TestUnreadableConfig:
+    """A config file that cannot be read is a config error naming the file, exit 2."""
+
+    @pytest.mark.parametrize("filename, command", [("params.yaml", "status"), ("pipeline.yaml", "dag")])
+    def test_deep_nesting(self, in_project, capsys, filename, command):
+        with open(in_project / filename, "a") as handle:
+            handle.write(_nested_mapping(2000))
+        assert main([command]) == 2
+        assert capsys.readouterr().err == f"error: {filename}: nesting too deep to parse\n"
+
+    def test_non_utf8_params(self, in_project, capsys):
+        params = in_project / "params.yaml"
+        offset = params.stat().st_size + len(b'extra: "')
+        with open(params, "ab") as handle:
+            handle.write(b'extra: "\xff"\n')
+        assert main(["status"]) == 2
+        assert capsys.readouterr().err == f"error: params.yaml: not valid UTF-8 at byte {offset}\n"
+
+
 class TestOtherCommands:
     def test_dag_plain_and_dot(self, in_project, capsys):
         assert main(["dag"]) == 0

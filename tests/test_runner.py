@@ -829,6 +829,16 @@ def _store_object(project: Project, stage: str, out: str):
     return project.cache_dir / "sha256" / hexd[:2] / hexd[2:]
 
 
+def _damage_raw_csv_object(project: Project) -> None:
+    """Flip one digit of a value in the stored object of `data/raw.csv`; the
+    damaged bytes still parse as the same table shape."""
+    obj = _store_object(project, "synth", "data/raw.csv")
+    data = bytearray(obj.read_bytes())
+    last_digit = data.index(b"\n", len(data) // 2) - 1
+    data[last_digit] ^= 0x01
+    obj.write_bytes(bytes(data))
+
+
 def _edit_lock_fingerprint(project: Project, stage: str) -> None:
     doc = json.loads(project.lock_path.read_text())
     doc["stages"][stage]["fingerprint"] = "0" * 64
@@ -878,6 +888,7 @@ AGREEMENT_CASES = [
      {"prepare": ("params: prepare.fill_value",)}),
     ("cached-out-edited", "baseline", lambda p: _append(p.root / "data/features.csv", "1,2\n"), {}),
     ("cached-out-deleted", "baseline", lambda p: (p.root / "data/folds.json").unlink(), {}),
+    ("store-object-damaged", "baseline", _damage_raw_csv_object, {}),
     ("return-to-earlier-value", "baseline", _alpha_there_and_back, {}),
 ]
 
@@ -946,6 +957,25 @@ class TestStatusPlanReproAgree:
         assert lock["gridsearch"] == first_lock["gridsearch"]
         assert lock == first_lock
 
+    def test_stage_run_on_damaged_dep_fails_and_commits_nothing(self, warm_baseline, tmp_path):
+        project = _copy_of(warm_baseline, tmp_path)
+        _damage_raw_csv_object(project)
+        edit_params(project, "prepare.fill_value", -101.0)
+        lock = project.lock_path.read_bytes()
+        runcache = tree_snapshot(project.cache_dir / "runcache")
+        report = run(project)
+        results = {r.stage: r for r in report.results}
+        assert results["synth"].action == "cached"
+        assert results["prepare"].action == "failed"
+        assert results["prepare"].reason == (
+            "params: prepare.fill_value; stage modified its own dependency: data/raw.csv"
+        )
+        assert {n for n, r in results.items() if r.action == "skipped"} == {
+            "featurize", "split", "gridsearch", "report",
+        }
+        assert project.lock_path.read_bytes() == lock
+        assert tree_snapshot(project.cache_dir / "runcache") == runcache
+
     def test_failed_stage_keeps_why_it_ran(self, warm_baseline, tmp_path, monkeypatch, capsys):
         from locpipe.cli import main
 
@@ -992,7 +1022,8 @@ class TestStoreCallsThroughRunner:
         assert calls == Counter(cache_lookup=6)
         calls.clear()
         assert run(baseline_project).cached == 6
-        assert calls == Counter(cache_lookup=6, hash_path=7)
+        # a no-op repro makes exactly the calls plan makes
+        assert calls == Counter(cache_lookup=6)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cold_baseline_resolves_each_stage_once(self, baseline_project, monkeypatch, jobs):
@@ -1000,13 +1031,21 @@ class TestStoreCallsThroughRunner:
         assert run(baseline_project, jobs=jobs).executed == 6
         assert calls["cache_lookup"] == 6
 
+    def test_committed_outs_are_not_hashed_again(self, baseline_project, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        assert run(baseline_project).executed == 6
+        # every dep is an out committed earlier in the run: each is hashed
+        # once, by the post-run check of the stage that reads it
+        spec = baseline_project.load()[0]
+        assert calls["hash_path"] == sum(len(stage.deps) for stage in spec.stages.values())
+
     def test_return_to_earlier_value_spawns_nothing(self, warm_baseline, tmp_path, monkeypatch):
         project = _copy_of(warm_baseline, tmp_path)
         _alpha_there_and_back(project)
         calls = self.count_calls(monkeypatch, "spawn_stage")
         assert run(project).cached == 6
-        # the same lookups and hashes as a no-op, and no stage process
-        assert calls == Counter(cache_lookup=6, hash_path=7)
+        # the same lookups as a no-op, no hash and no stage process
+        assert calls == Counter(cache_lookup=6)
 
     def test_source_dep_hashed_by_plan_and_status(self, shell_project, monkeypatch):
         run(shell_project)
