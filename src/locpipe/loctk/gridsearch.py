@@ -5,17 +5,21 @@ models see identical splits. Selection is the argmin of the mean primary
 metric over folds, ties resolved toward the lowest candidate index. Outputs
 (positional): cv results JSON, model artifact JSON, per-fold predictions CSV
 of the selected candidate, and a compact metrics JSON.
+
+The predictions CSV is built as columns, never as rows: `Predictions` is
+assembled from the selected candidate's per-fold prediction arrays, each
+fold's truth columns and its test indices, and `write_predictions` renders it
+through `tables.render_csv`, column-wise, with ``repr`` called once per
+distinct float and ids quoted by csv.writer.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from array import array
-from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
-from typing import TextIO
+from dataclasses import dataclass, fields
+from itertools import chain, product
+from typing import Sequence, TextIO
 
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
@@ -23,12 +27,22 @@ from . import StageRequest, get, section
 from .metrics import METRIC_KEYS, left_sum, score_columns, truth_columns
 from .models import RidgeStats, artifact_doc, fit_model
 from .split import load_fold_file
-from .tables import Table, read_table
+from .tables import Table, read_table, render_csv
 
 _RIDGE_PARAMS = ("alpha", "fit_intercept")
 _KNN_PARAMS = ("k", "metric", "weights")
-# the numeric columns of the predictions CSV, after sample_id
-_PRED_NUMBERS = ("fold", "pred_x", "pred_y", "true_x", "true_y")
+
+
+@dataclass(frozen=True)
+class Predictions:
+    """The predictions CSV as columns, one value per row in file order: each
+    fold's test rows in order, fold by fold."""
+    sample_id: Sequence[str]
+    fold: Sequence[int]
+    pred_x: Sequence[float]
+    pred_y: Sequence[float]
+    true_x: Sequence[float]
+    true_y: Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -156,8 +170,8 @@ def run_grid_search(
     grid_cfg: dict,
     primary_metric: str = "rmse",
     report_metrics: list[str] | None = None,
-) -> tuple[dict, dict, list[dict], dict]:
-    """Returns (cv_results, model_artifact, prediction_rows, metrics_doc).
+) -> tuple[dict, dict, Predictions, dict]:
+    """Returns (cv_results, model_artifact, predictions, metrics_doc).
 
     Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
     kNN candidates are fit on each fold's train rows. Each fold's test
@@ -251,17 +265,15 @@ def run_grid_search(
     selected = select_index(mean_primary)
     chosen = candidates[selected]
 
-    pred_rows = []
-    for fold_idx, (fold, (pred_x, pred_y), (_, _, truth)) in enumerate(zip(folds, best_preds, test_views)):
-        for idx, px, py, tx, ty in zip(fold["test"], pred_x, pred_y, truth.x, truth.y):
-            pred_rows.append({
-                "sample_id": table.ids[idx],
-                "fold": fold_idx,
-                "pred_x": px,
-                "pred_y": py,
-                "true_x": tx,
-                "true_y": ty,
-            })
+    truths = [truth for _, _, truth in test_views]
+    predictions = Predictions(
+        sample_id=[table.ids[idx] for fold in folds for idx in fold["test"]],
+        fold=[fold_idx for fold_idx, fold in enumerate(folds) for _ in fold["test"]],
+        pred_x=array("d", chain.from_iterable(pred_x for pred_x, _ in best_preds)),
+        pred_y=array("d", chain.from_iterable(pred_y for _, pred_y in best_preds)),
+        true_x=list(chain.from_iterable(truth.x for truth in truths)),
+        true_y=list(chain.from_iterable(truth.y for truth in truths)),
+    )
 
     if chosen.model == "ridge":
         final = all_stats.solve(**chosen.params)
@@ -280,22 +292,22 @@ def run_grid_search(
         "selected_model": chosen.model,
         "cv": {key: aggregates[selected]["metrics"][key] for key in report_metrics},
     }
-    return cv_results, artifact, pred_rows, metrics_doc
+    return cv_results, artifact, predictions, metrics_doc
 
 
-def write_predictions(pred_rows: list[dict], handle: TextIO) -> None:
-    """Render the prediction rows to `handle`; ``repr`` is `canonical.fmt_num`'s
-    text for an int or a float."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["sample_id", *_PRED_NUMBERS])
-    numbers = itemgetter(*_PRED_NUMBERS)
-    writer.writerows([row["sample_id"], *map(repr, numbers(row))] for row in pred_rows)
+def write_predictions(predictions: Predictions, handle: TextIO) -> None:
+    """Render `predictions` to `handle` through `tables.render_csv`: a header
+    of the field names, and ``repr`` (`canonical.fmt_num`'s text for an int
+    or a float) of every number."""
+    header = [field.name for field in fields(Predictions)]
+    sample_id, *numbers = (getattr(predictions, name) for name in header)
+    handle.writelines(render_csv(header, sample_id, numbers))
 
 
-def predictions_csv(pred_rows: list[dict]) -> str:
+def predictions_csv(predictions: Predictions) -> str:
     """The text `write_predictions` writes."""
     buf = io.StringIO()
-    write_predictions(pred_rows, buf)
+    write_predictions(predictions, buf)
     return buf.getvalue()
 
 
@@ -308,7 +320,7 @@ def run(request: StageRequest) -> None:
 
     table = read_table(request.dep(0, "feature CSV"), request.table_memo)
     folds_doc = load_fold_file(request.dep(1, "fold file JSON"))
-    cv_results, artifact, pred_rows, metrics_doc = run_grid_search(
+    cv_results, artifact, predictions, metrics_doc = run_grid_search(
         table, folds_doc, grid_cfg, primary, list(report_metrics)
     )
 
@@ -317,5 +329,5 @@ def run(request: StageRequest) -> None:
     dump_canonical(cv_results, request.out(0, "cv results"))
     dump_canonical(artifact, request.out(1, "model artifact"))
     with open(request.out(2, "predictions"), "w", encoding="utf-8", newline="") as handle:
-        write_predictions(pred_rows, handle)
+        write_predictions(predictions, handle)
     dump_canonical(metrics_doc, request.out(3, "metrics"))

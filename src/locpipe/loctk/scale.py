@@ -4,20 +4,17 @@ Rows are repeated `factor` times in order (copy 0 first, then copy 1, ...).
 For factor >= 2 every sample id gains a ``#<copy>`` suffix to stay unique;
 factor 1 writes the table back through `write_table` unchanged.
 
-Each source row's value-and-target text is rendered once and written
-`factor` times, each copy behind its own id cell. The output bytes are those
-of `write_table` over the expanded table: csv.writer renders every cell, id
-cells included, so an id gets exactly the quoting it would get there.
+Each source row's value-and-target text is rendered once, by
+`tables.render_csv`, and written `factor` times, each copy behind its own id
+cell. The output bytes are those of `write_table` over the expanded table:
+an id cell gets exactly the quoting `tables.id_cell` gives it there.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-
 from ..errors import BuiltinError
 from . import StageRequest, get, section
-from .tables import Table, read_table, write_table
+from .tables import Table, id_cell, read_table, render_csv, write_table
 
 
 def _id_affixes(sample_id: str) -> tuple[str, str]:
@@ -27,23 +24,16 @@ def _id_affixes(sample_id: str) -> tuple[str, str]:
     ``#`` and digits never need quoting, so every copy is quoted exactly
     when ``<sample_id>#`` is, and a quoted cell keeps its closing quote last.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([f"{sample_id}#", ""])
-    cell = buf.getvalue()[:-2]  # drop the empty second cell: "," and "\n"
+    cell = id_cell(f"{sample_id}#")
     return (cell, "") if cell.endswith("#") else (cell[:-1], '"')
 
 
 def render_scaled(table: Table, factor: int) -> str:
     """The CSV text of `factor` block-wise copies of `table` (factor >= 2)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header())
     # an empty first cell stands in for the id: each source row renders once,
     # as ",<values>,x,y\n"
-    writer.writerows(
-        ["", *map(repr, row), repr(x), repr(y)] for row, (x, y) in zip(table.values, table.targets)
-    )
-    header, *rests = buf.getvalue().splitlines(keepends=True)
+    text = "".join(render_csv(table.header(), [""] * table.n_rows, table.columns()))
+    header, *rests = text.splitlines(keepends=True)
     affixes = [_id_affixes(sample_id) for sample_id in table.ids]
     return header + "".join(
         f"{head}{copy}{tail}{rest}"

@@ -5,12 +5,18 @@ column, one block of indexed value columns (``rssi_1..rssi_m`` after
 prepare, ``f_1..f_m`` after featurize), and the ``x``, ``y`` position
 targets in meters. All decimals are rendered in shortest round-trip form.
 
-Both directions work a whole row at a time. The reader parses a row's cells
-in one ``map(float, ...)`` and checks them in one ``all(map(math.isfinite,
+The reader works a whole row at a time. It parses a row's cells in one
+``map(float, ...)`` and checks them in one ``all(map(math.isfinite,
 ...))``; it is exactly as strict as a per-cell check, and a row that fails is
-re-scanned from the left so the error names the same first bad cell. The
-writer renders cells with ``repr``, which is `canonical.fmt_num`'s text for
-every int and float.
+re-scanned from the left so the error names the same first bad cell.
+
+`render_csv` is the one writer of CSV number cells, for tables here and for
+the predictions CSV of `gridsearch`. It works column-wise in chunks of rows.
+A number's text is its ``repr``, `canonical.fmt_num`'s text for every int
+and float, and a column chunk of only floats calls ``repr`` once per
+distinct value. An id cell is written as it is unless it holds a character
+that csv.writer may quote; such an id is rendered by csv.writer itself, so
+the bytes are those of csv.writer on the running interpreter.
 
 Given a memo directory (a `loctk.table_memo_dir`), `read_table` parses a
 file's bytes only once per content digest. The entry ``<memo>/<sha256 of the
@@ -33,6 +39,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from ..errors import BuiltinError
 
@@ -59,6 +66,11 @@ class Table:
 
     def header(self) -> list[str]:
         return ["sample_id"] + [f"{self.prefix}_{i + 1}" for i in range(self.n_cols)] + ["x", "y"]
+
+    def columns(self) -> list[tuple[float, ...]]:
+        """The value columns, then the x and y columns. Strict: a ragged row
+        raises ValueError instead of cutting every column to its length."""
+        return [*zip(*self.values, strict=True), *zip(*self.targets, strict=True)]
 
 
 def parse_header(header: list[str], path: Path | str) -> tuple[str, int]:
@@ -165,17 +177,73 @@ def _save_memo(table: Table, entry: Path) -> None:
             tmp.unlink()
 
 
+# Rows rendered per chunk. A column's memo is cleared before a chunk once it
+# holds more texts than a chunk has rows, so on data whose values never
+# repeat it holds at most two chunks' worth.
+_CHUNK_ROWS = 2048
+# csv.writer quotes or rejects some of these depending on the Python version
+# ("\r" and NUL), so an id holding any of them is left to csv.writer.
+_ID_NEEDS_WRITER = re.compile('[,"\r\n\0]')
+
+
+class _FloatText(dict):
+    """``repr`` of each float, rendered on first lookup. A zero is rendered
+    every time and never stored, because 0.0 and -0.0 are one key."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _csv_line(cells: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def id_cell(sample_id: str) -> str:
+    """The text csv.writer gives `sample_id` as one cell of a row of several."""
+    if not _ID_NEEDS_WRITER.search(sample_id):
+        return sample_id
+    return _csv_line([sample_id, ""])[:-2]  # drop the empty last cell: "," and "\n"
+
+
+def render_csv(header: list[str], ids: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
+    """The CSV text of `header` and one row ``id, <a value of each column>``
+    per id, in chunks of whole lines. The bytes are those csv.writer (with
+    ``"\\n"`` line endings) writes for the header and for the rows with
+    every number cell ``repr``'d.
+
+    Each column chunk whose values are all exactly ``float`` renders through
+    one memo per column (``7`` and ``7.0`` are one key, so a chunk that
+    mixes types is ``repr``'d cell by cell).
+    """
+    if any(len(column) != len(ids) for column in columns):
+        raise ValueError(f"every column must have {len(ids)} values, one per id")
+    yield _csv_line(header)
+    memos = [_FloatText() for _ in columns]
+    for lo in range(0, len(ids), _CHUNK_ROWS):
+        chunk = ids[lo:lo + _CHUNK_ROWS]
+        cells = [list(map(id_cell, chunk)) if _ID_NEEDS_WRITER.search("".join(chunk)) else chunk]
+        for column, memo in zip(columns, memos):
+            part = column[lo:lo + _CHUNK_ROWS]
+            if set(map(type, part)) == {float}:
+                if len(memo) > _CHUNK_ROWS:
+                    memo.clear()
+                cells.append(list(map(memo.__getitem__, part)))
+            else:
+                cells.append(list(map(repr, part)))
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
 def write_table(table: Table, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.header())
-    writer.writerows(
-        [sample_id, *map(repr, row), repr(x), repr(y)]
-        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets)
-    )
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    columns = table.columns()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(render_csv(table.header(), table.ids, columns))
 
 
 def read_column(path: Path | str, column: str) -> list[str]:

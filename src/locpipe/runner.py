@@ -13,7 +13,8 @@ dep that overlaps an out the run has restored or committed (in `plan`, will
 restore) gets the hash of that out's recorded bytes, so `repro` never hashes
 such an out again. After a stage runs, `_stage_failure` hashes each of its
 deps in the workspace, and a dep that does not hold its recorded bytes fails
-the stage.
+the stage. Only then, to give the true reason, are the store objects of the
+outs restored under that dep hashed: a damaged one is named.
 """
 
 from __future__ import annotations
@@ -410,8 +411,18 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 # Execution
 
 
-def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Path) -> str | None:
-    """Why a stage that ran must not be committed, or None if it may be."""
+def _stage_failure(
+    stage: StageSpec,
+    state: StageState,
+    exit_code: int,
+    root: Path,
+    store: ObjectStore,
+    restored: Mapping[str, OutRecord],
+) -> str | None:
+    """Why a stage that ran must not be committed, or None if it may be.
+
+    `restored` maps every out this run restored from the store to its record.
+    """
     if exit_code != 0:
         return f"command exited with status {exit_code}"
     missing = [o for o in stage.outs if not (root / o).exists()]
@@ -422,7 +433,26 @@ def _stage_failure(stage: StageSpec, state: StageState, exit_code: int, root: Pa
     # either would make the recorded fingerprint a lie.
     for dep, before in state.dep_hashes.items():
         if hash_path(root / dep)[0] != before:
+            damaged = _damaged_object(store, restored, dep)
+            if damaged is not None:
+                return f"dependency {dep} was restored from a damaged store object: {damaged}"
             return f"stage modified its own dependency: {dep}"
+    return None
+
+
+def _damaged_object(store: ObjectStore, restored: Mapping[str, OutRecord], dep: str) -> str | None:
+    """The first store object restored at or under `dep` (a file out, or a
+    tree out's manifest or member) whose bytes no longer hash to its name;
+    None if all are intact."""
+    for out, rec in sorted(restored.items()):
+        if not paths_overlap(dep, out):
+            continue
+        if not store.intact(rec.hash):
+            return rec.hash
+        if rec.tree:
+            for rel, member in store.members(rec.hash):
+                if paths_overlap(dep, f"{out}/{rel}") and not store.intact(member):
+                    return member
     return None
 
 
@@ -450,6 +480,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         store = ObjectStore(project.cache_dir)
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
+        restored: dict[str, OutRecord] = {}  # the restored ones alone
         pending = list(planned)
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
@@ -476,7 +507,9 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
                         log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
                     )
-                    failure = _stage_failure(stage, state, result.exit_code, project.root)
+                    failure = _stage_failure(
+                        stage, state, result.exit_code, project.root, store, restored
+                    )
                     if failure is not None:
                         result.action = "failed"
                         result.reason = f"{result.reason}; {failure}"
@@ -508,6 +541,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     restore_start = time.perf_counter()
                     restore_outputs(store, state.hit, project.root)
                     known.update(state.hit.outs)
+                    restored.update(state.hit.outs)
                     results[name] = StageResult(
                         name, "cached", wall_s=time.perf_counter() - restore_start
                     )

@@ -207,13 +207,14 @@ class ObjectStore:
     def remove(self, hexd: str) -> None:
         self._addr(hexd).unlink(missing_ok=True)
 
+    def intact(self, hexd: str) -> bool:
+        """True when object `hexd` is stored and its bytes hash to `hexd`."""
+        addr = self._addr(hexd)
+        return addr.is_file() and hash_file(addr) == hexd
+
     def verify(self) -> list[str]:
         """Re-hash every stored object; returns addresses whose content mismatches."""
-        bad = []
-        for hexd in self.iter_hexes():
-            if hash_file(self._addr(hexd)) != hexd:
-                bad.append(hexd)
-        return bad
+        return [hexd for hexd in self.iter_hexes() if not self.intact(hexd)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Everything here is written from the definitions, in a different style and
 (where possible) on different primitives than the code under test: metrics
 via numpy, the ridge solve via dense Gaussian elimination on an augmented
-system, tree manifests assembled by hand with hashlib.
+system in exact rational arithmetic, tree manifests assembled by hand with
+hashlib.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,20 +42,21 @@ def brute_metrics(pred, truth) -> dict[str, float]:
     }
 
 
-def gaussian_elimination_solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """Dense solve with partial pivoting; no factorization shared with the code under test."""
+def gaussian_elimination_solve(a: list[list], b: list) -> list:
+    """Dense solve with partial pivoting; no factorization shared with the code
+    under test. Given `Fraction` entries it is exact."""
     n = len(a)
     aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-300:
+        if aug[pivot][col] == 0:
             raise ZeroDivisionError("singular system")
         aug[col], aug[pivot] = aug[pivot], aug[col]
         for row in range(col + 1, n):
             factor = aug[row][col] / aug[col][col]
             for k in range(col, n + 1):
                 aug[row][k] -= factor * aug[col][k]
-    x = [0.0] * n
+    x = [0] * n
     for row in range(n - 1, -1, -1):
         acc = aug[row][n] - sum(aug[row][k] * x[k] for k in range(row + 1, n))
         x[row] = acc / aug[row][row]
@@ -62,21 +65,27 @@ def gaussian_elimination_solve(a: list[list[float]], b: list[float]) -> list[flo
 
 def ridge_reference(x_rows, y_col, alpha: float, fit_intercept: bool) -> tuple[list[float], float]:
     """Ridge for one target column via the augmented system [1 X] with an
-    unpenalized intercept; returns (coefficients, intercept)."""
+    unpenalized intercept; returns (coefficients, intercept).
+
+    The normal equations are formed and solved in exact rational arithmetic,
+    so the only rounding is of the solution to float: the uncentered [1 X]
+    system is ill-conditioned for features far from zero, such as RSSI
+    around -74 dBm with 1 dB of spread, and a float solve of it drifts
+    further from the exact answer than the code under test does.
+    """
     n = len(x_rows)
-    m = len(x_rows[0])
     if fit_intercept:
-        cols = m + 1
-        design = [[1.0] + list(row) for row in x_rows]
+        design = [[Fraction(1)] + [Fraction(v) for v in row] for row in x_rows]
     else:
-        cols = m
-        design = [list(row) for row in x_rows]
+        design = [[Fraction(v) for v in row] for row in x_rows]
+    cols = len(design[0])
+    y = [Fraction(v) for v in y_col]
     ata = [[sum(design[i][r] * design[i][c] for i in range(n)) for c in range(cols)] for r in range(cols)]
-    atb = [sum(design[i][r] * y_col[i] for i in range(n)) for r in range(cols)]
+    atb = [sum(design[i][r] * y[i] for i in range(n)) for r in range(cols)]
     start = 1 if fit_intercept else 0
     for j in range(start, cols):
-        ata[j][j] += alpha
-    solution = gaussian_elimination_solve(ata, atb)
+        ata[j][j] += Fraction(alpha)
+    solution = [float(v) for v in gaussian_elimination_solve(ata, atb)]
     if fit_intercept:
         return solution[1:], solution[0]
     return solution, 0.0

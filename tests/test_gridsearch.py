@@ -8,6 +8,7 @@ from locpipe.canonical import canonical_bytes
 from locpipe.errors import BuiltinError
 from locpipe.loctk.gridsearch import (
     Candidate,
+    Predictions,
     expand_grid,
     predictions_csv,
     run_grid_search,
@@ -137,9 +138,9 @@ class TestRunGridSearch:
     def test_predictions_cover_each_sample_once(self):
         table = make_table()
         _, _, preds, _ = run_grid_search(table, folds_for(table), RIDGE_GRID, "rmse", ["rmse"])
-        assert sorted(p["sample_id"] for p in preds) == sorted(table.ids)
+        assert sorted(preds.sample_id) == sorted(table.ids)
         # ordered by fold, then ascending index within the fold
-        fold_seq = [p["fold"] for p in preds]
+        fold_seq = list(preds.fold)
         assert fold_seq == sorted(fold_seq)
 
     def test_deterministic_bytes(self):
@@ -149,7 +150,7 @@ class TestRunGridSearch:
             for _ in range(2)
         ]
         for a, b in zip(results[0], results[1]):
-            if isinstance(a, list):
+            if isinstance(a, Predictions):
                 assert predictions_csv(a) == predictions_csv(b)
             else:
                 assert canonical_bytes(a) == canonical_bytes(b)
@@ -288,7 +289,7 @@ def assert_close(ours: float, ref: float) -> None:
     assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1.0), (ours, ref)
 
 
-def parsed_predictions(pred_rows: list[dict]) -> dict[int, tuple[list, list]]:
+def parsed_predictions(pred_rows: Predictions) -> dict[int, tuple[list, list]]:
     """fold -> (predictions, truths), read back from the predictions CSV bytes."""
     by_fold: dict[int, tuple[list, list]] = {}
     for row in csv.DictReader(io.StringIO(predictions_csv(pred_rows))):

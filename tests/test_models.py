@@ -4,7 +4,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locpipe.canonical import canonical_bytes
@@ -124,6 +124,11 @@ class TestRidgeStats:
         spread=st.floats(1.0, 6.0),
         alpha=st.sampled_from([0.0, 0.1, 10.0]),
         fit_intercept=st.booleans(),
+    )
+    # a float solve of the oracle's uncentered [1 X] system missed this intercept by 1.3e-9
+    @example(
+        seed=22943954, m=5, extra_rows=5, cut_draws=[], rssi_mean=-74.0, spread=1.0,
+        alpha=0.1, fit_intercept=True,
     )
     def test_merged_parts_solve_like_one_pass(
         self, seed, m, extra_rows, cut_draws, rssi_mean, spread, alpha, fit_intercept

@@ -1,16 +1,19 @@
 import csv
 import io
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locpipe.canonical import fmt_num
 from locpipe.errors import BuiltinError
-from locpipe.loctk import StageRequest, run_builtin
+from locpipe.loctk import StageRequest, run_builtin, tables
 from locpipe.loctk.featurize import featurize, parse_transforms
-from locpipe.loctk.gridsearch import predictions_csv
+from locpipe.loctk.gridsearch import Predictions, predictions_csv
 from locpipe.loctk.prepare import prepare_rows
-from locpipe.loctk.tables import Table, read_table, write_table
+from locpipe.loctk.tables import Table, read_table, render_csv, write_table
 
 HEADER = "sample_id,rssi_1,rssi_2,x,y\n"
 
@@ -296,4 +299,72 @@ class TestWriterBytes:
             writer.writerow([row["sample_id"], str(row["fold"])] + [
                 fmt_num(row[key]) for key in ("pred_x", "pred_y", "true_x", "true_y")
             ])
-        assert predictions_csv(rows) == buf.getvalue()
+        columns = {key: [row[key] for row in rows] for key in rows[0]}
+        assert predictions_csv(Predictions(**columns)) == buf.getvalue()
+
+    # Differential tests of tables.render_csv against the writer it replaced:
+    # csv.writer over each row, every number cell repr'd, on this interpreter.
+
+    @staticmethod
+    def assert_renders_like_csv_writer(ids, columns):
+        header = ["sample_id", *(f"c_{i}" for i in range(len(columns)))]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        try:
+            writer.writerow(header)
+            writer.writerows([sample_id, *map(repr, cells)] for sample_id, *cells in zip(ids, *columns))
+        except csv.Error as exc:  # Python 3.10 refuses a NUL in an unescaped cell
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                "".join(render_csv(header, ids, columns))
+            return
+        assert "".join(render_csv(header, ids, columns)) == buf.getvalue()
+
+    @pytest.mark.parametrize("column", [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, -0.0, 0.0],
+        [7, 7.0, 7, 7.0],
+        [7.0, 7, 7.0, 7],
+        [0, -0.0, 0.0, False],
+        [1.5, 1.5, -0.0, 1.5],
+    ], ids=["zero-first", "negzero-first", "int-first", "float-first", "int-zero", "repeats"])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, tables._CHUNK_ROWS])
+    def test_render_csv_keeps_equal_keys_apart(self, monkeypatch, column, chunk_rows):
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        self.assert_renders_like_csv_writer(["a", "b", "c", "d"], [column, column[::-1]])
+
+    CHUNK = tables._CHUNK_ROWS
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_render_csv_chunk_boundaries(self, n_rows):
+        pool = [0.1, -0.0, 1 / 3, 0.0, 1e22, 5e-324, -71.25]
+        ids = [f"s{i}" if i % 5 else f"s,{i}" for i in range(n_rows)]
+        columns = [
+            [pool[i % 7] for i in range(n_rows)],
+            [float(i) for i in range(n_rows)],  # no repeats: the memo is cleared
+            [pool[i % 3] if i < self.CHUNK else i for i in range(n_rows)],
+        ]
+        self.assert_renders_like_csv_writer(ids, columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(st.one_of(st.sampled_from(list(',"\r\n\0 é#')), st.characters()), max_size=4),
+                st.sampled_from([0.0, -0.0, 7, 7.0, 0.1, -2.5, 1e16]),
+                st.floats(allow_nan=False),
+            ),
+            max_size=12,
+        ),
+        chunk_rows=st.integers(1, 5),
+    )
+    def test_render_csv_matches_csv_writer(self, rows, chunk_rows):
+        ids, pooled, drawn = (list(part) for part in zip(*rows)) if rows else ([], [], [])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+            self.assert_renders_like_csv_writer(ids, [pooled, drawn, [float(len(i)) for i in ids]])
+
+    def test_write_table_refuses_ragged_rows(self, tmp_path):
+        table = Table(prefix="f", ids=["a", "b"], values=[[1.0, 2.0], [3.0]], targets=[(1.0, 2.0), (3.0, 4.0)])
+        with pytest.raises(ValueError):
+            write_table(table, tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()

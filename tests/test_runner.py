@@ -21,7 +21,7 @@ from locpipe.configmodel import StageSpec
 from locpipe.errors import ConfigError
 from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
-from locpipe.store import load_lock
+from locpipe.store import ObjectStore, load_lock
 from locpipe.templates import init_experiment
 
 
@@ -960,6 +960,7 @@ class TestStatusPlanReproAgree:
     def test_stage_run_on_damaged_dep_fails_and_commits_nothing(self, warm_baseline, tmp_path):
         project = _copy_of(warm_baseline, tmp_path)
         _damage_raw_csv_object(project)
+        damaged = load_lock(project.lock_path)["synth"].outs["data/raw.csv"].hash
         edit_params(project, "prepare.fill_value", -101.0)
         lock = project.lock_path.read_bytes()
         runcache = tree_snapshot(project.cache_dir / "runcache")
@@ -968,13 +969,43 @@ class TestStatusPlanReproAgree:
         assert results["synth"].action == "cached"
         assert results["prepare"].action == "failed"
         assert results["prepare"].reason == (
-            "params: prepare.fill_value; stage modified its own dependency: data/raw.csv"
+            "params: prepare.fill_value; dependency data/raw.csv was restored "
+            f"from a damaged store object: {damaged}"
         )
         assert {n for n, r in results.items() if r.action == "skipped"} == {
             "featurize", "split", "gridsearch", "report",
         }
         assert project.lock_path.read_bytes() == lock
         assert tree_snapshot(project.cache_dir / "runcache") == runcache
+
+    def test_dep_in_a_damaged_tree_member_names_the_member(self, tmp_path, monkeypatch):
+        root = tmp_path / "proj"
+        root.mkdir()
+        stages = {
+            "make": {"cmd": "mkdir -p d && echo one > d/a.txt && echo two > d/b.txt", "outs": ["d"]},
+            "use": {"cmd": "cat d/b.txt > use.txt", "deps": ["d/b.txt"], "outs": ["use.txt"]},
+        }
+        write_pipeline(root, stages)
+        write_params(root, {})
+        project = Project(root=root)
+        intact = ObjectStore.intact
+        checked = []
+        monkeypatch.setattr(ObjectStore, "intact", lambda store, hexd: checked.append(hexd) or intact(store, hexd))
+        assert run(project).executed == 2
+        assert checked == []  # a run with no failure hashes no store object
+        for text in (b"one\n", b"two\n"):  # only the member under the dep is named
+            hexd = hashlib.sha256(text).hexdigest()
+            (project.cache_dir / "sha256" / hexd[:2] / hexd[2:]).write_bytes(text.upper())
+        member = hashlib.sha256(b"two\n").hexdigest()
+        shutil.rmtree(root / "d")
+        stages["use"]["cmd"] = "cat d/b.txt d/b.txt > use.txt"
+        write_pipeline(root, stages)
+        results = {r.stage: r for r in run(project).results}
+        assert results["make"].action == "cached"
+        assert results["use"].action == "failed"
+        assert results["use"].reason == (
+            f"cmd; dependency d/b.txt was restored from a damaged store object: {member}"
+        )
 
     def test_failed_stage_keeps_why_it_ran(self, warm_baseline, tmp_path, monkeypatch, capsys):
         from locpipe.cli import main
