@@ -1,7 +1,12 @@
 """Feature construction: stateless per-cell transforms applied in declared order.
 
 No statistics are computed across rows, so the stage is leakage-free by
-construction; anything fold-aware belongs in training. Supported transforms:
+construction; anything fold-aware belongs in training. The transforms are
+mapped down each value column of the column-major `Table`, every cell
+through every transform in order, so each cell's value is what a row-wise
+walk gives. A cell that fails (``dbm_to_mw`` overflows) is named in row
+order: the table is then walked again row by row, and the first bad cell of
+that walk raises. Supported transforms:
 
 - ``identity``
 - ``dbm_to_mw``           (10 ** (v / 10))
@@ -10,7 +15,8 @@ construction; anything fold-aware belongs in training. Supported transforms:
 
 from __future__ import annotations
 
-from typing import Callable
+from array import array
+from typing import Callable, Iterable
 
 from ..errors import BuiltinError
 from . import StageRequest, get, section
@@ -55,14 +61,20 @@ def parse_transforms(raw: list, where: str = "featurize") -> list[Transform]:
     return transforms
 
 
+def _apply(transforms: list[Transform], cells: Iterable[float]) -> array:
+    for transform in transforms:
+        cells = map(transform, cells)
+    return array("d", cells)
+
+
 def featurize(table: Table, transforms: list[Transform]) -> Table:
-    values = []
-    for row in table.values:
-        cells = row
-        for transform in transforms:
-            cells = map(transform, cells)
-        values.append(list(cells))
-    return Table(prefix=FEATURE_PREFIX, ids=list(table.ids), values=values, targets=list(table.targets))
+    try:
+        cols = [_apply(transforms, column) for column in table.cols]
+    except BuiltinError:
+        for row in zip(*table.cols):  # raises at the first bad cell in row order
+            _apply(transforms, row)
+        raise
+    return Table(FEATURE_PREFIX, table.ids, cols, table.x, table.y)
 
 
 def run(request: StageRequest) -> None:

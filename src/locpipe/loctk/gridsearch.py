@@ -6,6 +6,13 @@ metric over folds, ties resolved toward the lowest candidate index. Outputs
 (positional): cv results JSON, model artifact JSON, per-fold predictions CSV
 of the selected candidate, and a compact metrics JSON.
 
+The feature table is column-major (`tables.Table`), and the search works on
+its columns. Each fold's and each row group's subset is gathered column by
+column (`gather`); the ridge statistics are built from those columns
+(`RidgeStats.from_columns`), and each fold's test feature columns and its
+`metrics.Truth` come straight from the table's columns. Rows are formed
+only for kNN, and only when the grid holds a kNN candidate.
+
 The predictions CSV is built as columns, never as rows: `Predictions` is
 assembled from the selected candidate's per-fold prediction arrays, each
 fold's truth columns and its test indices, and `write_predictions` renders it
@@ -110,15 +117,21 @@ def select_index(mean_primary: list[float]) -> int:
     return best
 
 
+def gather(column: Sequence[float], idxs: Sequence[int]) -> array:
+    """The values of `column` at `idxs`, in order: one, many or none."""
+    return array("d", map(column.__getitem__, idxs))
+
+
 def ridge_fold_stats(
     table: Table, folds: list[dict]
 ) -> tuple[list[RidgeStats | None], RidgeStats | None]:
     """One statistics pass over the rows: (train statistics per fold, statistics of all rows).
 
     Rows are grouped by the folds whose train list holds them, counting
-    repeats; each fold merges the groups it holds, once per occurrence, and
-    the all-rows statistics merge every group once. A fold with no train
-    rows gets None.
+    repeats; each group's columns are gathered and reduced to statistics,
+    each fold merges the groups it holds, once per occurrence, and the
+    all-rows statistics merge every group once. A fold with no train rows
+    gets None.
     """
     member_of: list[list[int]] = [[] for _ in range(table.n_rows)]
     for fold_idx, fold in enumerate(folds):
@@ -131,7 +144,9 @@ def ridge_fold_stats(
     fold_stats: list[RidgeStats | None] = [None] * len(folds)
     all_stats: RidgeStats | None = None
     for signature, idxs in groups.items():
-        stats = RidgeStats.from_rows([table.values[i] for i in idxs], [table.targets[i] for i in idxs])
+        stats = RidgeStats.from_columns(
+            [gather(column, idxs) for column in table.cols], [gather(table.x, idxs), gather(table.y, idxs)]
+        )
         all_stats = stats if all_stats is None else all_stats.merge(stats)
         for fold_idx in signature:
             prior = fold_stats[fold_idx]
@@ -175,7 +190,7 @@ def run_grid_search(
 
     Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
     kNN candidates are fit on each fold's train rows. Each fold's test
-    columns and truth are built once and scored column-wise for every
+    columns and truth are gathered once and scored column-wise for every
     candidate, and the running-best candidate's predictions are kept for the
     predictions CSV.
     """
@@ -198,6 +213,11 @@ def run_grid_search(
     fold_stats, all_stats = (
         ridge_fold_stats(table, folds) if any(c.model == "ridge" for c in candidates) else ([], None)
     )
+    # kNN works on rows: (feature rows, target rows), formed only for a kNN candidate
+    knn_rows = (
+        (list(zip(*table.cols)), list(zip(table.x, table.y)))
+        if any(c.model == "knn" for c in candidates) else ([], [])
+    )
 
     def fit_fold(cand: Candidate, fold_idx: int):
         if cand.model == "ridge":
@@ -206,16 +226,15 @@ def run_grid_search(
                 raise BuiltinError("ridge: empty training set")
             return stats.solve(**cand.params)
         train = folds[fold_idx]["train"]
-        return fit_model(
-            cand.model, cand.params, [table.values[i] for i in train], [table.targets[i] for i in train]
-        )
+        x_rows, y_rows = knn_rows
+        return fit_model(cand.model, cand.params, [x_rows[i] for i in train], [y_rows[i] for i in train])
 
-    # per fold: (test rows, test feature columns, truth)
+    # per fold: (test feature columns, truth)
     test_views = []
     for fold in folds:
-        test_rows = [table.values[i] for i in fold["test"]]
-        truth = truth_columns([table.targets[i] for i in fold["test"]])
-        test_views.append((test_rows, list(zip(*test_rows)), truth))
+        test = fold["test"]
+        truth = truth_columns(gather(table.x, test), gather(table.y, test))
+        test_views.append(([gather(column, test) for column in table.cols], truth))
     rows = []
     aggregates = []
     mean_primary = []
@@ -223,7 +242,7 @@ def run_grid_search(
     for cand in candidates:
         fold_metrics = []
         fold_preds = []
-        for fold_idx, (test_rows, test_cols, truth) in enumerate(test_views):
+        for fold_idx, (test_cols, truth) in enumerate(test_views):
             train_size = len(folds[fold_idx]["train"])
             if cand.model == "knn" and cand.params["k"] >= train_size:
                 raise BuiltinError(
@@ -235,9 +254,9 @@ def run_grid_search(
             except BuiltinError as exc:
                 raise BuiltinError(f"gridsearch: candidate {cand.index} ({cand.model}): {exc}") from None
             if cand.model == "ridge":
-                preds = fitted.predict_columns(test_cols, len(test_rows))
+                preds = fitted.predict_columns(test_cols, len(truth.x))
             else:
-                preds = tuple(zip(*fitted.predict(test_rows)))
+                preds = tuple(zip(*fitted.predict([knn_rows[0][i] for i in folds[fold_idx]["test"]])))
             metrics = score_columns(*preds, truth)
             fold_metrics.append(metrics)
             fold_preds.append((array("d", preds[0]), array("d", preds[1])))  # floats, unboxed
@@ -265,20 +284,20 @@ def run_grid_search(
     selected = select_index(mean_primary)
     chosen = candidates[selected]
 
-    truths = [truth for _, _, truth in test_views]
+    truths = [truth for _, truth in test_views]
     predictions = Predictions(
         sample_id=[table.ids[idx] for fold in folds for idx in fold["test"]],
         fold=[fold_idx for fold_idx, fold in enumerate(folds) for _ in fold["test"]],
         pred_x=array("d", chain.from_iterable(pred_x for pred_x, _ in best_preds)),
         pred_y=array("d", chain.from_iterable(pred_y for _, pred_y in best_preds)),
-        true_x=list(chain.from_iterable(truth.x for truth in truths)),
-        true_y=list(chain.from_iterable(truth.y for truth in truths)),
+        true_x=array("d", chain.from_iterable(truth.x for truth in truths)),
+        true_y=array("d", chain.from_iterable(truth.y for truth in truths)),
     )
 
     if chosen.model == "ridge":
         final = all_stats.solve(**chosen.params)
     else:
-        final = fit_model(chosen.model, chosen.params, table.values, table.targets)
+        final = fit_model(chosen.model, chosen.params, *knn_rows)
     artifact = artifact_doc(chosen.model, chosen.params, final)
 
     cv_results = {

@@ -61,21 +61,18 @@ def left_sum(values: Iterable[float]) -> float:
 class Truth:
     """True positions as coordinate columns, with their total sum of squares."""
 
-    x: list[float]
-    y: list[float]
+    x: Sequence[float]
+    y: Sequence[float]
     ss_tot: float
 
 
-def truth_columns(truth: Sequence[Sequence[float]]) -> Truth:
-    if len(truth) == 0:
+def truth_columns(xs: Sequence[float], ys: Sequence[float]) -> Truth:
+    """The `Truth` of the true x and y columns, one value per sample each."""
+    if len(xs) == 0:
         raise BuiltinError("metrics: empty input")
-    if any(len(t) != 2 for t in truth):
-        raise BuiltinError("metrics: rows must have exactly two coordinates")
-    xs = [t[0] for t in truth]
-    ys = [t[1] for t in truth]
-    mean_x = left_sum(xs) / len(truth)
-    mean_y = left_sum(ys) / len(truth)
-    ss_tot = left_sum((x - mean_x) ** 2 + (y - mean_y) ** 2 for x, y in zip(xs, ys))
+    mean_x = left_sum(xs) / len(xs)
+    mean_y = left_sum(ys) / len(ys)
+    ss_tot = left_sum((x - mean_x) ** 2 + (y - mean_y) ** 2 for x, y in zip(xs, ys, strict=True))
     return Truth(xs, ys, ss_tot)
 
 
@@ -114,7 +111,9 @@ def compute_metrics(
 ) -> dict[str, float]:
     if len(pred) != len(truth):
         raise BuiltinError(f"metrics: shape mismatch ({len(pred)} vs {len(truth)} rows)")
-    if any(len(p) != 2 for p in pred):
+    if len(truth) == 0:
+        raise BuiltinError("metrics: empty input")
+    if any(len(p) != 2 for p in pred) or any(len(t) != 2 for t in truth):
         raise BuiltinError("metrics: rows must have exactly two coordinates")
-    columns = truth_columns(truth)
+    columns = truth_columns([t[0] for t in truth], [t[1] for t in truth])
     return score_columns([p[0] for p in pred], [p[1] for p in pred], columns)

@@ -100,12 +100,17 @@ class RidgeStats:
 
     @staticmethod
     def from_rows(x_rows: Sequence[Sequence[float]], y_rows: Sequence[Sequence[float]]) -> "RidgeStats":
+        """The statistics of rows: `from_columns` of their transpose."""
+        return RidgeStats.from_columns(list(zip(*x_rows)), list(zip(*y_rows)))
+
+    @staticmethod
+    def from_columns(
+        x_cols: Sequence[Sequence[float]], y_cols: Sequence[Sequence[float]]
+    ) -> "RidgeStats":
         """Two passes: exact column means, then exactly summed centered products."""
-        n = len(x_rows)
+        n = len(y_cols[0]) if y_cols else 0
         if n == 0:
             raise BuiltinError("ridge: empty training set")
-        x_cols = list(zip(*x_rows))
-        y_cols = list(zip(*y_rows))
         x_mean = [math.fsum(col) / n for col in x_cols]
         y_mean = [math.fsum(col) / n for col in y_cols]
         xc = [[v - mu for v in col] for col, mu in zip(x_cols, x_mean)]

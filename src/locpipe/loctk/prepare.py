@@ -19,7 +19,7 @@ from pathlib import Path
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
 from . import StageRequest, get, section
-from .tables import Table, parse_header, write_table
+from .tables import RSSI_PREFIX, Table, parse_header, write_table
 
 DEFAULT_FILL_DBM = -100.0
 DROP_POLICIES = ("targets", "any")
@@ -94,7 +94,7 @@ def prepare_rows(
         "rows_dropped": rows_dropped,
         "fill_count": fill_count,
     }
-    return Table(prefix="rssi", ids=ids, values=values, targets=targets), summary
+    return Table.from_rows(RSSI_PREFIX, ids, values, targets), summary
 
 
 def run(request: StageRequest) -> None:

@@ -5,10 +5,17 @@ column, one block of indexed value columns (``rssi_1..rssi_m`` after
 prepare, ``f_1..f_m`` after featurize), and the ``x``, ``y`` position
 targets in meters. All decimals are rendered in shortest round-trip form.
 
-The reader works a whole row at a time. It parses a row's cells in one
+A `Table` is held column-major, from parse and memo through to write: its
+ids, one ``array('d')`` per value column, and the ``x`` and ``y`` columns.
+There is no row-major form; a caller that has rows builds the table with
+`Table.from_rows`, which refuses ragged rows.
+
+The reader checks a whole row at a time. It parses a row's cells in one
 ``map(float, ...)`` and checks them in one ``all(map(math.isfinite,
 ...))``; it is exactly as strict as a per-cell check, and a row that fails is
-re-scanned from the left so the error names the same first bad cell.
+re-scanned from the left so the error names the same first bad cell. The
+checked cells go to one flat ``array('d')``, which is cut into columns once
+the file is read.
 
 `render_csv` is the one writer of CSV number cells, for tables here and for
 the predictions CSV of `gridsearch`. It works column-wise in chunks of rows.
@@ -20,11 +27,14 @@ the bytes are those of csv.writer on the running interpreter.
 
 Given a memo directory (a `loctk.table_memo_dir`), `read_table` parses a
 file's bytes only once per content digest. The entry ``<memo>/<sha256 of the
-CSV>`` holds the SHA-256 of its payload, then the ``marshal`` payload of the
-`Table`; an entry whose payload does not match that header is parsed again
-and rewritten. An entry is written only after a parse succeeds, through a
-temp file in the cache's ``tmp`` directory, and a failed write leaves the
-read's result alone.
+CSV>`` holds the SHA-256 of its payload, then the payload: the row and column
+counts, each column's raw ``array('d')`` bytes (in this machine's byte
+order), and the ``marshal`` of the prefix and the ids. A hit reads the
+columns straight into their arrays and allocates no per-row object but the
+ids. An entry whose payload does not match its header, or that is not laid
+out this way, is parsed again and rewritten. An entry is written only after a
+parse succeeds, through a temp file in the cache's ``tmp`` directory, and a
+failed write leaves the read's result alone.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ import marshal
 import math
 import os
 import re
+import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -51,10 +63,29 @@ _COL_RE = re.compile(r"^([A-Za-z]+)_([0-9]+)$")
 
 @dataclass
 class Table:
-    prefix: str                      # value-column prefix ("rssi" or "f")
+    prefix: str         # value-column prefix ("rssi" or "f")
     ids: list[str]
-    values: list[list[float]]        # one row per sample
-    targets: list[tuple[float, float]]
+    cols: list[array]   # one array('d') per value column, one value per id
+    x: array
+    y: array
+
+    def __post_init__(self) -> None:
+        if any(len(column) != len(self.ids) for column in self.columns()):
+            raise ValueError(f"every column must have {len(self.ids)} values, one per id")
+
+    @classmethod
+    def from_rows(
+        cls,
+        prefix: str,
+        ids: list[str],
+        values: Sequence[Sequence[float]],
+        targets: Sequence[Sequence[float]],
+    ) -> Table:
+        """The table of `values` (one row of value cells per id) and
+        `targets` (one ``(x, y)`` per id). A ragged row raises ValueError."""
+        cols = [array("d", column) for column in zip(*values, strict=True)]
+        x, y = zip(*targets, strict=True) if targets else ((), ())
+        return cls(prefix, ids, cols, array("d", x), array("d", y))
 
     @property
     def n_rows(self) -> int:
@@ -62,15 +93,14 @@ class Table:
 
     @property
     def n_cols(self) -> int:
-        return len(self.values[0]) if self.values else 0
+        return len(self.cols)
 
     def header(self) -> list[str]:
         return ["sample_id"] + [f"{self.prefix}_{i + 1}" for i in range(self.n_cols)] + ["x", "y"]
 
-    def columns(self) -> list[tuple[float, ...]]:
-        """The value columns, then the x and y columns. Strict: a ragged row
-        raises ValueError instead of cutting every column to its length."""
-        return [*zip(*self.values, strict=True), *zip(*self.targets, strict=True)]
+    def columns(self) -> list[array]:
+        """The value columns, then the x and y columns."""
+        return [*self.cols, self.x, self.y]
 
 
 def parse_header(header: list[str], path: Path | str) -> tuple[str, int]:
@@ -104,18 +134,26 @@ def read_table(path: Path | str, memo: Path | None = None) -> Table:
     A row's cells are parsed in one ``map(float, ...)`` and checked in one
     ``all(map(math.isfinite, ...))``. Only a row that fails is scanned again,
     cell by cell from the left, to name its first bad cell. With `memo`, a
-    verified memo entry of the file's bytes stands in for the parse.
+    verified memo entry of the file's bytes stands in for the parse; the
+    file is then hashed in blocks and never held whole.
     """
     path = Path(path)
-    data = path.read_bytes()
     if memo is None:
-        return _parse(data, path)
-    entry = Path(memo) / hashlib.sha256(data).hexdigest()
-    table = _load_memo(entry)
+        return _parse(path.read_bytes(), path)
+    table = _load_memo(Path(memo) / _file_digest(path))
     if table is None:
+        data = path.read_bytes()
         table = _parse(data, path)
-        _save_memo(table, entry)
+        _save_memo(table, Path(memo) / hashlib.sha256(data).hexdigest())  # the bytes parsed
     return table
+
+
+def _file_digest(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _parse(data: bytes, path: Path) -> Table:
@@ -125,13 +163,13 @@ def _parse(data: bytes, path: Path) -> Table:
     except StopIteration:
         raise BuiltinError(f"{path}: empty file") from None
     prefix, width = parse_header(header, path)
-    ids, values, targets = [], [], []
+    ids, cells = [], array("d")  # cells: every row's value and target cells, row after row
     for lineno, row in enumerate(reader, start=2):
         if len(row) != width + 3:
             raise BuiltinError(f"{path}:{lineno}: expected {width + 3} cells, got {len(row)}")
         try:
-            cells = list(map(float, row[1:]))
-            ok = all(map(math.isfinite, cells))
+            numbers = list(map(float, row[1:]))
+            ok = all(map(math.isfinite, numbers))
         except ValueError:
             ok = False
         if not ok:
@@ -140,37 +178,61 @@ def _parse(data: bytes, path: Path) -> Table:
         if "\r" in row[0]:  # csv.writer leaves \r unquoted, so no reader could split the row
             raise BuiltinError(f"{path}:{lineno}: sample id {row[0]!r} contains a carriage return")
         ids.append(row[0])
-        targets.append((cells[-2], cells[-1]))
-        del cells[-2:]
-        values.append(cells)
-    return Table(prefix=prefix, ids=ids, values=values, targets=targets)
+        cells.fromlist(numbers)
+    *cols, x, y = (cells[j::width + 2] for j in range(width + 2))
+    return Table(prefix, ids, cols, x, y)
+
+
+# A memo payload starts with its row and column counts.
+_COUNTS = struct.Struct("<2Q")
 
 
 def _load_memo(entry: Path) -> Table | None:
-    """The table memoized at `entry`; None if it is missing or fails its check."""
+    """The table memoized at `entry`; None if it is missing, fails its check
+    or is not laid out as `_save_memo` lays it out."""
     try:
-        blob = memoryview(entry.read_bytes())
-    except OSError:
+        with open(entry, "rb") as handle:
+            digest = handle.read(32)
+            counts = handle.read(_COUNTS.size)
+            n_rows, n_cols = _COUNTS.unpack(counts)
+            size = 8 * n_rows
+            if os.fstat(handle.fileno()).st_size < 32 + len(counts) + size * n_cols:
+                return None  # counts that are not this entry's: allocate nothing
+            columns = [array("d", bytes(8)) * n_rows for _ in range(n_cols)]
+            for column in columns:
+                handle.readinto(column)
+            head = handle.read()
+    except (OSError, struct.error):
         return None
-    if hashlib.sha256(blob[32:]).digest() != blob[:32]:
+    check = hashlib.sha256(counts)
+    for column in columns:
+        check.update(column)
+    check.update(head)
+    if check.digest() != digest:
         return None
     try:
-        prefix, ids, values, targets = marshal.loads(blob[32:])
+        prefix, ids = marshal.loads(head)
+        *cols, x, y = columns
+        return Table(prefix, ids, cols, x, y)  # ValueError unless there is one id per row
     except (EOFError, TypeError, ValueError):
         return None
-    return Table(prefix=prefix, ids=ids, values=values, targets=targets)
 
 
 def _save_memo(table: Table, entry: Path) -> None:
-    payload = marshal.dumps((table.prefix, table.ids, table.values, table.targets))
+    columns = table.columns()
+    counts = _COUNTS.pack(table.n_rows, len(columns))
+    head = marshal.dumps((table.prefix, table.ids))
+    digest = hashlib.sha256(counts)
+    for column in columns:
+        digest.update(column)
+    digest.update(head)
     # entry is <cache>/tables/<code digest>/<csv digest>; temp files go to <cache>/tmp
     tmp = entry.parent.parent.parent / "tmp" / f"table-{os.getpid()}-{os.urandom(8).hex()}"
     try:
         tmp.parent.mkdir(parents=True, exist_ok=True)
         entry.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as handle:
-            handle.write(hashlib.sha256(payload).digest())
-            handle.write(payload)
+            handle.writelines([digest.digest(), counts, *columns, head])
         os.replace(tmp, entry)
     except OSError:  # the memo only saves work: a failed write costs a parse later
         with contextlib.suppress(OSError):
@@ -241,9 +303,8 @@ def render_csv(header: list[str], ids: Sequence[str], columns: Sequence[Sequence
 def write_table(table: Table, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = table.columns()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(render_csv(table.header(), table.ids, columns))
+        handle.writelines(render_csv(table.header(), table.ids, table.columns()))
 
 
 def read_column(path: Path | str, column: str) -> list[str]:

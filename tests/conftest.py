@@ -71,3 +71,13 @@ def tree_snapshot(root: Path) -> dict[str, str]:
 
 def executed_stages(report) -> set[str]:
     return {r.stage for r in report.results if r.action == "executed"}
+
+
+def value_rows(table) -> list[list[float]]:
+    """The value cells of a column-major `tables.Table`, row by row."""
+    return [list(row) for row in zip(*table.cols)]
+
+
+def target_rows(table) -> list[tuple[float, float]]:
+    """The ``(x, y)`` targets of a `tables.Table`, row by row."""
+    return list(zip(table.x, table.y))

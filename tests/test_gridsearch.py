@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+from array import array
 
 import pytest
 
@@ -10,6 +11,7 @@ from locpipe.loctk.gridsearch import (
     Candidate,
     Predictions,
     expand_grid,
+    gather,
     predictions_csv,
     run_grid_search,
     select_index,
@@ -18,6 +20,8 @@ from locpipe.loctk.metrics import METRIC_KEYS, compute_metrics
 from locpipe.loctk.models import load_artifact, ridge_fit
 from locpipe.loctk.split import make_fold_file
 from locpipe.loctk.tables import Table
+
+from conftest import target_rows, value_rows
 
 
 def make_table(n=30, m=3, seed=0) -> Table:
@@ -30,12 +34,7 @@ def make_table(n=30, m=3, seed=0) -> Table:
         )
         for row in values
     ]
-    return Table(
-        prefix="f",
-        ids=[f"s{i:03d}" for i in range(n)],
-        values=values,
-        targets=targets,
-    )
+    return Table.from_rows("f", [f"s{i:03d}" for i in range(n)], values, targets)
 
 
 def folds_for(table: Table, k=5, seed=7) -> dict:
@@ -162,7 +161,7 @@ class TestRunGridSearch:
 
         reloaded = load_artifact(json.loads(canonical_bytes(artifact)))
         direct = load_artifact(artifact)
-        assert reloaded.predict(table.values) == direct.predict(table.values)
+        assert reloaded.predict(value_rows(table)) == direct.predict(value_rows(table))
 
     def test_knn_k_at_least_train_fold_size_rejected(self):
         table = make_table(n=10)
@@ -174,8 +173,7 @@ class TestRunGridSearch:
 
     def test_singular_candidate_named(self):
         table = make_table(n=12, m=2)
-        for row in table.values:
-            row[1] = row[0]  # duplicate feature column
+        table.cols[1][:] = table.cols[0]  # duplicate feature column
         grid = {"ridge": {"alpha": [0.0], "fit_intercept": [False]}}
         with pytest.raises(BuiltinError) as info:
             run_grid_search(table, folds_for(table, k=3), grid, "rmse", ["rmse"])
@@ -266,8 +264,10 @@ RIDGE_SWEEP = {"ridge": {"alpha": [0.0, 0.5, 10.0], "fit_intercept": [True, Fals
 
 
 def fold_files(table: Table) -> dict[str, dict]:
-    """kfold, overlapping shuffle repeats, groupkfold, and a hand-written file
-    with a repeated train index and a row in no fold."""
+    """kfold, overlapping shuffle repeats, groupkfold, leave-one-out (each
+    test fold one row), a hand-written file with a repeated train index and a
+    row in no fold, and one where row 39 alone is in fold 2's train list only,
+    so one statistics group holds a single row."""
     n = table.n_rows
     groups = [f"g{i % 7}" for i in range(n)]
     hand = {
@@ -277,12 +277,32 @@ def fold_files(table: Table) -> dict[str, dict]:
             {"train": list(range(10, 34)), "test": list(range(0, 10))},
         ],
     }
+    one_row_group = {
+        "strategy": "kfold", "seed": 0, "n_samples": n,
+        "folds": [
+            {"train": list(range(0, 20)), "test": list(range(20, 30))},
+            {"train": list(range(10, 34)), "test": list(range(0, 10))},
+            {"train": list(range(0, 10)) + [39], "test": list(range(20, 30))},
+        ],
+    }
     return {
         "kfold": folds_for(table),
         "shuffle": make_fold_file(n, {"strategy": "shuffle", "test_fraction": 0.3, "repeats": 4, "seed": 5}, None),
         "groupkfold": make_fold_file(n, {"strategy": "groupkfold", "k": 3}, groups),
+        "leave-one-out": make_fold_file(n, {"strategy": "kfold", "k": n, "seed": 2}, None),
         "hand": hand,
+        "one-row-group": one_row_group,
     }
+
+
+FOLD_KINDS = ["kfold", "shuffle", "groupkfold", "hand", "leave-one-out", "one-row-group"]
+
+
+def test_gather_takes_one_many_or_no_index():
+    column = array("d", [0.5, -0.0, 2.5])
+    assert gather(column, [2, 0, 2]) == array("d", [2.5, 0.5, 2.5])
+    assert gather(column, [1]).tobytes() == array("d", [-0.0]).tobytes()
+    assert gather(column, []) == array("d")
 
 
 def assert_close(ours: float, ref: float) -> None:
@@ -300,35 +320,36 @@ def parsed_predictions(pred_rows: Predictions) -> dict[int, tuple[list, list]]:
 
 
 class TestRidgeFromStatistics:
-    @pytest.mark.parametrize("kind", ["kfold", "shuffle", "groupkfold", "hand"])
+    @pytest.mark.parametrize("kind", FOLD_KINDS)
     def test_cv_rows_match_ridge_fit_on_train_rows(self, kind):
         table = make_table(n=40, m=4, seed=3)
         folds_doc = fold_files(table)[kind]
         cv, artifact, _, _ = run_grid_search(table, folds_doc, RIDGE_SWEEP, "rmse", ["rmse"])
         folds = folds_doc["folds"]
+        x_rows, y_rows = value_rows(table), target_rows(table)
         assert len(cv["rows"]) == 6 * len(folds)
         for row in cv["rows"]:
             fold = folds[row["fold"]]
             model = ridge_fit(
-                [table.values[i] for i in fold["train"]],
-                [table.targets[i] for i in fold["train"]],
+                [x_rows[i] for i in fold["train"]],
+                [y_rows[i] for i in fold["train"]],
                 row["params"]["alpha"], row["params"]["fit_intercept"],
             )
             expected = compute_metrics(
-                model.predict([table.values[i] for i in fold["test"]]),
-                [table.targets[i] for i in fold["test"]],
+                model.predict([x_rows[i] for i in fold["test"]]),
+                [y_rows[i] for i in fold["test"]],
             )
             for key in METRIC_KEYS:
                 assert_close(row["metrics"][key], expected[key])
         chosen = cv["aggregates"][cv["selected"]]["params"]
-        final = ridge_fit(table.values, table.targets, chosen["alpha"], chosen["fit_intercept"])
+        final = ridge_fit(x_rows, y_rows, chosen["alpha"], chosen["fit_intercept"])
         for ours, ref in zip(artifact["coef"], final.coef):
             assert_close(ours[0], ref[0])
             assert_close(ours[1], ref[1])
         for ours, ref in zip(artifact["intercept"], final.intercept):
             assert_close(ours, ref)
 
-    @pytest.mark.parametrize("kind", ["kfold", "shuffle", "groupkfold", "hand"])
+    @pytest.mark.parametrize("kind", FOLD_KINDS)
     def test_predictions_reproduce_selected_cv_rows_exactly(self, kind):
         table = make_table(n=40, m=4, seed=3)
         cv, _, preds, _ = run_grid_search(table, fold_files(table)[kind], RIDGE_SWEEP, "rmse", ["rmse"])

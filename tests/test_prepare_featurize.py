@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from array import array
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from locpipe.loctk.featurize import featurize, parse_transforms
 from locpipe.loctk.gridsearch import Predictions, predictions_csv
 from locpipe.loctk.prepare import prepare_rows
 from locpipe.loctk.tables import Table, read_table, render_csv, write_table
+
+from conftest import target_rows, value_rows
 
 HEADER = "sample_id,rssi_1,rssi_2,x,y\n"
 
@@ -29,7 +32,7 @@ class TestPrepare:
         path = raw(tmp_path, "a,-50.0,-60.0,1.0,2.0\nb,-55.5,-61.0,3.0,4.0\n")
         table, summary = prepare_rows(path)
         assert table.ids == ["a", "b"]
-        assert table.values == [[-50.0, -60.0], [-55.5, -61.0]]
+        assert value_rows(table) == [[-50.0, -60.0], [-55.5, -61.0]]
         assert summary == {"rows_in": 2, "rows_out": 2, "rows_dropped": 0, "fill_count": 0}
 
     def test_bad_target_dropped(self, tmp_path):
@@ -51,18 +54,18 @@ class TestPrepare:
     def test_missing_rssi_filled(self, tmp_path):
         path = raw(tmp_path, "a,,-60.0,1.0,2.0\n")
         table, summary = prepare_rows(path)
-        assert table.values == [[-100.0, -60.0]]
+        assert value_rows(table) == [[-100.0, -60.0]]
         assert summary["fill_count"] == 1
 
     def test_custom_fill_value(self, tmp_path):
         path = raw(tmp_path, "a,,-60.0,1.0,2.0\n")
         table, _ = prepare_rows(path, fill_value=-95.0)
-        assert table.values[0][0] == -95.0
+        assert table.cols[0][0] == -95.0
 
     def test_non_numeric_rssi_filled(self, tmp_path):
         path = raw(tmp_path, "a,junk,-60.0,1.0,2.0\n")
         table, summary = prepare_rows(path)
-        assert table.values == [[-100.0, -60.0]]
+        assert value_rows(table) == [[-100.0, -60.0]]
         assert summary["fill_count"] == 1
 
     def test_drop_policy_any(self, tmp_path):
@@ -117,53 +120,54 @@ class TestPrepare:
 
 
 def make_table(values, prefix="rssi"):
-    return Table(
-        prefix=prefix,
-        ids=[f"s{i}" for i in range(len(values))],
-        values=[list(v) for v in values],
-        targets=[(0.0, 0.0)] * len(values),
-    )
+    return Table.from_rows(prefix, [f"s{i}" for i in range(len(values))], values, [(0.0, 0.0)] * len(values))
 
 
 class TestFeaturize:
     def test_identity(self):
         table = make_table([[-50.0, -60.0]])
         out = featurize(table, parse_transforms(["identity"]))
-        assert out.values == [[-50.0, -60.0]]
+        assert value_rows(out) == [[-50.0, -60.0]]
         assert out.prefix == "f"
-        assert out.ids == table.ids and out.targets == table.targets
+        assert out.ids == table.ids and target_rows(out) == target_rows(table)
 
     def test_dbm_to_mw(self):
         out = featurize(make_table([[-30.0]]), parse_transforms(["dbm_to_mw"]))
-        assert out.values[0][0] == 0.001
+        assert out.cols[0][0] == 0.001
 
     def test_clip(self):
         transforms = parse_transforms([{"clip": {"lo": -100.0, "hi": -30.0}}])
         out = featurize(make_table([[-120.0, -20.0, -55.0]]), transforms)
-        assert out.values[0] == [-100.0, -30.0, -55.0]
+        assert value_rows(out)[0] == [-100.0, -30.0, -55.0]
 
     def test_declared_order_matters(self):
         clip_then_mw = parse_transforms([{"clip": {"lo": -60.0, "hi": -40.0}}, "dbm_to_mw"])
         mw_then_clip = parse_transforms(["dbm_to_mw", {"clip": {"lo": -60.0, "hi": -40.0}}])
         row = [[-80.0]]
-        a = featurize(make_table(row), clip_then_mw).values[0][0]
-        b = featurize(make_table(row), mw_then_clip).values[0][0]
+        a = featurize(make_table(row), clip_then_mw).cols[0][0]
+        b = featurize(make_table(row), mw_then_clip).cols[0][0]
         assert a == 10.0 ** (-60.0 / 10.0)
         assert b == -40.0  # mw value 1e-8 then clipped up to lo... deliberately different
         assert a != b
 
     def test_dbm_to_mw_overflow_names_stage_and_value(self, tmp_path):
-        prepared = tmp_path / "prepared.csv"
-        write_table(make_table([[-30.0], [3100.0]]), prepared)
-        request = StageRequest(
-            stage="feat", builtin="loc.featurize",
-            params={"featurize.transforms": ["dbm_to_mw"]},
-            deps=(str(prepared),), outs=(str(tmp_path / "features.csv"),),
-        )
-        with pytest.raises(BuiltinError) as info:
-            run_builtin("loc.featurize", request)
-        assert str(info.value) == "stage 'feat': dbm_to_mw overflows on value 3100.0"
-        assert not (tmp_path / "features.csv").exists()
+        # transforms run down columns, yet the first bad cell in row order is named
+        for rows, bad in [
+            ([[-30.0], [3100.0]], "3100.0"),
+            ([[-30.0, 3200.0], [3100.0, -30.0]], "3200.0"),
+            ([[-30.0, -30.0], [-30.0, 3300.0], [3100.0, -30.0]], "3300.0"),
+        ]:
+            prepared = tmp_path / "prepared.csv"
+            write_table(make_table(rows), prepared)
+            request = StageRequest(
+                stage="feat", builtin="loc.featurize",
+                params={"featurize.transforms": ["dbm_to_mw"]},
+                deps=(str(prepared),), outs=(str(tmp_path / "features.csv"),),
+            )
+            with pytest.raises(BuiltinError) as info:
+                run_builtin("loc.featurize", request)
+            assert str(info.value) == f"stage 'feat': dbm_to_mw overflows on value {bad}"
+            assert not (tmp_path / "features.csv").exists()
 
     def test_clip_lo_above_hi(self):
         with pytest.raises(BuiltinError, match="lo"):
@@ -177,17 +181,12 @@ class TestFeaturize:
         table = make_table([[float(-i)] for i in range(50)])
         out = featurize(table, parse_transforms(["identity"]))
         assert out.n_rows == 50
-        assert out.values == table.values
+        assert value_rows(out) == value_rows(table)
 
 
 class TestTablesRoundTrip:
     def test_write_read_identity(self, tmp_path):
-        table = Table(
-            prefix="f",
-            ids=["a", "b"],
-            values=[[1.25, -3.5], [0.1, 2.0]],
-            targets=[(1.0, 2.0), (3.0, 4.5)],
-        )
+        table = Table.from_rows("f", ["a", "b"], [[1.25, -3.5], [0.1, 2.0]], [(1.0, 2.0), (3.0, 4.5)])
         path = tmp_path / "t.csv"
         write_table(table, path)
         again = read_table(path)
@@ -205,6 +204,39 @@ class TestTablesRoundTrip:
         path.write_text("sample_id,f_1,x,y\na,oops,1.0,2.0\n")
         with pytest.raises(BuiltinError, match="non-numeric"):
             read_table(path)
+
+
+class TestHeaderOnlyTable:
+    """A table with a header and no rows keeps its value columns through
+    every stage that reads and writes it."""
+
+    def prepared(self, tmp_path) -> Path:
+        path = tmp_path / "prepared.csv"
+        path.write_text(HEADER)
+        return path
+
+    def test_read_write(self, tmp_path):
+        table = read_table(self.prepared(tmp_path))
+        assert (table.prefix, table.n_rows, table.n_cols) == ("rssi", 0, 2)
+        write_table(table, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == HEADER
+
+    def test_featurize(self, tmp_path):
+        out = tmp_path / "features.csv"
+        run_builtin("loc.featurize", StageRequest(
+            stage="feat", builtin="loc.featurize", params={"featurize.transforms": ["dbm_to_mw"]},
+            deps=(str(self.prepared(tmp_path)),), outs=(str(out),),
+        ))
+        assert out.read_text() == "sample_id,f_1,f_2,x,y\n"
+
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_scale(self, tmp_path, factor):
+        out = tmp_path / "scaled.csv"
+        run_builtin("loc.scale", StageRequest(
+            stage="scale", builtin="loc.scale", params={"scale.factor": factor},
+            deps=(str(self.prepared(tmp_path)),), outs=(str(out),),
+        ))
+        assert out.read_text() == HEADER
 
 
 class TestStrictReader:
@@ -269,21 +301,22 @@ class TestWriterBytes:
     TRICKY = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2, 1 / 3, 7]
 
     def test_matches_fmt_num_oracle(self, tmp_path):
-        table = Table(
-            prefix="f",
-            ids=["a", "b,c", 'q"d'],
-            values=[self.TRICKY, list(reversed(self.TRICKY)), [-1e-7, 2.5, -3, 1e300, 1e-300, 0.0, 123456789.125]],
-            targets=[(-0.0, 5e-324), (1e22, 1 / 3), (7, 0.1 + 0.2)],
+        table = Table.from_rows(
+            "f",
+            ["a", "b,c", 'q"d'],
+            [self.TRICKY, list(reversed(self.TRICKY)), [-1e-7, 2.5, -3, 1e300, 1e-300, 0.0, 123456789.125]],
+            [(-0.0, 5e-324), (1e22, 1 / 3), (7, 0.1 + 0.2)],
         )
         path = tmp_path / "t.csv"
         write_table(table, path)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table.header())
-        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets):
+        for sample_id, row, (x, y) in zip(table.ids, value_rows(table), target_rows(table)):
             writer.writerow([sample_id] + [fmt_num(v) for v in row] + [fmt_num(x), fmt_num(y)])
         assert path.read_bytes() == buf.getvalue().encode("utf-8")
-        assert b"-0.0,5e-324,1e+16,1e+22,0.30000000000000004,0.3333333333333333,7" in path.read_bytes()
+        # a Table's columns are array('d'): the int 7 is held, and written, as 7.0
+        assert b"-0.0,5e-324,1e+16,1e+22,0.30000000000000004,0.3333333333333333,7.0" in path.read_bytes()
 
     def test_predictions_csv_matches_fmt_num_oracle(self):
         rows = [
@@ -363,8 +396,9 @@ class TestWriterBytes:
             patch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
             self.assert_renders_like_csv_writer(ids, [pooled, drawn, [float(len(i)) for i in ids]])
 
-    def test_write_table_refuses_ragged_rows(self, tmp_path):
-        table = Table(prefix="f", ids=["a", "b"], values=[[1.0, 2.0], [3.0]], targets=[(1.0, 2.0), (3.0, 4.0)])
+    def test_write_table_refuses_ragged_rows(self):
         with pytest.raises(ValueError):
-            write_table(table, tmp_path / "t.csv")
-        assert not (tmp_path / "t.csv").exists()
+            Table.from_rows("f", ["a", "b"], [[1.0, 2.0], [3.0]], [(1.0, 2.0), (3.0, 4.0)])
+        with pytest.raises(ValueError, match="one per id"):
+            Table("f", ["a", "b"], [array("d", [1.0, 2.0]), array("d", [3.0])], array("d", [1.0, 3.0]),
+                  array("d", [2.0, 4.0]))

@@ -13,6 +13,7 @@ from locpipe.loctk.report import build_report, classify
 from locpipe.loctk.split import make_fold_file
 from locpipe.loctk.tables import Table, read_table, write_table
 
+from conftest import target_rows, value_rows
 from test_gridsearch import RIDGE_GRID, folds_for, make_table
 
 
@@ -76,11 +77,9 @@ class TestBuildReport:
 
 def prepared_table(n=4) -> Table:
     rng = random.Random(0)
-    return Table(
-        prefix="rssi",
-        ids=[f"s{i}" for i in range(n)],
-        values=[[rng.uniform(-90, -40)] for _ in range(n)],
-        targets=[(float(i), float(i)) for i in range(n)],
+    return Table.from_rows(
+        "rssi", [f"s{i}" for i in range(n)], [[rng.uniform(-90, -40)] for _ in range(n)],
+        [(float(i), float(i)) for i in range(n)],
     )
 
 
@@ -101,7 +100,7 @@ def expanded_csv(table: Table, factor: int) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.header())
     for copy in range(factor):
-        for sample_id, row, (x, y) in zip(table.ids, table.values, table.targets):
+        for sample_id, row, (x, y) in zip(table.ids, value_rows(table), target_rows(table)):
             cell = sample_id if factor == 1 else f"{sample_id}#{copy}"
             writer.writerow([cell] + [fmt_num(v) for v in row] + [fmt_num(x), fmt_num(y)])
     return buf.getvalue()
@@ -117,8 +116,8 @@ class TestScaleStage:
         table = prepared_table(n=4)
         scaled = read_table(run_scale(tmp_path, table, 5))
         assert scaled.n_rows == 20
-        assert scaled.values == table.values * 5
-        assert scaled.targets == table.targets * 5
+        assert value_rows(scaled) == value_rows(table) * 5
+        assert target_rows(scaled) == target_rows(table) * 5
 
     def test_factor_ten_ids_unique(self, tmp_path):
         scaled = read_table(run_scale(tmp_path, prepared_table(n=3), 10))
@@ -138,16 +137,16 @@ class TestScaleStage:
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     def test_bytes_match_csv_writer_oracle(self, tmp_path, factor):
-        table = Table(
-            prefix="rssi",
-            ids=["plain", "a,b", 'say "hi"', '"', "line\nbreak", "", "x#1", " pad "],
-            values=[[-0.0, 5e-324], [1e16, 1e22], [0.1 + 0.2, 1 / 3], [-90.5, -40.0],
-                    [1.0, 2.0], [3.0, 4.0], [-1e-7, 123456789.0], [0.5, -0.5]],
-            targets=[(float(i), 0.25 * i) for i in range(8)],
+        table = Table.from_rows(
+            "rssi",
+            ["plain", "a,b", 'say "hi"', '"', "line\nbreak", "", "x#1", " pad "],
+            [[-0.0, 5e-324], [1e16, 1e22], [0.1 + 0.2, 1 / 3], [-90.5, -40.0],
+             [1.0, 2.0], [3.0, 4.0], [-1e-7, 123456789.0], [0.5, -0.5]],
+            [(float(i), 0.25 * i) for i in range(8)],
         )
         out = run_scale(tmp_path, table, factor)
         assert out.read_text(encoding="utf-8") == expanded_csv(table, factor)
         scaled = read_table(out)
-        assert scaled.values == table.values * factor
+        assert value_rows(scaled) == value_rows(table) * factor
         if factor > 1:
             assert scaled.ids[8] == "plain#1" and scaled.ids[9] == "a,b#1"

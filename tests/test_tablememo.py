@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import random
+import struct
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,7 @@ from locpipe.loctk import tables
 from locpipe.loctk.tables import Table, read_table, write_table
 from locpipe.store import ObjectStore, gc, load_lock
 
-from conftest import edit_params, run
+from conftest import edit_params, run, value_rows
 
 TEMPLATES = [
     "baseline", "two-model", "scaling", "change-estimator",
@@ -35,12 +39,13 @@ def entry_for(memo: Path, csv: Path) -> Path:
 
 
 def as_text(table: Table) -> str:
-    """Every field with its exact float text and container types."""
-    return repr((table.prefix, table.ids, table.values, table.targets))
+    """Every field with the exact bits of every float and each column's type."""
+    columns = table.columns()
+    return repr((table.prefix, table.ids, [(type(c), c.typecode, c.tobytes()) for c in columns]))
 
 
 def write_sample(path: Path) -> None:
-    write_table(Table("f", ["a", "b"], [[1.25, -3.5], [0.1, -0.0]], [(1.0, 2.0), (3.0, 4.5)]), path)
+    write_table(Table.from_rows("f", ["a", "b"], [[1.25, -3.5], [0.1, -0.0]], [(1.0, 2.0), (3.0, 4.5)]), path)
 
 
 def forbid_parse(monkeypatch) -> None:
@@ -68,9 +73,10 @@ def test_hit_equals_fresh_parse_for_every_template_table(make_project, template,
             hit = read_table(csv, memo)
         assert as_text(hit) == as_text(miss) == as_text(fresh)
         assert hit == fresh
-        rows = [id(row) for row in hit.values]
-        assert len(set(rows)) == len(rows)
-        assert not set(rows) & ({id(row) for row in fresh.values} | {id(row) for row in miss.values})
+        assert {(type(c), c.typecode) for c in hit.columns()} == {(array, "d")}
+        columns = [id(column) for column in hit.columns()]
+        assert len(set(columns)) == len(columns)
+        assert not set(columns) & {id(column) for table in (fresh, miss) for column in table.columns()}
 
 
 def test_repro_fills_the_memo_of_this_code(make_project):
@@ -92,7 +98,7 @@ def test_one_byte_edit_misses(tmp_path, monkeypatch):
     parsed = []
     real_parse = tables._parse
     monkeypatch.setattr(tables, "_parse", lambda data, path: parsed.append(path) or real_parse(data, path))
-    assert read_table(csv, memo).values[0] == [1.75, -3.5]
+    assert value_rows(read_table(csv, memo))[0] == [1.75, -3.5]
     assert parsed == [csv]
     assert len(list(memo.iterdir())) == 2
 
@@ -119,21 +125,66 @@ def test_corrupted_entry_is_ignored_and_rewritten(tmp_path, damage):
     assert entry.read_bytes() == good
 
 
+def write_checked(entry: Path, payload: bytes) -> None:
+    entry.parent.mkdir(parents=True, exist_ok=True)
+    entry.write_bytes(hashlib.sha256(payload).digest() + payload)
+
+
 def test_checked_payload_that_is_not_a_table_is_parsed(tmp_path):
     csv = tmp_path / "t.csv"
     write_sample(csv)
     memo = memo_dir(tmp_path)
     entry = entry_for(memo, csv)
-    entry.parent.mkdir(parents=True)
-    payload = marshal.dumps(("f", ["a"]))
-    entry.write_bytes(hashlib.sha256(payload).digest() + payload)
+    # counts and columns laid out right, but a head that is not (prefix, ids),
+    # or ids that do not match the row count
+    for head in [("f", ["a"], "extra"), ("f", ["a"])]:
+        write_checked(entry, struct.pack("<2Q", 2, 4) + bytes(8 * 2 * 4) + marshal.dumps(head))
+        assert as_text(read_table(csv, memo)) == as_text(read_table(csv))
+
+
+def test_old_format_entry_is_parsed_and_rewritten(tmp_path):
+    """A checked entry in the row-major layout of earlier code is parsed
+    again and rewritten."""
+    csv = tmp_path / "t.csv"
+    write_sample(csv)
+    memo = memo_dir(tmp_path)
+    read_table(csv, memo)
+    entry = entry_for(memo, csv)
+    good = entry.read_bytes()
+    write_checked(entry, marshal.dumps(("f", ["a", "b"], [[1.25, -3.5], [0.1, -0.0]], [(1.0, 2.0), (3.0, 4.5)])))
     assert as_text(read_table(csv, memo)) == as_text(read_table(csv))
+    assert entry.read_bytes() == good
+
+
+def test_hit_allocates_less_than_twice_its_payload(tmp_path):
+    """A hit reads the columns into their arrays and holds no per-row object
+    but the ids: its peak allocation stays under twice the entry's payload."""
+    rng = random.Random(0)
+    n = 5000  # a factor-40-like feature table: 6 value columns, scaled ids
+    table = Table.from_rows(
+        "f", [f"s{i % 600:06d}#{i // 600}" for i in range(n)],
+        [[rng.uniform(-90, -40) for _ in range(6)] for _ in range(n)],
+        [(rng.uniform(0, 60), rng.uniform(0, 40)) for _ in range(n)],
+    )
+    csv = tmp_path / "t.csv"
+    write_table(table, csv)
+    memo = memo_dir(tmp_path)
+    read_table(csv, memo)
+    payload = entry_for(memo, csv).stat().st_size - 32
+    tracemalloc.start()
+    try:
+        hit = read_table(csv, memo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit == table
+    assert peak < 2 * payload, (peak, payload)
 
 
 def test_entry_of_another_code_digest_is_ignored(tmp_path, monkeypatch):
     csv = tmp_path / "t.csv"
     write_sample(csv)
-    forged = Table("f", ["forged", "rows"], [[0.0, 0.0], [0.0, 0.0]], [(0.0, 0.0), (0.0, 0.0)])
+    forged = Table.from_rows("f", ["forged", "rows"], [[0.0, 0.0], [0.0, 0.0]], [(0.0, 0.0), (0.0, 0.0)])
     with monkeypatch.context() as patch:
         patch.setattr(loctk, "_code_digest", lambda: "1" * 64)
         other = memo_dir(tmp_path)
