@@ -147,7 +147,9 @@ def _stage_order(project: Project) -> list[str]:
 
 
 def emit_bench_report(rows: list[BenchRow], stage_order: list[str] | None = None) -> tuple[str, str]:
-    """Render (markdown, csv); per-stage rows plus a total row, ratios vs the first factor."""
+    """Render (markdown, csv); per-stage rows plus a total row, ratios vs the
+    first factor. The Markdown has the totals, then per-stage tables of wall
+    seconds and of peak RSS in MB (10^6 bytes), one column per factor."""
     if not rows:
         raise ConfigError("bench report: no rows")
     if stage_order is None:
@@ -190,14 +192,17 @@ def emit_bench_report(rows: list[BenchRow], stage_order: list[str] | None = None
             f"| {row.total_cpu_s:.3f} | {cpu_ratio:.2f}x "
             f"| {row.noop_wall_s:.3f} | {row.full_wall_s:.3f} |\n"
         )
-    md.write("\n## Per-stage wall seconds\n\n")
-    md.write("| stage | " + " | ".join(f"factor {row.factor}" for row in rows) + " |\n")
-    md.write("|---|" + "---|" * len(rows) + "\n")
-    for stage in stage_order:
-        if not any(stage in row.stage_wall for row in rows):
-            continue
-        cells = [f"{row.stage_wall.get(stage, 0.0):.3f}" for row in rows]
-        md.write(f"| {stage} | " + " | ".join(cells) + " |\n")
+    per_stage = (
+        ("Per-stage wall seconds", lambda row, stage: f"{row.stage_wall.get(stage, 0.0):.3f}"),
+        ("Per-stage peak RSS (MB)", lambda row, stage: f"{row.stage_rss.get(stage, 0) / 1e6:.1f}"),
+    )
+    for title, cell in per_stage:
+        md.write(f"\n## {title}\n\n")
+        md.write("| stage | " + " | ".join(f"factor {row.factor}" for row in rows) + " |\n")
+        md.write("|---|" + "---|" * len(rows) + "\n")
+        for stage in stage_order:
+            if any(stage in row.stage_wall for row in rows):
+                md.write(f"| {stage} | " + " | ".join(cell(row, stage) for row in rows) + " |\n")
     return md.getvalue(), csv_text
 
 

@@ -2,15 +2,26 @@
 
 Everything hashed or committed to disk goes through one byte-stable encoding:
 JSON with sorted keys, no insignificant whitespace, lowercase literals, and
-shortest round-trip decimal rendering for floats (Python's ``repr``). Two
-semantically equal values always produce identical bytes, so reformatting a
-config file never changes a fingerprint.
+shortest round-trip decimal rendering for floats (Python's ``repr``). An
+``array.array`` encodes as the list of its items. Two semantically equal
+values always produce identical bytes, so reformatting a config file never
+changes a fingerprint.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+
+def _as_list(value: object) -> list:
+    """An ``array.array`` encodes as the list of its items."""
+    # imported here: the orchestrator imports this module and holds no array
+    from array import array
+
+    if isinstance(value, array):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_json(value: object) -> str:
@@ -21,6 +32,7 @@ def canonical_json(value: object) -> str:
         separators=(",", ":"),
         ensure_ascii=False,
         allow_nan=False,
+        default=_as_list,
     )
 
 

@@ -7,10 +7,15 @@ metric over folds, ties resolved toward the lowest candidate index. Outputs
 of the selected candidate, and a compact metrics JSON.
 
 The feature table is column-major (`tables.Table`), and the search works on
-its columns. Each fold's and each row group's subset is gathered column by
-column (`gather`); the ridge statistics are built from those columns
-(`RidgeStats.from_columns`), and each fold's test feature columns and its
-`metrics.Truth` come straight from the table's columns. Rows are formed
+its columns. The fold file is decoded with each fold's index lists as
+``array('q')`` (`split.load_fold_file`), which `check_folds` takes as ints
+without scanning their types. Each fold's test rows are gathered column by
+column through one ``operator.itemgetter`` (`gatherer`), and its test
+feature columns and `metrics.Truth` come from those gathers. The ridge
+statistics group the rows by one per-fold count of their train occurrences
+(a ``bytearray`` per fold) and are built from each group's columns
+(`RidgeStats.from_columns`); a group that is exactly one fold's test rows,
+as every group is under k-fold, reuses that fold's gathers. Rows are formed
 only for kNN, and only when the grid holds a kNN candidate.
 
 The predictions CSV is built as columns, never as rows: `Predictions` is
@@ -23,10 +28,11 @@ distinct float and ids quoted by csv.writer.
 from __future__ import annotations
 
 import io
+import operator
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
@@ -117,47 +123,75 @@ def select_index(mean_primary: list[float]) -> int:
     return best
 
 
-def gather(column: Sequence[float], idxs: Sequence[int]) -> array:
-    """The values of `column` at `idxs`, in order: one, many or none."""
-    return array("d", map(column.__getitem__, idxs))
+def gatherer(idxs: Sequence[int]) -> Callable[[Sequence[float]], array]:
+    """A function giving the values of a column at `idxs`, in order: one,
+    many or none. Its ``operator.itemgetter`` boxes the indices once, for
+    every column."""
+    if len(idxs) < 2:  # itemgetter of one index gives a value, not a tuple
+        return lambda column: array("d", map(column.__getitem__, idxs))
+    get = operator.itemgetter(*idxs)
+    return lambda column: array("d", get(column))
+
+
+def _train_counts(train: Sequence[int], n: int) -> bytearray | array:
+    """How many times each row of ``[0, n)`` appears in `train`."""
+    counts: bytearray | array = bytearray(n)
+    try:
+        for idx in train:
+            counts[idx] += 1
+    except ValueError:  # a row repeats more than 255 times
+        counts = array("q", bytes(8 * n))
+        for idx in train:
+            counts[idx] += 1
+    return counts
 
 
 def ridge_fold_stats(
-    table: Table, folds: list[dict]
+    table: Table, folds: list[dict], gathered: dict[bytes, list[array]] | None = None
 ) -> tuple[list[RidgeStats | None], RidgeStats | None]:
     """One statistics pass over the rows: (train statistics per fold, statistics of all rows).
 
-    Rows are grouped by the folds whose train list holds them, counting
-    repeats; each group's columns are gathered and reduced to statistics,
-    each fold merges the groups it holds, once per occurrence, and the
-    all-rows statistics merge every group once. A fold with no train rows
-    gets None.
-    """
-    member_of: list[list[int]] = [[] for _ in range(table.n_rows)]
-    for fold_idx, fold in enumerate(folds):
-        for idx in fold["train"]:
-            member_of[idx].append(fold_idx)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for idx, signature in enumerate(member_of):
-        groups.setdefault(tuple(signature), []).append(idx)
+    Rows are grouped by how many times each fold's train list holds them
+    (one count per fold per row); each group's columns are gathered and
+    reduced to statistics, each fold merges the groups it holds, once per
+    occurrence, in group order, and the all-rows statistics merge every
+    group once. A fold with no train rows gets None.
 
+    `gathered` maps the ``array('q')`` bytes of an index list to the
+    table's columns (value columns, then x and y) already gathered at it; a
+    group whose ascending rows are such a list reuses them. Under k-fold
+    each group is exactly one fold's test rows.
+    """
+    counts = [_train_counts(fold["train"], table.n_rows) for fold in folds]
+    groups: dict[tuple[int, ...], array] = {}
+    for idx, signature in enumerate(zip(*counts)):
+        rows = groups.get(signature)
+        if rows is None:
+            rows = groups[signature] = array("q")
+        rows.append(idx)
+
+    gathered = gathered or {}
     fold_stats: list[RidgeStats | None] = [None] * len(folds)
     all_stats: RidgeStats | None = None
-    for signature, idxs in groups.items():
-        stats = RidgeStats.from_columns(
-            [gather(column, idxs) for column in table.cols], [gather(table.x, idxs), gather(table.y, idxs)]
-        )
+    for signature, rows in groups.items():
+        columns = gathered.get(rows.tobytes())
+        if columns is None:
+            columns = list(map(gatherer(rows), table.columns()))
+        stats = RidgeStats.from_columns(columns[:-2], columns[-2:])
         all_stats = stats if all_stats is None else all_stats.merge(stats)
-        for fold_idx in signature:
-            prior = fold_stats[fold_idx]
-            fold_stats[fold_idx] = stats if prior is None else prior.merge(stats)
+        for fold_idx, count in enumerate(signature):
+            for _ in range(count):
+                prior = fold_stats[fold_idx]
+                fold_stats[fold_idx] = stats if prior is None else prior.merge(stats)
     return fold_stats, all_stats
 
 
 def check_folds(folds: object, n_rows: int) -> None:
     """Raise a BuiltinError naming the first fold that is not a mapping of
     ``train`` and ``test`` lists of int row indices in ``[0, n_rows)``, or
-    whose test indices also appear in its train list."""
+    whose test indices also appear in its train list. An ``array('q')``
+    (as `split.load_fold_file` decodes a list of ints) counts as a list of
+    ints without a scan of its types."""
     if not isinstance(folds, list):
         raise BuiltinError("gridsearch: the fold file's 'folds' must be a list")
     for fold_idx, fold in enumerate(folds):
@@ -166,11 +200,12 @@ def check_folds(folds: object, n_rows: int) -> None:
             raise BuiltinError(f"{where}: must be a mapping with 'train' and 'test' index lists")
         for part in ("train", "test"):
             idxs = fold.get(part)
-            if not isinstance(idxs, list):
-                raise BuiltinError(f"{where}: '{part}' must be a list of row indices")
-            if not set(map(type, idxs)) <= {int}:  # bool is not int here
-                bad = next(i for i in idxs if type(i) is not int)
-                raise BuiltinError(f"{where}: {part} index {bad!r} is not an int")
+            if not (isinstance(idxs, array) and idxs.typecode == "q"):
+                if not isinstance(idxs, list):
+                    raise BuiltinError(f"{where}: '{part}' must be a list of row indices")
+                if not set(map(type, idxs)) <= {int}:  # bool is not int here
+                    bad = next(i for i in idxs if type(i) is not int)
+                    raise BuiltinError(f"{where}: {part} index {bad!r} is not an int")
             if idxs and not (min(idxs) >= 0 and max(idxs) < n_rows):
                 bad = next(i for i in idxs if not 0 <= i < n_rows)
                 raise BuiltinError(f"{where}: {part} index {bad} out of range for {n_rows} rows")
@@ -210,8 +245,13 @@ def run_grid_search(
     check_folds(folds, table.n_rows)
 
     candidates = expand_grid(grid_cfg)
+    # per fold: the table's columns (value columns, then x and y) at its test rows
+    test_columns = [list(map(gatherer(fold["test"]), table.columns())) for fold in folds]
     fold_stats, all_stats = (
-        ridge_fold_stats(table, folds) if any(c.model == "ridge" for c in candidates) else ([], None)
+        ridge_fold_stats(table, folds, {
+            array("q", fold["test"]).tobytes(): columns for fold, columns in zip(folds, test_columns)
+        })
+        if any(c.model == "ridge" for c in candidates) else ([], None)
     )
     # kNN works on rows: (feature rows, target rows), formed only for a kNN candidate
     knn_rows = (
@@ -230,11 +270,7 @@ def run_grid_search(
         return fit_model(cand.model, cand.params, [x_rows[i] for i in train], [y_rows[i] for i in train])
 
     # per fold: (test feature columns, truth)
-    test_views = []
-    for fold in folds:
-        test = fold["test"]
-        truth = truth_columns(gather(table.x, test), gather(table.y, test))
-        test_views.append(([gather(column, test) for column in table.cols], truth))
+    test_views = [(columns[:-2], truth_columns(*columns[-2:])) for columns in test_columns]
     rows = []
     aggregates = []
     mean_primary = []

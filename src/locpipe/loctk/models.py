@@ -72,13 +72,14 @@ class RidgeModel:
         """(x, y) predictions of `n` rows given as feature columns.
 
         Each prediction starts at the intercept and adds ``value * coef`` one
-        feature at a time, in feature order.
+        feature at a time, in feature order. The per-feature steps are chained
+        lazily, so each target's list is built once.
         """
-        pred_x, pred_y = [self.intercept[0]] * n, [self.intercept[1]] * n
+        pred_x, pred_y = repeat(self.intercept[0], n), repeat(self.intercept[1], n)
         for column, (coef_x, coef_y) in zip(columns, self.coef):
-            pred_x = list(map(operator.add, pred_x, map(operator.mul, column, repeat(coef_x))))
-            pred_y = list(map(operator.add, pred_y, map(operator.mul, column, repeat(coef_y))))
-        return pred_x, pred_y
+            pred_x = map(operator.add, pred_x, map(operator.mul, column, repeat(coef_x)))
+            pred_y = map(operator.add, pred_y, map(operator.mul, column, repeat(coef_y)))
+        return list(pred_x), list(pred_y)
 
 
 @dataclass(frozen=True)

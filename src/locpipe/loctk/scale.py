@@ -5,12 +5,16 @@ For factor >= 2 every sample id gains a ``#<copy>`` suffix to stay unique;
 factor 1 writes the table back through `write_table` unchanged.
 
 Each source row's value-and-target text is rendered once, by
-`tables.render_csv`, and written `factor` times, each copy behind its own id
-cell. The output bytes are those of `write_table` over the expanded table:
-an id cell gets exactly the quoting `tables.id_cell` gives it there.
+`tables.render_csv`, and the output is written one copy at a time, each row
+behind its own id cell, so memory holds the source table and one copy's
+text, never the whole output. The output bytes are those of `write_table`
+over the expanded table: an id cell gets exactly the quoting
+`tables.id_cell` gives it there.
 """
 
 from __future__ import annotations
+
+from typing import TextIO
 
 from ..errors import BuiltinError
 from . import StageRequest, get, section
@@ -28,18 +32,20 @@ def _id_affixes(sample_id: str) -> tuple[str, str]:
     return (cell, "") if cell.endswith("#") else (cell[:-1], '"')
 
 
-def render_scaled(table: Table, factor: int) -> str:
-    """The CSV text of `factor` block-wise copies of `table` (factor >= 2)."""
+def write_scaled(table: Table, factor: int, handle: TextIO) -> None:
+    """Write the CSV text of `factor` block-wise copies of `table` (factor
+    >= 2) to `handle`, one copy at a time."""
     # an empty first cell stands in for the id: each source row renders once,
     # as ",<values>,x,y\n"
     text = "".join(render_csv(table.header(), [""] * table.n_rows, table.columns()))
     header, *rests = text.splitlines(keepends=True)
+    del text
     affixes = [_id_affixes(sample_id) for sample_id in table.ids]
-    return header + "".join(
-        f"{head}{copy}{tail}{rest}"
-        for copy in range(factor)
-        for (head, tail), rest in zip(affixes, rests)
-    )
+    handle.write(header)
+    for copy in range(factor):
+        handle.write("".join(
+            f"{head}{copy}{tail}{rest}" for (head, tail), rest in zip(affixes, rests)
+        ))
 
 
 def run(request: StageRequest) -> None:
@@ -53,4 +59,5 @@ def run(request: StageRequest) -> None:
         write_table(table, out)
         return
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_scaled(table, factor), encoding="utf-8")
+    with open(out, "w", encoding="utf-8", newline="") as handle:
+        write_scaled(table, factor, handle)

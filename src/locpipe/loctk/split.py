@@ -9,20 +9,41 @@ identical splits and reruns are exact. Strategies:
   repeat; test = first ceil(fraction * n) indices.
 - ``groupkfold(k, group_column)``: whole groups assigned greedily (largest
   group first, ties by group key) to the currently smallest fold.
+
+Each fold's ``train`` and ``test`` indices are held as ``array('q')``, not as
+lists of Python ints. `write_fold_file` writes the fold file index list by
+index list, in chunks, with the bytes `canonical.dump_canonical` gives the
+document, so the whole encoding is never held at once. `load_fold_file`
+reads a fold file a block at a time and decodes every list that holds only
+64-bit ints straight into an ``array('q')``; any other list stays a list, so
+`gridsearch.check_folds` can name its first bad index.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
+from array import array
+from itertools import compress
 from pathlib import Path
+from typing import Sequence, TextIO
 
-from ..canonical import dump_canonical
+from ..canonical import canonical_json
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .rng import Rng
 from .tables import read_column, read_table
 
 STRATEGIES = ("kfold", "shuffle", "groupkfold")
+
+
+def _others(test: Sequence[int], n: int) -> array:
+    """The indices in ``[0, n)`` that are not in `test`, ascending."""
+    keep = bytearray(b"\x01") * n
+    for idx in test:
+        keep[idx] = 0
+    return array("q", list(compress(range(n), keep)))  # from a list: one bulk copy
 
 
 def kfold_folds(n: int, k: int, seed: int) -> list[dict]:
@@ -35,10 +56,9 @@ def kfold_folds(n: int, k: int, seed: int) -> list[dict]:
     start = 0
     for i in range(k):
         size = base + (1 if i < extra else 0)
-        test = sorted(order[start:start + size])
+        test = array("q", sorted(order[start:start + size]))
         start += size
-        test_set = set(test)
-        folds.append({"train": [j for j in range(n) if j not in test_set], "test": test})
+        folds.append({"train": _others(test, n), "test": test})
     return folds
 
 
@@ -55,8 +75,8 @@ def shuffle_folds(n: int, test_fraction: float, repeats: int, seed: int) -> list
     for _ in range(repeats):
         order = list(range(n))
         rng.shuffle(order)
-        test = sorted(order[:test_size])
-        train = sorted(order[test_size:])
+        test = array("q", sorted(order[:test_size]))
+        train = array("q", sorted(order[test_size:]))
         folds.append({"train": train, "test": test})
     return folds
 
@@ -80,9 +100,8 @@ def group_kfold_folds(groups: list[str], k: int) -> list[dict]:
         buckets[smallest].extend(idxs)
     folds = []
     for bucket in buckets:
-        test = sorted(bucket)
-        test_set = set(test)
-        folds.append({"train": [j for j in range(n) if j not in test_set], "test": test})
+        test = array("q", sorted(bucket))
+        folds.append({"train": _others(test, n), "test": test})
     return folds
 
 
@@ -107,6 +126,35 @@ def make_fold_file(n: int, cfg: dict, groups: list[str] | None, where: str = "sp
     return {"strategy": strategy, "seed": seed, "n_samples": n, "folds": folds}
 
 
+# Indices rendered per write: each chunk's text is a few pages, whatever the list's length.
+_CHUNK_INDICES = 2048
+
+
+def _write_indices(handle: TextIO, idxs: Sequence[int]) -> None:
+    for lo in range(0, len(idxs), _CHUNK_INDICES):
+        handle.write(("," if lo else "") + canonical_json(idxs[lo:lo + _CHUNK_INDICES])[1:-1])
+
+
+def write_fold_file(doc: dict, path: Path | str) -> None:
+    """Write the fold document `doc` to `path` with the bytes of
+    ``canonical.dump_canonical(doc, path)``, one index list at a time.
+
+    `doc` is laid out as `make_fold_file` lays it out: the keys ``folds``,
+    ``n_samples``, ``seed`` and ``strategy``, and each fold a mapping of
+    ``train`` and ``test`` to a sequence of ints.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write('{"folds":[')
+        for fold_idx, fold in enumerate(doc["folds"]):
+            handle.write(',{"test":[' if fold_idx else '{"test":[')
+            _write_indices(handle, fold["test"])
+            handle.write('],"train":[')
+            _write_indices(handle, fold["train"])
+            handle.write("]}")
+        tail = canonical_json({key: doc[key] for key in ("n_samples", "seed", "strategy")})
+        handle.write("]," + tail[1:] + "\n")  # tail[1:] drops its "{"
+
+
 def run(request: StageRequest) -> None:
     cfg = section(request, "split")
     where = f"stage '{request.stage}'"
@@ -119,15 +167,153 @@ def run(request: StageRequest) -> None:
     doc = make_fold_file(table.n_rows, cfg, groups, where)
     out = request.out(0, "fold file JSON")
     out.parent.mkdir(parents=True, exist_ok=True)
-    dump_canonical(doc, out)
+    write_fold_file(doc, out)
+
+
+# JSON's whitespace; the characters of int items, their commas and whitespace;
+# and the characters of a number
+_WS = re.compile(r"[ \t\n\r]*")
+_INT_TEXT = re.compile(r"[0-9,\- \t\n\r]*")
+_NUMBER_TEXT = re.compile(r"[0-9+\-.eE]*")
+_BLOCK = 1 << 13
+
+
+class _JsonReader:
+    """One JSON document read from a text stream a block at a time.
+
+    It decodes what ``json.load`` decodes, except that a non-empty array of
+    ints that all fit in 64 bits becomes an ``array('q')``. Inside an array,
+    the complete items of a stretch of text that holds only digits, ``-``,
+    commas and whitespace are decoded by ``json.loads`` a block at a time;
+    everything else goes through the ``json`` module's scanner, one scalar
+    at a time.
+    """
+
+    def __init__(self, handle: TextIO) -> None:
+        self.handle = handle
+        self.buf = ""
+        self.pos = 0
+        self.offset = 0  # characters read before buf
+        self.eof = False
+        self.scan = json.JSONDecoder().scan_once
+
+    def error(self, msg: str, pos: int | None = None) -> ValueError:
+        return ValueError(f"{msg} at char {self.offset + (self.pos if pos is None else pos)}")
+
+    def more(self) -> bool:
+        """Append the next block to the unread text; False at the end of the file."""
+        if self.eof:
+            return False
+        block = self.handle.read(max(_BLOCK, len(self.buf) - self.pos))
+        if not block:
+            self.eof = True
+            return False
+        self.offset += self.pos
+        self.buf = self.buf[self.pos:] + block
+        self.pos = 0
+        return True
+
+    def peek(self) -> str:
+        """The next character that is not whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def value(self) -> object:
+        char = self.peek()
+        if char == "{":
+            return self.object()
+        if char == "[":
+            return self.array()
+        if char and char in "-0123456789":  # a number may go on in the next block
+            while _NUMBER_TEXT.match(self.buf, self.pos).end() == len(self.buf) and self.more():
+                pass
+        while True:  # a scalar; a string or literal cut at the end of the text is read on
+            try:
+                value, self.pos = self.scan(self.buf, self.pos)
+                return value
+            except StopIteration:
+                if not self.more():
+                    raise self.error("Expecting value") from None
+            except json.JSONDecodeError as exc:
+                if not self.more():
+                    raise self.error(exc.msg, exc.pos) from None
+
+    def close(self, closer: str) -> bool:
+        """Consume a ``,`` (False) or `closer` (True) after an item."""
+        char = self.peek()
+        if char not in (",", closer):
+            raise self.error("Expecting ',' delimiter")
+        self.pos += 1
+        return char == closer
+
+    def object(self) -> dict:
+        self.pos += 1
+        doc: dict = {}
+        if self.peek() == "}":
+            self.pos += 1
+            return doc
+        while True:
+            if self.peek() != '"':
+                raise self.error("Expecting property name enclosed in double quotes")
+            key = self.value()
+            if self.peek() != ":":
+                raise self.error("Expecting ':' delimiter")
+            self.pos += 1
+            doc[key] = self.value()
+            if self.close("}"):
+                return doc
+
+    def array(self) -> array | list:
+        self.pos += 1
+        if self.peek() == "]":
+            self.pos += 1
+            return []
+        ints, items = array("q"), None  # items: the list, once an item is not a 64-bit int
+        fast = True
+        while True:
+            while fast:  # the complete items of a stretch of int text, a block at a time
+                stop = _INT_TEXT.match(self.buf, self.pos).end()
+                cut = self.buf.rfind(",", self.pos, stop)
+                if cut >= 0:
+                    try:
+                        values = json.loads(f"[{self.buf[self.pos:cut]}]")
+                    except json.JSONDecodeError:
+                        values = []
+                    if not values:  # not a run of int items: decode it item by item
+                        fast = False
+                        break
+                    self.pos = cut + 1
+                    if items is None:
+                        try:
+                            ints.fromlist(values)  # leaves ints as it was on overflow
+                        except OverflowError:
+                            items = ints.tolist()
+                    if items is not None:
+                        items.extend(values)
+                if stop < len(self.buf) or not self.more():
+                    break
+            value = self.value()
+            if items is None and type(value) is int and -1 << 63 <= value < 1 << 63:
+                ints.append(value)
+            elif items is None:
+                items = ints.tolist() + [value]
+            else:
+                items.append(value)
+            if self.close("]"):
+                return ints if items is None else items
 
 
 def load_fold_file(path: Path | str) -> dict:
-    import json
-
+    """The fold document at `path`; see `_JsonReader` for how it is decoded."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = _JsonReader(handle)
+            doc = reader.value()
+            if reader.peek():
+                raise reader.error("Extra data")
+    except (OSError, ValueError) as exc:
         raise BuiltinError(f"unreadable fold file {path}: {exc}") from None
     if not isinstance(doc, dict) or "folds" not in doc or "n_samples" not in doc:
         raise BuiltinError(f"{path}: not a fold file")

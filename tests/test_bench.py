@@ -96,6 +96,32 @@ class TestEmitBenchReport:
         rows = synthetic_rows()
         assert emit_bench_report(rows) == emit_bench_report(rows)
 
+    def test_per_stage_peak_rss_table_layout(self):
+        def row(factor, rss):
+            return BenchRow(
+                factor=factor,
+                stage_wall={stage: 1.0 for stage in rss},
+                stage_cpu={stage: 1.0 for stage in rss},
+                stage_rss=rss,
+                full_wall_s=3.0,
+                noop_wall_s=0.1,
+            )
+
+        rows = [
+            row(1, {"scale": 17_301_504, "gridsearch": 21_049_344}),
+            row(40, {"scale": 18_243_584, "gridsearch": 27_525_120}),
+            row(80, {"scale": 18_300_000}),  # a stage a row lacks reads 0.0
+        ]
+        markdown, _ = emit_bench_report(rows, stage_order=["scale", "split", "gridsearch"])
+        assert markdown.endswith(
+            "\n## Per-stage peak RSS (MB)\n\n"
+            "| stage | factor 1 | factor 40 | factor 80 |\n"
+            "|---|---|---|---|\n"
+            "| scale | 17.3 | 18.2 | 18.3 |\n"
+            "| gridsearch | 21.0 | 27.5 | 0.0 |\n"
+        )
+        assert markdown.index("## Per-stage wall seconds") < markdown.index("## Per-stage peak RSS (MB)")
+
     def test_empty_rows_rejected(self):
         with pytest.raises(ConfigError, match="no rows"):
             emit_bench_report([])

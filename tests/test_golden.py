@@ -1,9 +1,10 @@
 """Golden output digests of the `baseline`, `scaling`, `two-model` and
-`change-cv` templates.
+`change-cv` templates, the `scaling` one at `scale.factor` 2 and at 3.
 
 Every builtin's identity is a digest of the builtin code, so any code edit
 re-executes every builtin stage. These digests pin every committed out of
-four full runs (ridge and kNN, k-fold and shuffle splits), so a change meant
+five full runs (ridge and kNN, k-fold and shuffle splits, two and three
+copies of the scaled table), so a change meant
 to keep output bytes (a speed-up, a refactor) shows here that it keeps them.
 A change that is meant to move bytes updates these digests with it.
 """
@@ -75,15 +76,41 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("template, factor", [
-    ("baseline", None), ("scaling", 2), ("two-model", None), ("change-cv", None),
-])
-def test_committed_outs_match_golden_digests(make_project, template, factor):
+# The `scaling` template at `scale.factor: 3`, recorded before the scale,
+# split and gridsearch builtins were made to stream their outputs.
+GOLDEN_SCALING_FACTOR_3 = {
+    "data/raw.csv": "d6e1dc5169a15bd04fb0d6af72563e2a393969f537e0c55d9c05d64e804528c2",
+    "data/prepared.csv": "d6e1dc5169a15bd04fb0d6af72563e2a393969f537e0c55d9c05d64e804528c2",
+    "data/prepare_summary.json": "1c876e83596e31cd950213f668c0388effee5e34489810aade38a857b3b30a13",
+    "data/scaled.csv": "973fcab2da75c6d0121dee9c5e549fc83483559707feb8a0c685205a94a63f9a",
+    "data/features.csv": "1f3e8de2ca5edef414c1e1cab0fd05d7c911bda71e82ff8722af37333b9f2a44",
+    "data/folds.json": "917f4ea2ec330562bafe179ff8f7be6e0881ded8e48266ebd263816295f9081f",
+    "out/cv_results.json": "74761005c196c28a103ef048fb0e45ccfa982c7b90cf23524cce4087af723aba",
+    "out/model.json": "644d8e874aa8cd2e4f69ee2e0f36249140b7dc328f647a3384a3331627e1f0e3",
+    "out/predictions.csv": "34d7651f513070586a3be7cd0d54490292efceca9edaf4312efd5b121be0ad4e",
+    "out/metrics.json": "6d0317f163af2edcfd59731cf719a1ad56c3fbd1626c5206bf8cd0caf34db8bf",
+    "report/report.md": "212e935e9144a0ee8f27beed0cb35b4c79af3c98563f93138220b054653277f7",
+    "report/summary.csv": "5aa0aa61073819ec73d6ceb1d896f7bc5ae8fc31f3f42b6152dc67a99995c126",
+}
+
+
+def committed_digests(make_project, template: str, factor: int | None) -> dict[str, str]:
+    """out path -> SHA-256 of every committed out of a full run of `template`."""
     project = make_project(template)
     if factor is not None:
         edit_params(project, "scale.factor", factor)
     report = run(project)
     assert report.failed == 0 and report.cached == 0
     outs = [out for entry in load_lock(project.lock_path).values() for out in entry.outs]
-    digests = {out: hashlib.sha256((project.root / out).read_bytes()).hexdigest() for out in outs}
-    assert digests == GOLDEN[template]
+    return {out: hashlib.sha256((project.root / out).read_bytes()).hexdigest() for out in outs}
+
+
+@pytest.mark.parametrize("template, factor", [
+    ("baseline", None), ("scaling", 2), ("two-model", None), ("change-cv", None),
+])
+def test_committed_outs_match_golden_digests(make_project, template, factor):
+    assert committed_digests(make_project, template, factor) == GOLDEN[template]
+
+
+def test_three_copies_of_the_scaled_table_match_golden_digests(make_project):
+    assert committed_digests(make_project, "scaling", 3) == GOLDEN_SCALING_FACTOR_3

@@ -11,7 +11,7 @@ from locpipe.loctk.gridsearch import (
     Candidate,
     Predictions,
     expand_grid,
-    gather,
+    gatherer,
     predictions_csv,
     run_grid_search,
     select_index,
@@ -266,8 +266,9 @@ RIDGE_SWEEP = {"ridge": {"alpha": [0.0, 0.5, 10.0], "fit_intercept": [True, Fals
 def fold_files(table: Table) -> dict[str, dict]:
     """kfold, overlapping shuffle repeats, groupkfold, leave-one-out (each
     test fold one row), a hand-written file with a repeated train index and a
-    row in no fold, and one where row 39 alone is in fold 2's train list only,
-    so one statistics group holds a single row."""
+    row in no fold, one where row 39 alone is in fold 2's train list only,
+    so one statistics group holds a single row, and one whose train list
+    holds row 3 301 times, more than a byte counts."""
     n = table.n_rows
     groups = [f"g{i % 7}" for i in range(n)]
     hand = {
@@ -285,6 +286,13 @@ def fold_files(table: Table) -> dict[str, dict]:
             {"train": list(range(0, 10)) + [39], "test": list(range(20, 30))},
         ],
     }
+    many_repeats = {
+        "strategy": "kfold", "seed": 0, "n_samples": n,
+        "folds": [
+            {"train": list(range(0, 20)) + [3] * 300, "test": list(range(20, 30))},
+            {"train": list(range(10, 34)), "test": list(range(0, 10))},
+        ],
+    }
     return {
         "kfold": folds_for(table),
         "shuffle": make_fold_file(n, {"strategy": "shuffle", "test_fraction": 0.3, "repeats": 4, "seed": 5}, None),
@@ -292,17 +300,21 @@ def fold_files(table: Table) -> dict[str, dict]:
         "leave-one-out": make_fold_file(n, {"strategy": "kfold", "k": n, "seed": 2}, None),
         "hand": hand,
         "one-row-group": one_row_group,
+        "many-repeats": many_repeats,
     }
 
 
-FOLD_KINDS = ["kfold", "shuffle", "groupkfold", "hand", "leave-one-out", "one-row-group"]
+FOLD_KINDS = [
+    "kfold", "shuffle", "groupkfold", "hand", "leave-one-out", "one-row-group", "many-repeats",
+]
 
 
 def test_gather_takes_one_many_or_no_index():
     column = array("d", [0.5, -0.0, 2.5])
-    assert gather(column, [2, 0, 2]) == array("d", [2.5, 0.5, 2.5])
-    assert gather(column, [1]).tobytes() == array("d", [-0.0]).tobytes()
-    assert gather(column, []) == array("d")
+    assert gatherer([2, 0, 2])(column) == array("d", [2.5, 0.5, 2.5])
+    assert gatherer(array("q", [2, 0]))(column) == array("d", [2.5, 0.5])
+    assert gatherer([1])(column).tobytes() == array("d", [-0.0]).tobytes()
+    assert gatherer([])(column) == array("d")
 
 
 def assert_close(ours: float, ref: float) -> None:

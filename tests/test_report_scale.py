@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -150,3 +151,30 @@ class TestScaleStage:
         assert value_rows(scaled) == value_rows(table) * factor
         if factor > 1:
             assert scaled.ids[8] == "plain#1" and scaled.ids[9] == "a,b#1"
+
+
+def test_scale_allocates_less_than_half_its_output(tmp_path):
+    """scale writes one copy of the table at a time: its peak allocation at
+    20k output rows stays under half the bytes it writes."""
+    rng = random.Random(0)
+    n, factor = 500, 40  # a factor-40 scaled table: 6 value columns
+    table = Table.from_rows(
+        "rssi", [f"s{i:06d}" for i in range(n)],
+        [[rng.uniform(-90, -40) for _ in range(6)] for _ in range(n)],
+        [(rng.uniform(0, 60), rng.uniform(0, 40)) for _ in range(n)],
+    )
+    src, out = tmp_path / "prepared.csv", tmp_path / "scaled.csv"
+    write_table(table, src)
+    request = StageRequest(
+        stage="scale", builtin="loc.scale", params={"scale.factor": factor},
+        deps=(str(src),), outs=(str(out),),
+    )
+    tracemalloc.start()
+    try:
+        run_builtin("loc.scale", request)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = out.stat().st_size
+    assert read_table(out).n_rows == n * factor
+    assert peak < written / 2, (peak, written)

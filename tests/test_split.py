@@ -1,18 +1,28 @@
 import json
+import tempfile
+import tracemalloc
+from array import array
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locpipe.canonical import canonical_bytes
+from locpipe.canonical import canonical_bytes, dump_canonical
 from locpipe.errors import BuiltinError
+from locpipe.loctk import split
+from locpipe.loctk.gridsearch import run_grid_search
 from locpipe.loctk.split import (
     group_kfold_folds,
     kfold_folds,
+    load_fold_file,
     make_fold_file,
     shuffle_folds,
+    write_fold_file,
 )
 from oracles import greedy_group_assignment, kfold_sizes
+from test_gridsearch import RIDGE_GRID, make_table
 
 
 def check_partition(folds, n):
@@ -148,3 +158,184 @@ class TestFoldFile:
         one = canonical_bytes(make_fold_file(30, {"strategy": "kfold", "k": 3, "seed": 9}, None))
         two = canonical_bytes(make_fold_file(30, {"strategy": "kfold", "k": 3, "seed": 9}, None))
         assert one == two
+
+
+Q_MIN, Q_MAX = -(2**63), 2**63 - 1
+
+indices = st.lists(
+    st.one_of(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=Q_MIN, max_value=Q_MAX),
+        st.integers(min_value=-(2**80), max_value=2**80),  # beyond 64 bits
+    ),
+    max_size=40,
+)
+fold_docs = st.fixed_dictionaries({
+    "strategy": st.text(),  # any text, non-ASCII included
+    "seed": st.integers(),
+    "n_samples": st.integers(min_value=0),
+    "folds": st.lists(st.fixed_dictionaries({"train": indices, "test": indices}), max_size=4),
+})
+
+
+def as_arrays(doc: dict) -> dict:
+    """`doc` with each index list that fits in 64 bits as an ``array('q')``,
+    as `make_fold_file` holds it."""
+    def part(idxs):
+        return array("q", idxs) if all(Q_MIN <= i <= Q_MAX for i in idxs) else idxs
+
+    return {**doc, "folds": [{k: part(v) for k, v in fold.items()} for fold in doc["folds"]]}
+
+
+def plain(doc: dict) -> dict:
+    """`doc` with every index sequence as a list."""
+    return {**doc, "folds": [{k: list(v) for k, v in fold.items()} for fold in doc["folds"]]}
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+def as_lists(value: object) -> object:
+    """`value` with every ``array`` in it as a list."""
+    if isinstance(value, (list, array)):
+        return [as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    return value
+
+
+def encodings(doc: dict) -> tuple[bytes, bytes]:
+    """(write_fold_file's bytes, dump_canonical's bytes) of `doc`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, reference = Path(tmp) / "ours.json", Path(tmp) / "reference.json"
+        write_fold_file(doc, ours)
+        dump_canonical(doc, reference)
+        return ours.read_bytes(), reference.read_bytes()
+
+
+def loaded(text: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "folds.json"
+        path.write_text(text, encoding="utf-8")
+        return load_fold_file(path)
+
+
+class TestFoldFileCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(fold_docs, st.booleans(), st.sampled_from([1, 3, split._CHUNK_INDICES]))
+    def test_writer_bytes_equal_dump_canonical(self, doc, arrays, chunk):
+        doc = as_arrays(doc) if arrays else doc
+        with mock.patch.object(split, "_CHUNK_INDICES", chunk):
+            ours, reference = encodings(doc)
+        assert ours == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(fold_docs)
+    def test_loader_gives_back_the_same_indices(self, doc):
+        ours, _ = encodings(as_arrays(doc))
+        back = loaded(ours.decode("utf-8"))
+        assert plain(back) == doc
+        for fold in back["folds"]:
+            for idxs in fold.values():
+                fits = idxs and all(Q_MIN <= i <= Q_MAX for i in idxs)
+                assert isinstance(idxs, array if fits else list)
+
+    @pytest.mark.parametrize("block", [5, 61, split._BLOCK])
+    def test_long_lists_cross_blocks_in_any_layout(self, block, monkeypatch):
+        """Lists longer than a read block, in layouts other than the
+        canonical one, and items of every kind between the ints."""
+        monkeypatch.setattr(split, "_BLOCK", block)
+        doc = {
+            "strategy": "kfold \u00e9\u6f22", "seed": 2**70, "n_samples": 9,
+            "folds": [
+                {"train": list(range(30000)), "test": [1, 2.5, "a,b", True, None, 3]},
+                {"train": [i if i % 997 else [2.5, "x,]", 10**30][i % 3] for i in range(20000)],
+                 "test": [1]},
+                {"train": [10**40] + list(range(5000)) + [-(2**63)], "test": [-0, 7]},
+                {"train": [[1, 2], {"k": [3]}] + list(range(3000)), "test": []},
+            ],
+            "extra": {"nested": [1, [2, [3]]]},
+        }
+        for text in (
+            json.dumps(doc),
+            json.dumps(doc, indent=3),
+            json.dumps(doc, separators=(" ,\n", " :\t")),
+        ):
+            assert json.loads(canonical_bytes(loaded(text))) == json.loads(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values, st.sampled_from([None, 0, 2]), st.integers(min_value=1, max_value=40))
+    def test_loader_decodes_what_json_decodes(self, value, indent, block):
+        text = json.dumps({"folds": value, "n_samples": 0}, indent=indent, ensure_ascii=False)
+        with mock.patch.object(split, "_BLOCK", block):
+            doc = loaded(text)
+        assert as_lists(doc) == json.loads(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "[", "{", '{"folds": [1, 2', '{"folds": [1 2]}', '{"folds": [01]}',
+        '{"folds": [1,,2]}', '{"folds": [,1]}', '{"folds": [1,]}', '{"a" 1}',
+        '{"folds": []} x', '{"folds": "unterminated', '{"folds": [-]}',
+    ])
+    def test_malformed_json_is_unreadable(self, text):
+        with pytest.raises(BuiltinError, match="unreadable fold file"):
+            loaded(text)
+
+    def test_other_documents_are_not_fold_files(self):
+        with pytest.raises(BuiltinError, match="not a fold file"):
+            loaded('{"folds": []}')
+        with pytest.raises(BuiltinError, match="not a fold file"):
+            loaded("[1, 2, 3]")
+
+    @pytest.mark.parametrize("item, message", [
+        ("1.0", "gridsearch: fold 0: train index 1.0 is not an int"),
+        ("true", "gridsearch: fold 0: train index True is not an int"),
+        ('"2"', "gridsearch: fold 0: train index '2' is not an int"),
+        ("10", "gridsearch: fold 0: train index 10 out of range for 10 rows"),
+        (str(2**70), f"gridsearch: fold 0: train index {2**70} out of range for 10 rows"),
+    ])
+    def test_bad_index_in_a_fold_file_keeps_its_message(self, item, message):
+        text = (
+            '{"folds":[{"test":[5,6,7,8,9],"train":[0,1,' + item + ',3]}],'
+            '"n_samples":10,"seed":0,"strategy":"kfold"}'
+        )
+        doc = loaded(text)
+        with pytest.raises(BuiltinError) as info:
+            run_grid_search(make_table(n=10), doc, RIDGE_GRID, "rmse", ["rmse"])
+        assert str(info.value) == message
+
+
+def traced_peak(call) -> int:
+    """The peak bytes traced while `call()` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fold_write_allocates_less_than_half_its_output(tmp_path):
+    """The fold file is written index list by index list, in chunks: at 24k
+    rows the write's peak allocation stays under half the bytes it writes."""
+    doc = make_fold_file(24000, {"strategy": "kfold", "k": 5, "seed": 7}, None)
+    path = tmp_path / "folds.json"
+    peak = traced_peak(lambda: write_fold_file(doc, path))
+    written = path.stat().st_size
+    assert written == len(canonical_bytes(doc)) + 1
+    assert peak < written / 2, (peak, written)
+
+
+def test_fold_load_allocates_less_than_twice_the_file(tmp_path):
+    """The fold file is read a block at a time into ``array('q')`` lists: at
+    5 folds of 24k rows the load's peak allocation, its result included,
+    stays under twice the file's size."""
+    doc = make_fold_file(24000, {"strategy": "kfold", "k": 5, "seed": 7}, None)
+    path = tmp_path / "folds.json"
+    write_fold_file(doc, path)
+    peak = traced_peak(lambda: load_fold_file(path))
+    assert load_fold_file(path)["folds"] == doc["folds"]
+    assert peak < 2 * path.stat().st_size, (peak, path.stat().st_size)
