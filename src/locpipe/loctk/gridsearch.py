@@ -16,7 +16,7 @@ statistics group the rows by one per-fold count of their train occurrences
 (a ``bytearray`` per fold) and are built from each group's columns
 (`RidgeStats.from_columns`); a group that is exactly one fold's test rows,
 as every group is under k-fold, reuses that fold's gathers. Rows are formed
-only for kNN, and only when the grid holds a kNN candidate.
+only for kNN, whose model scans rows; both kinds predict through ``predict_columns``.
 
 The predictions CSV is built as columns, never as rows: `Predictions` is
 assembled from the selected candidate's per-fold prediction arrays, each
@@ -38,7 +38,7 @@ from ..canonical import dump_canonical
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .metrics import METRIC_KEYS, left_sum, score_columns, truth_columns
-from .models import RidgeStats, artifact_doc, fit_model
+from .models import KNN_METRICS, KNN_WEIGHTS, KnnModel, RidgeStats, artifact_doc
 from .split import load_fold_file
 from .tables import Table, read_table, render_csv
 
@@ -78,10 +78,10 @@ def _check_knn(params: dict, where: str) -> dict:
     k = params["k"]
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise BuiltinError(f"{where}: knn k must be a positive int, got {k!r}")
-    if params["weights"] not in ("uniform", "distance"):
-        raise BuiltinError(f"{where}: knn weights must be uniform|distance")
-    if params["metric"] not in ("euclidean", "manhattan"):
-        raise BuiltinError(f"{where}: knn metric must be euclidean|manhattan")
+    if params["weights"] not in KNN_WEIGHTS:
+        raise BuiltinError(f"{where}: knn weights must be {'|'.join(KNN_WEIGHTS)}")
+    if params["metric"] not in KNN_METRICS:
+        raise BuiltinError(f"{where}: knn metric must be {'|'.join(KNN_METRICS)}")
     return {"k": k, "metric": params["metric"], "weights": params["weights"]}
 
 
@@ -189,11 +189,11 @@ def ridge_fold_stats(
 def check_folds(folds: object, n_rows: int) -> None:
     """Raise a BuiltinError naming the first fold that is not a mapping of
     ``train`` and ``test`` lists of int row indices in ``[0, n_rows)``, or
-    whose test indices also appear in its train list. An ``array('q')``
-    (as `split.load_fold_file` decodes a list of ints) counts as a list of
-    ints without a scan of its types."""
-    if not isinstance(folds, list):
-        raise BuiltinError("gridsearch: the fold file's 'folds' must be a list")
+    whose test indices also appear in its train list, or if there is no fold.
+    An ``array('q')`` (as `split.load_fold_file` decodes a list of ints)
+    counts as a list of ints without a scan of its types."""
+    if not isinstance(folds, list) or not folds:
+        raise BuiltinError("gridsearch: the fold file's 'folds' must be a non-empty list")
     for fold_idx, fold in enumerate(folds):
         where = f"gridsearch: fold {fold_idx}"
         if not isinstance(fold, dict):
@@ -225,9 +225,9 @@ def run_grid_search(
 
     Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
     kNN candidates are fit on each fold's train rows. Each fold's test
-    columns and truth are gathered once and scored column-wise for every
-    candidate, and the running-best candidate's predictions are kept for the
-    predictions CSV.
+    columns and truth are gathered once, then predicted (``predict_columns``)
+    and scored column-wise for every candidate, and the running-best
+    candidate's predictions are kept for the predictions CSV.
     """
     if primary_metric not in METRIC_KEYS:
         raise BuiltinError(f"gridsearch: unknown primary metric '{primary_metric}'")
@@ -236,10 +236,12 @@ def run_grid_search(
         if key not in METRIC_KEYS:
             raise BuiltinError(f"gridsearch: unknown report metric '{key}'")
 
-    folds = folds_doc["folds"]
-    if int(folds_doc["n_samples"]) != table.n_rows:
+    folds, n_samples = folds_doc["folds"], folds_doc["n_samples"]
+    if type(n_samples) is not int:  # nor a bool
+        raise BuiltinError(f"gridsearch: the fold file's 'n_samples' must be an int, not {n_samples!r}")
+    if n_samples != table.n_rows:
         raise BuiltinError(
-            f"gridsearch: fold file covers {folds_doc['n_samples']} samples, "
+            f"gridsearch: fold file covers {n_samples} samples, "
             f"feature table has {table.n_rows}"
         )
     check_folds(folds, table.n_rows)
@@ -267,7 +269,7 @@ def run_grid_search(
             return stats.solve(**cand.params)
         train = folds[fold_idx]["train"]
         x_rows, y_rows = knn_rows
-        return fit_model(cand.model, cand.params, [x_rows[i] for i in train], [y_rows[i] for i in train])
+        return KnnModel([x_rows[i] for i in train], [y_rows[i] for i in train], **cand.params)
 
     # per fold: (test feature columns, truth)
     test_views = [(columns[:-2], truth_columns(*columns[-2:])) for columns in test_columns]
@@ -289,10 +291,7 @@ def run_grid_search(
                 fitted = fit_fold(cand, fold_idx)
             except BuiltinError as exc:
                 raise BuiltinError(f"gridsearch: candidate {cand.index} ({cand.model}): {exc}") from None
-            if cand.model == "ridge":
-                preds = fitted.predict_columns(test_cols, len(truth.x))
-            else:
-                preds = tuple(zip(*fitted.predict([knn_rows[0][i] for i in folds[fold_idx]["test"]])))
+            preds = fitted.predict_columns(test_cols, len(truth.x))
             metrics = score_columns(*preds, truth)
             fold_metrics.append(metrics)
             fold_preds.append((array("d", preds[0]), array("d", preds[1])))  # floats, unboxed
@@ -333,7 +332,7 @@ def run_grid_search(
     if chosen.model == "ridge":
         final = all_stats.solve(**chosen.params)
     else:
-        final = fit_model(chosen.model, chosen.params, *knn_rows)
+        final = KnnModel(*knn_rows, **chosen.params)
     artifact = artifact_doc(chosen.model, chosen.params, final)
 
     cv_results = {

@@ -104,16 +104,3 @@ def score_columns(pred_x: Sequence[float], pred_y: Sequence[float], truth: Truth
         "loc_err_median": _median(errors),
         "loc_err_p95": percentile_linear(errors, 0.95),
     }
-
-
-def compute_metrics(
-    pred: Sequence[Sequence[float]], truth: Sequence[Sequence[float]]
-) -> dict[str, float]:
-    if len(pred) != len(truth):
-        raise BuiltinError(f"metrics: shape mismatch ({len(pred)} vs {len(truth)} rows)")
-    if len(truth) == 0:
-        raise BuiltinError("metrics: empty input")
-    if any(len(p) != 2 for p in pred) or any(len(t) != 2 for t in truth):
-        raise BuiltinError("metrics: rows must have exactly two coordinates")
-    columns = truth_columns([t[0] for t in truth], [t[1] for t in truth])
-    return score_columns([p[0] for p in pred], [p[1] for p in pred], columns)

@@ -5,6 +5,11 @@ framework, no threads, no global state. That keeps every fit and prediction
 bit-reproducible for identical inputs, which is what the cache and the
 exact-rerun guarantee are built on. ``alpha = 0`` recovers ordinary linear
 least squares.
+
+The API is column-major, as `tables.Table` is: a ridge fit is
+``RidgeStats.from_columns(...).solve(alpha, fit_intercept)``, a kNN fit is a
+`KnnModel` of the training rows, which checks its options once, when it is
+built, and both predict x and y columns through ``predict_columns(columns, n)``.
 """
 
 from __future__ import annotations
@@ -100,11 +105,6 @@ class RidgeStats:
     xty: Matrix             # m x 2, centered
 
     @staticmethod
-    def from_rows(x_rows: Sequence[Sequence[float]], y_rows: Sequence[Sequence[float]]) -> "RidgeStats":
-        """The statistics of rows: `from_columns` of their transpose."""
-        return RidgeStats.from_columns(list(zip(*x_rows)), list(zip(*y_rows)))
-
-    @staticmethod
     def from_columns(
         x_cols: Sequence[Sequence[float]], y_cols: Sequence[Sequence[float]]
     ) -> "RidgeStats":
@@ -153,6 +153,8 @@ class RidgeStats:
         it. Without, the raw moments are rebuilt as ``C + n mu mu^T``, which
         only adds terms.
         """
+        if alpha < 0:
+            raise BuiltinError(f"ridge: alpha must be >= 0, got {alpha}")
         m = len(self.x_mean)
         if fit_intercept:
             a = [list(row) for row in self.xtx]
@@ -178,29 +180,58 @@ class RidgeStats:
         return RidgeModel(coef=coef, intercept=intercept)
 
 
-def ridge_fit(
-    x_rows: Sequence[Sequence[float]],
-    y_rows: Sequence[Sequence[float]],
-    alpha: float,
-    fit_intercept: bool,
-) -> RidgeModel:
-    """Ridge fit of both target columns on the given rows; see ``RidgeStats.solve``."""
-    if alpha < 0:
-        raise BuiltinError(f"ridge: alpha must be >= 0, got {alpha}")
-    return RidgeStats.from_rows(x_rows, y_rows).solve(alpha, fit_intercept)
-
-
 @dataclass(frozen=True)
 class KnnModel:
-    train_x: Matrix
-    train_y: Matrix
+    train_x: Sequence[Sequence[float]]
+    train_y: Sequence[Sequence[float]]
     k: int
     weights: str
     metric: str
 
+    def __post_init__(self) -> None:
+        n = len(self.train_x)
+        if type(self.k) is not int or not 1 <= self.k <= n:
+            raise BuiltinError(f"knn: k must be an int in [1, {n}], got {self.k!r}")
+        if self.weights not in KNN_WEIGHTS:
+            raise BuiltinError(f"knn: unknown weights '{self.weights}'")
+        if self.metric not in KNN_METRICS:
+            raise BuiltinError(f"knn: unknown metric '{self.metric}'")
+
     def predict(self, rows: Sequence[Sequence[float]]) -> Matrix:
-        return [knn_predict_one(self.train_x, self.train_y, row, self.k, self.weights, self.metric)
-                for row in rows]
+        return [self._predict_one(row) for row in rows]
+
+    def predict_columns(self, columns: Sequence[Sequence[float]], n: int) -> tuple[list[float], list[float]]:
+        """(x, y) predictions of `n` rows given as feature columns: `predict` of their rows."""
+        preds = self.predict(list(zip(*columns)))
+        return [pred[0] for pred in preds], [pred[1] for pred in preds]
+
+    def _predict_one(self, query: Sequence[float]) -> list[float]:
+        """Exhaustive scan; ties at the k boundary break toward the lowest row index.
+
+        ``distance`` weighting uses 1/d; any zero-distance neighbors among the k
+        take over exclusively (prediction = mean of their targets).
+        """
+        k, train_y = self.k, self.train_y
+        scored = sorted((_distance(query, row, self.metric), i) for i, row in enumerate(self.train_x))[:k]
+        if self.weights == "distance":
+            exact = [idx for dist, idx in scored if dist == 0.0]
+            if exact:
+                return [
+                    left_sum(train_y[i][0] for i in exact) / len(exact),
+                    left_sum(train_y[i][1] for i in exact) / len(exact),
+                ]
+            total = 0.0
+            acc = [0.0, 0.0]
+            for dist, idx in scored:
+                w = 1.0 / dist
+                total += w
+                acc[0] += w * train_y[idx][0]
+                acc[1] += w * train_y[idx][1]
+            return [acc[0] / total, acc[1] / total]
+        return [
+            left_sum(train_y[idx][0] for _, idx in scored) / k,
+            left_sum(train_y[idx][1] for _, idx in scored) / k,
+        ]
 
 
 def _distance(a: Sequence[float], b: Sequence[float], metric: str) -> float:
@@ -209,69 +240,8 @@ def _distance(a: Sequence[float], b: Sequence[float], metric: str) -> float:
     return left_sum(abs(u - v) for u, v in zip(a, b))
 
 
-def knn_predict_one(
-    train_x: Matrix,
-    train_y: Matrix,
-    query: Sequence[float],
-    k: int,
-    weights: str,
-    metric: str,
-) -> list[float]:
-    """Exhaustive scan; ties at the k boundary break toward the lowest row index.
-
-    ``distance`` weighting uses 1/d; any zero-distance neighbors among the k
-    take over exclusively (prediction = mean of their targets).
-    """
-    n = len(train_x)
-    if not 1 <= k <= n:
-        raise BuiltinError(f"knn: k must be in [1, {n}], got {k}")
-    if weights not in KNN_WEIGHTS:
-        raise BuiltinError(f"knn: unknown weights '{weights}'")
-    if metric not in KNN_METRICS:
-        raise BuiltinError(f"knn: unknown metric '{metric}'")
-    scored = sorted(
-        ((_distance(query, row, metric), idx) for idx, row in enumerate(train_x)),
-        key=lambda pair: (pair[0], pair[1]),
-    )[:k]
-    if weights == "distance":
-        exact = [idx for dist, idx in scored if dist == 0.0]
-        if exact:
-            return [
-                left_sum(train_y[i][0] for i in exact) / len(exact),
-                left_sum(train_y[i][1] for i in exact) / len(exact),
-            ]
-        total = 0.0
-        acc = [0.0, 0.0]
-        for dist, idx in scored:
-            w = 1.0 / dist
-            total += w
-            acc[0] += w * train_y[idx][0]
-            acc[1] += w * train_y[idx][1]
-        return [acc[0] / total, acc[1] / total]
-    return [
-        left_sum(train_y[idx][0] for _, idx in scored) / k,
-        left_sum(train_y[idx][1] for _, idx in scored) / k,
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Model artifacts (reloadable JSON documents)
-
-
-def fit_model(model_id: str, params: dict, x_rows: Matrix, y_rows: Matrix):
-    if model_id == "ridge":
-        return ridge_fit(x_rows, y_rows, params["alpha"], params["fit_intercept"])
-    if model_id == "knn":
-        if params["k"] > len(x_rows):
-            raise BuiltinError(f"knn: k={params['k']} exceeds training size {len(x_rows)}")
-        return KnnModel(
-            train_x=[list(r) for r in x_rows],
-            train_y=[list(r) for r in y_rows],
-            k=params["k"],
-            weights=params["weights"],
-            metric=params["metric"],
-        )
-    raise BuiltinError(f"unknown model '{model_id}'")
 
 
 def artifact_doc(model_id: str, params: dict, fitted) -> dict:

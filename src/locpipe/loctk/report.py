@@ -30,12 +30,21 @@ def _is_flat_scalars(doc: object) -> bool:
     )
 
 
-def classify(doc: object) -> str:
+def classify(doc: object, source: str = "input") -> str:
+    """"cv" or "metrics"; a BuiltinError naming `source` if `doc` is neither,
+    or if it is cv results with an aggregate the report cannot read."""
     if isinstance(doc, dict) and "rows" in doc and "aggregates" in doc:
+        if not isinstance(doc["aggregates"], list):
+            raise BuiltinError(f"report: {source}: 'aggregates' must be a list")
+        for i, agg in enumerate(doc["aggregates"]):
+            if not (isinstance(agg, dict) and type(agg.get("candidate")) is int and "params" in agg
+                    and isinstance(agg.get("model"), str) and isinstance(agg.get("metrics"), dict)):
+                raise BuiltinError(f"report: {source}: aggregate {i} needs an int 'candidate', "
+                                   "a str 'model', 'params' and a 'metrics' mapping")
         return "cv"
     if _is_flat_scalars(doc):
         return "metrics"
-    raise BuiltinError("report: input is neither cv results nor a metrics file")
+    raise BuiltinError(f"report: {source} is neither cv results nor a metrics file")
 
 
 def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -65,7 +74,7 @@ def build_report(inputs: list[tuple[str, dict]]) -> tuple[str, str]:
     cv_sources = []
     metric_sources = []
     for name, doc in sorted(inputs, key=lambda pair: pair[0]):
-        kind = classify(doc)
+        kind = classify(doc, name)
         if kind == "cv":
             cv_sources.append((name, doc))
         else:

@@ -7,22 +7,20 @@ log-distance path loss model
     rssi(d) = p0 - 10 * n * log10(max(d, d0) / d0) + sigma * z,   d0 = 1 m
 
 with z a standard normal deviate (omitted entirely when sigma == 0). The
-same seed always yields a byte-identical CSV.
+same seed always yields a byte-identical CSV, rendered by `tables.render_csv`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..canonical import fmt_num
 from ..errors import BuiltinError
 from . import StageRequest, get, section
 from .rng import Rng
-from .tables import RSSI_PREFIX
+from .tables import RSSI_PREFIX, render_csv
 
 REFERENCE_DISTANCE_M = 1.0
 
@@ -78,24 +76,20 @@ def generate(cfg: SynthConfig) -> str:
     cfg.validate()
     rng = Rng(cfg.seed)
     anchors = anchor_positions(cfg.anchors, cfg.area_w, cfg.area_h)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["sample_id"] + [f"{RSSI_PREFIX}_{i + 1}" for i in range(cfg.anchors)] + ["x", "y"]
-    )
-    for i in range(cfg.n):
+    *rssi, xs, ys = columns = [array("d") for _ in range(cfg.anchors + 2)]
+    for _ in range(cfg.n):
         x = rng.next_float() * cfg.area_w
         y = rng.next_float() * cfg.area_h
-        cells = [f"s{i:06d}"]
-        for ax, ay in anchors:
+        for column, (ax, ay) in zip(rssi, anchors):
             value = rssi_at(math.hypot(x - ax, y - ay), cfg.p0, cfg.path_loss_n)
             if cfg.sigma > 0:
                 value += cfg.sigma * rng.next_gauss()
-            cells.append(fmt_num(value))
-        cells.append(fmt_num(x))
-        cells.append(fmt_num(y))
-        writer.writerow(cells)
-    return buf.getvalue()
+            column.append(value)
+        xs.append(x)
+        ys.append(y)
+    header = ["sample_id"] + [f"{RSSI_PREFIX}_{i + 1}" for i in range(cfg.anchors)] + ["x", "y"]
+    ids = [f"s{i:06d}" for i in range(cfg.n)]
+    return "".join(render_csv(header, ids, columns))
 
 
 def config_from_params(params: dict, where: str = "synth") -> SynthConfig:

@@ -17,8 +17,9 @@ re-scanned from the left so the error names the same first bad cell. The
 checked cells go to one flat ``array('d')``, which is cut into columns once
 the file is read.
 
-`render_csv` is the one writer of CSV number cells, for tables here and for
-the predictions CSV of `gridsearch`. It works column-wise in chunks of rows.
+`render_csv` writes every number cell of the data CSVs: tables here, the
+raw dataset of `synth` and the predictions CSV of `gridsearch`. It works
+column-wise in chunks of rows.
 A number's text is its ``repr``, `canonical.fmt_num`'s text for every int
 and float, and a column chunk of only floats calls ``repr`` once per
 distinct value. An id cell is written as it is unless it holds a character

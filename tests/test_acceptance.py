@@ -16,8 +16,8 @@ import pytest
 
 from conftest import edit_params, executed_stages, run, tree_snapshot
 from locpipe.configmodel import StageSpec
-from locpipe.loctk.metrics import compute_metrics
-from locpipe.loctk.models import ridge_fit
+from locpipe.loctk.metrics import score_columns, truth_columns
+from locpipe.loctk.models import RidgeStats
 from locpipe.loctk.split import kfold_folds
 from locpipe.runner import ExecOptions, Project, metrics_show, repro
 from locpipe.store import (
@@ -170,7 +170,7 @@ def test_6_brute_force_oracles():
         n = rng.randint(1, 30)
         truth = [(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(n)]
         pred = [(x + rng.gauss(0, 10), y + rng.gauss(0, 10)) for x, y in truth]
-        ours = compute_metrics(pred, truth)
+        ours = score_columns(*zip(*pred), truth_columns(*zip(*truth)))
         reference = brute_metrics(pred, truth)
         for key, expected in reference.items():
             scale = max(abs(expected), 1e-9)
@@ -187,7 +187,7 @@ def test_6_brute_force_oracles():
             [sum(row) * 0.5 + rng.gauss(0, 2), sum(row) * -0.25 + rng.gauss(0, 2)]
             for row in x_rows
         ]
-        model = ridge_fit(x_rows, y_rows, alpha, fit_intercept)
+        model = RidgeStats.from_columns(list(zip(*x_rows)), list(zip(*y_rows))).solve(alpha, fit_intercept)
         for t in (0, 1):
             ref_coef, ref_icept = ridge_reference(x_rows, [y[t] for y in y_rows], alpha, fit_intercept)
             for j in range(m):

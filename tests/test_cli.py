@@ -153,6 +153,19 @@ class TestOtherCommands:
         (in_project / "junk.json").write_text("[1,2]")
         assert main(["report", "junk.json"]) == 2
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"rows": [], "aggregates": 5}', "'aggregates' must be a list"),
+        ('{"rows": [], "aggregates": [{"candidate": 0}]}',
+         "aggregate 0 needs an int 'candidate', a str 'model', 'params' and a 'metrics' mapping"),
+    ])
+    def test_report_malformed_cv_results(self, tmp_path, monkeypatch, capsys, doc, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cv.json").write_text(doc)
+        assert main(["report", "cv.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: report: cv.json: {message}\n"
+        assert captured.out == ""
+
     def test_gc(self, in_project, capsys):
         assert main(["repro"]) == 0
         capsys.readouterr()

@@ -16,12 +16,10 @@ from locpipe.loctk.gridsearch import (
     run_grid_search,
     select_index,
 )
-from locpipe.loctk.metrics import METRIC_KEYS, compute_metrics
-from locpipe.loctk.models import load_artifact, ridge_fit
+from locpipe.loctk.metrics import METRIC_KEYS, score_columns, truth_columns
+from locpipe.loctk.models import RidgeStats, load_artifact
 from locpipe.loctk.split import make_fold_file
 from locpipe.loctk.tables import Table
-
-from conftest import target_rows, value_rows
 
 
 def make_table(n=30, m=3, seed=0) -> Table:
@@ -161,7 +159,7 @@ class TestRunGridSearch:
 
         reloaded = load_artifact(json.loads(canonical_bytes(artifact)))
         direct = load_artifact(artifact)
-        assert reloaded.predict(value_rows(table)) == direct.predict(value_rows(table))
+        assert reloaded.predict_columns(table.cols, table.n_rows) == direct.predict_columns(table.cols, table.n_rows)
 
     def test_knn_k_at_least_train_fold_size_rejected(self):
         table = make_table(n=10)
@@ -252,6 +250,18 @@ class TestFoldValidation:
             "gridsearch: fold 0: train index -1 out of range for 10 rows"
         )
 
+    def test_no_folds(self):
+        # with no fold, the fold means divided by zero
+        assert self.refused([]) == "gridsearch: the fold file's 'folds' must be a non-empty list"
+
+    @pytest.mark.parametrize("n_samples", ["x", None, [10], 10.7, "10", True])
+    def test_non_int_n_samples(self, n_samples):
+        table = make_table(n=10)
+        doc = {**folds_for(table), "n_samples": n_samples}
+        with pytest.raises(BuiltinError) as info:
+            run_grid_search(table, doc, RIDGE_GRID, "rmse", ["rmse"])
+        assert str(info.value) == f"gridsearch: the fold file's 'n_samples' must be an int, not {n_samples!r}"
+
     def test_test_rows_in_train_refused(self):
         # scored silently, such a fold reports a near-zero error for a leak
         leaky = {"train": list(range(10)), "test": [7, 3]}
@@ -321,13 +331,14 @@ def assert_close(ours: float, ref: float) -> None:
     assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1.0), (ours, ref)
 
 
-def parsed_predictions(pred_rows: Predictions) -> dict[int, tuple[list, list]]:
-    """fold -> (predictions, truths), read back from the predictions CSV bytes."""
-    by_fold: dict[int, tuple[list, list]] = {}
+def parsed_predictions(pred_rows: Predictions) -> dict[int, tuple[list, list, list, list]]:
+    """fold -> (pred_x, pred_y, true_x, true_y) columns, read back from the
+    predictions CSV bytes."""
+    by_fold: dict[int, tuple[list, list, list, list]] = {}
     for row in csv.DictReader(io.StringIO(predictions_csv(pred_rows))):
-        preds, truths = by_fold.setdefault(int(row["fold"]), ([], []))
-        preds.append([float(row["pred_x"]), float(row["pred_y"])])
-        truths.append([float(row["true_x"]), float(row["true_y"])])
+        columns = by_fold.setdefault(int(row["fold"]), ([], [], [], []))
+        for column, name in zip(columns, ("pred_x", "pred_y", "true_x", "true_y")):
+            column.append(float(row[name]))
     return by_fold
 
 
@@ -338,23 +349,22 @@ class TestRidgeFromStatistics:
         folds_doc = fold_files(table)[kind]
         cv, artifact, _, _ = run_grid_search(table, folds_doc, RIDGE_SWEEP, "rmse", ["rmse"])
         folds = folds_doc["folds"]
-        x_rows, y_rows = value_rows(table), target_rows(table)
+        targets = [table.x, table.y]
         assert len(cv["rows"]) == 6 * len(folds)
         for row in cv["rows"]:
-            fold = folds[row["fold"]]
-            model = ridge_fit(
-                [x_rows[i] for i in fold["train"]],
-                [y_rows[i] for i in fold["train"]],
-                row["params"]["alpha"], row["params"]["fit_intercept"],
-            )
-            expected = compute_metrics(
-                model.predict([x_rows[i] for i in fold["test"]]),
-                [y_rows[i] for i in fold["test"]],
+            train, test = folds[row["fold"]]["train"], folds[row["fold"]]["test"]
+            model = RidgeStats.from_columns(
+                [[column[i] for i in train] for column in table.cols],
+                [[column[i] for i in train] for column in targets],
+            ).solve(row["params"]["alpha"], row["params"]["fit_intercept"])
+            expected = score_columns(
+                *model.predict_columns([[column[i] for i in test] for column in table.cols], len(test)),
+                truth_columns(*([column[i] for i in test] for column in targets)),
             )
             for key in METRIC_KEYS:
                 assert_close(row["metrics"][key], expected[key])
         chosen = cv["aggregates"][cv["selected"]]["params"]
-        final = ridge_fit(x_rows, y_rows, chosen["alpha"], chosen["fit_intercept"])
+        final = RidgeStats.from_columns(table.cols, targets).solve(chosen["alpha"], chosen["fit_intercept"])
         for ours, ref in zip(artifact["coef"], final.coef):
             assert_close(ours[0], ref[0])
             assert_close(ours[1], ref[1])
@@ -369,4 +379,5 @@ class TestRidgeFromStatistics:
         by_fold = parsed_predictions(preds)
         assert sorted(by_fold) == [r["fold"] for r in selected_rows]
         for row in selected_rows:
-            assert compute_metrics(*by_fold[row["fold"]]) == row["metrics"]
+            pred_x, pred_y, true_x, true_y = by_fold[row["fold"]]
+            assert score_columns(pred_x, pred_y, truth_columns(true_x, true_y)) == row["metrics"]

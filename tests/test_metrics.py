@@ -5,31 +5,27 @@ import numpy as np
 import pytest
 
 from locpipe.errors import BuiltinError
-from locpipe.loctk.metrics import compute_metrics, percentile_linear
+from locpipe.loctk.metrics import percentile_linear, score_columns, truth_columns
 from oracles import brute_metrics, percentile_by_rank
 
 
 class TestTrivialCases:
     def test_perfect_fit(self):
-        pred = [(1.0, 2.0), (3.0, 4.0)]
-        metrics = compute_metrics(pred, pred)
+        metrics = score_columns([1.0, 3.0], [2.0, 4.0], truth_columns([1.0, 3.0], [2.0, 4.0]))
         assert metrics["rmse"] == 0.0
         assert metrics["mae"] == 0.0
         assert metrics["r2"] == 1.0
         assert metrics["loc_err_mean"] == 0.0
 
     def test_unit_residuals(self):
-        truth = [(0.0, 0.0), (10.0, 10.0)]
-        pred = [(1.0, -1.0), (11.0, 9.0)]
-        metrics = compute_metrics(pred, truth)
+        metrics = score_columns([1.0, 11.0], [-1.0, 9.0], truth_columns([0.0, 10.0], [0.0, 10.0]))
         assert metrics["rmse"] == 1.0
         assert metrics["mae"] == 1.0
         assert metrics["median_ae"] == 1.0
 
     def test_hand_expanded_case(self):
-        pred = [(0.0, 0.0), (3.0, 4.0)]
-        truth = [(0.0, 0.0), (0.0, 0.0)]
-        metrics = compute_metrics(pred, truth)
+        # predictions (0, 0) and (3, 4), both true positions (0, 0)
+        metrics = score_columns([0.0, 3.0], [0.0, 4.0], truth_columns([0.0, 0.0], [0.0, 0.0]))
         # sqrt((0 + 0 + 9 + 16) / 4) = 2.5
         assert metrics["rmse"] == 2.5
         assert metrics["loc_err_mean"] == 2.5  # distances [0, 5]
@@ -40,16 +36,12 @@ class TestTrivialCases:
         assert metrics["r2"] == 0.0  # constant truth, nonzero residuals
 
     def test_constant_truth_perfect_pred(self):
-        rows = [(5.0, 5.0)] * 4
-        assert compute_metrics(rows, rows)["r2"] == 1.0
+        column = [5.0] * 4
+        assert score_columns(column, column, truth_columns(column, column))["r2"] == 1.0
 
     def test_errors(self):
-        with pytest.raises(BuiltinError, match="shape"):
-            compute_metrics([(0.0, 0.0)], [])
         with pytest.raises(BuiltinError, match="empty"):
-            compute_metrics([], [])
-        with pytest.raises(BuiltinError, match="two coordinates"):
-            compute_metrics([(0.0,)], [(0.0,)])
+            truth_columns([], [])
 
 
 class TestPercentile:
@@ -97,7 +89,8 @@ class TestBruteForceEquivalence:
         rng = random.Random(2024)
         for _ in range(300):
             pred, truth = random_instance(rng)
-            assert_close(compute_metrics(pred, truth), brute_metrics(pred, truth))
+            ours = score_columns(*zip(*pred), truth_columns(*zip(*truth)))
+            assert_close(ours, brute_metrics(pred, truth))
 
     def test_integer_coordinates(self):
         rng = random.Random(7)
@@ -105,4 +98,5 @@ class TestBruteForceEquivalence:
             n = rng.randint(1, 10)
             truth = [(float(rng.randint(-5, 5)), float(rng.randint(-5, 5))) for _ in range(n)]
             pred = [(float(rng.randint(-5, 5)), float(rng.randint(-5, 5))) for _ in range(n)]
-            assert_close(compute_metrics(pred, truth), brute_metrics(pred, truth))
+            ours = score_columns(*zip(*pred), truth_columns(*zip(*truth)))
+            assert_close(ours, brute_metrics(pred, truth))
