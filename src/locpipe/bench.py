@@ -4,6 +4,9 @@ Runs the scaling pipeline at several dataset multiples, collecting per-stage
 wall/CPU/RSS from the run manifests, then measures a no-op (fully cached)
 repro per factor. Scaling happens after the prepare stage, so prepare cost
 is factor-invariant; the no-op wall time is the pure orchestration overhead.
+The factor is `scale.factor`, the one key the `loc.scale` builtin reads: the
+bench sets it in the params tree `Project.load` parses, and puts back
+params.yaml's own bytes when it ends.
 
 Timings must not contend, so the bench runs its stages one at a time and has
 no ``--jobs`` option.
@@ -44,50 +47,24 @@ class BenchRow:
         return sum(self.stage_cpu.values())
 
 
-def _find_factor_key(project: Project) -> str:
-    """Locate the dotted param key holding the concatenation factor."""
+def _scale_params(project: Project) -> dict:
+    """The params tree `Project.load` parses, checked to hold `scale.factor`,
+    the one key the `loc.scale` builtin reads its factor from."""
     spec, params = project.load()
-    scale_stages = [s for s in spec.stages.values() if s.builtin == SCALE_BUILTIN]
-    if not scale_stages:
+    if not any(stage.builtin == SCALE_BUILTIN for stage in spec.stages.values()):
         raise ConfigError(
             f"scaling template missing: no stage uses builtin {SCALE_BUILTIN} "
             "(run `locpipe init --template scaling`)"
         )
-    stage = scale_stages[0]
-    from .configmodel import select_params
-
-    for key in stage.params:
-        if key.split(".")[-1] == "factor":
-            return key
-        value = select_params(params, [key], stage=stage.name)[key]
-        if isinstance(value, dict) and "factor" in value:
-            return f"{key}.factor"
-    raise ConfigError(f"stage '{stage.name}': no 'factor' parameter found")
-
-
-def _reject_quadratic_models(project: Project) -> None:
-    _, params = project.load()
-    grid = params.get("model", {}).get("grid", {}) if isinstance(params.get("model"), dict) else {}
-    if isinstance(grid, dict) and "knn" in grid:
-        raise ConfigError(
-            "scaling bench supports the linear model only; remove 'knn' from model.grid "
-            "(neighbor scans grow quadratically and would swamp the scaling signal)"
-        )
-
-
-def _set_dotted(tree: dict, dotted: str, value: object) -> None:
-    parts = dotted.split(".")
-    node = tree
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
+    if not isinstance(params.get("scale"), dict) or "factor" not in params["scale"]:
+        raise ConfigError(f"params.yaml: no 'scale.factor' for builtin {SCALE_BUILTIN}")
+    return params
 
 
 def set_scale_factor(project: Project, factor: int) -> None:
-    factor_key = _find_factor_key(project)
-    tree = yaml.safe_load(project.params_path.read_text(encoding="utf-8")) or {}
-    _set_dotted(tree, factor_key, factor)
-    project.params_path.write_text(yaml.safe_dump(tree, sort_keys=False), encoding="utf-8")
+    params = _scale_params(project)
+    params["scale"]["factor"] = factor
+    project.params_path.write_text(yaml.safe_dump(params, sort_keys=False), encoding="utf-8")
 
 
 def run_scaling_bench(project: Project, factors: list[int], repeats: int = 1) -> list[BenchRow]:
@@ -95,8 +72,12 @@ def run_scaling_bench(project: Project, factors: list[int], repeats: int = 1) ->
         raise ConfigError(f"factors must be positive integers, got {factors!r}")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    _find_factor_key(project)  # template check up front
-    _reject_quadratic_models(project)
+    model = _scale_params(project).get("model")
+    if isinstance(model, dict) and isinstance(model.get("grid"), dict) and "knn" in model["grid"]:
+        raise ConfigError(
+            "scaling bench supports the linear model only; remove 'knn' from model.grid "
+            "(neighbor scans grow quadratically and would swamp the scaling signal)"
+        )
 
     original_params = project.params_path.read_text(encoding="utf-8")
     rows: list[BenchRow] = []

@@ -218,16 +218,14 @@ _HANDLERS = {
     "dag": _cmd_dag,
     "report": _cmd_report,
     "gc": _cmd_gc,
+    "metrics": _cmd_metrics_show,
+    "bench": _cmd_bench_scale,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "metrics":
-            return _cmd_metrics_show(args)
-        if args.command == "bench":
-            return _cmd_bench_scale(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")

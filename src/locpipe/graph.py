@@ -82,25 +82,20 @@ def topo_order(graph: StageGraph) -> list[str]:
     return order
 
 
-def _closure(graph: StageGraph, start: Iterable[str], neighbours: dict[str, list[str]]) -> set[str]:
-    start = list(start)
-    for name in start:
-        if name not in neighbours:
+def upstream_closure(graph: StageGraph, targets: Iterable[str]) -> set[str]:
+    """The targets plus every producer they transitively depend on."""
+    producers = graph.producers()
+    frontier = list(targets)
+    for name in frontier:
+        if name not in producers:
             raise ConfigError(f"unknown stage '{name}'")
-    seen = set(start)
-    frontier = list(start)
+    seen = set(frontier)
     while frontier:
-        node = frontier.pop()
-        for nxt in neighbours[node]:
+        for nxt in producers[frontier.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen
-
-
-def upstream_closure(graph: StageGraph, targets: Iterable[str]) -> set[str]:
-    """The targets plus every producer they transitively depend on."""
-    return _closure(graph, targets, graph.producers())
 
 
 def to_dot(graph: StageGraph) -> str:

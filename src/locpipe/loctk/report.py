@@ -21,13 +21,16 @@ from .metrics import METRIC_KEYS
 _SCALAR = (bool, int, float, str)
 
 
-def _is_flat_scalars(doc: object) -> bool:
-    if not isinstance(doc, dict):
-        return False
-    return all(
-        isinstance(v, _SCALAR) or _is_flat_scalars(v)
-        for v in doc.values()
-    )
+def is_flat_scalars(doc: object) -> bool:
+    """True when `doc` is an object whose leaves are all scalars; walked with
+    a stack, so any depth `json` decodes is fine here."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            return False
+        stack.extend(v for v in node.values() if not isinstance(v, _SCALAR))
+    return True
 
 
 def classify(doc: object, source: str = "input") -> str:
@@ -41,21 +44,28 @@ def classify(doc: object, source: str = "input") -> str:
                     and isinstance(agg.get("model"), str) and isinstance(agg.get("metrics"), dict)):
                 raise BuiltinError(f"report: {source}: aggregate {i} needs an int 'candidate', "
                                    "a str 'model', 'params' and a 'metrics' mapping")
+            try:
+                canonical_json(agg["params"])
+            except (ValueError, RecursionError):
+                raise BuiltinError(f"report: {source}: aggregate {i} has 'params' canonical JSON "
+                                   "cannot encode (NaN, Infinity or too deep)") from None
         return "cv"
-    if _is_flat_scalars(doc):
+    if is_flat_scalars(doc):
         return "metrics"
     raise BuiltinError(f"report: {source} is neither cv results nor a metrics file")
 
 
-def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
+def flatten(doc: dict) -> list[tuple[str, object]]:
+    """The (dotted key, leaf) pairs of an object, depth first with the keys
+    of each level sorted."""
     rows = []
-    for key in sorted(doc):
-        value = doc[key]
-        dotted = f"{prefix}.{key}" if prefix else key
-        if isinstance(value, dict):
-            rows.extend(_flatten(value, dotted))
-        else:
-            rows.append((dotted, value))
+    stack = [("", doc)]
+    while stack:
+        prefix, node = stack.pop()
+        if not isinstance(node, dict):
+            rows.append((prefix, node))
+            continue
+        stack.extend((f"{prefix}.{key}" if prefix else key, node[key]) for key in sorted(node, reverse=True))
     return rows
 
 
@@ -103,7 +113,7 @@ def build_report(inputs: list[tuple[str, dict]]) -> tuple[str, str]:
         md.write("\n## Recorded metrics\n\n")
         md.write("| source | key | value |\n|---|---|---|\n")
         for name, doc in metric_sources:
-            for key, value in _flatten(doc):
+            for key, value in flatten(doc):
                 md.write(f"| {name} | {key} | {_cell(value)} |\n")
 
     buf = io.StringIO()
@@ -114,7 +124,7 @@ def build_report(inputs: list[tuple[str, dict]]) -> tuple[str, str]:
 def load_input(path: Path | str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise BuiltinError(f"report: unparseable input {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise BuiltinError(f"report: unparseable input {path}: not a JSON object")

@@ -313,7 +313,7 @@ def load_fold_file(path: Path | str) -> dict:
             doc = reader.value()
             if reader.peek():
                 raise reader.error("Extra data")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BuiltinError(f"unreadable fold file {path}: {exc}") from None
     if not isinstance(doc, dict) or "folds" not in doc or "n_samples" not in doc:
         raise BuiltinError(f"{path}: not a fold file")

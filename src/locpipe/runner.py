@@ -14,7 +14,10 @@ restore) gets the hash of that out's recorded bytes, so `repro` never hashes
 such an out again. After a stage runs, `_stage_failure` hashes each of its
 deps in the workspace, and a dep that does not hold its recorded bytes fails
 the stage. Only then, to give the true reason, are the store objects of the
-outs restored under that dep hashed: a damaged one is named.
+outs recorded under that dep hashed: a damaged one is named. The stage's
+outs are judged by `commit_outputs` alone. Any StoreError from these checks
+(an out the commit refuses, a dep replaced by a symlink) fails that stage
+with its cause named, and the run goes on.
 """
 
 from __future__ import annotations
@@ -412,39 +415,32 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 
 
 def _stage_failure(
-    stage: StageSpec,
-    state: StageState,
-    exit_code: int,
-    root: Path,
-    store: ObjectStore,
-    restored: Mapping[str, OutRecord],
+    state: StageState, exit_code: int, root: Path, store: ObjectStore, known: Mapping[str, OutRecord]
 ) -> str | None:
-    """Why a stage that ran must not be committed, or None if it may be.
+    """Why a stage that ran must not be committed, or None if it may be; its
+    outs are judged by `commit_outputs` alone.
 
-    `restored` maps every out this run restored from the store to its record.
+    `known` maps every out this run restored or committed to its record.
     """
     if exit_code != 0:
         return f"command exited with status {exit_code}"
-    missing = [o for o in stage.outs if not (root / o).exists()]
-    if missing:
-        return f"declared out not produced: {missing[0]}"
     # A stage must not rewrite its own inputs, nor run on a dep whose bytes
     # differ from its recorded hash (a restore from a damaged store object);
     # either would make the recorded fingerprint a lie.
     for dep, before in state.dep_hashes.items():
-        if hash_path(root / dep)[0] != before:
-            damaged = _damaged_object(store, restored, dep)
+        if not (root / dep).exists() or hash_path(root / dep)[0] != before:
+            damaged = _damaged_object(store, known, dep)
             if damaged is not None:
                 return f"dependency {dep} was restored from a damaged store object: {damaged}"
             return f"stage modified its own dependency: {dep}"
     return None
 
 
-def _damaged_object(store: ObjectStore, restored: Mapping[str, OutRecord], dep: str) -> str | None:
-    """The first store object restored at or under `dep` (a file out, or a
+def _damaged_object(store: ObjectStore, known: Mapping[str, OutRecord], dep: str) -> str | None:
+    """The first store object recorded at or under `dep` (a file out, or a
     tree out's manifest or member) whose bytes no longer hash to its name;
     None if all are intact."""
-    for out, rec in sorted(restored.items()):
+    for out, rec in sorted(known.items()):
         if not paths_overlap(dep, out):
             continue
         if not store.intact(rec.hash):
@@ -480,7 +476,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         store = ObjectStore(project.cache_dir)
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
-        restored: dict[str, OutRecord] = {}  # the restored ones alone
         pending = list(planned)
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
@@ -507,17 +502,19 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
                         log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
                     )
-                    failure = _stage_failure(
-                        stage, state, result.exit_code, project.root, store, restored
-                    )
+                    try:  # a StoreError here is this stage's fault: a dep or out the store refuses
+                        failure = _stage_failure(state, result.exit_code, project.root, store, known)
+                        if failure is None:
+                            entry = commit_outputs(
+                                store, stage, state.fingerprint, state.kind,
+                                state.dep_hashes, state.params_canonical, project.root,
+                            )
+                    except StoreError as exc:
+                        failure = str(exc)
                     if failure is not None:
                         result.action = "failed"
                         result.reason = f"{result.reason}; {failure}"
                     else:
-                        entry = commit_outputs(
-                            store, stage, state.fingerprint, state.kind,
-                            state.dep_hashes, state.params_canonical, project.root,
-                        )
                         record_run(store, entry)
                         known.update(entry.outs)
                         lock[stage.name] = entry
@@ -541,7 +538,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     restore_start = time.perf_counter()
                     restore_outputs(store, state.hit, project.root)
                     known.update(state.hit.outs)
-                    restored.update(state.hit.outs)
                     results[name] = StageResult(
                         name, "cached", wall_s=time.perf_counter() - restore_start
                     )
@@ -620,20 +616,11 @@ class MetricRow:
     value: object
 
 
-def _flatten_scalars(doc: object, prefix: str, where: str) -> list[tuple[str, object]]:
-    if isinstance(doc, (bool, int, float, str)):
-        return [(prefix, doc)]
-    if isinstance(doc, dict):
-        rows: list[tuple[str, object]] = []
-        for key in sorted(doc):
-            dotted = f"{prefix}.{key}" if prefix else str(key)
-            rows.extend(_flatten_scalars(doc[key], dotted, where))
-        return rows
-    raise ConfigError(f"unparseable metric file {where}: not an object of scalar leaves")
-
-
 def metrics_show(project: Project) -> list[MetricRow]:
-    """Flat (stage, path, key, value) table over every declared metric file."""
+    """Flat (stage, path, key, value) table over every declared metric file,
+    flattened as `loc.report` flattens a metrics file."""
+    from .loctk.report import flatten, is_flat_scalars
+
     spec, _ = project.load()
     rows: list[MetricRow] = []
     for name, stage in spec.stages.items():
@@ -643,11 +630,10 @@ def metrics_show(project: Project) -> list[MetricRow]:
                 continue
             try:
                 doc = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigError(f"unparseable metric file {metric}: {exc}") from None
-            if not isinstance(doc, dict):
-                raise ConfigError(f"unparseable metric file {metric}: not a JSON object")
-            for key, value in _flatten_scalars(doc, "", metric):
-                rows.append(MetricRow(stage=name, path=metric, key=key, value=value))
+            if not is_flat_scalars(doc):
+                raise ConfigError(f"unparseable metric file {metric}: not an object of scalar leaves")
+            rows.extend(MetricRow(name, metric, key, value) for key, value in flatten(doc))
     rows.sort(key=lambda r: (r.stage, r.path, r.key))
     return rows

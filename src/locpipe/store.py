@@ -313,7 +313,7 @@ def load_lock(path: Path | str) -> LockFile:
         return {}
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise StoreError(f"corrupt lock file {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("stages"), dict):
         raise StoreError(f"corrupt lock file {path}: missing 'stages'")
@@ -363,7 +363,7 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
         entry = LockEntry.from_json(json.loads(_run_path(store, fingerprint).read_bytes()))
         if entry.fingerprint == _derived_fingerprint(entry) == fingerprint:
             return entry
-    except (FileNotFoundError, ValueError, TypeError, StoreError):
+    except (FileNotFoundError, ValueError, TypeError, RecursionError, StoreError):
         pass  # malformed entries are misses; gc deletes them
     return None
 
@@ -407,7 +407,8 @@ def commit_outputs(
     params_canonical: bytes,
     root: Path | str,
 ) -> LockEntry:
-    """Ingest every declared out into the store and build the lock entry.
+    """Ingest every declared out into the store and build the lock entry, or
+    raise a StoreError naming the first out that is missing or refused.
 
     Directory outs are ingested file-wise plus a manifest object built from
     the digests the ingest returns, so each member is read once.
@@ -416,17 +417,20 @@ def commit_outputs(
     outs: dict[str, OutRecord] = {}
     for out in stage.outs:
         path = root / out
-        if path.is_symlink():
-            raise StoreError(f"stage '{stage.name}': symlink not allowed: {out}")
-        if path.is_dir():
-            files = _tree_files(path)
-            manifest = _manifest((rel, store.put_file(member)) for rel, member in files)
-            size = sum(member.stat().st_size for _, member in files)
-            outs[out] = OutRecord(hash=store.put_bytes(manifest), size=size, tree=True)
-        elif path.is_file():
-            outs[out] = OutRecord(hash=store.put_file(path), size=path.stat().st_size, tree=False)
-        else:
-            raise StoreError(f"stage '{stage.name}' declared out '{out}' but did not produce it")
+        if not (path.is_symlink() or path.is_dir() or path.is_file()):
+            raise StoreError(f"declared out not produced: {out}")
+        try:
+            if path.is_symlink():
+                raise StoreError("symlink not allowed")
+            if path.is_dir():
+                files = _tree_files(path)
+                manifest = _manifest((rel, store.put_file(member)) for rel, member in files)
+                size = sum(member.stat().st_size for _, member in files)
+                outs[out] = OutRecord(hash=store.put_bytes(manifest), size=size, tree=True)
+            else:
+                outs[out] = OutRecord(hash=store.put_file(path), size=path.stat().st_size, tree=False)
+        except StoreError as exc:
+            raise StoreError(f"declared out {out} refused: {exc}") from None
     return LockEntry(
         fingerprint=fingerprint,
         kind=kind,

@@ -214,7 +214,10 @@ def test_7_scaling_bench_properties(make_project):
 
     # prepare wall time is factor-invariant (scaling happens after prepare)
     prepare_walls = [by_factor[f].stage_wall["prepare"] for f in (1, 5, 10)]
-    assert max(prepare_walls) <= 3.0 * min(prepare_walls), f"prepare walls: {prepare_walls}"
+    assert max(prepare_walls) <= 3.0 * min(prepare_walls), (
+        f"prepare max/min wall ratio {max(prepare_walls) / min(prepare_walls):.2f} > bound 3.0 "
+        f"(walls at factors 1, 5, 10: {', '.join(f'{w:.4f}s' for w in prepare_walls)})"
+    )
 
     # featurize/split grow at most linearly x 1.5
     for stage in ("featurize", "split"):
@@ -222,14 +225,19 @@ def test_7_scaling_bench_properties(make_project):
         for factor in (5, 10):
             bound = 1.5 * factor * base
             actual = by_factor[factor].stage_wall[stage]
-            assert actual <= bound, f"{stage} at {factor}x: {actual:.3f}s > {bound:.3f}s"
+            assert actual <= bound, (
+                f"{stage} at {factor}x: {actual:.3f}s > bound {bound:.3f}s "
+                f"(1.5 x {factor} x {base:.3f}s at 1x)"
+            )
 
     # no-op repro stays under 10% of the full run at every factor
     for factor, row in by_factor.items():
         assert row.noop_wall_s < 0.10 * row.full_wall_s, (
-            f"factor {factor}: no-op {row.noop_wall_s:.3f}s vs full {row.full_wall_s:.3f}s"
+            f"factor {factor}: no-op/full {row.noop_wall_s / row.full_wall_s:.3f} >= bound 0.10 "
+            f"(no-op {row.noop_wall_s:.3f}s, full {row.full_wall_s:.3f}s)"
         )
-    assert time.perf_counter() - start < 600.0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 600.0, f"scaling bench took {elapsed:.1f}s >= bound 600s"
 
 
 @acceptance("8 store-round-trip")

@@ -1,7 +1,9 @@
 import pytest
+import yaml
 
 from conftest import edit_params
 from locpipe.bench import BenchRow, emit_bench_report, run_scaling_bench, set_scale_factor
+from locpipe.cli import main
 from locpipe.errors import ConfigError
 from locpipe.runner import Project
 
@@ -57,6 +59,33 @@ class TestRunScalingBench:
         import yaml
 
         assert yaml.safe_load(project.params_path.read_text())["scale"]["factor"] == 7
+
+    def test_cli_sets_the_factor_scale_reads(self, make_project, monkeypatch, capsys):
+        """Another `factor` key listed first in the scale stage's params is
+        left alone: `loc.scale` reads `scale.factor` only."""
+        project = make_project("scaling")
+        shrink(project)
+        edit_params(project, "x.factor", 1)
+        pipeline = yaml.safe_load(project.pipeline_path.read_text())
+        pipeline["stages"]["scale"]["params"] = ["x.factor", "scale"]
+        project.pipeline_path.write_text(yaml.safe_dump(pipeline, sort_keys=False))
+        original = project.params_path.read_bytes()
+        monkeypatch.chdir(project.root)
+        assert main(["bench", "scale", "--factors", "1,2"]) == 0
+        assert "| factor 1 | factor 2 |" in capsys.readouterr().out
+        assert project.params_path.read_bytes() == original
+        # the last run left the factor-2 table in place
+        prepared = (project.root / "data" / "prepared.csv").read_text().splitlines()
+        scaled = (project.root / "data" / "scaled.csv").read_text().splitlines()
+        assert len(prepared) > 1 and len(scaled) - 1 == 2 * (len(prepared) - 1)
+
+    def test_scale_factor_missing(self, make_project):
+        project = make_project("scaling")
+        project.params_path.write_text(
+            project.params_path.read_text().replace("scale:\n  factor: 1\n", "scale:\n  copies: 1\n")
+        )
+        with pytest.raises(ConfigError, match="no 'scale.factor'"):
+            run_scaling_bench(project, [1])
 
 
 def synthetic_rows() -> list[BenchRow]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import tree_snapshot
+from conftest import tree_snapshot, write_params, write_pipeline
 from locpipe.cli import main
 from locpipe.templates import TEMPLATES, template_names
 
@@ -110,6 +110,63 @@ class TestUnreadableConfig:
         assert capsys.readouterr().err == f"error: params.yaml: not valid UTF-8 at byte {offset}\n"
 
 
+DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+@pytest.fixture
+def cmd_project(tmp_path, monkeypatch):
+    """One cmd stage `copy` with a param and a metric file; chdir into it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_text("x\n")
+    write_pipeline(tmp_path, {"copy": {
+        "cmd": "cp in.txt out.txt && echo '{\"n\": 1}' > m.json",
+        "deps": ["in.txt"], "params": ["p"], "outs": ["out.txt", "m.json"], "metrics": ["m.json"],
+    }})
+    write_params(tmp_path, {"p": 1})
+    return tmp_path
+
+
+class TestDeepJson:
+    """A JSON file nested too deep to decode is its reader's own error (or,
+    for a run-cache entry, a miss), never a RecursionError."""
+
+    def test_lock_is_a_store_error(self, cmd_project, capsys):
+        (cmd_project / "pipeline.lock.json").write_text(DEEP_JSON)
+        for command in ("status", "repro"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err.startswith("error: corrupt lock file ")
+
+    def test_run_cache_entry_is_a_miss(self, cmd_project, capsys):
+        assert main(["repro"]) == 0
+        [entry] = (cmd_project / ".locpipe" / "cache" / "runcache").iterdir()
+        write_params(cmd_project, {"p": 2})
+        assert main(["repro"]) == 0
+        entry.write_text(DEEP_JSON)
+        write_params(cmd_project, {"p": 1})  # back to the value of the damaged entry
+        capsys.readouterr()
+        assert main(["status"]) == 0
+        assert capsys.readouterr().out == "copy: changed (params: p)\n"
+        assert main(["repro"]) == 0
+        assert capsys.readouterr().out == "copy: executed\n1 executed, 0 cached, 0 failed, 0 skipped\n"
+
+    def test_metric_file_is_a_config_error(self, cmd_project, capsys):
+        assert main(["repro"]) == 0
+        (cmd_project / "m.json").write_text(DEEP_JSON)
+        assert main(["metrics", "show"]) == 2
+        assert capsys.readouterr().err.startswith("error: unparseable metric file m.json: ")
+
+    def test_report_input_is_a_builtin_error(self, tmp_path, monkeypatch, capsys):
+        from locpipe.errors import BuiltinError
+        from locpipe.loctk.report import load_input
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        with pytest.raises(BuiltinError, match="unparseable input deep.json"):
+            load_input("deep.json")
+        assert main(["report", "deep.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: report: unparseable input deep.json: ")
+
+
 class TestOtherCommands:
     def test_dag_plain_and_dot(self, in_project, capsys):
         assert main(["dag"]) == 0
@@ -157,6 +214,11 @@ class TestOtherCommands:
         ('{"rows": [], "aggregates": 5}', "'aggregates' must be a list"),
         ('{"rows": [], "aggregates": [{"candidate": 0}]}',
          "aggregate 0 needs an int 'candidate', a str 'model', 'params' and a 'metrics' mapping"),
+        ('{"rows": [], "aggregates": [{"candidate": 0, "model": "r", "params": NaN, "metrics": {}}]}',
+         "aggregate 0 has 'params' canonical JSON cannot encode (NaN, Infinity or too deep)"),
+        ('{"rows": [], "aggregates": [{"candidate": 0, "model": "r", "params": {}, "metrics": {}}, '
+         '{"candidate": 1, "model": "r", "params": {"alpha": [0.5, Infinity]}, "metrics": {}}]}',
+         "aggregate 1 has 'params' canonical JSON cannot encode (NaN, Infinity or too deep)"),
     ])
     def test_report_malformed_cv_results(self, tmp_path, monkeypatch, capsys, doc, message):
         monkeypatch.chdir(tmp_path)

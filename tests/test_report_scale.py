@@ -10,7 +10,7 @@ from locpipe.canonical import fmt_num
 from locpipe.errors import BuiltinError
 from locpipe.loctk import StageRequest, run_builtin
 from locpipe.loctk.gridsearch import run_grid_search
-from locpipe.loctk.report import build_report, classify
+from locpipe.loctk.report import build_report, classify, flatten
 from locpipe.loctk.split import make_fold_file
 from locpipe.loctk.tables import Table, read_table, write_table
 
@@ -34,6 +34,16 @@ class TestClassify:
     def test_rejects_other(self):
         with pytest.raises(BuiltinError, match="neither"):
             classify({"rows": [1, 2, 3]})
+
+    def test_metrics_deeper_than_the_recursion_limit(self):
+        doc: dict = {"leaf": 1.5}
+        for _ in range(5000):
+            doc = {"a": doc}
+        assert classify(doc) == "metrics"
+        assert flatten(doc) == [("a." * 5000 + "leaf", 1.5)]
+        doc["b"] = [1]
+        with pytest.raises(BuiltinError, match="neither"):
+            classify(doc)
 
 
 class TestBuildReport:

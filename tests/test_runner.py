@@ -272,7 +272,10 @@ class TestProcessIsolation:
         result = run(Project(root=root)).results[0]
         assert result.action == "executed"
         # a busy loop burns CPU at roughly wall rate (child-process accounting)
-        assert abs(result.cpu_s - 1.5) <= 0.3
+        assert abs(result.cpu_s - 1.5) <= 0.3, (
+            f"child CPU {result.cpu_s:.3f} core-s over {result.wall_s:.3f}s wall, "
+            "bound 1.5 +/- 0.3 core-s"
+        )
         assert result.peak_rss_bytes > 0
 
     def test_undeclared_env_invisible_declared_passthrough_visible(self, tmp_path, monkeypatch):
@@ -1229,6 +1232,57 @@ class TestDirectoryOutputs:
         entries = {e.stage: e.action for e in plan(project).entries}
         assert entries == {"emit": "cached", "pick": "cached"}
         assert run(project).cached == 2
+
+
+class TestRefusedOut:
+    """`commit_outputs` alone judges a stage's outs: an out it refuses fails
+    that stage, named, and the run goes on. So does a dep the stage deleted
+    or replaced with a symlink."""
+
+    @pytest.mark.parametrize("cmd, out, refusal", [
+        ("echo x > real.txt && ln -s real.txt link.txt", "link.txt",
+         "declared out link.txt refused: symlink not allowed"),
+        ("mkdir d && echo x > \"$(printf 'd/a\\tb')\"", "d",
+         "declared out d refused: unsupported character in file name: 'a\\tb'"),
+        ("true", "gone.txt", "declared out not produced: gone.txt"),
+    ])
+    def test_refused_out_fails_only_its_stage(self, tmp_path, monkeypatch, capsys, cmd, out, refusal):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {
+            "make": {"cmd": cmd, "outs": [out]},
+            "use": {"cmd": "echo used > use.txt", "deps": [out], "outs": ["use.txt"]},
+            "other": {"cmd": "echo ok > other.txt", "outs": ["other.txt"]},
+        })
+        write_params(root, {})
+        monkeypatch.chdir(root)
+        assert cli.main(["repro"]) == 1
+        assert f"make: failed (never run; {refusal})\n" in capsys.readouterr().out
+        [manifest] = (root / ".locpipe" / "runs").iterdir()
+        results = {r["stage"]: r for r in json.loads(manifest.read_text())["results"]}
+        assert {name: r["action"] for name, r in results.items()} == {
+            "make": "failed", "other": "executed", "use": "skipped",
+        }
+        assert results["make"]["reason"] == f"never run; {refusal}"
+        assert set(load_lock(root / "pipeline.lock.json")) == {"other"}
+
+    @pytest.mark.parametrize("cmd, failure", [
+        ("rm in.txt", "stage modified its own dependency: in.txt"),
+        ("rm in.txt && ln -s out.txt in.txt", "symlink not allowed: "),
+    ])
+    def test_deleted_or_linked_dep_fails_only_its_stage(self, tmp_path, cmd, failure):
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "in.txt").write_text("x\n")
+        write_pipeline(root, {
+            "eat": {"cmd": f"cp in.txt out.txt && {cmd}", "deps": ["in.txt"], "outs": ["out.txt"]},
+            "other": {"cmd": "echo ok > other.txt", "outs": ["other.txt"]},
+        })
+        write_params(root, {})
+        results = {r.stage: r for r in run(Project(root=root)).results}
+        assert results["eat"].action == "failed" and results["other"].action == "executed"
+        assert results["eat"].reason.startswith(f"never run; {failure}")
+        assert set(load_lock(root / "pipeline.lock.json")) == {"other"}
 
 
 class TestProjectDiscovery:

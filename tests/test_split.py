@@ -284,6 +284,10 @@ class TestFoldFileCodec:
         with pytest.raises(BuiltinError, match="unreadable fold file"):
             loaded(text)
 
+    def test_too_deep_is_unreadable(self):
+        with pytest.raises(BuiltinError, match="unreadable fold file .*: maximum recursion depth"):
+            loaded('{"folds": ' + "[" * 5000 + "]" * 5000 + ', "n_samples": 1}')
+
     def test_other_documents_are_not_fold_files(self):
         with pytest.raises(BuiltinError, match="not a fold file"):
             loaded('{"folds": []}')
