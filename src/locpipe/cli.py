@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--md", metavar="PATH", help="write Markdown here (default: stdout)")
     p_report.add_argument("--csv", metavar="PATH", help="write the CSV table here")
 
-    sub.add_parser("gc", help="remove store objects no lock entry references, and crash leftovers")
+    sub.add_parser("gc", help="remove store objects no lock entry references, stale memo entries and crash leftovers")
 
     p_bench = sub.add_parser("bench", help="benchmark harnesses")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
@@ -190,7 +190,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
     project = Project.discover()
     with project_lock(project):
-        removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
+        removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir), project.config_key())
     print(f"removed {removed} unreferenced object(s)")
     return EXIT_OK
 

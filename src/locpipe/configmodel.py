@@ -6,21 +6,35 @@ that stages select dotted subsets from. Parsing is deliberately strict:
 unknown fields, duplicate names, non-finite numbers, and unresolvable keys
 are hard errors because a silently misread config is worse than a refused
 one.
+
+A parse is two steps: `_load_yaml` turns text into a plain document, and
+`validate_pipeline` or `validate_params` checks that document and builds
+the spec or tree. PyYAML is imported by the first parse, not with this
+module. The parse memo (`load_config`) keeps the loaded documents of both
+files as JSON under `memo_key`, a digest of the files' bytes and of the code
+that parses them; a hit skips only the YAML step, so every `ConfigError`
+still comes from a fresh parse and a config load served by the memo never
+imports PyYAML.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import hashlib
+import json
 import math
 import posixpath
 import re
-from dataclasses import dataclass, field
-
-import yaml
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 from .canonical import canonical_bytes
 from .errors import ConfigError
 
+PIPELINE_FILE = "pipeline.yaml"
+PARAMS_FILE = "params.yaml"
 PIPELINE_FORMAT_VERSION = 1
 MAX_PARAM_DEPTH = 32
 
@@ -30,18 +44,11 @@ _TOP_FIELDS = ("version", "stages")
 
 
 # ---------------------------------------------------------------------------
-# YAML loading
+# YAML loading. The two loader classes subclass PyYAML's, so they are built,
+# and PyYAML imported, on the first parse or the first access to either name.
 
 
-class _StrictLoader(yaml.SafeLoader):
-    """SafeLoader that refuses duplicate mapping keys instead of keeping the last."""
-
-
-class _FastStrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
-    """The same strict loader on libyaml's parser, where PyYAML was built with it."""
-
-
-def _strict_construct_mapping(loader: yaml.BaseLoader, node: yaml.Node, deep: bool = False) -> dict:
+def _strict_construct_mapping(loader, node, deep: bool = False) -> dict:
     mapping: dict = {}
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=deep)
@@ -59,12 +66,30 @@ def _strict_construct_mapping(loader: yaml.BaseLoader, node: yaml.Node, deep: bo
     return mapping
 
 
-for _loader in (_StrictLoader, _FastStrictLoader):
-    _loader.construct_mapping = _strict_construct_mapping  # type: ignore[method-assign]
-    _loader.add_constructor(
-        yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
-        lambda loader, node: _strict_construct_mapping(loader, node),
-    )
+def _build_loaders() -> None:
+    """Define the module's `_StrictLoader` and `_FastStrictLoader`."""
+    import yaml
+
+    class _StrictLoader(yaml.SafeLoader):
+        """SafeLoader that refuses duplicate mapping keys instead of keeping the last."""
+
+    class _FastStrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
+        """The same strict loader on libyaml's parser, where PyYAML was built with it."""
+
+    for loader in (_StrictLoader, _FastStrictLoader):
+        loader.construct_mapping = _strict_construct_mapping  # type: ignore[method-assign]
+        loader.add_constructor(
+            yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
+            lambda loader, node: _strict_construct_mapping(loader, node),
+        )
+        globals()[loader.__name__] = loader
+
+
+def __getattr__(name: str) -> object:
+    if name in ("_StrictLoader", "_FastStrictLoader"):
+        _build_loaders()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The text libyaml may parse. A differential test of the two loaders found
@@ -76,6 +101,10 @@ _LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n\r_.:,\[\]{}'\"#/+=~<()*&;$^\\-]*")
 
 
 def _load_yaml(text: str, filename: str) -> object:
+    import yaml
+
+    if "_StrictLoader" not in globals():
+        _build_loaders()
     try:
         if _LIBYAML_TEXT.fullmatch(text):
             try:
@@ -100,8 +129,7 @@ def _load_yaml(text: str, filename: str) -> object:
 # Domain types
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(NamedTuple):
     """One declared stage: exactly one of `cmd` (shell command) or `builtin` (registered id)."""
 
     name: str
@@ -114,12 +142,11 @@ class StageSpec:
     env: tuple[str, ...] = ()  # extra environment variable names passed through to the stage
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(NamedTuple):
     """The validated stage graph, in declaration order."""
 
     version: int
-    stages: dict[str, StageSpec] = field(default_factory=dict)
+    stages: dict[str, StageSpec]
 
 
 def _norm_path(raw: object, stage: str, role: str) -> str:
@@ -151,14 +178,18 @@ def _str_list(raw: object, stage: str, role: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def parse_pipeline(text: str, filename: str = "pipeline.yaml") -> PipelineSpec:
-    """Parse and validate the pipeline file.
+def parse_pipeline(text: str, filename: str = PIPELINE_FILE) -> PipelineSpec:
+    """Parse and validate the pipeline file."""
+    return validate_pipeline(_load_yaml(text, filename), filename)
+
+
+def validate_pipeline(doc: object, filename: str = PIPELINE_FILE) -> PipelineSpec:
+    """Validate a loaded pipeline document into the spec.
 
     Rejects unknown fields, duplicate stage names, two producers for one
     output path, dep/out overlap within a stage, and metrics not listed in
     outs.
     """
-    doc = _load_yaml(text, filename)
     if not isinstance(doc, dict):
         raise ConfigError(f"{filename}: top level must be a mapping with 'version' and 'stages'")
     for key in doc:
@@ -259,15 +290,126 @@ def _validate_tree(value: object, path: str, depth: int) -> None:
     )
 
 
-def parse_params(text: str, filename: str = "params.yaml") -> dict:
+def parse_params(text: str, filename: str = PARAMS_FILE) -> dict:
     """Parse the parameter file into a validated nested tree (empty doc -> empty tree)."""
-    doc = _load_yaml(text, filename)
+    return validate_params(_load_yaml(text, filename), filename)
+
+
+def validate_params(doc: object, filename: str = PARAMS_FILE) -> dict:
+    """Validate a loaded parameter document into the tree (None -> empty tree)."""
     if doc is None:
         return {}
     if not isinstance(doc, dict):
         raise ConfigError(f"{filename}: top level must be a mapping")
     _validate_tree(doc, "", 1)
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Parse memo
+
+
+def _parser_sources() -> list[tuple[str, bytes]]:
+    """(name, bytes) of the code a parse runs that an upgrade may change:
+    this module, ``canonical.py``, and PyYAML's ``__init__.py``, which carries
+    its version and is found without importing it."""
+    from importlib.util import find_spec
+
+    here = Path(__file__).parent
+    sources = [(name, (here / name).read_bytes()) for name in ("configmodel.py", "canonical.py")]
+    spec = find_spec("yaml")
+    sources.append(("yaml", Path(spec.origin).read_bytes() if spec and spec.origin else b""))
+    return sources
+
+
+@functools.cache
+def _parser_digest() -> str:
+    """SHA-256 over Python major.minor and every `_parser_sources` entry."""
+    digest = hashlib.sha256(f"python {sys.version_info.major}.{sys.version_info.minor}\0".encode())
+    for name, data in _parser_sources():
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def memo_key(pipeline: bytes, params: bytes | None) -> str:
+    """The parse-memo key of both files' bytes (`params` None: no params
+    file), under this parser."""
+    digest = hashlib.sha256(_parser_digest().encode())
+    for data in (pipeline, params):
+        digest.update(b"-\0" if data is None else f"{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def _same_json(value: object, back: object) -> bool:
+    """True when `back` equals `value` type for type, with mapping order kept
+    and floats bit for bit (`-0.0` stays `-0.0`)."""
+    if type(value) is not type(back):
+        return False
+    if isinstance(value, dict):
+        return list(value) == list(back) and all(_same_json(value[k], back[k]) for k in value)
+    if isinstance(value, list):
+        return len(value) == len(back) and all(map(_same_json, value, back))
+    if isinstance(value, float):
+        return repr(value) == repr(back)
+    return value == back
+
+
+def _memo_entry(docs: list) -> bytes | None:
+    """The memo entry of the two loaded documents: their JSON, in insertion
+    order, with its SHA-256; None where JSON would not give them back type
+    for type."""
+    try:
+        text = json.dumps(docs, allow_nan=False)
+        if not _same_json(docs, json.loads(text)):
+            return None
+    except (TypeError, ValueError, RecursionError):
+        return None
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    return f'{{"sha256": "{digest}", "docs": {text}}}\n'.encode()
+
+
+def _memo_docs(entry: bytes) -> list | None:
+    """The two documents of a memo entry, or None if it is corrupt,
+    truncated or too deep to decode."""
+    try:
+        doc = json.loads(entry)
+        docs = doc["docs"]
+        digest = hashlib.sha256(json.dumps(docs, allow_nan=False).encode()).hexdigest()
+        if doc["sha256"] == digest and isinstance(docs, list) and len(docs) == 2:
+            return docs
+    except (TypeError, ValueError, KeyError, RecursionError):
+        pass
+    return None
+
+
+def _config_text(data: bytes, filename: str) -> str:
+    """A config file's text, with the newline translation `Path.read_text` applies."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{filename}: not valid UTF-8 at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_config(
+    pipeline: bytes, params: bytes | None, memo: bytes | None
+) -> tuple[PipelineSpec, dict, bytes | None]:
+    """The validated spec and params tree of both files' bytes (`params`
+    None: no params file), and the memo entry to store.
+
+    `memo` is the entry stored under `memo_key(pipeline, params)`, if any.
+    When it decodes, its documents are validated as a fresh parse's would be,
+    and there is no entry to store. Otherwise the YAML is parsed, and the
+    entry is None only where JSON cannot hold the documents type for type.
+    """
+    docs = None if memo is None else _memo_docs(memo)
+    if docs is not None:
+        return validate_pipeline(docs[0]), validate_params(docs[1]), None
+    pipeline_doc = _load_yaml(_config_text(pipeline, PIPELINE_FILE), PIPELINE_FILE)
+    spec = validate_pipeline(pipeline_doc)
+    params_doc = None if params is None else _load_yaml(_config_text(params, PARAMS_FILE), PARAMS_FILE)
+    tree = validate_params(params_doc)
+    return spec, tree, _memo_entry([pipeline_doc, params_doc])
 
 
 def select_params(tree: dict, keys: tuple[str, ...] | list[str], stage: str | None = None) -> dict:

@@ -11,15 +11,13 @@ reasons) lives with its only producer, `runner.plan`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .configmodel import PipelineSpec, paths_overlap
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class StageGraph:
+class StageGraph(NamedTuple):
     nodes: tuple[str, ...]                 # sorted by name
     edges: tuple[tuple[str, str], ...]     # sorted (producer, consumer) pairs
 

@@ -20,9 +20,9 @@ import functools
 import hashlib
 import importlib
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from types import ModuleType
+from types import MappingProxyType, ModuleType
+from typing import Mapping, NamedTuple
 
 from ..errors import BuiltinError, ConfigError
 
@@ -72,13 +72,12 @@ def builtin_version(builtin_id: str) -> str:
     return _code_digest()
 
 
-@dataclass(frozen=True)
-class StageRequest:
+class StageRequest(NamedTuple):
     """Everything a builtin needs, resolved by the orchestrator."""
 
     stage: str
     builtin: str
-    params: dict = field(default_factory=dict)  # dotted key -> resolved value
+    params: Mapping[str, object] = MappingProxyType({})  # dotted key -> resolved value
     deps: tuple[str, ...] = ()
     outs: tuple[str, ...] = ()
     table_memo: Path | None = None  # a `table_memo_dir`; None parses every table afresh

@@ -18,6 +18,15 @@ outs recorded under that dep hashed: a damaged one is named. The stage's
 outs are judged by `commit_outputs` alone. Any StoreError from these checks
 (an out the commit refuses, a dep replaced by a symlink) fails that stage
 with its cause named, and the run goes on.
+
+A run that forks nothing imports only what it runs. `Project.load` serves
+the config from the parse memo (`configmodel.load_config`) when the files'
+bytes are unchanged, so PyYAML is never imported on a hit; only `repro`
+stores a fresh parse's memo entry, so `plan`, `status` and the read-only
+commands change nothing on disk. `launch`, which brings in the fork
+machinery and the builtin modules, is imported when the first stage is
+forked. The records here are named tuples, not dataclasses, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -29,25 +38,25 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import __version__
 from .canonical import canonical_bytes
 from .configmodel import (
+    PARAMS_FILE,
+    PIPELINE_FILE,
     PipelineSpec,
     StageSpec,
     canonicalize,
-    parse_params,
-    parse_pipeline,
+    load_config,
+    memo_key,
     paths_overlap,
     select_params,
 )
 from .errors import EXIT_OK, EXIT_STAGE_FAILURE, ConfigError, StoreError
 from .graph import StageGraph, build_graph, topo_order, upstream_closure
-from .launch import reap_first, spawn_stage
 from .loctk import StageRequest, builtin_version, table_memo_dir
 from .store import (
     LockEntry,
@@ -59,16 +68,16 @@ from .store import (
     hash_path,
     load_lock,
     missing_outs,
+    read_config_memo,
     record_run,
     restore_outputs,
     restored_hash,
     stage_fingerprint,
     stage_kind,
+    write_config_memo,
     write_lock,
 )
 
-PIPELINE_FILE = "pipeline.yaml"
-PARAMS_FILE = "params.yaml"
 LOCK_FILE = "pipeline.lock.json"
 DOT_DIR = ".locpipe"
 
@@ -76,8 +85,14 @@ DOT_DIR = ".locpipe"
 NEVER_RUN = "never run"
 
 
-@dataclass(frozen=True)
-class Project:
+# The parse-memo entry the last `Project.load` built from a fresh YAML
+# parse, as (key, entry), for `repro` to store; None after a memo hit. Every
+# load sets it, and `repro` reads it right after its own load, so no other
+# load's entry can reach it.
+_fresh_config: tuple[str, bytes] | None = None
+
+
+class Project(NamedTuple):
     root: Path
 
     @property
@@ -118,45 +133,50 @@ class Project:
         raise ConfigError(f"no {PIPELINE_FILE} found in {current} or any parent directory")
 
     def load(self, config_hashes: dict[str, str] | None = None) -> tuple[PipelineSpec, dict]:
-        """Parse and validate both config files. `config_hashes`, when given,
-        receives the SHA-256 of the bytes parsed, keyed by file name."""
+        """Parse and validate both config files, through the parse memo.
+        `config_hashes`, when given, receives the SHA-256 of the bytes
+        parsed, keyed by file name."""
+        global _fresh_config
+        _fresh_config = None
+        pipeline, params = self._config_bytes(config_hashes)
+        key = memo_key(pipeline, params)
+        memo = read_config_memo(ObjectStore(self.cache_dir), key)
+        spec, tree, entry = load_config(pipeline, params, memo)
+        if entry is not None:
+            _fresh_config = (key, entry)
+        return spec, tree
+
+    def config_key(self) -> str:
+        """The parse-memo key of the config files as they are now."""
+        return memo_key(*self._config_bytes())
+
+    def _config_bytes(self, config_hashes: dict[str, str] | None = None) -> tuple[bytes, bytes | None]:
+        """Both config files' bytes, params None when there is no params
+        file; their SHA-256 go to `config_hashes` when given."""
         try:
-            pipeline_text = _read_config(self.pipeline_path, config_hashes)
+            pipeline = _read_config(self.pipeline_path, config_hashes)
         except FileNotFoundError:
             raise ConfigError(f"missing {self.pipeline_path}") from None
-        spec = parse_pipeline(pipeline_text, PIPELINE_FILE)
-        params = {}
-        if self.params_path.exists():
-            params = parse_params(_read_config(self.params_path, config_hashes), PARAMS_FILE)
-        return spec, params
+        if not self.params_path.exists():
+            return pipeline, None
+        return pipeline, _read_config(self.params_path, config_hashes)
 
 
-def _read_config(path: Path, config_hashes: dict[str, str] | None) -> str:
-    """A config file's text, with the newline translation `Path.read_text`
-    applies; its bytes' SHA-256 goes to `config_hashes` when given."""
+def _read_config(path: Path, config_hashes: dict[str, str] | None) -> bytes:
+    """A config file's bytes; their SHA-256 goes to `config_hashes` when given."""
     data = path.read_bytes()
     if config_hashes is not None:
         config_hashes[path.name] = hashlib.sha256(data).hexdigest()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return data
 
 
-@dataclass(frozen=True)
-class ExecOptions:
+class ExecOptions(NamedTuple):
     targets: tuple[str, ...] = ()
     force: bool = False
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+    jobs: int = 1  # checked by `_load_plan`, which every plan and run starts with
 
 
-@dataclass
-class StageResult:
+class StageResult(NamedTuple):
     stage: str
     action: str                    # executed | cached | failed | skipped
     wall_s: float = 0.0
@@ -172,36 +192,35 @@ class StageResult:
     log_err: str | None = None
 
     def to_json(self) -> dict:
-        doc = asdict(self)
+        doc = self._asdict()
         if self.orchestrator_rss_bytes is None:
             del doc["orchestrator_rss_bytes"]
         return doc
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     run_id: str
     results: list[StageResult]
     manifest_path: Path | None = None
 
-    def count(self, action: str) -> int:
+    def _count(self, action: str) -> int:
         return sum(1 for r in self.results if r.action == action)
 
     @property
     def executed(self) -> int:
-        return self.count("executed")
+        return self._count("executed")
 
     @property
     def cached(self) -> int:
-        return self.count("cached")
+        return self._count("cached")
 
     @property
     def failed(self) -> int:
-        return self.count("failed")
+        return self._count("failed")
 
     @property
     def skipped(self) -> int:
-        return self.count("skipped")
+        return self._count("skipped")
 
     @property
     def exit_code(self) -> int:
@@ -230,16 +249,14 @@ def project_lock(project: Project):
 # Planning
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     stage: str
     action: str  # run | cached | blocked
     reason: str = ""
     reasons: tuple[str, ...] = ()  # the stage's own miss reasons (`StageState.reasons`)
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
+class ExecutionPlan(NamedTuple):
     entries: tuple[PlanEntry, ...]
 
 
@@ -249,7 +266,9 @@ def _load_plan(
     """Load the config (see `Project.load` for `config_hashes`) and order the
     planned stages: the targets and their upstream closure, or every stage.
     Fails fast, before anything runs, on an unknown target, an unresolvable
-    param or an unknown builtin."""
+    param, an unknown builtin or a `jobs` below 1."""
+    if opts.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {opts.jobs}")
     spec, params = project.load(config_hashes)
     graph = build_graph(spec)
     planned = topo_order(graph)
@@ -267,8 +286,7 @@ def _load_plan(
     return spec, params, graph, planned
 
 
-@dataclass
-class StageState:
+class StageState(NamedTuple):
     """One stage resolved against the lock and the store.
 
     `fingerprint` and `hit` are None when a dep is missing. `reasons` say why
@@ -320,7 +338,7 @@ def resolve_stage(
         hit = cache_lookup(lock, store, stage.name, fingerprint)
     state = StageState(kind, dep_hashes, params_canonical, fingerprint, tuple(missing), hit)
     if hit is None:
-        state.reasons = _miss_reasons(stage, state, current, lock.get(stage.name), store)
+        state = state._replace(reasons=_miss_reasons(stage, state, current, lock.get(stage.name), store))
     return state
 
 
@@ -414,6 +432,15 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 # Execution
 
 
+def spawn_stage(
+    stage: StageSpec, request: StageRequest | None, root: Path, log_out: Path, log_err: Path
+) -> tuple[int, int]:
+    """`launch.spawn_stage`, with `launch` imported on the first fork."""
+    from .launch import spawn_stage
+
+    return spawn_stage(stage, request, root, log_out, log_err)
+
+
 def _stage_failure(
     state: StageState, exit_code: int, root: Path, store: ObjectStore, known: Mapping[str, OutRecord]
 ) -> str | None:
@@ -474,6 +501,8 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     results: dict[str, StageResult] = {}
     with project_lock(project):
         store = ObjectStore(project.cache_dir)
+        if _fresh_config is not None:  # the config load above parsed YAML
+            write_config_memo(store, *_fresh_config)
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
         pending = list(planned)
@@ -487,6 +516,8 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     # reap: a stage is resolved only once a slot is free to run it
                     if not running:  # pragma: no cover
                         raise StoreError(f"scheduler stalled on stages: {pending}")
+                    from .launch import reap_first  # loaded by the fork of every running stage
+
                     pid, wait_status, usage = reap_first(list(running))
                     stage, state, started, rss = running.pop(pid)
                     result = StageResult(
@@ -512,8 +543,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     except StoreError as exc:
                         failure = str(exc)
                     if failure is not None:
-                        result.action = "failed"
-                        result.reason = f"{result.reason}; {failure}"
+                        result = result._replace(action="failed", reason=f"{result.reason}; {failure}")
                     else:
                         record_run(store, entry)
                         known.update(entry.outs)
@@ -538,13 +568,14 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     restore_start = time.perf_counter()
                     restore_outputs(store, state.hit, project.root)
                     known.update(state.hit.outs)
+                    served = state.hit is not lock.get(name)  # by the run cache
                     results[name] = StageResult(
-                        name, "cached", wall_s=time.perf_counter() - restore_start
+                        name, "cached", wall_s=time.perf_counter() - restore_start,
+                        reason="run cache" if served else "",
                     )
-                    if state.hit is not lock.get(name):  # served by the run cache
+                    if served:
                         lock[name] = state.hit
                         write_lock(lock, project.lock_path)
-                        results[name].reason = "run cache"
                 else:
                     request = None
                     if stage.builtin is not None:
@@ -567,7 +598,6 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
             for pid in running:  # an error left these running: let them end, then reap
                 os.waitpid(pid, 0)
             ordered = [results[name] for name in planned if name in results]
-            report = RunReport(run_id=run_id, results=ordered)
             manifest = {
                 "run_id": run_id,
                 "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
@@ -582,16 +612,14 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
             }
             manifest_path = project.runs_dir / f"{run_id}.json"
             manifest_path.write_bytes(canonical_bytes(manifest) + b"\n")
-            report.manifest_path = manifest_path
-    return report
+    return RunReport(run_id=run_id, results=ordered, manifest_path=manifest_path)
 
 
 # ---------------------------------------------------------------------------
 # Status and metrics views
 
 
-@dataclass(frozen=True)
-class StageStatus:
+class StageStatus(NamedTuple):
     stage: str
     state: str                  # unchanged | changed | never-run
     reasons: tuple[str, ...] = ()
@@ -608,8 +636,7 @@ def status(project: Project) -> list[StageStatus]:
     return [StageStatus(e.stage, states.get(e.reasons, "changed"), e.reasons) for e in plan(project).entries]
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     stage: str
     path: str
     key: str

@@ -7,9 +7,14 @@ content hashes to its own address. A directory hashes to its tree manifest,
 built from one walk (`_tree_files`) and read back only by
 `ObjectStore.members`. The run cache keeps every committed execution at
 ``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
-restores instead of re-executing. All file writes
-are atomic (write to a temp path on the same filesystem, then rename), so a
-crash never leaves a partially written object, run-cache entry or lock file.
+restores instead of re-executing. The config parse memo keeps the loaded
+documents of the two config files at ``<cache>/config/<key>.json`` (see
+`configmodel.memo_key`). All file writes are atomic (write to a temp path on
+the same filesystem, then rename), so a crash never leaves a partially
+written object, run-cache entry, memo entry or lock file.
+
+The records here are named tuples, not dataclasses, so the orchestrator's
+imports stay small; `LockEntry.to_json` spells out the encoded fields.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .canonical import canonical_bytes
 from .configmodel import StageSpec, paths_overlap
@@ -32,6 +36,7 @@ HASH_ALGORITHM = "sha256"
 _CHUNK = 1 << 20
 _MANIFEST_SEP = "\t"
 _RUNCACHE_DIR = "runcache"
+_CONFIG_DIR = "config"
 
 
 def hash_bytes(data: bytes) -> str:
@@ -266,15 +271,13 @@ def _fingerprint(
 # Lock file
 
 
-@dataclass(frozen=True)
-class OutRecord:
+class OutRecord(NamedTuple):
     hash: str
     size: int
     tree: bool = False
 
 
-@dataclass(frozen=True)
-class LockEntry:
+class LockEntry(NamedTuple):
     fingerprint: str
     kind: dict
     deps: dict[str, str]          # dep path -> content hash
@@ -283,7 +286,17 @@ class LockEntry:
     committed_at: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "fingerprint": self.fingerprint,
+            "kind": self.kind,
+            "deps": self.deps,
+            "params": self.params,
+            "outs": {
+                path: {"hash": rec.hash, "size": rec.size, "tree": rec.tree}
+                for path, rec in self.outs.items()
+            },
+            "committed_at": self.committed_at,
+        }
 
     @staticmethod
     def from_json(doc: dict) -> "LockEntry":
@@ -346,9 +359,13 @@ def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
     return missing
 
 
-def _derived_fingerprint(entry: LockEntry) -> str:
-    """The fingerprint an entry's own recorded fields give."""
-    return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs)
+def _derived_fingerprint(entry: LockEntry) -> str | None:
+    """The fingerprint an entry's own recorded fields give; None if they
+    cannot be encoded."""
+    try:
+        return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs)
+    except (TypeError, ValueError, RecursionError):
+        return None
 
 
 def _run_path(store: ObjectStore, fingerprint: str) -> Path:
@@ -368,34 +385,57 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
     return None
 
 
+def _write_entry(store: ObjectStore, path: Path, data: bytes) -> None:
+    """Write a run-cache or config-memo entry through the store's temp dir."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = store._tmp_path("entry")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def record_run(store: ObjectStore, entry: LockEntry) -> None:
     """Keep a committed execution in the run cache, keyed by its fingerprint."""
-    path = _run_path(store, entry.fingerprint)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = store._tmp_path("run")
-    tmp.write_bytes(canonical_bytes(entry.to_json()) + b"\n")
-    os.replace(tmp, path)
+    _write_entry(store, _run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
 
 
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: str) -> LockEntry | None:
     """The committed execution with this fingerprint, or None.
 
     The stage's lock entry is asked first; if it records another execution,
-    the run cache is. A run-cache entry counts only if its own recorded
-    fields re-derive the fingerprint, so an edited entry is never served.
-    Either way it is a hit only while every committed object (including
-    tree members) is still present in the store.
+    the run cache is. Either entry counts only if its own recorded fields
+    re-derive the fingerprint, so an edited entry is never served: a lock
+    entry that names this fingerprint or re-derives it, but not both, is a
+    miss, so the stage runs again and repairs the lock. Either way it is a
+    hit only while every committed object (including tree members) is still
+    present in the store.
     """
     entry = lock.get(stage)
-    if entry is None or entry.fingerprint != fingerprint:
-        if entry is not None and _derived_fingerprint(entry) == fingerprint:
-            # the lock entry records this execution under a wrong fingerprint:
-            # a miss, so the stage runs again and repairs the lock
+    derived = None if entry is None else _derived_fingerprint(entry)
+    if entry is not None and fingerprint in (entry.fingerprint, derived):
+        if entry.fingerprint != derived:
             return None
+    else:
         entry = _recorded_run(store, fingerprint)
         if entry is None:
             return None
     return None if missing_outs(store, entry) else entry
+
+
+def _config_path(store: ObjectStore, key: str) -> Path:
+    return store.root / _CONFIG_DIR / f"{key}.json"
+
+
+def read_config_memo(store: ObjectStore, key: str) -> bytes | None:
+    """The config parse-memo entry stored under `key`, or None."""
+    try:
+        return _config_path(store, key).read_bytes()
+    except OSError:
+        return None
+
+
+def write_config_memo(store: ObjectStore, key: str, entry: bytes) -> None:
+    """Store a config parse-memo entry under `key`."""
+    _write_entry(store, _config_path(store, key), entry)
 
 
 def commit_outputs(
@@ -521,14 +561,15 @@ def referenced_hexes(lock: LockFile, store: ObjectStore) -> set[str]:
     return refs
 
 
-def gc(lock: LockFile, store: ObjectStore) -> int:
+def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None) -> int:
     """Remove store objects referenced by no current lock entry; returns removed count.
 
     Then drop each run-cache entry that cannot be read or names an object no
     longer in the store, every parsed-table memo directory of other builtin
     code, each memo entry whose CSV digest no lock entry records as a dep or
-    an out, and the temp files a crashed write left in the store. Call it
-    holding the project lock, so no write is in flight.
+    an out, every config parse-memo entry but the one under `config_key`
+    (the current files' key), and the temp files a crashed write left in the
+    store. Call it holding the project lock, so no write is in flight.
     """
     refs = referenced_hexes(lock, store)
     removed = 0
@@ -554,6 +595,9 @@ def gc(lock: LockFile, store: ObjectStore) -> int:
             shutil.rmtree(stale)
     for entry in memo.glob("*"):
         if entry.name not in recorded:
+            entry.unlink()
+    for entry in (store.root / _CONFIG_DIR).glob("*"):
+        if entry.name != f"{config_key}.json":
             entry.unlink()
     for tmp in (store.root / "tmp").glob("*"):
         tmp.unlink()

@@ -84,6 +84,19 @@ class TestReproCli:
         monkeypatch.chdir(tmp_path)
         assert main(["status"]) == 2
 
+    @pytest.mark.parametrize("argv", [["repro", "--jobs", "0"], ["repro", "--dry-run", "--jobs", "0"]])
+    def test_jobs_below_one_is_a_config_error(self, in_project, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+        assert not (in_project / "pipeline.lock.json").exists()
+
+    def test_jobs_below_one_refused_by_the_runner(self, in_project):
+        from locpipe.errors import ConfigError
+        from locpipe.runner import ExecOptions, Project, repro
+
+        with pytest.raises(ConfigError, match=r"^jobs must be >= 1, got 0$"):
+            repro(Project(root=in_project), ExecOptions(jobs=0))
+
 
 def _nested_mapping(depth: int) -> str:
     """A block mapping `extra: {a: {a: ...}}` nested `depth` levels deep."""
@@ -165,6 +178,36 @@ class TestDeepJson:
             load_input("deep.json")
         assert main(["report", "deep.json"]) == 2
         assert capsys.readouterr().err.startswith("error: report: unparseable input deep.json: ")
+
+
+class TestEditedLockEntry:
+    """A lock entry whose recorded fields no longer give its recorded
+    fingerprint is never served: the stage is reported changed, runs again,
+    and the lock is repaired."""
+
+    def test_edited_kind_then_params(self, cmd_project, capsys):
+        lock_path = cmd_project / "pipeline.lock.json"
+        assert main(["repro"]) == 0
+        good = json.loads(lock_path.read_text())["stages"]["copy"]
+        edits = [
+            ("kind", {"cmd": "cp in.txt out.txt"}, "cmd"),
+            ("params", '{"p":2}', "params: p"),
+        ]
+        for field, value, reason in edits:
+            doc = json.loads(lock_path.read_text())
+            doc["stages"]["copy"][field] = value
+            lock_path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["status"]) == 0
+            assert capsys.readouterr().out == f"copy: changed ({reason})\n"
+            assert main(["repro"]) == 0
+            assert capsys.readouterr().out == "copy: executed\n1 executed, 0 cached, 0 failed, 0 skipped\n"
+            repaired = json.loads(lock_path.read_text())["stages"]["copy"]
+            assert {k: v for k, v in repaired.items() if k != "committed_at"} == {
+                k: v for k, v in good.items() if k != "committed_at"
+            }
+            assert main(["status"]) == 0
+            assert capsys.readouterr().out == "copy: unchanged\n"
 
 
 class TestOtherCommands:

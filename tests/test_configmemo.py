@@ -1,0 +1,193 @@
+"""The config parse memo: `configmodel.load_config` under `memo_key`, stored
+by `repro` at ``.locpipe/cache/config/<key>.json``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import run, tree_snapshot
+from locpipe import configmodel, runner
+from locpipe.cli import main
+from locpipe.configmodel import load_config, memo_key
+from locpipe.runner import Project
+from locpipe.store import ObjectStore, gc, load_lock
+from locpipe.templates import TEMPLATES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _typed(value: object) -> object:
+    """`value` with every type, float bit pattern and mapping order spelled out."""
+    if isinstance(value, dict):
+        return ("dict", [(key, _typed(item)) for key, item in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_typed(item) for item in value])
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+def _no_yaml(monkeypatch) -> None:
+    def refuse(text, filename):
+        raise AssertionError(f"{filename} parsed as YAML on a memo hit")
+
+    monkeypatch.setattr(configmodel, "_load_yaml", refuse)
+
+
+def _memo_files(project: Project) -> list[str]:
+    return sorted(path.name for path in (project.cache_dir / "config").glob("*"))
+
+
+class TestHitEqualsFreshParse:
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_every_template(self, template, monkeypatch):
+        files = TEMPLATES[template]
+        pipeline, params = files["pipeline.yaml"].encode(), files["params.yaml"].encode()
+        spec, tree, entry = load_config(pipeline, params, None)
+        assert entry is not None
+        _no_yaml(monkeypatch)
+        hit_spec, hit_tree, again = load_config(pipeline, params, entry)
+        assert again is None
+        assert hit_spec == spec and list(hit_spec.stages) == list(spec.stages)
+        assert all(type(stage) is configmodel.StageSpec for stage in hit_spec.stages.values())
+        assert _typed(hit_tree) == _typed(tree)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(
+        st.text(min_size=1, max_size=8),
+        st.recursive(
+            st.booleans() | st.text(max_size=8)
+            | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
+            | st.sampled_from([0.0, -0.0, 1e-300, -1.5e300, 0.1])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+            max_leaves=12,
+        ),
+        max_size=5,
+    ))
+    def test_drawn_params_trees(self, tree):
+        pipeline = TEMPLATES["baseline"]["pipeline.yaml"].encode()
+        params = yaml.safe_dump(tree, sort_keys=False, allow_unicode=True).encode()
+        spec, fresh, entry = load_config(pipeline, params, None)
+        assert entry is not None
+        hit_spec, hit, _ = load_config(pipeline, params, entry)
+        assert _typed(hit) == _typed(fresh)
+        assert hit_spec == spec and list(hit_spec.stages) == list(spec.stages)
+
+    def test_docs_json_cannot_hold_make_no_entry(self):
+        assert configmodel._memo_entry([{"a": (1, 2)}, None]) is None
+        assert configmodel._memo_entry([{1: "x"}, None]) is None
+        assert configmodel._memo_entry([{"a": -0.0, "b": [2 ** 100]}, {"é": True}]) is not None
+
+
+class TestKey:
+    def test_one_byte_edit_to_either_file_misses(self):
+        pipeline, params = b"version: 1\n", b"a: 1\n"
+        key = memo_key(pipeline, params)
+        assert memo_key(pipeline + b" ", params) != key
+        assert memo_key(pipeline, b"a: 2\n") != key
+        assert memo_key(pipeline, None) != memo_key(pipeline, b"")
+        assert memo_key(pipeline, params) == key
+
+    @pytest.mark.parametrize("source", ["configmodel.py", "yaml"])
+    def test_parser_source_change_misses(self, source, monkeypatch):
+        key = memo_key(b"version: 1\n", None)
+        sources = configmodel._parser_sources()
+        assert [name for name, _ in sources] == ["configmodel.py", "canonical.py", "yaml"]
+        assert b"__version__" in dict(sources)["yaml"]
+        edited = [(name, data + b"#" if name == source else data) for name, data in sources]
+        monkeypatch.setattr(configmodel, "_parser_sources", lambda: edited)
+        configmodel._parser_digest.cache_clear()
+        try:
+            assert memo_key(b"version: 1\n", None) != key
+        finally:
+            configmodel._parser_digest.cache_clear()
+
+
+class TestOnDisk:
+    def test_repro_writes_and_later_loads_hit(self, baseline_project, monkeypatch):
+        project = baseline_project
+        assert _memo_files(project) == []
+        spec, params = project.load()
+        assert _memo_files(project) == []  # only repro writes entries
+        run(project)
+        assert _memo_files(project) == [f"{project.config_key()}.json"]
+        _no_yaml(monkeypatch)
+        assert project.load() == (spec, params)
+        assert run(project).cached == 6
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["never-run", "params-edited"])
+    def test_only_repro_writes(self, baseline_project, monkeypatch, capsys, warm):
+        if warm:
+            run(baseline_project)
+            baseline_project.params_path.write_text(baseline_project.params_path.read_text() + "# edited\n")
+        monkeypatch.chdir(baseline_project.root)
+        before = tree_snapshot(baseline_project.root)
+        for argv in (["status"], ["repro", "--dry-run"], ["dag"], ["metrics", "show"]):
+            assert main(argv) == 0
+        assert tree_snapshot(baseline_project.root) == before
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[: len(data) // 2],
+        lambda data: b"\xff" + data,
+        lambda data: data.replace(b"loc.synth", b"loc.synty"),
+        lambda data: b"[" * 100_000 + b"]" * 100_000,
+        lambda data: b'{"sha256": "0", "docs": [1, 2]}',
+    ], ids=["truncated", "not-utf8", "edited", "too-deep", "wrong-digest"])
+    def test_corrupt_entry_misses_and_repro_rewrites_it(self, baseline_project, damage):
+        project = baseline_project
+        run(project)
+        (path,) = (project.cache_dir / "config").glob("*.json")
+        good = path.read_bytes()
+        path.write_bytes(damage(good))
+        spec, _ = project.load()
+        assert spec.stages["synth"].builtin == "loc.synth"
+        assert runner._fresh_config == (path.stem, good)
+        assert run(project).cached == 6
+        assert path.read_bytes() == good
+
+    def test_gc_keeps_only_the_current_key(self, baseline_project, monkeypatch, capsys):
+        project = baseline_project
+        run(project)
+        old = project.config_key()
+        project.params_path.write_text(project.params_path.read_text() + "# edited\n")
+        run(project)
+        assert sorted(_memo_files(project)) == sorted([f"{old}.json", f"{project.config_key()}.json"])
+        monkeypatch.chdir(project.root)
+        assert main(["gc"]) == 0
+        assert _memo_files(project) == [f"{project.config_key()}.json"]
+        gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
+        assert _memo_files(project) == []
+
+
+def _imported(stderr: str) -> set[str]:
+    """The module names a `python -X importtime` run lists on stderr."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def _repro_imports(root: Path) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "locpipe", "repro"],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    return _imported(proc.stderr)
+
+
+def test_cached_repro_imports_no_yaml_dataclasses_or_launch(baseline_project):
+    cold = _repro_imports(baseline_project.root)
+    assert "yaml" in cold and "locpipe.launch" in cold
+    warm = _repro_imports(baseline_project.root)
+    assert "locpipe.runner" in warm
+    assert not {"yaml", "dataclasses", "locpipe.launch"} & warm
+    assert not any(name.startswith("yaml.") for name in warm)

@@ -224,7 +224,7 @@ def _commit(tmp_path, stage, files: dict[str, bytes]):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(content)
     store = ObjectStore(tmp_path / "cache")
-    fp = hash_bytes(b"fp")
+    fp = stage_fingerprint(stage, {}, b"{}")  # what the entry's own fields derive
     entry = commit_outputs(store, stage, fp, {"cmd": "do"}, {}, b"{}", root)
     return root, store, fp, entry
 
@@ -545,3 +545,57 @@ def test_commit_restore_identity(tmp_path_factory, data):
     (root / "f.bin").unlink()
     restore_outputs(store, entry, root)
     assert (root / "f.bin").read_bytes() == data
+
+
+def _schema(value: object) -> object:
+    """Every key of a decoded JSON document, with each value's type name."""
+    if isinstance(value, dict):
+        return {key: _schema(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_schema(item) for item in value]
+    return type(value).__name__
+
+
+def test_lock_runcache_and_manifest_layout(baseline_project):
+    """The records these files are written from are named tuples; the
+    documents keep one key per field and the same value types."""
+    cold = run(baseline_project)
+    warm = run(baseline_project)
+    spec, _ = baseline_project.load()
+    out = {"hash": "str", "size": "int", "tree": "bool"}
+    lock = json.loads(baseline_project.lock_path.read_text())
+    assert set(lock) == {"version", "stages"} and lock["version"] == 1
+    assert list(lock["stages"]) == sorted(spec.stages)
+    for name, entry in lock["stages"].items():
+        stage = spec.stages[name]
+        assert _schema(entry) == {
+            "committed_at": "str",
+            "deps": {dep: "str" for dep in sorted(stage.deps)},
+            "fingerprint": "str",
+            "kind": {"builtin": "str", "code": "str"},
+            "outs": {path: out for path in sorted(stage.outs)},
+            "params": "str",
+        }
+        recorded = baseline_project.cache_dir / "runcache" / f"{entry['fingerprint']}.json"
+        assert json.loads(recorded.read_text()) == entry
+    executed = {
+        "action": "str", "cpu_s": "float", "exit_code": "int", "log_err": "str", "log_out": "str",
+        "orchestrator_rss_bytes": "int", "peak_rss_bytes": "int", "pid": "int", "reason": "str",
+        "stage": "str", "wall_s": "float",
+    }
+    cached = {
+        "action": "str", "cpu_s": "float", "exit_code": "NoneType", "log_err": "NoneType",
+        "log_out": "NoneType", "peak_rss_bytes": "int", "pid": "NoneType", "reason": "str",
+        "stage": "str", "wall_s": "float",
+    }
+    for report, result in ((cold, executed), (warm, cached)):
+        manifest = json.loads(report.manifest_path.read_text())
+        assert _schema(manifest) == {
+            "config_hashes": {"params.yaml": "str", "pipeline.yaml": "str"},
+            "created_utc": "str",
+            "options": {"force": "bool", "jobs": "int", "targets": []},
+            "results": [result] * 6,
+            "run_id": "str",
+            "tool_version": "str",
+        }
+        assert manifest["results"] == [r.to_json() for r in report.results]
