@@ -25,6 +25,7 @@ import yaml
 from .errors import ConfigError, LocpipeError
 from .graph import build_graph, topo_order
 from .runner import ExecOptions, Project, repro
+from .store import write_atomic
 
 SCALE_BUILTIN = "loc.scale"
 
@@ -64,7 +65,7 @@ def _scale_params(project: Project) -> dict:
 def set_scale_factor(project: Project, factor: int) -> None:
     params = _scale_params(project)
     params["scale"]["factor"] = factor
-    project.params_path.write_text(yaml.safe_dump(params, sort_keys=False), encoding="utf-8")
+    write_atomic(project.params_path, yaml.safe_dump(params, sort_keys=False).encode("utf-8"))
 
 
 def run_scaling_bench(project: Project, factors: list[int], repeats: int = 1) -> list[BenchRow]:
@@ -79,7 +80,7 @@ def run_scaling_bench(project: Project, factors: list[int], repeats: int = 1) ->
             "(neighbor scans grow quadratically and would swamp the scaling signal)"
         )
 
-    original_params = project.params_path.read_text(encoding="utf-8")
+    original_params = project.params_path.read_bytes()
     rows: list[BenchRow] = []
     try:
         for factor in factors:
@@ -118,7 +119,7 @@ def run_scaling_bench(project: Project, factors: list[int], repeats: int = 1) ->
                 noop_wall_s=noop_wall,
             ))
     finally:
-        project.params_path.write_text(original_params, encoding="utf-8")
+        write_atomic(project.params_path, original_params)
     return rows
 
 

@@ -190,7 +190,8 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
     project = Project.discover()
     with project_lock(project):
-        removed = gc(load_lock(project.lock_path), ObjectStore(project.cache_dir), project.config_key())
+        lock, store = load_lock(project.lock_path), ObjectStore(project.cache_dir)
+        removed = gc(lock, store, project.config_key(), project)
     print(f"removed {removed} unreferenced object(s)")
     return EXIT_OK
 

@@ -44,8 +44,8 @@ _TOP_FIELDS = ("version", "stages")
 
 
 # ---------------------------------------------------------------------------
-# YAML loading. The two loader classes subclass PyYAML's, so they are built,
-# and PyYAML imported, on the first parse or the first access to either name.
+# YAML loading. The loader class subclasses PyYAML's, so it is built, and
+# PyYAML imported, on the first parse.
 
 
 def _strict_construct_mapping(loader, node, deep: bool = False) -> dict:
@@ -66,52 +66,24 @@ def _strict_construct_mapping(loader, node, deep: bool = False) -> dict:
     return mapping
 
 
-def _build_loaders() -> None:
-    """Define the module's `_StrictLoader` and `_FastStrictLoader`."""
+@functools.cache
+def _strict_loader() -> type:
+    """PyYAML's pure-Python SafeLoader, refusing duplicate mapping keys
+    instead of keeping the last."""
     import yaml
 
     class _StrictLoader(yaml.SafeLoader):
-        """SafeLoader that refuses duplicate mapping keys instead of keeping the last."""
+        construct_mapping = _strict_construct_mapping
 
-    class _FastStrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
-        """The same strict loader on libyaml's parser, where PyYAML was built with it."""
-
-    for loader in (_StrictLoader, _FastStrictLoader):
-        loader.construct_mapping = _strict_construct_mapping  # type: ignore[method-assign]
-        loader.add_constructor(
-            yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG,
-            lambda loader, node: _strict_construct_mapping(loader, node),
-        )
-        globals()[loader.__name__] = loader
-
-
-def __getattr__(name: str) -> object:
-    if name in ("_StrictLoader", "_FastStrictLoader"):
-        _build_loaders()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# The text libyaml may parse. A differential test of the two loaders found
-# libyaml accepting text the pure-Python loader refuses (tabs, '?' in a flow
-# sequence, a comment right after a block scalar indicator) or reading another
-# value (an empty '!' tag, a byte-order mark). Text outside these characters
-# goes to the pure-Python loader alone.
-_LIBYAML_TEXT = re.compile(r"[A-Za-z0-9 \n\r_.:,\[\]{}'\"#/+=~<()*&;$^\\-]*")
+    _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_construct_mapping)
+    return _StrictLoader
 
 
 def _load_yaml(text: str, filename: str) -> object:
     import yaml
 
-    if "_StrictLoader" not in globals():
-        _build_loaders()
     try:
-        if _LIBYAML_TEXT.fullmatch(text):
-            try:
-                return yaml.load(text, Loader=_FastStrictLoader)
-            except yaml.YAMLError:
-                pass  # libyaml words its errors differently: the pure-Python loader's error stands
-        return yaml.load(text, Loader=_StrictLoader)
+        return yaml.load(text, Loader=_strict_loader())
     except ConfigError as exc:
         raise ConfigError(f"{filename}: {exc}") from None
     except yaml.MarkedYAMLError as exc:

@@ -59,8 +59,8 @@ def _code_digest() -> str:
 def table_memo_dir(cache_root: Path | str) -> Path:
     """``<cache>/tables/<code digest>``: the parsed-table memo of this code.
 
-    Its entries are written through ``<cache>/tmp``, and `store.gc` sweeps
-    the directories of other code digests.
+    Its entries are written by `store.write_table_memo` through ``<cache>/tmp``,
+    and `store.gc` sweeps the directories of other code digests.
     """
     return Path(cache_root) / "tables" / _code_digest()
 

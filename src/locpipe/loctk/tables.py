@@ -34,13 +34,12 @@ order), and the ``marshal`` of the prefix and the ids. A hit reads the
 columns straight into their arrays and allocates no per-row object but the
 ids. An entry whose payload does not match its header, or that is not laid
 out this way, is parsed again and rewritten. An entry is written only after a
-parse succeeds, through a temp file in the cache's ``tmp`` directory, and a
+parse succeeds, by `store.write_table_memo` (the one atomic writer), and a
 failed write leaves the read's result alone.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -55,6 +54,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from ..errors import BuiltinError
+from ..store import write_table_memo
 
 RSSI_PREFIX = "rssi"
 FEATURE_PREFIX = "f"
@@ -227,17 +227,10 @@ def _save_memo(table: Table, entry: Path) -> None:
     for column in columns:
         digest.update(column)
     digest.update(head)
-    # entry is <cache>/tables/<code digest>/<csv digest>; temp files go to <cache>/tmp
-    tmp = entry.parent.parent.parent / "tmp" / f"table-{os.getpid()}-{os.urandom(8).hex()}"
     try:
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as handle:
-            handle.writelines([digest.digest(), counts, *columns, head])
-        os.replace(tmp, entry)
+        write_table_memo(entry, [digest.digest(), counts, *columns, head])
     except OSError:  # the memo only saves work: a failed write costs a parse later
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        pass
 
 
 # Rows rendered per chunk. A column's memo is cleared before a chunk once it

@@ -65,16 +65,16 @@ from .store import (
     OutRecord,
     cache_lookup,
     commit_outputs,
+    config_memo_path,
     hash_path,
     load_lock,
     missing_outs,
-    read_config_memo,
     record_run,
     restore_outputs,
     restored_hash,
     stage_fingerprint,
     stage_kind,
-    write_config_memo,
+    write_atomic,
     write_lock,
 )
 
@@ -140,7 +140,10 @@ class Project(NamedTuple):
         _fresh_config = None
         pipeline, params = self._config_bytes(config_hashes)
         key = memo_key(pipeline, params)
-        memo = read_config_memo(ObjectStore(self.cache_dir), key)
+        try:
+            memo = config_memo_path(ObjectStore(self.cache_dir), key).read_bytes()
+        except OSError:
+            memo = None
         spec, tree, entry = load_config(pipeline, params, memo)
         if entry is not None:
             _fresh_config = (key, entry)
@@ -495,14 +498,14 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     producers = graph.producers()
 
     run_id = _make_run_id()
-    project.runs_dir.mkdir(parents=True, exist_ok=True)
     run_logs = project.logs_dir / run_id  # created when the first stage executes
 
     results: dict[str, StageResult] = {}
     with project_lock(project):
         store = ObjectStore(project.cache_dir)
         if _fresh_config is not None:  # the config load above parsed YAML
-            write_config_memo(store, *_fresh_config)
+            key, entry = _fresh_config
+            store.write(config_memo_path(store, key), entry)
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
         pending = list(planned)
@@ -611,7 +614,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 "config_hashes": config_hashes,
             }
             manifest_path = project.runs_dir / f"{run_id}.json"
-            manifest_path.write_bytes(canonical_bytes(manifest) + b"\n")
+            write_atomic(manifest_path, canonical_bytes(manifest) + b"\n")
     return RunReport(run_id=run_id, results=ordered, manifest_path=manifest_path)
 
 

@@ -9,9 +9,11 @@ built from one walk (`_tree_files`) and read back only by
 ``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
 restores instead of re-executing. The config parse memo keeps the loaded
 documents of the two config files at ``<cache>/config/<key>.json`` (see
-`configmodel.memo_key`). All file writes are atomic (write to a temp path on
-the same filesystem, then rename), so a crash never leaves a partially
-written object, run-cache entry, memo entry or lock file.
+`configmodel.memo_key`). Every file locpipe writes but a stage's outs goes
+through `write_atomic`, the one temp-and-rename writer: cache files through
+``<cache>/tmp``, the lock, manifests, restores and ``params.yaml`` through a
+temp file beside them. `gc` sweeps both. Every file is read through
+`_open_regular`, which refuses a symlink or a FIFO without blocking on it.
 
 The records here are named tuples, not dataclasses, so the orchestrator's
 imports stay small; `LockEntry.to_json` spells out the encoded fields.
@@ -19,13 +21,15 @@ imports stay small; `LockEntry.to_json` spells out the encoded fields.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
 import shutil
+import stat
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .canonical import canonical_bytes
 from .configmodel import StageSpec, paths_overlap
@@ -37,6 +41,58 @@ _CHUNK = 1 << 20
 _MANIFEST_SEP = "\t"
 _RUNCACHE_DIR = "runcache"
 _CONFIG_DIR = "config"
+_TMP_DIR = "tmp"
+TMP_PREFIX = ".locpipe-tmp-"
+
+
+def write_atomic(
+    dest: Path | Callable[[], Path], data: bytes | Iterable[bytes], tmp_dir: Path | None = None
+) -> None:
+    """Write `data` (bytes, or bytes-like chunks) to a temp file
+    ``.locpipe-tmp-<pid>-<hex>`` in `tmp_dir` (default: beside `dest`, and
+    always on its filesystem), then rename it onto `dest`. A `dest` function
+    is called after the write, for a content address. A failed write removes
+    its temp file; a killed one leaves it for `gc` to sweep.
+    """
+    tmp = Path(tmp_dir or dest.parent) / f"{TMP_PREFIX}{os.getpid()}-{os.urandom(8).hex()}"
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.writelines([data] if isinstance(data, bytes) else data)
+        target = dest() if callable(dest) else dest
+        target.parent.mkdir(parents=True, exist_ok=True)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _open_regular(path: Path) -> BinaryIO:
+    """`path` opened for reading if it is a regular file. A symlink is not
+    followed, and a FIFO, socket, device or directory is refused unread."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except FileNotFoundError:
+        raise StoreError(f"missing file: {path}") from None
+    except PermissionError:
+        raise StoreError(f"permission denied: {path}") from None
+    except OSError as exc:
+        if exc.errno not in (errno.ELOOP, errno.ENXIO):  # ENXIO: a socket
+            raise
+        refusal = "symlink not allowed" if exc.errno == errno.ELOOP else "not a regular file"
+        raise StoreError(f"{refusal}: {path}") from None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise StoreError(f"not a regular file: {path}")
+    return open(fd, "rb")
+
+
+def _chunks(handle: BinaryIO, digest=None) -> Iterator[bytes]:
+    """The blocks of an open file, each fed to `digest` if one is given."""
+    while chunk := handle.read(_CHUNK):
+        if digest is not None:
+            digest.update(chunk)
+        yield chunk
 
 
 def hash_bytes(data: bytes) -> str:
@@ -44,19 +100,11 @@ def hash_bytes(data: bytes) -> str:
 
 
 def hash_file(path: Path | str) -> str:
-    """Streamed SHA-256 of a regular file; symlinks are rejected."""
-    path = Path(path)
-    if path.is_symlink():
-        raise StoreError(f"symlink not allowed: {path}")
+    """Streamed SHA-256 of a regular file; anything else is refused."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            while chunk := handle.read(_CHUNK):
-                digest.update(chunk)
-    except FileNotFoundError:
-        raise StoreError(f"missing file: {path}") from None
-    except PermissionError:
-        raise StoreError(f"permission denied: {path}") from None
+    with _open_regular(Path(path)) as handle:
+        for chunk in _chunks(handle):
+            digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -64,7 +112,8 @@ def _tree_files(root: Path) -> list[tuple[str, Path]]:
     """Every file under directory `root` as sorted (relpath, path) pairs.
 
     Empty directories contribute nothing. A symlinked directory is rejected
-    here, a symlinked file by `hash_file` or `put_file` when it is read.
+    here; a symlink or FIFO among the files, by `hash_file` or `put_file`
+    when it is read.
     """
     files: list[tuple[str, Path]] = []
     for current, dirnames, filenames in os.walk(root):
@@ -113,44 +162,22 @@ class ObjectStore:
     def has(self, hexd: str) -> bool:
         return self._addr(hexd).is_file()
 
-    def _tmp_path(self, prefix: str = "obj") -> Path:
-        tmp_dir = self.root / "tmp"
-        tmp_dir.mkdir(parents=True, exist_ok=True)
-        return tmp_dir / f"{prefix}-{os.getpid()}-{os.urandom(8).hex()}"
-
-    def _install(self, tmp: Path, hexd: str) -> None:
-        target = self._addr(hexd)
-        if target.exists():
-            tmp.unlink()
-            return
-        target.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(tmp, target)
+    def write(self, dest: Path | Callable[[], Path], data: bytes | Iterable[bytes]) -> None:
+        """`write_atomic` for a file of this cache, through its ``tmp`` directory."""
+        write_atomic(dest, data, self.root / _TMP_DIR)
 
     def put_bytes(self, data: bytes) -> str:
         hexd = hash_bytes(data)
         if not self.has(hexd):
-            tmp = self._tmp_path()
-            tmp.write_bytes(data)
-            self._install(tmp, hexd)
+            self.write(self._addr(hexd), data)
         return hexd
 
     def put_file(self, path: Path | str) -> str:
-        path = Path(path)
-        if path.is_symlink():
-            raise StoreError(f"symlink not allowed: {path}")
+        """Store a regular file's bytes, read once; returns their hash."""
         digest = hashlib.sha256()
-        tmp = self._tmp_path()
-        try:
-            with open(path, "rb") as src, open(tmp, "wb") as dst:
-                while chunk := src.read(_CHUNK):
-                    digest.update(chunk)
-                    dst.write(chunk)
-        except FileNotFoundError:
-            tmp.unlink(missing_ok=True)
-            raise StoreError(f"missing file: {path}") from None
-        hexd = digest.hexdigest()
-        self._install(tmp, hexd)
-        return hexd
+        with _open_regular(Path(path)) as handle:
+            self.write(lambda: self._addr(digest.hexdigest()), _chunks(handle, digest))
+        return digest.hexdigest()
 
     def read_bytes(self, hexd: str) -> bytes:
         try:
@@ -173,17 +200,12 @@ class ObjectStore:
 
     def materialize(self, hexd: str, dest: Path | str) -> None:
         """Copy an object out to `dest` atomically (copy semantics, never links)."""
-        addr = self._addr(hexd)
-        if not addr.is_file():
-            raise StoreError(f"object missing from store: {hexd}")
-        dest = Path(dest)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        tmp = dest.parent / f".locpipe-restore-{os.getpid()}-{os.urandom(4).hex()}"
         try:
-            shutil.copyfile(addr, tmp)
-            os.replace(tmp, dest)
-        finally:
-            tmp.unlink(missing_ok=True)
+            handle = open(self._addr(hexd), "rb")
+        except FileNotFoundError:
+            raise StoreError(f"object missing from store: {hexd}") from None
+        with handle:
+            write_atomic(Path(dest), _chunks(handle))
 
     def same_bytes(self, hexd: str, path: Path | str) -> bool:
         """True when `path` is a regular file holding exactly the bytes of object `hexd`."""
@@ -334,12 +356,9 @@ def load_lock(path: Path | str) -> LockFile:
 
 
 def write_lock(lock: LockFile, path: Path | str) -> None:
-    """Atomically write the lock file (canonical encoding, temp file + rename)."""
-    path = Path(path)
+    """Atomically write the lock file in its canonical encoding."""
     doc = {"version": 1, "stages": {name: entry.to_json() for name, entry in sorted(lock.items())}}
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}-{os.urandom(4).hex()}"
-    tmp.write_bytes(canonical_bytes(doc) + b"\n")
-    os.replace(tmp, path)
+    write_atomic(Path(path), canonical_bytes(doc) + b"\n")
 
 
 def _utc_now() -> str:
@@ -385,17 +404,9 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
     return None
 
 
-def _write_entry(store: ObjectStore, path: Path, data: bytes) -> None:
-    """Write a run-cache or config-memo entry through the store's temp dir."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = store._tmp_path("entry")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def record_run(store: ObjectStore, entry: LockEntry) -> None:
     """Keep a committed execution in the run cache, keyed by its fingerprint."""
-    _write_entry(store, _run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
+    store.write(_run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
 
 
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: str) -> LockEntry | None:
@@ -421,21 +432,15 @@ def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: st
     return None if missing_outs(store, entry) else entry
 
 
-def _config_path(store: ObjectStore, key: str) -> Path:
+def config_memo_path(store: ObjectStore, key: str) -> Path:
+    """Where the config parse-memo entry under `key` is kept."""
     return store.root / _CONFIG_DIR / f"{key}.json"
 
 
-def read_config_memo(store: ObjectStore, key: str) -> bytes | None:
-    """The config parse-memo entry stored under `key`, or None."""
-    try:
-        return _config_path(store, key).read_bytes()
-    except OSError:
-        return None
-
-
-def write_config_memo(store: ObjectStore, key: str, entry: bytes) -> None:
-    """Store a config parse-memo entry under `key`."""
-    _write_entry(store, _config_path(store, key), entry)
+def write_table_memo(entry: Path, data: Iterable[bytes]) -> None:
+    """Write a table-memo entry, ``<cache>/tables/<code digest>/<CSV digest>``
+    (see `loctk.table_memo_dir`), through ``<cache>/tmp``."""
+    ObjectStore(entry.parents[2]).write(entry, data)
 
 
 def commit_outputs(
@@ -457,7 +462,7 @@ def commit_outputs(
     outs: dict[str, OutRecord] = {}
     for out in stage.outs:
         path = root / out
-        if not (path.is_symlink() or path.is_dir() or path.is_file()):
+        if not os.path.lexists(path):
             raise StoreError(f"declared out not produced: {out}")
         try:
             if path.is_symlink():
@@ -561,15 +566,18 @@ def referenced_hexes(lock: LockFile, store: ObjectStore) -> set[str]:
     return refs
 
 
-def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None) -> int:
+def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None, project=None) -> int:
     """Remove store objects referenced by no current lock entry; returns removed count.
 
     Then drop each run-cache entry that cannot be read or names an object no
     longer in the store, every parsed-table memo directory of other builtin
     code, each memo entry whose CSV digest no lock entry records as a dep or
     an out, every config parse-memo entry but the one under `config_key`
-    (the current files' key), and the temp files a crashed write left in the
-    store. Call it holding the project lock, so no write is in flight.
+    (the current files' key), and the temp files in ``<cache>/tmp``. Given
+    a `runner.Project`, also remove the `write_atomic` temp files in its
+    root, its run manifests' directory, and every directory a restore of a
+    lock or run-cache entry's outs writes to. Call it holding the project
+    lock, so no write is in flight.
     """
     refs = referenced_hexes(lock, store)
     removed = 0
@@ -584,8 +592,11 @@ def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None) -> int
             failures.append(f"{hexd}: {exc}")
     if failures:
         raise StoreError(f"gc removed {removed} object(s) but failed on: " + "; ".join(failures))
+    restorable = [entry.outs for entry in lock.values()]
     for path in (store.root / _RUNCACHE_DIR).glob("*.json"):
         entry = _recorded_run(store, path.stem)
+        if entry is not None:
+            restorable.append(entry.outs)
         if entry is None or missing_outs(store, entry):
             path.unlink()
     memo = table_memo_dir(store.root)
@@ -599,6 +610,22 @@ def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None) -> int
     for entry in (store.root / _CONFIG_DIR).glob("*"):
         if entry.name != f"{config_key}.json":
             entry.unlink()
-    for tmp in (store.root / "tmp").glob("*"):
+    for tmp in (store.root / _TMP_DIR).glob("*"):
         tmp.unlink()
+    if project is not None:
+        _sweep_workspace_temps(project.root, {project.root, project.runs_dir}, restorable)
     return removed
+
+
+def _sweep_workspace_temps(root: Path, dirs: set[Path], restorable: list[dict]) -> None:
+    """Remove the temp files in `dirs` and wherever `restorable` restores to."""
+    for outs in restorable:
+        for out, rec in outs.items():
+            dest = root / out
+            dirs.add(dest.parent)
+            if rec.tree and dest.is_dir() and not dest.is_symlink():
+                dirs.update(Path(current) for current, _, _ in os.walk(dest))
+    for directory in dirs:
+        for tmp in directory.glob(TMP_PREFIX + "*"):
+            if not tmp.is_dir():
+                tmp.unlink()
