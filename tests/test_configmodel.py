@@ -194,3 +194,36 @@ class TestCanonicalize:
         one = parse_params("alpha: 2.50")
         two = parse_params("alpha: 2.5")
         assert canonicalize(one) == canonicalize(two) == b'{"alpha":2.5}'
+
+
+# ---------------------------------------------------------------------------
+# The parsers on a PyYAML built without libyaml
+
+
+@pytest.fixture
+def pyyaml_without_libyaml(monkeypatch):
+    """Parse with a PyYAML that has no libyaml bindings, and check that the
+    strict loader never needed them."""
+    import yaml
+
+    from locpipe import configmodel
+
+    for name in ("CSafeLoader", "CLoader", "CBaseLoader", "CFullLoader", "CUnsafeLoader"):
+        monkeypatch.delattr(yaml, name, raising=False)
+    monkeypatch.setattr(yaml, "__with_libyaml__", False)
+    configmodel._strict_loader.cache_clear()
+    yield
+    loader = configmodel._strict_loader()
+    configmodel._strict_loader.cache_clear()
+    assert issubclass(loader, yaml.SafeLoader)
+    assert not any(base.__module__ == "yaml.cyaml" for base in loader.__mro__)
+
+
+@pytest.mark.usefixtures("pyyaml_without_libyaml")
+class TestParsePipelinePurePython(TestParsePipeline):
+    pass
+
+
+@pytest.mark.usefixtures("pyyaml_without_libyaml")
+class TestParseParamsPurePython(TestParseParams):
+    pass
