@@ -21,47 +21,63 @@ from .errors import EXIT_CONFIG, EXIT_OK, EXIT_STAGE_FAILURE, EXIT_STORE
 from .errors import BuiltinError, ConfigError, LocpipeError, StoreError
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="locpipe",
-        description="Configuration-first, cache-aware pipeline runner for localization experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _init_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("directory", nargs="?", default=".", help="target directory (default: .)")
+    p.add_argument("--template", default="baseline", help="template name (default: baseline)")
 
-    p_init = sub.add_parser("init", help="scaffold an experiment directory from a template")
-    p_init.add_argument("directory", nargs="?", default=".", help="target directory (default: .)")
-    p_init.add_argument("--template", default="baseline", help="template name (default: baseline)")
 
-    p_repro = sub.add_parser("repro", help="execute the pipeline, serving unchanged stages from cache")
-    p_repro.add_argument("targets", nargs="*", metavar="TARGET", help="optional target stages")
-    p_repro.add_argument("--force", action="store_true", help="re-execute even when unchanged")
-    p_repro.add_argument("--dry-run", action="store_true", help="print the plan without executing")
-    p_repro.add_argument("--jobs", type=int, default=1, metavar="N", help="run up to N independent stages concurrently")
+def _repro_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("targets", nargs="*", metavar="TARGET", help="optional target stages")
+    p.add_argument("--force", action="store_true", help="re-execute even when unchanged")
+    p.add_argument("--dry-run", action="store_true", help="print the plan without executing")
+    p.add_argument("--jobs", type=int, default=1, metavar="N", help="run up to N independent stages concurrently")
 
-    sub.add_parser("status", help="per-stage change report against the lock file")
 
-    p_dag = sub.add_parser("dag", help="show the stage dependency graph")
-    p_dag.add_argument("--dot", action="store_true", help="emit Graphviz format")
+def _dag_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dot", action="store_true", help="emit Graphviz format")
 
-    p_metrics = sub.add_parser("metrics", help="metric file views")
-    metrics_sub = p_metrics.add_subparsers(dest="metrics_command", required=True)
-    p_metrics_show = metrics_sub.add_parser("show", help="flat table of all declared metric files")
-    p_metrics_show.add_argument("--json", action="store_true", help="emit JSON rows")
 
-    p_report = sub.add_parser("report", help="build a report from recorded result files")
-    p_report.add_argument("inputs", nargs="+", metavar="FILE", help="cv results / metrics JSON files")
-    p_report.add_argument("--md", metavar="PATH", help="write Markdown here (default: stdout)")
-    p_report.add_argument("--csv", metavar="PATH", help="write the CSV table here")
+def _metrics_args(p: argparse.ArgumentParser) -> None:
+    metrics_sub = p.add_subparsers(dest="metrics_command", required=True)
+    p_show = metrics_sub.add_parser("show", help="flat table of all declared metric files")
+    p_show.add_argument("--json", action="store_true", help="emit JSON rows")
 
-    sub.add_parser("gc", help="remove store objects no lock entry references, stale memo entries and crash leftovers")
 
-    p_bench = sub.add_parser("bench", help="benchmark harnesses")
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
+def _report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("inputs", nargs="+", metavar="FILE", help="cv results / metrics JSON files")
+    p.add_argument("--md", metavar="PATH", help="write Markdown here (default: stdout)")
+    p.add_argument("--csv", metavar="PATH", help="write the CSV table here")
+
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
+    bench_sub = p.add_subparsers(dest="bench_command", required=True)
     p_scale = bench_sub.add_parser("scale", help="run the dataset-scaling benchmark")
     p_scale.add_argument("--factors", default="1,5,10", help="comma-separated dataset multiples")
     p_scale.add_argument("--repeats", type=int, default=1, help="forced runs per factor")
     p_scale.add_argument("--out", default="bench/results.csv", metavar="FILE", help="CSV output path")
 
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. When ``argv[0]`` names a command, only that command's
+    subparser is built; the usage line still lists every command, so each
+    message is the one the full parser prints."""
+    parser = argparse.ArgumentParser(
+        prog="locpipe",
+        description="Configuration-first, cache-aware pipeline runner for localization experiments.",
+    )
+    if argv and argv[0] in _COMMANDS:
+        names = [argv[0]]
+        # the metavar the full parser derives from its choices; set only here,
+        # as argparse also names a missing or unknown command by its metavar
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        names = list(_COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in names:
+        help_text, add_args, _ = _COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        if add_args is not None:
+            add_args(subparser)
     return parser
 
 
@@ -212,22 +228,27 @@ def _cmd_bench_scale(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "init": _cmd_init,
-    "repro": _cmd_repro,
-    "status": _cmd_status,
-    "dag": _cmd_dag,
-    "report": _cmd_report,
-    "gc": _cmd_gc,
-    "metrics": _cmd_metrics_show,
-    "bench": _cmd_bench_scale,
+# command -> (help, adds its arguments, handler), in the order `--help` lists them
+_COMMANDS = {
+    "init": ("scaffold an experiment directory from a template", _init_args, _cmd_init),
+    "repro": ("execute the pipeline, serving unchanged stages from cache", _repro_args, _cmd_repro),
+    "status": ("per-stage change report against the lock file", None, _cmd_status),
+    "dag": ("show the stage dependency graph", _dag_args, _cmd_dag),
+    "metrics": ("metric file views", _metrics_args, _cmd_metrics_show),
+    "report": ("build a report from recorded result files", _report_args, _cmd_report),
+    "gc": (
+        "remove store objects no lock entry references, stale memo entries and crash leftovers",
+        None, _cmd_gc,
+    ),
+    "bench": ("benchmark harnesses", _bench_args, _cmd_bench_scale),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

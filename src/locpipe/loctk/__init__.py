@@ -9,7 +9,8 @@ Every builtin's identity is one digest of the code it runs
 (`builtin_version`), so any edit to this package or to ``canonical.py``
 invalidates every cached builtin stage.
 
-The table readers may memoize parses under `table_memo_dir`: a memo entry is
+The table readers and writers share a parse memo under `table_memo_dir`: a
+writer stores the table it wrote, a reader the table it parsed. An entry is
 keyed by the CSV's content digest, inside a directory named after the same
 code digest, so a code edit never reads an older parse.
 """

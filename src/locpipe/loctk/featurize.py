@@ -83,4 +83,4 @@ def run(request: StageRequest) -> None:
     raw = get(cfg, "transforms", "list", where, default=["identity"])
     transforms = parse_transforms(raw, where)
     table = read_table(request.dep(0, "prepared CSV"), request.table_memo)
-    write_table(featurize(table, transforms), request.out(0, "feature CSV"))
+    write_table(featurize(table, transforms), request.out(0, "feature CSV"), request.table_memo)

@@ -9,16 +9,17 @@ Each source row's value-and-target text is rendered once, by
 behind its own id cell, so memory holds the source table and one copy's
 text, never the whole output. The output bytes are those of `write_table`
 over the expanded table: an id cell gets exactly the quoting
-`tables.id_cell` gives it there.
+`tables.id_cell` gives it there. Only when the table memo has no entry for
+those bytes is the expanded table itself built, to be stored there.
 """
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import Iterator
 
 from ..errors import BuiltinError
 from . import StageRequest, get, section
-from .tables import Table, id_cell, read_table, render_csv, write_table
+from .tables import Table, id_cell, read_table, render_csv, write_chunks, write_table
 
 
 def _id_affixes(sample_id: str) -> tuple[str, str]:
@@ -32,20 +33,25 @@ def _id_affixes(sample_id: str) -> tuple[str, str]:
     return (cell, "") if cell.endswith("#") else (cell[:-1], '"')
 
 
-def write_scaled(table: Table, factor: int, handle: TextIO) -> None:
-    """Write the CSV text of `factor` block-wise copies of `table` (factor
-    >= 2) to `handle`, one copy at a time."""
+def scaled_text(table: Table, factor: int) -> Iterator[str]:
+    """The CSV text of `factor` block-wise copies of `table` (factor >= 2):
+    the header, then one chunk per copy."""
     # an empty first cell stands in for the id: each source row renders once,
     # as ",<values>,x,y\n"
     text = "".join(render_csv(table.header(), [""] * table.n_rows, table.columns()))
     header, *rests = text.splitlines(keepends=True)
     del text
     affixes = [_id_affixes(sample_id) for sample_id in table.ids]
-    handle.write(header)
+    yield header
     for copy in range(factor):
-        handle.write("".join(
-            f"{head}{copy}{tail}{rest}" for (head, tail), rest in zip(affixes, rests)
-        ))
+        yield "".join(f"{head}{copy}{tail}{rest}" for (head, tail), rest in zip(affixes, rests))
+
+
+def expand(table: Table, factor: int) -> Table:
+    """The table `scaled_text` renders: ids ``<id>#<copy>``, every column
+    repeated block-wise."""
+    ids = [f"{sample_id}#{copy}" for copy in range(factor) for sample_id in table.ids]
+    return Table(table.prefix, ids, [column * factor for column in table.cols], table.x * factor, table.y * factor)
 
 
 def run(request: StageRequest) -> None:
@@ -56,8 +62,6 @@ def run(request: StageRequest) -> None:
         raise BuiltinError(f"scale: factor must be >= 1, got {factor}")
     out = request.out(0, "scaled CSV")
     if factor == 1:
-        write_table(table, out)
+        write_table(table, out, request.table_memo)
         return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        write_scaled(table, factor, handle)
+    write_chunks(out, scaled_text(table, factor), request.table_memo, lambda: expand(table, factor))

@@ -26,16 +26,24 @@ distinct value. An id cell is written as it is unless it holds a character
 that csv.writer may quote; such an id is rendered by csv.writer itself, so
 the bytes are those of csv.writer on the running interpreter.
 
-Given a memo directory (a `loctk.table_memo_dir`), `read_table` parses a
-file's bytes only once per content digest. The entry ``<memo>/<sha256 of the
-CSV>`` holds the SHA-256 of its payload, then the payload: the row and column
-counts, each column's raw ``array('d')`` bytes (in this machine's byte
-order), and the ``marshal`` of the prefix and the ids. A hit reads the
-columns straight into their arrays and allocates no per-row object but the
-ids. An entry whose payload does not match its header, or that is not laid
-out this way, is parsed again and rewritten. An entry is written only after a
-parse succeeds, by `store.write_table_memo` (the one atomic writer), and a
-failed write leaves the read's result alone.
+Given a memo directory (a `loctk.table_memo_dir`), a table's bytes are
+parsed at most once per content digest, and a table a builtin wrote is never
+parsed at all. The entry ``<memo>/<sha256 of the CSV>`` holds the SHA-256 of
+its payload, then the payload: the row and column counts, each column's raw
+``array('d')`` bytes (in this machine's byte order), and the ``marshal`` of
+the prefix and the ids. A hit reads the columns straight into their arrays
+and allocates no per-row object but the ids. An entry whose payload does not
+match its header, or that is not laid out this way, is parsed again and
+rewritten.
+
+The memo is write-through. `write_table` (and `write_chunks`, for a writer
+that streams its text) hashes the bytes in the pass that writes them; when
+the memo holds no entry under that digest and the table `reads_back`, it
+stores the entry a parse of those bytes would give. Otherwise the entry is
+written by `read_table` after a parse succeeds, so a table no builtin wrote
+(a ``cmd`` stage's, a hand-edited one) is parsed once. Every entry is written
+by `store.write_table_memo` (the one atomic writer), and a failed write
+leaves the read or write's result alone.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import BuiltinError
 from ..store import write_table_memo
@@ -60,6 +68,7 @@ RSSI_PREFIX = "rssi"
 FEATURE_PREFIX = "f"
 
 _COL_RE = re.compile(r"^([A-Za-z]+)_([0-9]+)$")
+_PREFIX_RE = re.compile("[A-Za-z]+")
 
 
 @dataclass
@@ -294,11 +303,66 @@ def render_csv(header: list[str], ids: Sequence[str], columns: Sequence[Sequence
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def write_table(table: Table, path: Path | str) -> None:
+def write_table(table: Table, path: Path | str, memo: Path | None = None) -> None:
+    """Write `table` as CSV; with `memo`, store its parse there too (see
+    `write_chunks`)."""
+    write_chunks(path, render_csv(table.header(), table.ids, table.columns()), memo, lambda: table)
+
+
+def write_chunks(path: Path | str, chunks: Iterable[str], memo: Path | None, table: Callable[[], Table]) -> None:
+    """Write the UTF-8 bytes of `chunks` to `path`.
+
+    With `memo`, the bytes are hashed as they are written. If the memo holds
+    no entry under their digest, `table()` (the table they render) is built
+    and stored there when it `reads_back`, so that `read_table` never parses
+    these bytes. An existing entry is left alone, even a damaged one: the
+    reader finds it fails its check and parses.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(render_csv(table.header(), table.ids, table.columns()))
+    digest = hashlib.sha256() if memo is not None else None
+    with open(path, "wb") as handle:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            handle.write(data)
+            if digest is not None:
+                digest.update(data)
+    if digest is None:
+        return
+    entry = Path(memo) / digest.hexdigest()
+    if entry.exists():
+        return
+    written = table()
+    if reads_back(written):
+        _save_memo(written, entry)
+
+
+def reads_back(table: Table) -> bool:
+    """Whether `read_table` of the bytes `write_table` renders for `table`
+    gives `table` back bit for bit: its prefix is ASCII letters, it has a value
+    column, every column is an ``array('d')`` of finite values, and its ids
+    are a list of strs that csv.writer writes unquoted and csv.reader reads
+    back whole. An id csv.writer may quote is refused even where it would read
+    back, as the writer quotes ``"\\r"`` and NUL differently across Python
+    versions."""
+    ids = table.ids
+    if not (
+        type(table.prefix) is str and _PREFIX_RE.fullmatch(table.prefix)
+        and table.n_cols >= 1
+        and type(ids) is list and set(map(type, ids)) <= {str}
+    ):
+        return False
+    joined = "".join(ids)
+    if _ID_NEEDS_WRITER.search(joined) or (
+        len(joined) > csv.field_size_limit() and max(map(len, ids)) > csv.field_size_limit()
+    ):
+        return False
+    # a finite sum has no inf or NaN term; only a sum that overflows needs the scan
+    return all(
+        type(column) is array and column.typecode == "d"
+        and (math.isfinite(sum(column)) or all(map(math.isfinite, column)))
+        for column in table.columns()
+    )
 
 
 def read_column(path: Path | str, column: str) -> list[str]:

@@ -203,6 +203,9 @@ def test_6_brute_force_oracles():
         check_partition(kfold_folds(n, k, seed), n)
 
 
+RSS_SLACK_BYTES = 1_000_000
+
+
 @acceptance("7 scaling-properties")
 def test_7_scaling_bench_properties(make_project):
     from locpipe.bench import run_scaling_bench
@@ -229,6 +232,18 @@ def test_7_scaling_bench_properties(make_project):
                 f"{stage} at {factor}x: {actual:.3f}s > bound {bound:.3f}s "
                 f"(1.5 x {factor} x {base:.3f}s at 1x)"
             )
+
+    # memory above the report stage's peak (the orchestrator pages every
+    # forked stage shares, and no data) grows at most as the data does, 2x
+    # from factor 5 to 10, plus an allowance for allocator granularity
+    base = {f: by_factor[f].stage_rss["report"] for f in (5, 10)}
+    for stage in by_factor[10].stage_rss:
+        above_5, above_10 = (by_factor[f].stage_rss[stage] - base[f] for f in (5, 10))
+        bound = 2.0 * max(above_5, 0) + RSS_SLACK_BYTES
+        assert above_10 <= bound, (
+            f"{stage} peak RSS above report's at 10x: {above_10 / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB "
+            f"(2 x {above_5 / 1e6:.2f} MB at 5x + {RSS_SLACK_BYTES / 1e6:.1f} MB)"
+        )
 
     # no-op repro stays under 10% of the full run at every factor
     for factor, row in by_factor.items():

@@ -1,11 +1,12 @@
 """End-to-end CLI behavior through main()."""
 
+import argparse
 import json
 
 import pytest
 
 from conftest import tree_snapshot, write_params, write_pipeline
-from locpipe.cli import main
+from locpipe.cli import build_parser, main
 from locpipe.templates import TEMPLATES, template_names
 
 
@@ -314,6 +315,46 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["repro", "--turbo"])
         assert exc.value.code == 2
+
+
+def _parsed(parser, argv: list[str], capsys) -> tuple:
+    """(namespace or exit code, stdout, stderr) of parsing `argv`."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+_COMMANDS = ["init", "repro", "status", "dag", "metrics", "report", "gc", "bench"]
+
+
+class TestLazyParser:
+    """`build_parser(argv)` builds only the subparser `argv` names, and every
+    message and parse is the one of the parser built in full."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["frobnicate"], ["--bogus", "repro"],
+        *([command, "--help"] for command in _COMMANDS),
+        ["repro"], ["repro", "--turbo"], ["repro", "--jobs", "x"], ["repro", "a", "b", "--force", "--dry-run"],
+        ["status", "extra"], ["init", "d", "--template", "scaling"], ["dag", "--dot"],
+        ["metrics"], ["metrics", "show", "--json"], ["metrics", "show", "--help"], ["metrics", "nope"],
+        ["report"], ["report", "a.json", "--md", "r.md"], ["gc", "--verify"],
+        ["bench"], ["bench", "scale", "--factors", "1,2"], ["bench", "scale", "--help"],
+    ])
+    def test_same_outcome_and_bytes_as_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        full = _parsed(build_parser(), argv, capsys)
+        assert _parsed(build_parser(argv), argv, capsys) == full
+        assert full[1] or full[2] or isinstance(full[0], dict)
+
+    def test_builds_only_the_named_command(self):
+        for command in _COMMANDS:
+            [sub] = [a for a in build_parser([command])._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(sub.choices) == [command]
+        [sub] = [a for a in build_parser(["nope"])._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == _COMMANDS
 
 
 class TestStdoutDeterminism:

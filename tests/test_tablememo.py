@@ -1,28 +1,39 @@
-"""The parsed-table memo of `tables.read_table`.
+"""The parsed-table memo of `tables.read_table` and `tables.write_table`.
 
 A memo entry stands in for a strict parse only when its CSV digest, its code
-digest and its own payload check all match; anything else parses afresh.
+digest and its own payload check all match; anything else parses afresh. The
+writer stores the entry of a table it writes when the table reads back
+exactly, so a table a builtin wrote is never parsed.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import marshal
+import math
+import os
 import random
 import struct
+import sys
+import tempfile
 import tracemalloc
 from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_prepare_featurize as strict
 from locpipe import loctk
-from locpipe.loctk import tables
-from locpipe.loctk.tables import Table, read_table, write_table
+from locpipe.errors import BuiltinError
+from locpipe.loctk import StageRequest, run_builtin, tables
+from locpipe.loctk.tables import Table, read_table, reads_back, write_table
 from locpipe.store import ObjectStore, gc, load_lock
 
 from conftest import edit_params, run, value_rows
+from test_golden import GOLDEN, GOLDEN_SCALING_FACTOR_3, committed_digests
 
 TEMPLATES = [
     "baseline", "two-model", "scaling", "change-estimator",
@@ -245,3 +256,194 @@ def test_gc_sweeps_stale_entries(make_project):
     assert not stale_dir.exists()
     assert not list((project.cache_dir / "tmp").iterdir())
     assert [p.name for p in (project.cache_dir / "tables").iterdir()] == [memo.name]
+
+
+# ---------------------------------------------------------------------------
+# Write-through: the writer stores the entry a parse of its bytes would give
+
+
+def bits(table: Table) -> tuple:
+    return table.prefix, table.ids, [column.tobytes() for column in table.columns()]
+
+
+def read_back(table: Table, path: Path) -> Table | None:
+    """`read_table` of `table`'s rendered bytes; None if the reader refuses them."""
+    write_table(table, path)
+    try:
+        return read_table(path)
+    except BuiltinError:
+        return None
+
+
+_MAX = sys.float_info.max
+_SUBNORMAL = 5e-324
+_EDGE_FLOATS = [0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 2.2250738585072014e-308 / 3, _MAX, -_MAX,
+                math.nan, math.inf, -math.inf]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+# no surrogates: an id that UTF-8 cannot encode is never written (see below)
+_ids = st.text(
+    alphabet=st.one_of(st.sampled_from(',"\r\n\0#é€😀 '), st.characters(blacklist_categories=("Cs",))),
+    max_size=4,
+)
+_prefixes = st.one_of(
+    st.sampled_from(["f", "rssi", "Ab", "", "f_1", "é", "f1", "a b", "f\n", 'f"']), st.text(max_size=3),
+)
+
+
+@st.composite
+def drawn_tables(draw) -> Table:
+    """Cells and ids are picked from small drawn pools, which keeps drawing
+    tables of up to 50 rows cheap."""
+    n_rows = draw(st.integers(0, 50))
+    n_cols = draw(st.integers(0, 4))
+    floats = draw(st.lists(_floats, min_size=1, max_size=6))
+    id_pool = draw(st.lists(_ids, min_size=1, max_size=6))
+    rng = draw(st.randoms(use_true_random=False))
+    *values, x, y = (array("d", (rng.choice(floats) for _ in range(n_rows))) for _ in range(n_cols + 2))
+    return Table(draw(_prefixes), [rng.choice(id_pool) for _ in range(n_rows)], values, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_tables())
+def test_reads_back_exactly_when_the_rendered_bytes_read_back(table):
+    """`reads_back` holds exactly when the rendered bytes read back bit for
+    bit and no id is one csv.writer may quote: such an id reads back on some
+    Python versions and not on others ("\r", NUL), so none gets an entry."""
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        back = read_back(table, scratch / "t.csv")
+        exact = back is not None and bits(back) == bits(table)
+        unquoted = not any(map(tables._ID_NEEDS_WRITER.search, table.ids))
+        assert reads_back(table) == (exact and unquoted)
+        memo = memo_dir(scratch)
+        write_table(table, scratch / "w.csv", memo)
+        entry = entry_for(memo, scratch / "w.csv")
+        stored = [path for path in memo.iterdir()] if memo.exists() else []
+        assert stored == ([entry] if reads_back(table) else [])
+        if stored:
+            with pytest.MonkeyPatch.context() as patch:
+                forbid_parse(patch)
+                assert bits(read_table(scratch / "w.csv", memo)) == bits(table)
+
+
+@pytest.mark.parametrize("table", [
+    Table.from_rows("f", ["a", "b"], [[1.25, -3.5], [0.1, -0.0]], [(1.0, 2.0), (3.0, 4.5)]),
+    Table("rssi", [], [array("d")], array("d"), array("d")),
+    Table.from_rows("F", ["", "é 😀", "x#1"], [[_SUBNORMAL], [_MAX], [-_MAX]], [(0.0, -0.0)] * 3),
+])
+def test_written_table_is_read_from_the_memo(tmp_path, monkeypatch, table):
+    memo = memo_dir(tmp_path)
+    write_table(table, tmp_path / "t.csv", memo)
+    forbid_parse(monkeypatch)
+    assert bits(read_table(tmp_path / "t.csv", memo)) == bits(table)
+
+
+def test_id_utf8_cannot_encode_is_never_written(tmp_path):
+    table = Table.from_rows("f", ["\ud800"], [[1.0]], [(0.0, 0.0)])
+    memo = memo_dir(tmp_path)
+    with pytest.raises(UnicodeEncodeError):
+        write_table(table, tmp_path / "t.csv", memo)
+    assert not memo.exists()
+
+
+@pytest.mark.parametrize("table", [
+    Table.from_rows("f", ["a,b"], [[1.0]], [(0.0, 0.0)]),            # quoted id
+    Table.from_rows("f", ["a"], [[math.nan]], [(0.0, 0.0)]),         # refused by the reader
+    Table("f", ["a"], [[1.0]], array("d", [0.0]), array("d", [0.0])),  # a list column
+    Table.from_rows("f_", ["a"], [[1.0]], [(0.0, 0.0)]),             # refused header
+])
+def test_table_that_does_not_read_back_gets_no_entry(tmp_path, table):
+    memo = memo_dir(tmp_path)
+    write_table(table, tmp_path / "t.csv", memo)
+    assert not reads_back(table)
+    assert not memo.exists() or list(memo.iterdir()) == []
+
+
+def test_id_longer_than_the_csv_field_limit_gets_no_entry(tmp_path):
+    table = Table.from_rows("f", ["a" * (csv.field_size_limit() + 1), "b"], [[1.0], [2.0]], [(0.0, 0.0)] * 2)
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        read_back(table, tmp_path / "t.csv")
+    assert not reads_back(table)
+    short = Table.from_rows("f", ["a" * csv.field_size_limit()] * 2, [[1.0], [2.0]], [(0.0, 0.0)] * 2)
+    assert bits(read_back(short, tmp_path / "t.csv")) == bits(short)
+    assert reads_back(short)
+
+
+def test_failed_memo_write_does_not_fail_the_write(tmp_path):
+    (tmp_path / "cache").write_text("not a directory")
+    memo = memo_dir(tmp_path)
+    write_sample(tmp_path / "t.csv")
+    write_table(read_table(tmp_path / "t.csv"), tmp_path / "again.csv", memo)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+    assert not memo.exists()
+
+
+def test_existing_entry_is_not_rewritten(tmp_path):
+    memo = memo_dir(tmp_path)
+    write_sample(tmp_path / "t.csv")
+    read_table(tmp_path / "t.csv", memo)
+    entry = entry_for(memo, tmp_path / "t.csv")
+    entry.write_bytes(b"damaged")  # the writer does not look inside; the reader repairs it
+    table = read_table(tmp_path / "t.csv")
+    write_table(table, tmp_path / "t.csv", memo)
+    assert entry.read_bytes() == b"damaged"
+    assert read_table(tmp_path / "t.csv", memo) == table
+
+
+@pytest.mark.parametrize("factor", [1, 3])
+def test_scale_stores_the_entry_of_its_output(tmp_path, monkeypatch, factor):
+    table = Table.from_rows(
+        "rssi", ["s0", "s1", ""], [[-0.0, _SUBNORMAL], [1e16, 0.1 + 0.2], [-90.5, -40.0]],
+        [(0.0, 1.0), (2.5, -3.25), (1e-7, 4.0)],
+    )
+    src, out = tmp_path / "prepared.csv", tmp_path / "data" / "scaled.csv"
+    write_table(table, src)
+    memo = memo_dir(tmp_path)
+    run_builtin("loc.scale", StageRequest(
+        stage="scale", builtin="loc.scale", params={"scale.factor": factor},
+        deps=(str(src),), outs=(str(out),), table_memo=memo,
+    ))
+    fresh = read_table(out)
+    assert fresh.n_rows == 3 * factor
+    forbid_parse(monkeypatch)
+    assert bits(read_table(out, memo)) == bits(fresh)
+
+
+def test_scale_output_with_a_quoted_id_gets_no_entry(tmp_path):
+    table = Table.from_rows("rssi", ["a,b", "c"], [[1.0], [2.0]], [(0.0, 0.0), (1.0, 1.0)])
+    src, out = tmp_path / "prepared.csv", tmp_path / "scaled.csv"
+    write_table(table, src)
+    memo = memo_dir(tmp_path)
+    run_builtin("loc.scale", StageRequest(
+        stage="scale", builtin="loc.scale", params={"scale.factor": 3},
+        deps=(str(src),), outs=(str(out),), table_memo=memo,
+    ))
+    assert not entry_for(memo, out).exists()
+    assert entry_for(memo, src).exists()  # the reader's entry: a parse of it succeeded
+
+
+@pytest.mark.parametrize("factor, golden", [(2, GOLDEN["scaling"]), (3, GOLDEN_SCALING_FACTOR_3)])
+def test_cold_run_never_parses_a_table_a_builtin_wrote(make_project, monkeypatch, factor, golden):
+    """The stage children inherit the patched parser, so a parse of the scaled
+    or feature table fails its stage."""
+    real_parse = tables._parse
+
+    def parse(data, path):
+        if Path(path).name in ("scaled.csv", "features.csv"):
+            raise AssertionError(f"{path} was parsed, not read from the memo")
+        return real_parse(data, path)
+
+    monkeypatch.setattr(tables, "_parse", parse)
+    assert committed_digests(make_project, "scaling", factor) == golden
+
+
+def test_forced_rerun_rewrites_no_entry(make_project):
+    project = make_project("scaling")
+    edit_params(project, "scale.factor", 3)
+    assert run(project).failed == 0
+    memo = loctk.table_memo_dir(project.cache_dir)
+    inodes = {path.name: os.stat(path).st_ino for path in memo.iterdir()}
+    for table in ("prepared.csv", "scaled.csv", "features.csv"):
+        assert hashlib.sha256((project.root / "data" / table).read_bytes()).hexdigest() in inodes
+    assert run(project, force=True).executed == 7
+    assert {path.name: os.stat(path).st_ino for path in memo.iterdir()} == inodes
