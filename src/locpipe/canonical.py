@@ -6,12 +6,18 @@ shortest round-trip decimal rendering for floats (Python's ``repr``). An
 ``array.array`` encodes as the list of its items. Two semantically equal
 values always produce identical bytes, so reformatting a config file never
 changes a fingerprint.
+
+`source_digest` is the one format of a code-identity digest: the builtins'
+code digest and the config parser's digest are both built by it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
+from typing import Iterable
 
 
 def _as_list(value: object) -> list:
@@ -44,6 +50,15 @@ def canonical_bytes(value: object) -> bytes:
 def dump_canonical(value: object, path: Path | str) -> None:
     """Write `value` canonically encoded (plus a trailing newline) to `path`."""
     Path(path).write_bytes(canonical_bytes(value) + b"\n")
+
+
+def source_digest(sources: Iterable[tuple[str, bytes]]) -> str:
+    """SHA-256 over ``python M.m\\0`` (this interpreter's major.minor), then
+    ``name\\0len\\0bytes`` for each (name, bytes) of `sources`, in order."""
+    digest = hashlib.sha256(f"python {sys.version_info.major}.{sys.version_info.minor}\0".encode())
+    for name, data in sources:
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def fmt_num(value: float | int) -> str:

@@ -26,11 +26,10 @@ import json
 import math
 import posixpath
 import re
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, source_digest
 from .errors import ConfigError
 
 PIPELINE_FILE = "pipeline.yaml"
@@ -296,11 +295,8 @@ def _parser_sources() -> list[tuple[str, bytes]]:
 
 @functools.cache
 def _parser_digest() -> str:
-    """SHA-256 over Python major.minor and every `_parser_sources` entry."""
-    digest = hashlib.sha256(f"python {sys.version_info.major}.{sys.version_info.minor}\0".encode())
-    for name, data in _parser_sources():
-        digest.update(f"{name}\0{len(data)}\0".encode() + data)
-    return digest.hexdigest()
+    """`canonical.source_digest` of the `_parser_sources`."""
+    return source_digest(_parser_sources())
 
 
 def memo_key(pipeline: bytes, params: bytes | None) -> str:

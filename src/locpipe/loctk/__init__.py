@@ -18,13 +18,12 @@ code digest, so a code edit never reads an older parse.
 from __future__ import annotations
 
 import functools
-import hashlib
 import importlib
-import sys
 from pathlib import Path
 from types import MappingProxyType, ModuleType
 from typing import Mapping, NamedTuple
 
+from ..canonical import source_digest
 from ..errors import BuiltinError, ConfigError
 
 # builtin id -> module
@@ -45,16 +44,11 @@ def builtin_ids() -> list[str]:
 
 @functools.cache
 def _code_digest() -> str:
-    """SHA-256 over Python major.minor and the path and bytes of every
-    ``loctk/*.py`` (sorted) and of ``canonical.py``."""
+    """`canonical.source_digest` of every ``loctk/*.py`` (sorted) and of
+    ``canonical.py``, each named by its path under the package."""
     package = Path(__file__).parent
-    sources = sorted(package.glob("*.py")) + [package.parent / "canonical.py"]
-    digest = hashlib.sha256(f"python {sys.version_info.major}.{sys.version_info.minor}\0".encode())
-    for path in sources:
-        data = path.read_bytes()
-        name = path.relative_to(package.parent).as_posix()
-        digest.update(f"{name}\0{len(data)}\0".encode() + data)
-    return digest.hexdigest()
+    paths = sorted(package.glob("*.py")) + [package.parent / "canonical.py"]
+    return source_digest((path.relative_to(package.parent).as_posix(), path.read_bytes()) for path in paths)
 
 
 def table_memo_dir(cache_root: Path | str) -> Path:

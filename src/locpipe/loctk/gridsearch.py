@@ -7,16 +7,17 @@ metric over folds, ties resolved toward the lowest candidate index. Outputs
 of the selected candidate, and a compact metrics JSON.
 
 The feature table is column-major (`tables.Table`), and the search works on
-its columns. The fold file is decoded with each fold's index lists as
-``array('q')`` (`split.load_fold_file`), which `check_folds` takes as ints
-without scanning their types. Each fold's test rows are gathered column by
-column through one ``operator.itemgetter`` (`gatherer`), and its test
-feature columns and `metrics.Truth` come from those gathers. The ridge
-statistics group the rows by one per-fold count of their train occurrences
-(a ``bytearray`` per fold) and are built from each group's columns
-(`RidgeStats.from_columns`); a group that is exactly one fold's test rows,
-as every group is under k-fold, reuses that fold's gathers. Rows are formed
-only for kNN, whose model scans rows; both kinds predict through ``predict_columns``.
+its columns. The fold file is decoded by ``json.load`` with each fold's
+index lists as ``array('q')`` (`split.load_fold_file`), which `check_folds`
+takes as ints without scanning their types. Each fold's test rows are
+gathered column by column through one ``operator.itemgetter`` (`gatherer`),
+and its test feature columns and `metrics.Truth` come from those gathers.
+The ridge statistics group the rows by one per-fold count of their train
+occurrences (a ``bytearray`` per fold) and are built from each group's
+columns (`RidgeStats.from_columns`); a group that is exactly one fold's test
+rows, as every group is under k-fold, reuses that fold's gathers. Rows are
+formed only for kNN, whose model scans rows; both kinds predict through
+``predict_columns``.
 
 The predictions CSV is built as columns, never as rows: `Predictions` is
 assembled from the selected candidate's per-fold prediction arrays, each

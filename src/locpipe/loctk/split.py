@@ -14,16 +14,15 @@ Each fold's ``train`` and ``test`` indices are held as ``array('q')``, not as
 lists of Python ints. `write_fold_file` writes the fold file index list by
 index list, in chunks, with the bytes `canonical.dump_canonical` gives the
 document, so the whole encoding is never held at once. `load_fold_file`
-reads a fold file a block at a time and decodes every list that holds only
-64-bit ints straight into an ``array('q')``; any other list stays a list, so
-`gridsearch.check_folds` can name its first bad index.
+decodes a fold file with ``json.load`` and turns every object value that is
+a list of 64-bit ints into an ``array('q')``; any other list stays a list,
+so `gridsearch.check_folds` can name its first bad index.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from array import array
 from itertools import compress
 from pathlib import Path
@@ -170,149 +169,24 @@ def run(request: StageRequest) -> None:
     write_fold_file(doc, out)
 
 
-# JSON's whitespace; the characters of int items, their commas and whitespace;
-# and the characters of a number
-_WS = re.compile(r"[ \t\n\r]*")
-_INT_TEXT = re.compile(r"[0-9,\- \t\n\r]*")
-_NUMBER_TEXT = re.compile(r"[0-9+\-.eE]*")
-_BLOCK = 1 << 13
-
-
-class _JsonReader:
-    """One JSON document read from a text stream a block at a time.
-
-    It decodes what ``json.load`` decodes, except that a non-empty array of
-    ints that all fit in 64 bits becomes an ``array('q')``. Inside an array,
-    the complete items of a stretch of text that holds only digits, ``-``,
-    commas and whitespace are decoded by ``json.loads`` a block at a time;
-    everything else goes through the ``json`` module's scanner, one scalar
-    at a time.
-    """
-
-    def __init__(self, handle: TextIO) -> None:
-        self.handle = handle
-        self.buf = ""
-        self.pos = 0
-        self.offset = 0  # characters read before buf
-        self.eof = False
-        self.scan = json.JSONDecoder().scan_once
-
-    def error(self, msg: str, pos: int | None = None) -> ValueError:
-        return ValueError(f"{msg} at char {self.offset + (self.pos if pos is None else pos)}")
-
-    def more(self) -> bool:
-        """Append the next block to the unread text; False at the end of the file."""
-        if self.eof:
-            return False
-        block = self.handle.read(max(_BLOCK, len(self.buf) - self.pos))
-        if not block:
-            self.eof = True
-            return False
-        self.offset += self.pos
-        self.buf = self.buf[self.pos:] + block
-        self.pos = 0
-        return True
-
-    def peek(self) -> str:
-        """The next character that is not whitespace, or "" at the end of the file."""
-        while True:
-            self.pos = _WS.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or not self.more():
-                return self.buf[self.pos:self.pos + 1]
-
-    def value(self) -> object:
-        char = self.peek()
-        if char == "{":
-            return self.object()
-        if char == "[":
-            return self.array()
-        if char and char in "-0123456789":  # a number may go on in the next block
-            while _NUMBER_TEXT.match(self.buf, self.pos).end() == len(self.buf) and self.more():
-                pass
-        while True:  # a scalar; a string or literal cut at the end of the text is read on
+def _int_arrays(doc: dict) -> dict:
+    """`doc` with each value that is a non-empty list of 64-bit ints as an
+    ``array('q')``; any other value stays as it is."""
+    for key, value in doc.items():
+        if type(value) is list and value and all(type(item) is int for item in value):
             try:
-                value, self.pos = self.scan(self.buf, self.pos)
-                return value
-            except StopIteration:
-                if not self.more():
-                    raise self.error("Expecting value") from None
-            except json.JSONDecodeError as exc:
-                if not self.more():
-                    raise self.error(exc.msg, exc.pos) from None
-
-    def close(self, closer: str) -> bool:
-        """Consume a ``,`` (False) or `closer` (True) after an item."""
-        char = self.peek()
-        if char not in (",", closer):
-            raise self.error("Expecting ',' delimiter")
-        self.pos += 1
-        return char == closer
-
-    def object(self) -> dict:
-        self.pos += 1
-        doc: dict = {}
-        if self.peek() == "}":
-            self.pos += 1
-            return doc
-        while True:
-            if self.peek() != '"':
-                raise self.error("Expecting property name enclosed in double quotes")
-            key = self.value()
-            if self.peek() != ":":
-                raise self.error("Expecting ':' delimiter")
-            self.pos += 1
-            doc[key] = self.value()
-            if self.close("}"):
-                return doc
-
-    def array(self) -> array | list:
-        self.pos += 1
-        if self.peek() == "]":
-            self.pos += 1
-            return []
-        ints, items = array("q"), None  # items: the list, once an item is not a 64-bit int
-        fast = True
-        while True:
-            while fast:  # the complete items of a stretch of int text, a block at a time
-                stop = _INT_TEXT.match(self.buf, self.pos).end()
-                cut = self.buf.rfind(",", self.pos, stop)
-                if cut >= 0:
-                    try:
-                        values = json.loads(f"[{self.buf[self.pos:cut]}]")
-                    except json.JSONDecodeError:
-                        values = []
-                    if not values:  # not a run of int items: decode it item by item
-                        fast = False
-                        break
-                    self.pos = cut + 1
-                    if items is None:
-                        try:
-                            ints.fromlist(values)  # leaves ints as it was on overflow
-                        except OverflowError:
-                            items = ints.tolist()
-                    if items is not None:
-                        items.extend(values)
-                if stop < len(self.buf) or not self.more():
-                    break
-            value = self.value()
-            if items is None and type(value) is int and -1 << 63 <= value < 1 << 63:
-                ints.append(value)
-            elif items is None:
-                items = ints.tolist() + [value]
-            else:
-                items.append(value)
-            if self.close("]"):
-                return ints if items is None else items
+                doc[key] = array("q", value)
+            except OverflowError:  # an int beyond 64 bits: the list stays a list
+                pass
+    return doc
 
 
 def load_fold_file(path: Path | str) -> dict:
-    """The fold document at `path`; see `_JsonReader` for how it is decoded."""
+    """The fold document at `path`, decoded by ``json.load`` with every
+    object value that is a list of 64-bit ints as an ``array('q')``."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            reader = _JsonReader(handle)
-            doc = reader.value()
-            if reader.peek():
-                raise reader.error("Extra data")
+            doc = json.load(handle, object_hook=_int_arrays)
     except (OSError, ValueError, RecursionError) as exc:
         raise BuiltinError(f"unreadable fold file {path}: {exc}") from None
     if not isinstance(doc, dict) or "folds" not in doc or "n_samples" not in doc:

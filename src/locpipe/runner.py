@@ -375,13 +375,19 @@ def _miss_reasons(
         elif state.dep_hashes[dep] != entry.deps[dep]:
             reasons.append(f"deps: {dep}")
     reasons.extend(f"deps: {dep} (removed)" for dep in entry.deps if dep not in stage.deps)
-    recorded = json.loads(entry.params)
-    for key in stage.params:
-        if key not in recorded:
-            reasons.append(f"params: {key} (added)")
-        else:
-            reasons.extend(f"params: {p}" for p in _param_diffs(key, recorded[key], current[key]))
-    reasons.extend(f"params: {key} (removed)" for key in recorded if key not in stage.params)
+    try:
+        recorded = json.loads(entry.params)
+    except (TypeError, ValueError, RecursionError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        reasons.append("params")
+    else:
+        for key in stage.params:
+            if key not in recorded:
+                reasons.append(f"params: {key} (added)")
+            else:
+                reasons.extend(f"params: {p}" for p in _param_diffs(key, recorded[key], current[key]))
+        reasons.extend(f"params: {key} (removed)" for key in recorded if key not in stage.params)
     if sorted(stage.outs) != sorted(entry.outs):
         reasons.append("outs")
     if not reasons and state.fingerprint == entry.fingerprint:

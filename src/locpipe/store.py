@@ -335,7 +335,7 @@ class LockEntry(NamedTuple):
                 outs=outs,
                 committed_at=doc["committed_at"],
             )
-        except (KeyError, TypeError, AttributeError):
+        except (KeyError, TypeError, ValueError, AttributeError):
             raise StoreError("corrupt lock file entry") from None
 
 

@@ -193,6 +193,10 @@ class TestEditedLockEntry:
         edits = [
             ("kind", {"cmd": "cp in.txt out.txt"}, "cmd"),
             ("params", '{"p":2}', "params: p"),
+            # recorded params that do not decode to an object
+            ("params", "{not json", "params"),
+            ("params", 5, "params"),
+            ("params", '"p"', "params"),
         ]
         for field, value, reason in edits:
             doc = json.loads(lock_path.read_text())

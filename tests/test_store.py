@@ -384,6 +384,16 @@ class TestCacheLookup:
         with pytest.raises(StoreError, match="corrupt lock"):
             load_lock(path)
 
+    def test_lock_entry_deps_not_a_mapping(self, tmp_path):
+        path = tmp_path / "pipeline.lock.json"
+        entry = {
+            "fingerprint": hash_bytes(b"fp"), "kind": {"cmd": "do"}, "deps": ["not", "a", "mapping"],
+            "params": "{}", "outs": {}, "committed_at": "2026-01-01T00:00:00Z",
+        }
+        path.write_text(json.dumps({"version": 1, "stages": {"s": entry}}))
+        with pytest.raises(StoreError, match="^corrupt lock file entry$"):
+            load_lock(path)
+
 
 class TestLockFile:
     def entry(self, store) -> "LockEntry":  # noqa: F821
