@@ -9,6 +9,8 @@ changes a fingerprint.
 
 `source_digest` is the one format of a code-identity digest: the builtins'
 code digest and the config parser's digest are both built by it.
+`frame` and `framed` own the format of both parse memos' entries: the
+32-byte SHA-256 of the payload, then the payload.
 """
 
 from __future__ import annotations
@@ -59,6 +61,19 @@ def source_digest(sources: Iterable[tuple[str, bytes]]) -> str:
     for name, data in sources:
         digest.update(f"{name}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
+
+
+def frame(parts: list) -> list:
+    """A checked entry of the payload `parts` (bytes-like): their SHA-256, then them."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return [digest.digest(), *parts]
+
+
+def framed(digest: bytes, parts: list) -> bool:
+    """Whether `digest` heads the `frame` of `parts`."""
+    return frame(parts)[0] == digest
 
 
 def fmt_num(value: float | int) -> str:

@@ -10,11 +10,13 @@ one.
 A parse is two steps: `_load_yaml` turns text into a plain document, and
 `validate_pipeline` or `validate_params` checks that document and builds
 the spec or tree. PyYAML is imported by the first parse, not with this
-module. The parse memo (`load_config`) keeps the loaded documents of both
-files as JSON under `memo_key`, a digest of the files' bytes and of the code
-that parses them; a hit skips only the YAML step, so every `ConfigError`
-still comes from a fresh parse and a config load served by the memo never
-imports PyYAML.
+module. The loader refuses any int or string canonical JSON cannot encode,
+so JSON gives a validated document back type for type, and the parse memo
+(`load_config`) keeps both files' documents as a `canonical.frame` of their
+JSON under `memo_key`, a digest of the files' bytes and of the code that
+parses them; a hit skips only the YAML step, so every `ConfigError` still
+comes from a fresh parse and a config load served by the memo never imports
+PyYAML.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .canonical import canonical_bytes, source_digest
+from .canonical import canonical_bytes, frame, framed, source_digest
 from .errors import ConfigError
 
 PIPELINE_FILE = "pipeline.yaml"
@@ -65,16 +67,31 @@ def _strict_construct_mapping(loader, node, deep: bool = False) -> dict:
     return mapping
 
 
+def _strict_construct_scalar(loader, node) -> int | str:
+    """An int or str, refused where canonical JSON cannot encode it: an int
+    too large to print, a string holding a surrogate (made by a ``\\u`` escape)."""
+    value = (loader.construct_yaml_int if node.tag.endswith(":int") else loader.construct_yaml_str)(node)
+    try:
+        str(value).encode()  # as canonical JSON writes it: an int in decimal, a str as UTF-8
+    except ValueError:
+        problem = "integer too large" if isinstance(value, int) else "string holds a surrogate"
+        raise ConfigError(f"line {node.start_mark.line + 1}: {problem}") from None
+    return value
+
+
 @functools.cache
 def _strict_loader() -> type:
     """PyYAML's pure-Python SafeLoader, refusing duplicate mapping keys
-    instead of keeping the last."""
+    instead of keeping the last, and ints and strings canonical JSON cannot
+    encode."""
     import yaml
 
     class _StrictLoader(yaml.SafeLoader):
         construct_mapping = _strict_construct_mapping
 
     _StrictLoader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _strict_construct_mapping)
+    for tag in ("tag:yaml.org,2002:int", "tag:yaml.org,2002:str"):
+        _StrictLoader.add_constructor(tag, _strict_construct_scalar)
     return _StrictLoader
 
 
@@ -84,6 +101,8 @@ def _load_yaml(text: str, filename: str) -> object:
     try:
         return yaml.load(text, Loader=_strict_loader())
     except ConfigError as exc:
+        raise ConfigError(f"{filename}: {exc}") from None
+    except (ValueError, OverflowError) as exc:  # a scalar PyYAML cannot build, such as 2024-13-45
         raise ConfigError(f"{filename}: {exc}") from None
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
@@ -308,46 +327,22 @@ def memo_key(pipeline: bytes, params: bytes | None) -> str:
     return digest.hexdigest()
 
 
-def _same_json(value: object, back: object) -> bool:
-    """True when `back` equals `value` type for type, with mapping order kept
-    and floats bit for bit (`-0.0` stays `-0.0`)."""
-    if type(value) is not type(back):
-        return False
-    if isinstance(value, dict):
-        return list(value) == list(back) and all(_same_json(value[k], back[k]) for k in value)
-    if isinstance(value, list):
-        return len(value) == len(back) and all(map(_same_json, value, back))
-    if isinstance(value, float):
-        return repr(value) == repr(back)
-    return value == back
-
-
-def _memo_entry(docs: list) -> bytes | None:
-    """The memo entry of the two loaded documents: their JSON, in insertion
-    order, with its SHA-256; None where JSON would not give them back type
-    for type."""
-    try:
-        text = json.dumps(docs, allow_nan=False)
-        if not _same_json(docs, json.loads(text)):
-            return None
-    except (TypeError, ValueError, RecursionError):
-        return None
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    return f'{{"sha256": "{digest}", "docs": {text}}}\n'.encode()
+def _memo_entry(docs: list) -> bytes:
+    """A `canonical.frame` of the two validated documents' JSON, which gives
+    them back type for type and in mapping order (see the module docstring)."""
+    return b"".join(frame([json.dumps(docs).encode()]))
 
 
 def _memo_docs(entry: bytes) -> list | None:
-    """The two documents of a memo entry, or None if it is corrupt,
-    truncated or too deep to decode."""
+    """The two documents of a memo entry, or None if it fails its frame
+    check or does not decode to two documents."""
+    if not framed(entry[:32], [entry[32:]]):
+        return None
     try:
-        doc = json.loads(entry)
-        docs = doc["docs"]
-        digest = hashlib.sha256(json.dumps(docs, allow_nan=False).encode()).hexdigest()
-        if doc["sha256"] == digest and isinstance(docs, list) and len(docs) == 2:
-            return docs
-    except (TypeError, ValueError, KeyError, RecursionError):
-        pass
-    return None
+        docs = json.loads(entry[32:])
+    except (ValueError, RecursionError):
+        return None
+    return docs if isinstance(docs, list) and len(docs) == 2 else None
 
 
 def _config_text(data: bytes, filename: str) -> str:
@@ -368,7 +363,7 @@ def load_config(
     `memo` is the entry stored under `memo_key(pipeline, params)`, if any.
     When it decodes, its documents are validated as a fresh parse's would be,
     and there is no entry to store. Otherwise the YAML is parsed, and the
-    entry is None only where JSON cannot hold the documents type for type.
+    entry is built from the documents once both are valid.
     """
     docs = None if memo is None else _memo_docs(memo)
     if docs is not None:

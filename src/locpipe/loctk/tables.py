@@ -28,13 +28,13 @@ the bytes are those of csv.writer on the running interpreter.
 
 Given a memo directory (a `loctk.table_memo_dir`), a table's bytes are
 parsed at most once per content digest, and a table a builtin wrote is never
-parsed at all. The entry ``<memo>/<sha256 of the CSV>`` holds the SHA-256 of
-its payload, then the payload: the row and column counts, each column's raw
-``array('d')`` bytes (in this machine's byte order), and the ``marshal`` of
-the prefix and the ids. A hit reads the columns straight into their arrays
-and allocates no per-row object but the ids. An entry whose payload does not
-match its header, or that is not laid out this way, is parsed again and
-rewritten.
+parsed at all. The entry ``<memo>/<sha256 of the CSV>`` is a
+`canonical.frame` of its payload: the row and column counts, each column's
+raw ``array('d')`` bytes (in this machine's byte order), and the ``marshal``
+of the prefix and the ids. A hit reads the columns straight into their
+arrays and allocates no per-row object but the ids. An entry whose payload
+does not match its header, or that is not laid out this way, is parsed
+again and rewritten.
 
 The memo is write-through. `write_table` (and `write_chunks`, for a writer
 that streams its text) hashes the bytes in the pass that writes them; when
@@ -61,8 +61,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ..canonical import frame, framed
 from ..errors import BuiltinError
-from ..store import write_table_memo
+from ..store import hash_file, write_table_memo
 
 RSSI_PREFIX = "rssi"
 FEATURE_PREFIX = "f"
@@ -150,20 +151,12 @@ def read_table(path: Path | str, memo: Path | None = None) -> Table:
     path = Path(path)
     if memo is None:
         return _parse(path.read_bytes(), path)
-    table = _load_memo(Path(memo) / _file_digest(path))
+    table = _load_memo(Path(memo) / hash_file(path))
     if table is None:
         data = path.read_bytes()
         table = _parse(data, path)
         _save_memo(table, Path(memo) / hashlib.sha256(data).hexdigest())  # the bytes parsed
     return table
-
-
-def _file_digest(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _parse(data: bytes, path: Path) -> Table:
@@ -214,11 +207,7 @@ def _load_memo(entry: Path) -> Table | None:
             head = handle.read()
     except (OSError, struct.error):
         return None
-    check = hashlib.sha256(counts)
-    for column in columns:
-        check.update(column)
-    check.update(head)
-    if check.digest() != digest:
+    if not framed(digest, [counts, *columns, head]):
         return None
     try:
         prefix, ids = marshal.loads(head)
@@ -232,12 +221,8 @@ def _save_memo(table: Table, entry: Path) -> None:
     columns = table.columns()
     counts = _COUNTS.pack(table.n_rows, len(columns))
     head = marshal.dumps((table.prefix, table.ids))
-    digest = hashlib.sha256(counts)
-    for column in columns:
-        digest.update(column)
-    digest.update(head)
     try:
-        write_table_memo(entry, [digest.digest(), counts, *columns, head])
+        write_table_memo(entry, frame([counts, *columns, head]))
     except OSError:  # the memo only saves work: a failed write costs a parse later
         pass
 

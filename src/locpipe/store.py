@@ -7,13 +7,17 @@ content hashes to its own address. A directory hashes to its tree manifest,
 built from one walk (`_tree_files`) and read back only by
 `ObjectStore.members`. The run cache keeps every committed execution at
 ``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
-restores instead of re-executing. The config parse memo keeps the loaded
-documents of the two config files at ``<cache>/config/<key>.json`` (see
-`configmodel.memo_key`). Every file locpipe writes but a stage's outs goes
-through `write_atomic`, the one temp-and-rename writer: cache files through
-``<cache>/tmp``, the lock, manifests, restores and ``params.yaml`` through a
-temp file beside them. `gc` sweeps both. Every file is read through
-`_open_regular`, which refuses a symlink or a FIFO without blocking on it.
+restores instead of re-executing. The config parse memo keeps a
+`canonical.frame` of the loaded documents of the two config files at
+``<cache>/config/<key>.json`` (see `configmodel.memo_key`). An out
+record's hash and path, and a manifest's members, are joined into paths, so
+`LockEntry.from_json` and `ObjectStore.members` refuse any that is not a hex
+digest or a normalized path inside its root. Every file locpipe writes but
+a stage's outs goes through `write_atomic`, the one temp-and-rename writer:
+cache files through ``<cache>/tmp``, the lock, manifests, restores and
+``params.yaml`` through a temp file beside them. `gc` sweeps both. Every
+file is read through `_open_regular`, which refuses a symlink or a FIFO
+without blocking on it.
 
 The records here are named tuples, not dataclasses, so the orchestrator's
 imports stay small; `LockEntry.to_json` spells out the encoded fields.
@@ -25,6 +29,8 @@ import errno
 import hashlib
 import json
 import os
+import posixpath
+import re
 import shutil
 import stat
 from datetime import datetime, timezone
@@ -37,12 +43,28 @@ from .errors import StoreError
 from .loctk import builtin_version, table_memo_dir
 
 HASH_ALGORITHM = "sha256"
-_CHUNK = 1 << 20
+# as fast to hash as 1 MiB blocks; a read allocates a whole block, and a
+# table-memo hit (`loctk.tables.read_table`) hashes its CSV first
+_CHUNK = 1 << 16
 _MANIFEST_SEP = "\t"
 _RUNCACHE_DIR = "runcache"
 _CONFIG_DIR = "config"
 _TMP_DIR = "tmp"
 TMP_PREFIX = ".locpipe-tmp-"
+_HEX_RE = re.compile("[0-9a-f]{64}")
+
+
+def _is_hex(hexd: object) -> bool:
+    return isinstance(hexd, str) and _HEX_RE.fullmatch(hexd) is not None
+
+
+def _is_inside(rel: object) -> bool:
+    """Whether `rel` is a normalized relative path with no ``..`` part, as a
+    declared out (`configmodel._norm_path`) or a tree member is."""
+    return (
+        isinstance(rel, str) and rel == posixpath.normpath(rel)
+        and rel not in (".", "..") and not rel.startswith(("/", "../"))
+    )
 
 
 def write_atomic(
@@ -157,6 +179,8 @@ class ObjectStore:
         self.root = Path(root)
 
     def _addr(self, hexd: str) -> Path:
+        if not _is_hex(hexd):
+            raise StoreError(f"not an object address: {hexd!r}")
         return self.root / HASH_ALGORITHM / hexd[:2] / hexd[2:]
 
     def has(self, hexd: str) -> bool:
@@ -193,7 +217,7 @@ class ObjectStore:
         members = []
         for line in data.decode("utf-8").split("\n"):
             rel, _, member = line.partition(_MANIFEST_SEP)
-            if not rel or len(member) != 64:
+            if not _is_inside(rel) or not _is_hex(member):
                 raise StoreError("corrupt tree manifest")
             members.append((rel, member))
         return members
@@ -224,12 +248,14 @@ class ObjectStore:
             return False
 
     def iter_hexes(self) -> Iterator[str]:
+        """The address of every object; a file not named by one is no object."""
         base = self.root / HASH_ALGORITHM
         if not base.is_dir():
             return
         for prefix in sorted(p for p in base.iterdir() if p.is_dir()):
             for obj in sorted(prefix.iterdir()):
-                yield prefix.name + obj.name
+                if _is_hex(hexd := prefix.name + obj.name):
+                    yield hexd
 
     def remove(self, hexd: str) -> None:
         self._addr(hexd).unlink(missing_ok=True)
@@ -322,11 +348,20 @@ class LockEntry(NamedTuple):
 
     @staticmethod
     def from_json(doc: dict) -> "LockEntry":
+        """The entry of a decoded lock or run-cache record; StoreError unless
+        every out is a normalized relative path with a hex hash, a
+        non-negative int size and a bool tree flag, as they are used as paths."""
         try:
             outs = {
                 path: OutRecord(hash=rec["hash"], size=rec["size"], tree=rec.get("tree", False))
                 for path, rec in doc["outs"].items()
             }
+            for path, rec in outs.items():
+                if not (
+                    _is_inside(path) and _is_hex(rec.hash) and type(rec.size) is int
+                    and rec.size >= 0 and type(rec.tree) is bool
+                ):
+                    raise ValueError(path)
             return LockEntry(
                 fingerprint=doc["fingerprint"],
                 kind=doc["kind"],

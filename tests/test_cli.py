@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 
 import pytest
 
@@ -99,6 +100,13 @@ class TestReproCli:
             repro(Project(root=in_project), ExecOptions(jobs=0))
 
 
+# Python limits int-to-decimal conversion from 3.11 on
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.11"
+)
+HEX_INT = "0x" + "f" * 4000  # 4,817 decimal digits
+
+
 def _nested_mapping(depth: int) -> str:
     """A block mapping `extra: {a: {a: ...}}` nested `depth` levels deep."""
     lines = ["extra:", *("  " * level + "a:" for level in range(1, depth)), "  " * depth + "a: 1"]
@@ -122,6 +130,48 @@ class TestUnreadableConfig:
             handle.write(b'extra: "\xff"\n')
         assert main(["status"]) == 2
         assert capsys.readouterr().err == f"error: params.yaml: not valid UTF-8 at byte {offset}\n"
+
+
+    @pytest.mark.parametrize("filename", ["params.yaml", "pipeline.yaml"])
+    @pytest.mark.parametrize("scalar", [
+        "2024-13-45",
+        "2024-02-30",
+        "!!int 'abc'",
+        "!!float 'abc'",
+        pytest.param("9" * 5000, marks=NEEDS_DIGIT_LIMIT),
+    ], ids=["month-13", "february-30", "int-abc", "float-abc", "5000-digits"])
+    def test_scalar_pyyaml_cannot_build(self, in_project, capsys, filename, scalar):
+        with open(in_project / filename, "a") as handle:
+            handle.write(f"extra: {scalar}\n")
+        for command in ("status", "repro"):
+            assert main([command]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {filename}: ") and err.count("\n") == 1, err
+        assert not (in_project / ".locpipe" / "cache" / "config").exists()
+
+    @pytest.mark.parametrize("filename, old, new, problem", [
+        pytest.param("params.yaml", "seed: 1234", f"seed: {HEX_INT}", "integer too large", marks=NEEDS_DIGIT_LIMIT),
+        pytest.param("pipeline.yaml", "version: 1", f"version: {HEX_INT}", "integer too large", marks=NEEDS_DIGIT_LIMIT),
+        pytest.param(
+            "params.yaml", "seed: 1234", f"seed: 1234\n  note: !!set {{{HEX_INT}}}", "integer too large",
+            marks=NEEDS_DIGIT_LIMIT,
+        ),
+        ("params.yaml", "seed: 1234", 'seed: 1234\n  note: "\\ud83d\\ude00"', "string holds a surrogate"),
+        ("pipeline.yaml", "version: 1", 'version: 1\n"\\ud800": 1', "string holds a surrogate"),
+    ], ids=[
+        "params-hex-int", "pipeline-hex-version", "params-hex-int-in-a-set", "params-surrogate-pair",
+        "pipeline-lone-surrogate",
+    ])
+    def test_scalar_canonical_json_cannot_encode(self, in_project, capsys, filename, old, new, problem):
+        path = in_project / filename
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        line = text[:text.index(old)].count("\n") + 1 + new.count("\n")
+        for command in ("status", "repro"):
+            assert main([command]) == 2
+            assert capsys.readouterr().err == f"error: {filename}: line {line}: {problem}\n"
+        assert not (in_project / ".locpipe" / "cache" / "config").exists()
 
 
 DEEP_JSON = "[" * 5000 + "]" * 5000
@@ -213,6 +263,54 @@ class TestEditedLockEntry:
             }
             assert main(["status"]) == 0
             assert capsys.readouterr().out == "copy: unchanged\n"
+
+
+class TestCorruptOutRecord:
+    """An out record's hash and a tree manifest's members name files, so a
+    lock that records one that is not a hex hash or a path inside its out
+    is a store error, exit 3, and no command reads or writes through it."""
+
+    def test_non_string_hash(self, cmd_project, capsys):
+        assert main(["repro"]) == 0
+        objects = cmd_project / ".locpipe" / "cache" / "sha256"
+        stored = sorted(objects.rglob("*"))
+        _edit_lock(cmd_project, "copy", "out.txt", hash=5)
+        for command in ("status", "repro", "gc"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err == "error: corrupt lock file entry\n"
+        assert sorted(objects.rglob("*")) == stored
+
+    def test_hash_naming_a_file(self, cmd_project, capsys):
+        assert main(["repro"]) == 0
+        (cmd_project / "secret.txt").write_text("secret\n")
+        _edit_lock(cmd_project, "copy", "out.txt", hash=".." + str(cmd_project / "secret.txt"))
+        (cmd_project / "out.txt").unlink()
+        for command in ("status", "repro"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err == "error: corrupt lock file entry\n"
+        assert not (cmd_project / "out.txt").exists()
+
+    def test_tree_member_outside_the_out(self, tmp_path, monkeypatch, capsys):
+        from locpipe.store import ObjectStore
+
+        monkeypatch.chdir(tmp_path)
+        write_pipeline(tmp_path, {"emit": {"cmd": "mkdir -p d && echo 1 > d/a.txt", "outs": ["d"]}})
+        assert main(["repro"]) == 0
+        store = ObjectStore(tmp_path / ".locpipe" / "cache")
+        member = store.put_bytes(b"escaped\n")
+        _edit_lock(tmp_path, "emit", "d", hash=store.put_bytes(f"../escaped.txt\t{member}".encode()))
+        (tmp_path / "d" / "a.txt").unlink()
+        for command in ("status", "repro"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err == "error: corrupt tree manifest\n"
+        assert not (tmp_path / "escaped.txt").exists()
+
+
+def _edit_lock(root, stage: str, out: str, **fields) -> None:
+    lock_path = root / "pipeline.lock.json"
+    doc = json.loads(lock_path.read_text())
+    doc["stages"][stage]["outs"][out].update(fields)
+    lock_path.write_text(json.dumps(doc))
 
 
 class TestOtherCommands:

@@ -22,8 +22,14 @@ from locpipe.templates import TEMPLATES
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+# Python's int-to-decimal digit limit (none before 3.11): the longest int JSON encodes
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def _typed(value: object) -> object:
-    """`value` with every type, float bit pattern and mapping order spelled out."""
+    """`value` with every type, float bit pattern and mapping order spelled
+    out: two values are equal type for type, `-0.0` and mapping order
+    included, exactly when their `_typed` forms are equal."""
     if isinstance(value, dict):
         return ("dict", [(key, _typed(item)) for key, item in value.items()])
     if isinstance(value, (list, tuple)):
@@ -64,8 +70,10 @@ class TestHitEqualsFreshParse:
         st.recursive(
             st.booleans() | st.text(max_size=8)
             | st.integers(min_value=-(2 ** 200), max_value=2 ** 200)
-            | st.sampled_from([0.0, -0.0, 1e-300, -1.5e300, 0.1])
-            | st.floats(allow_nan=False, allow_infinity=False),
+            | st.integers(min_value=-(10 ** INT_DIGITS - 1), max_value=10 ** INT_DIGITS - 1)
+            | st.sampled_from([10 ** INT_DIGITS - 1, -(10 ** INT_DIGITS - 1)])
+            | st.sampled_from([0.0, -0.0, 1e-300, -1.5e300, 0.1, 5e-324, -2.225073858507201e-308])
+            | st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
             lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
             max_leaves=12,
         ),
@@ -76,14 +84,11 @@ class TestHitEqualsFreshParse:
         params = yaml.safe_dump(tree, sort_keys=False, allow_unicode=True).encode()
         spec, fresh, entry = load_config(pipeline, params, None)
         assert entry is not None
+        loaded = [configmodel._load_yaml(pipeline.decode(), "pipeline.yaml"), fresh]
+        assert _typed(configmodel._memo_docs(entry)) == _typed(loaded)
         hit_spec, hit, _ = load_config(pipeline, params, entry)
         assert _typed(hit) == _typed(fresh)
         assert hit_spec == spec and list(hit_spec.stages) == list(spec.stages)
-
-    def test_docs_json_cannot_hold_make_no_entry(self):
-        assert configmodel._memo_entry([{"a": (1, 2)}, None]) is None
-        assert configmodel._memo_entry([{1: "x"}, None]) is None
-        assert configmodel._memo_entry([{"a": -0.0, "b": [2 ** 100]}, {"é": True}]) is not None
 
 
 class TestKey:
@@ -151,6 +156,16 @@ class TestOnDisk:
         assert runner._fresh_config == (path.stem, good)
         assert run(project).cached == 6
         assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("extra", ["1: x", "extra: !!set {a, b}"], ids=["int-key", "set-value"])
+    def test_documents_validation_refuses_make_no_entry(self, baseline_project, monkeypatch, capsys, extra):
+        project = baseline_project
+        with open(project.params_path, "a") as handle:
+            handle.write(extra + "\n")
+        monkeypatch.chdir(project.root)
+        assert main(["repro"]) == 2
+        assert capsys.readouterr().err.startswith("error: params: ")
+        assert _memo_files(project) == []
 
     def test_gc_keeps_only_the_current_key(self, baseline_project, monkeypatch, capsys):
         project = baseline_project

@@ -394,6 +394,61 @@ class TestCacheLookup:
         with pytest.raises(StoreError, match="^corrupt lock file entry$"):
             load_lock(path)
 
+    @pytest.mark.parametrize("out, record", [
+        ("out.txt", {"hash": 5, "size": 1}),
+        ("out.txt", {"hash": "zz", "size": 1}),
+        ("out.txt", {"hash": ABC_SHA.upper(), "size": 1}),
+        ("out.txt", {"hash": ".." + ABC_SHA, "size": 1}),
+        ("out.txt", {"hash": ABC_SHA, "size": -1}),
+        ("out.txt", {"hash": ABC_SHA, "size": True}),
+        ("out.txt", {"hash": ABC_SHA, "size": "1"}),
+        ("out.txt", {"hash": ABC_SHA, "size": 1, "tree": "yes"}),
+        ("../out.txt", {"hash": ABC_SHA, "size": 1}),
+        ("/tmp/out.txt", {"hash": ABC_SHA, "size": 1}),
+        ("d/../out.txt", {"hash": ABC_SHA, "size": 1}),
+        ("./out.txt", {"hash": ABC_SHA, "size": 1}),
+        ("", {"hash": ABC_SHA, "size": 1}),
+    ], ids=[
+        "hash-int", "hash-not-hex", "hash-upper-case", "hash-a-path", "size-negative", "size-bool",
+        "size-str", "tree-str", "out-parent", "out-absolute", "out-not-normal", "out-dot", "out-empty",
+    ])
+    def test_out_record_used_as_a_path_is_checked(self, tmp_path, out, record):
+        path = tmp_path / "pipeline.lock.json"
+        entry = {
+            "fingerprint": hash_bytes(b"fp"), "kind": {"cmd": "do"}, "deps": {},
+            "params": "{}", "outs": {out: record}, "committed_at": "2026-01-01T00:00:00Z",
+        }
+        path.write_text(json.dumps({"version": 1, "stages": {"s": entry}}))
+        with pytest.raises(StoreError, match="^corrupt lock file entry$"):
+            load_lock(path)
+        entry["outs"] = {"out.txt": {"hash": ABC_SHA, "size": 0}, "d/sub": {"hash": ABC_SHA, "size": 3, "tree": True}}
+        path.write_text(json.dumps({"version": 1, "stages": {"s": entry}}))
+        assert sorted(load_lock(path)["s"].outs) == ["d/sub", "out.txt"]
+
+    def test_address_must_be_hex(self, tmp_path):
+        store = ObjectStore(tmp_path / "cache")
+        (tmp_path / "secret.txt").write_bytes(b"s")
+        for hexd in ["zz", ".." + str(tmp_path / "secret.txt"), ABC_SHA.upper(), ABC_SHA + "0"]:
+            with pytest.raises(StoreError, match="^not an object address: "):
+                store.has(hexd)
+        assert store.has(ABC_SHA) is False
+
+    @pytest.mark.parametrize("rel", ["../x", "/abs/x", "a/../x", "./x", "a//x", ".", "a/"])
+    def test_manifest_member_outside_its_tree_is_corrupt(self, tmp_path, rel):
+        store = ObjectStore(tmp_path / "cache")
+        member = store.put_bytes(b"1")
+        for manifest in (f"{rel}\t{member}", f"x\t{member.upper()}"):
+            with pytest.raises(StoreError, match="^corrupt tree manifest$"):
+                store.members(store.put_bytes(manifest.encode()))
+        assert store.members(store.put_bytes(f" \t{member}\nd/x\t{member}".encode())) == [(" ", member), ("d/x", member)]
+
+    def test_file_not_named_by_an_address_is_no_object(self, tmp_path):
+        store = ObjectStore(tmp_path / "cache")
+        hexd = store.put_bytes(b"1")
+        (tmp_path / "cache" / "sha256" / hexd[:2] / "stray").write_bytes(b"x")
+        assert list(store.iter_hexes()) == [hexd]
+        assert store.verify() == []
+
 
 class TestLockFile:
     def entry(self, store) -> "LockEntry":  # noqa: F821
