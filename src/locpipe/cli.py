@@ -202,11 +202,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_gc(args: argparse.Namespace) -> int:
     from .runner import Project, project_lock
-    from .store import ObjectStore, gc, load_lock
+    from .store import ObjectStore, gc, load_lock, write_lock
 
     project = Project.discover()
+    spec, _ = project.load()
     with project_lock(project):
         lock, store = load_lock(project.lock_path), ObjectStore(project.cache_dir)
+        declared = {name: entry for name, entry in lock.items() if name in spec.stages}
+        if len(declared) != len(lock):  # drop the entries of stages pipeline.yaml no longer declares
+            lock = declared
+            write_lock(lock, project.lock_path)
         removed = gc(lock, store, project.config_key(), project)
     print(f"removed {removed} unreferenced object(s)")
     return EXIT_OK
@@ -237,7 +242,7 @@ _COMMANDS = {
     "metrics": ("metric file views", _metrics_args, _cmd_metrics_show),
     "report": ("build a report from recorded result files", _report_args, _cmd_report),
     "gc": (
-        "remove store objects no lock entry references, stale memo entries and crash leftovers",
+        "drop undeclared stages from the lock, then remove every cache file no live record names",
         None, _cmd_gc,
     ),
     "bench": ("benchmark harnesses", _bench_args, _cmd_bench_scale),

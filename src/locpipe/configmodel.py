@@ -31,11 +31,13 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .canonical import canonical_bytes, frame, framed, source_digest
+from .canonical import frame, framed, source_digest
 from .errors import ConfigError
 
 PIPELINE_FILE = "pipeline.yaml"
 PARAMS_FILE = "params.yaml"
+LOCK_FILE = "pipeline.lock.json"
+DOT_DIR = ".locpipe"  # the cache, run manifests, logs and the orchestrator lock
 PIPELINE_FORMAT_VERSION = 1
 MAX_PARAM_DEPTH = 32
 
@@ -145,9 +147,20 @@ def _norm_path(raw: object, stage: str, role: str) -> str:
     if raw.startswith("/"):
         raise ConfigError(f"stage '{stage}': {role} path '{raw}' must be repo-relative")
     norm = posixpath.normpath(raw)
-    if norm == "." or norm == ".." or norm.startswith("../"):
+    if not is_inside(norm):
         raise ConfigError(f"stage '{stage}': {role} path '{raw}' escapes the project directory")
+    if paths_overlap(norm, DOT_DIR) or paths_overlap(norm, LOCK_FILE):
+        raise ConfigError(f"stage '{stage}': {role} path '{raw}' is locpipe's own state")
     return norm
+
+
+def is_inside(rel: object) -> bool:
+    """Whether `rel` is a normalized relative path with no ``..`` part, as a
+    declared path (`_norm_path`) or a tree member is."""
+    return (
+        isinstance(rel, str) and rel == posixpath.normpath(rel)
+        and rel not in (".", "..") and not rel.startswith(("/", "../"))
+    )
 
 
 def paths_overlap(a: str, b: str) -> bool:
@@ -176,9 +189,9 @@ def parse_pipeline(text: str, filename: str = PIPELINE_FILE) -> PipelineSpec:
 def validate_pipeline(doc: object, filename: str = PIPELINE_FILE) -> PipelineSpec:
     """Validate a loaded pipeline document into the spec.
 
-    Rejects unknown fields, duplicate stage names, two producers for one
-    output path, dep/out overlap within a stage, and metrics not listed in
-    outs.
+    Rejects unknown fields, duplicate stage names, two outs that overlap (in
+    one stage or in two), dep/out overlap within a stage, and metrics not
+    listed in outs.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{filename}: top level must be a mapping with 'version' and 'stages'")
@@ -197,7 +210,7 @@ def validate_pipeline(doc: object, filename: str = PIPELINE_FILE) -> PipelineSpe
         raise ConfigError(f"{filename}: 'stages' must be a non-empty mapping")
 
     stages: dict[str, StageSpec] = {}
-    out_producer: dict[str, str] = {}
+    producers: dict[str, str] = {}  # every out declared so far -> its stage
     for name, body in stages_doc.items():
         if not isinstance(name, str) or not _STAGE_NAME_RE.match(name or ""):
             raise ConfigError(f"{filename}: invalid stage name {name!r}")
@@ -237,11 +250,12 @@ def validate_pipeline(doc: object, filename: str = PIPELINE_FILE) -> PipelineSpe
             if metric not in outs:
                 raise ConfigError(f"stage '{name}': metric '{metric}' is not a declared out")
         for out in outs:
-            if out in out_producer:
-                raise ConfigError(
-                    f"output '{out}' is declared by both '{out_producer[out]}' and '{name}'"
-                )
-            out_producer[out] = name
+            for other, producer in producers.items():
+                if paths_overlap(out, other):
+                    raise ConfigError(
+                        f"output '{out}' of stage '{name}' overlaps output '{other}' of stage '{producer}'"
+                    )
+            producers[out] = name
 
         stages[name] = StageSpec(
             name=name, cmd=cmd, builtin=builtin,
@@ -394,8 +408,3 @@ def select_params(tree: dict, keys: tuple[str, ...] | list[str], stage: str | No
             node = node[part]
         subset[key] = copy.deepcopy(node)
     return subset
-
-
-def canonicalize(subset: dict) -> bytes:
-    """Canonical bytes of a param subset; a function of value only, never of key order."""
-    return canonical_bytes(subset)

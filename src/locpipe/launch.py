@@ -43,7 +43,8 @@ def spawn_stage(
     Only the calling thread exists in a forked child, so the caller must be
     a process that has started no threads. A builtin runs `request` in the
     child, which inherits the builtin's module imported here; a `cmd` stage
-    (request None) execs `/bin/sh -c`.
+    (request None) execs `/bin/sh -c`. Each out's parent directory is made
+    here, the one place that makes it.
     """
     if request is not None:
         try:

@@ -4,7 +4,8 @@ Each builtin is a deterministic function from (params, deps) to declared
 outs. The orchestrator forks a child per executed stage, and the child calls
 ``run_builtin`` on the stage's in-memory ``StageRequest``. Just before that
 fork the orchestrator imports the builtin's module (``load_builtin``), so the
-child inherits its compiled code; only the child calls the module's ``run``.
+child inherits its compiled code; only the child calls the module's ``run``,
+into out directories the launcher has made.
 Every builtin's identity is one digest of the code it runs
 (`builtin_version`), so any edit to this package or to ``canonical.py``
 invalidates every cached builtin stage.
@@ -54,8 +55,8 @@ def _code_digest() -> str:
 def table_memo_dir(cache_root: Path | str) -> Path:
     """``<cache>/tables/<code digest>``: the parsed-table memo of this code.
 
-    Its entries are written by `store.write_table_memo` through ``<cache>/tmp``,
-    and `store.gc` sweeps the directories of other code digests.
+    Its entries are written by `store.write_atomic` through a temp file beside
+    them, and `store.gc` removes the entries of other code digests.
     """
     return Path(cache_root) / "tables" / _code_digest()
 

@@ -379,8 +379,6 @@ def run(request: StageRequest) -> None:
         table, folds_doc, grid_cfg, primary, list(report_metrics)
     )
 
-    for index, label in ((0, "cv results"), (1, "model artifact"), (2, "predictions"), (3, "metrics")):
-        request.out(index, label).parent.mkdir(parents=True, exist_ok=True)
     dump_canonical(cv_results, request.out(0, "cv results"))
     dump_canonical(artifact, request.out(1, "model artifact"))
     with open(request.out(2, "predictions"), "w", encoding="utf-8", newline="") as handle:

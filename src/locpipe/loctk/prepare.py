@@ -104,6 +104,4 @@ def run(request: StageRequest) -> None:
     drop_policy = get(cfg, "drop_policy", "str", where, default="targets")
     table, summary = prepare_rows(request.dep(0, "raw dataset CSV"), fill_value, drop_policy)
     write_table(table, request.out(0, "prepared CSV"), request.table_memo)
-    summary_out = request.out(1, "summary JSON")
-    summary_out.parent.mkdir(parents=True, exist_ok=True)
-    dump_canonical(summary, summary_out)
+    dump_canonical(summary, request.out(1, "summary JSON"))

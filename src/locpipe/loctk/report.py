@@ -136,9 +136,5 @@ def run(request: StageRequest) -> None:
         raise BuiltinError(f"stage '{request.stage}': report needs at least one input file")
     inputs = [(dep, load_input(dep)) for dep in request.deps]
     markdown, table = build_report(inputs)
-    md_out = request.out(0, "Markdown report")
-    csv_out = request.out(1, "CSV table")
-    md_out.parent.mkdir(parents=True, exist_ok=True)
-    csv_out.parent.mkdir(parents=True, exist_ok=True)
-    md_out.write_text(markdown, encoding="utf-8")
-    csv_out.write_text(table, encoding="utf-8")
+    request.out(0, "Markdown report").write_text(markdown, encoding="utf-8")
+    request.out(1, "CSV table").write_text(table, encoding="utf-8")

@@ -164,9 +164,7 @@ def run(request: StageRequest) -> None:
         column = get(cfg, "group_column", "str", where)
         groups = read_column(table_path, column)
     doc = make_fold_file(table.n_rows, cfg, groups, where)
-    out = request.out(0, "fold file JSON")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_fold_file(doc, out)
+    write_fold_file(doc, request.out(0, "fold file JSON"))
 
 
 def _int_arrays(doc: dict) -> dict:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..errors import BuiltinError
 from . import StageRequest, get, section
@@ -108,6 +107,4 @@ def config_from_params(params: dict, where: str = "synth") -> SynthConfig:
 
 def run(request: StageRequest) -> None:
     cfg = config_from_params(section(request, "synth"), where=f"stage '{request.stage}'")
-    out = request.out(0, "raw dataset CSV")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(generate(cfg), encoding="utf-8")
+    request.out(0, "raw dataset CSV").write_text(generate(cfg), encoding="utf-8")

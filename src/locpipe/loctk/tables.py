@@ -42,8 +42,9 @@ the memo holds no entry under that digest and the table `reads_back`, it
 stores the entry a parse of those bytes would give. Otherwise the entry is
 written by `read_table` after a parse succeeds, so a table no builtin wrote
 (a ``cmd`` stage's, a hand-edited one) is parsed once. Every entry is written
-by `store.write_table_memo` (the one atomic writer), and a failed write
-leaves the read or write's result alone.
+by `store.write_atomic` through a temp file beside it, and a failed write
+leaves the read or write's result alone. A writer makes no directory: the
+launcher makes each out's.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..canonical import frame, framed
 from ..errors import BuiltinError
-from ..store import hash_file, write_table_memo
+from ..store import hash_file, write_atomic
 
 RSSI_PREFIX = "rssi"
 FEATURE_PREFIX = "f"
@@ -222,7 +223,7 @@ def _save_memo(table: Table, entry: Path) -> None:
     counts = _COUNTS.pack(table.n_rows, len(columns))
     head = marshal.dumps((table.prefix, table.ids))
     try:
-        write_table_memo(entry, frame([counts, *columns, head]))
+        write_atomic(entry, frame([counts, *columns, head]))
     except OSError:  # the memo only saves work: a failed write costs a parse later
         pass
 
@@ -303,8 +304,6 @@ def write_chunks(path: Path | str, chunks: Iterable[str], memo: Path | None, tab
     these bytes. An existing entry is left alone, even a damaged one: the
     reader finds it fails its check and parses.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256() if memo is not None else None
     with open(path, "wb") as handle:
         for chunk in chunks:

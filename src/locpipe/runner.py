@@ -45,11 +45,12 @@ from typing import Mapping, NamedTuple
 from . import __version__
 from .canonical import canonical_bytes
 from .configmodel import (
+    DOT_DIR,
+    LOCK_FILE,
     PARAMS_FILE,
     PIPELINE_FILE,
     PipelineSpec,
     StageSpec,
-    canonicalize,
     load_config,
     memo_key,
     paths_overlap,
@@ -69,6 +70,7 @@ from .store import (
     hash_path,
     load_lock,
     missing_outs,
+    out_files,
     record_run,
     restore_outputs,
     restored_hash,
@@ -77,9 +79,6 @@ from .store import (
     write_atomic,
     write_lock,
 )
-
-LOCK_FILE = "pipeline.lock.json"
-DOT_DIR = ".locpipe"
 
 # The reason a stage with no lock entry misses the cache.
 NEVER_RUN = "never run"
@@ -333,7 +332,7 @@ def resolve_stage(
     dep_hashes = {dep: ch for dep, ch in found.items() if ch is not None}
     missing = [dep for dep, ch in found.items() if ch is None]
     current = select_params(params, stage.params, stage=stage.name)
-    params_canonical = canonicalize(current)
+    params_canonical = canonical_bytes(current)
     kind = stage_kind(stage)
     fingerprint = hit = None
     if not missing:
@@ -481,10 +480,9 @@ def _damaged_object(store: ObjectStore, known: Mapping[str, OutRecord], dep: str
             continue
         if not store.intact(rec.hash):
             return rec.hash
-        if rec.tree:
-            for rel, member in store.members(rec.hash):
-                if paths_overlap(dep, f"{out}/{rel}") and not store.intact(member):
-                    return member
+        for path, hexd in out_files(store, out, rec):  # a file out's own object is checked above
+            if hexd != rec.hash and paths_overlap(dep, path) and not store.intact(hexd):
+                return hexd
     return None
 
 

@@ -12,12 +12,12 @@ restores instead of re-executing. The config parse memo keeps a
 ``<cache>/config/<key>.json`` (see `configmodel.memo_key`). An out
 record's hash and path, and a manifest's members, are joined into paths, so
 `LockEntry.from_json` and `ObjectStore.members` refuse any that is not a hex
-digest or a normalized path inside its root. Every file locpipe writes but
-a stage's outs goes through `write_atomic`, the one temp-and-rename writer:
-cache files through ``<cache>/tmp``, the lock, manifests, restores and
-``params.yaml`` through a temp file beside them. `gc` sweeps both. Every
-file is read through `_open_regular`, which refuses a symlink or a FIFO
-without blocking on it.
+digest or a path `configmodel.is_inside` its root. Every file locpipe
+writes but a stage's outs goes through `write_atomic`: objects and run-cache
+and config-memo entries through ``<cache>/tmp``, all else through a temp
+file beside it. `gc` keeps what live records name and removes every other
+file of the cache. Every file is read through `_open_regular`, which
+refuses a symlink or a FIFO without blocking on it.
 
 The records here are named tuples, not dataclasses, so the orchestrator's
 imports stay small; `LockEntry.to_json` spells out the encoded fields.
@@ -29,7 +29,6 @@ import errno
 import hashlib
 import json
 import os
-import posixpath
 import re
 import shutil
 import stat
@@ -38,7 +37,7 @@ from pathlib import Path, PurePosixPath
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .canonical import canonical_bytes
-from .configmodel import StageSpec, paths_overlap
+from .configmodel import StageSpec, is_inside, paths_overlap
 from .errors import StoreError
 from .loctk import builtin_version, table_memo_dir
 
@@ -56,15 +55,6 @@ _HEX_RE = re.compile("[0-9a-f]{64}")
 
 def _is_hex(hexd: object) -> bool:
     return isinstance(hexd, str) and _HEX_RE.fullmatch(hexd) is not None
-
-
-def _is_inside(rel: object) -> bool:
-    """Whether `rel` is a normalized relative path with no ``..`` part, as a
-    declared out (`configmodel._norm_path`) or a tree member is."""
-    return (
-        isinstance(rel, str) and rel == posixpath.normpath(rel)
-        and rel not in (".", "..") and not rel.startswith(("/", "../"))
-    )
 
 
 def write_atomic(
@@ -217,7 +207,7 @@ class ObjectStore:
         members = []
         for line in data.decode("utf-8").split("\n"):
             rel, _, member = line.partition(_MANIFEST_SEP)
-            if not _is_inside(rel) or not _is_hex(member):
+            if not is_inside(rel) or not _is_hex(member):
                 raise StoreError("corrupt tree manifest")
             members.append((rel, member))
         return members
@@ -358,7 +348,7 @@ class LockEntry(NamedTuple):
             }
             for path, rec in outs.items():
                 if not (
-                    _is_inside(path) and _is_hex(rec.hash) and type(rec.size) is int
+                    is_inside(path) and _is_hex(rec.hash) and type(rec.size) is int
                     and rec.size >= 0 and type(rec.tree) is bool
                 ):
                     raise ValueError(path)
@@ -400,17 +390,21 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def out_files(store: ObjectStore, out: str, rec: OutRecord) -> list[tuple[str, str]]:
+    """The (workspace path, object) pair of file out `out`, or of each member
+    of tree out `out`."""
+    if not rec.tree:
+        return [(out, rec.hash)]
+    return [(f"{out}/{rel}", member) for rel, member in store.members(rec.hash)]
+
+
 def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
     """Sorted outs of `entry` whose object, or one of whose tree members, is
     gone from the store."""
-    missing = []
-    for out, rec in sorted(entry.outs.items()):
-        if not store.has(rec.hash) or (
-            rec.tree
-            and not all(store.has(member) for _, member in store.members(rec.hash))
-        ):
-            missing.append(out)
-    return missing
+    return [
+        out for out, rec in sorted(entry.outs.items())
+        if not store.has(rec.hash) or not all(store.has(hexd) for _, hexd in out_files(store, out, rec))
+    ]
 
 
 def _derived_fingerprint(entry: LockEntry) -> str | None:
@@ -434,7 +428,7 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
         entry = LockEntry.from_json(json.loads(_run_path(store, fingerprint).read_bytes()))
         if entry.fingerprint == _derived_fingerprint(entry) == fingerprint:
             return entry
-    except (FileNotFoundError, ValueError, TypeError, RecursionError, StoreError):
+    except (OSError, ValueError, TypeError, RecursionError, StoreError):
         pass  # malformed entries are misses; gc deletes them
     return None
 
@@ -470,12 +464,6 @@ def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: st
 def config_memo_path(store: ObjectStore, key: str) -> Path:
     """Where the config parse-memo entry under `key` is kept."""
     return store.root / _CONFIG_DIR / f"{key}.json"
-
-
-def write_table_memo(entry: Path, data: Iterable[bytes]) -> None:
-    """Write a table-memo entry, ``<cache>/tables/<code digest>/<CSV digest>``
-    (see `loctk.table_memo_dir`), through ``<cache>/tmp``."""
-    ObjectStore(entry.parents[2]).write(entry, data)
 
 
 def commit_outputs(
@@ -572,12 +560,8 @@ def restored_hash(store: ObjectStore, outs: Mapping[str, OutRecord], root: Path 
     """
     if path in outs:
         return outs[path].hash
-    restored: dict[str, str] = {}  # workspace path -> hash of every file the outs restore
-    for out, rec in outs.items():
-        if rec.tree:
-            restored.update((f"{out}/{rel}", hexd) for rel, hexd in store.members(rec.hash))
-        else:
-            restored[out] = rec.hash
+    # workspace path -> hash of every file the outs restore
+    restored = dict(pair for out, rec in outs.items() for pair in out_files(store, out, rec))
     if path in restored:
         return restored[path]
     prefix = path + "/"
@@ -591,62 +575,59 @@ def restored_hash(store: ObjectStore, outs: Mapping[str, OutRecord], root: Path 
     return hash_bytes(_manifest(members)) if members or holds_outs else None
 
 
-def referenced_hexes(lock: LockFile, store: ObjectStore) -> set[str]:
+def referenced_hexes(entries: Iterable[LockEntry], store: ObjectStore) -> set[str]:
+    """Every object the outs of `entries` name, stored tree members included."""
     refs: set[str] = set()
-    for entry in lock.values():
-        for rec in entry.outs.values():
+    for entry in entries:
+        for out, rec in entry.outs.items():
             refs.add(rec.hash)
-            if rec.tree and store.has(rec.hash):
-                refs.update(member for _, member in store.members(rec.hash))
+            if store.has(rec.hash):
+                refs.update(hexd for _, hexd in out_files(store, out, rec))
     return refs
 
 
 def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None, project=None) -> int:
-    """Remove store objects referenced by no current lock entry; returns removed count.
-
-    Then drop each run-cache entry that cannot be read or names an object no
-    longer in the store, every parsed-table memo directory of other builtin
-    code, each memo entry whose CSV digest no lock entry records as a dep or
-    an out, every config parse-memo entry but the one under `config_key`
-    (the current files' key), and the temp files in ``<cache>/tmp``. Given
-    a `runner.Project`, also remove the `write_atomic` temp files in its
-    root, its run manifests' directory, and every directory a restore of a
-    lock or run-cache entry's outs writes to. Call it holding the project
-    lock, so no write is in flight.
+    """Remove every file of the cache no live record names; returns the count
+    of objects removed. Live are: the objects lock entries name; each
+    run-cache entry that reads back, misses no out and names only those; the
+    table-memo entries of this code named by a dep or out hash of the lock;
+    the config-memo entry under `config_key`. One bottom-up walk removes all
+    else and each directory it empties below the cache's top level. Given a
+    `runner.Project`, also remove the `write_atomic` temp files in its root,
+    its run manifests' directory, and every directory a restore of a lock or
+    run-cache entry's outs writes to. Call it holding the project lock, so
+    no write is in flight.
     """
-    refs = referenced_hexes(lock, store)
-    removed = 0
-    failures = []
-    for hexd in list(store.iter_hexes()):
-        if hexd in refs:
-            continue
-        try:
-            store.remove(hexd)
-            removed += 1
-        except OSError as exc:  # pragma: no cover - exotic fs failures
-            failures.append(f"{hexd}: {exc}")
-    if failures:
-        raise StoreError(f"gc removed {removed} object(s) but failed on: " + "; ".join(failures))
+    live = referenced_hexes(lock.values(), store)
+    keep = {store._addr(hexd) for hexd in live}
     restorable = [entry.outs for entry in lock.values()]
     for path in (store.root / _RUNCACHE_DIR).glob("*.json"):
         entry = _recorded_run(store, path.stem)
         if entry is not None:
             restorable.append(entry.outs)
-        if entry is None or missing_outs(store, entry):
-            path.unlink()
-    memo = table_memo_dir(store.root)
-    recorded = refs.union(*(entry.deps.values() for entry in lock.values()))
-    for stale in (store.root / "tables").glob("*"):
-        if stale != memo:
-            shutil.rmtree(stale)
-    for entry in memo.glob("*"):
-        if entry.name not in recorded:
-            entry.unlink()
-    for entry in (store.root / _CONFIG_DIR).glob("*"):
-        if entry.name != f"{config_key}.json":
-            entry.unlink()
-    for tmp in (store.root / _TMP_DIR).glob("*"):
-        tmp.unlink()
+            if not missing_outs(store, entry) and referenced_hexes([entry], store) <= live:
+                keep.add(path)
+    recorded = live.union(*(entry.deps.values() for entry in lock.values()))
+    keep.update(table_memo_dir(store.root) / hexd for hexd in recorded)
+    if config_key is not None:
+        keep.add(config_memo_path(store, config_key))
+    removed, failures = 0, []
+    for current, _, filenames in os.walk(store.root, topdown=False):
+        directory = Path(current)
+        for path in (directory / name for name in filenames):
+            if path in keep:
+                continue
+            try:
+                path.unlink()
+            except OSError as exc:  # pragma: no cover - exotic fs failures
+                failures.append(f"{path.relative_to(store.root)}: {exc}")
+                continue
+            hexd = directory.name + path.name
+            removed += _is_hex(hexd) and store._addr(hexd) == path
+        if len(directory.relative_to(store.root).parts) > 1 and not os.listdir(directory):
+            directory.rmdir()
+    if failures:
+        raise StoreError(f"gc removed {removed} object(s) but failed on: " + "; ".join(failures))
     if project is not None:
         _sweep_workspace_temps(project.root, {project.root, project.runs_dir}, restorable)
     return removed

@@ -408,6 +408,39 @@ class TestOtherCommands:
         assert main(["repro"]) == 0
         assert "0 executed, 6 cached" in capsys.readouterr().out
 
+    def test_gc_drops_the_lock_entries_of_undeclared_stages(self, in_project, capsys):
+        import yaml
+
+        from locpipe.store import load_lock
+
+        assert main(["repro"]) == 0
+        report = load_lock(in_project / "pipeline.lock.json")["report"]
+        doc = yaml.safe_load((in_project / "pipeline.yaml").read_text())
+        del doc["stages"]["report"]
+        write_pipeline(in_project, doc["stages"])
+        capsys.readouterr()
+        assert main(["repro"]) == 0
+        assert "0 executed, 5 cached" in capsys.readouterr().out
+        assert main(["gc"]) == 0
+        assert capsys.readouterr().out == "removed 2 unreferenced object(s)\n"
+        lock = load_lock(in_project / "pipeline.lock.json")
+        assert sorted(lock) == sorted(doc["stages"]) and len(lock) == 5
+        cache = in_project / ".locpipe" / "cache"
+        for rec in report.outs.values():
+            assert not (cache / "sha256" / rec.hash[:2] / rec.hash[2:]).exists()
+        assert not (cache / "runcache" / f"{report.fingerprint}.json").exists()
+        assert main(["repro"]) == 0
+        assert "0 executed, 5 cached" in capsys.readouterr().out
+
+    def test_gc_with_an_invalid_pipeline_is_a_config_error(self, in_project, capsys):
+        assert main(["repro"]) == 0
+        lock = (in_project / "pipeline.lock.json").read_bytes()
+        (in_project / "pipeline.yaml").write_text("version: 1\nstages: {}\n")
+        capsys.readouterr()
+        assert main(["gc"]) == 2
+        assert capsys.readouterr().err.startswith("error: pipeline.yaml: ")
+        assert (in_project / "pipeline.lock.json").read_bytes() == lock
+
     def test_unknown_subcommand_exits_2(self, in_project, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -474,3 +507,45 @@ class TestStdoutDeterminism:
             assert main(["metrics", "show"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[:4] == outputs[4:]
+
+
+class TestOwnedPaths:
+    """Declared paths that would clobber one another or locpipe's own state
+    are config errors (exit 2), refused before anything runs."""
+
+    def test_overlapping_outs_of_two_stages(self, tmp_path, monkeypatch, capsys):
+        # b_dir's tree would record d/y, and a restore of it would put an old d/y back
+        monkeypatch.chdir(tmp_path)
+        write_pipeline(tmp_path, {
+            "b_dir": {"cmd": "mkdir -p d && echo 1 > d/x", "outs": ["d"]},
+            "a_file": {"cmd": "echo 2 > d/y", "outs": ["d/y"]},
+            "use": {"cmd": "cat d/y > u.txt", "deps": ["d/y"], "outs": ["u.txt"]},
+        })
+        write_params(tmp_path, {})
+        for command in (["repro"], ["status"], ["gc"]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "error: output 'd/y' of stage 'a_file' overlaps output 'd' of stage 'b_dir'\n"
+            )
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["params.yaml", "pipeline.yaml"]
+
+    def test_overlapping_outs_of_one_stage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_pipeline(tmp_path, {"emit": {"cmd": "mkdir -p d && echo 1 > d/x", "outs": ["d", "d/x"]}})
+        write_params(tmp_path, {})
+        assert main(["repro"]) == 2
+        assert "output 'd/x' of stage 'emit' overlaps output 'd' of stage 'emit'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [".locpipe/cache", ".locpipe/runs", "pipeline.lock.json"])
+    def test_out_in_locpipe_state(self, in_project, capsys, out):
+        assert main(["repro"]) == 0
+        before = tree_snapshot(in_project / ".locpipe")
+        lock = (in_project / "pipeline.lock.json").read_bytes()
+        doc = (in_project / "pipeline.yaml").read_text()
+        (in_project / "pipeline.yaml").write_text(doc.replace("outs: [data/folds.json]", f"outs: [{out}]"))
+        capsys.readouterr()
+        for command in (["repro"], ["repro"], ["status"]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"error: stage 'split': outs path '{out}' is locpipe's own state\n"
+        assert tree_snapshot(in_project / ".locpipe") == before
+        assert (in_project / "pipeline.lock.json").read_bytes() == lock

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from locpipe.canonical import canonical_bytes as canonicalize
 from locpipe.configmodel import (
-    canonicalize,
     parse_params,
     parse_pipeline,
     select_params,
@@ -100,6 +100,42 @@ stages:
             parse_pipeline("version: 1\nstages:\n  a:\n    cmd: x\n    outs: [/etc/out]\n")
         with pytest.raises(ConfigError, match="escapes"):
             parse_pipeline("version: 1\nstages:\n  a:\n    cmd: x\n    deps: ['../up.csv']\n")
+
+    @pytest.mark.parametrize("first, second", [
+        (("a", "d"), ("b", "d/y")),
+        (("a", "d/y"), ("b", "d")),
+        (("a", "d"), ("a", "d/x")),
+    ], ids=["tree-then-member", "member-then-tree", "within-one-stage"])
+    def test_overlapping_outs_rejected(self, first, second):
+        stages = {}
+        for stage, out in (first, second):
+            stages.setdefault(stage, []).append(out)
+        text = "version: 1\nstages:\n" + "".join(
+            f"  {stage}:\n    cmd: x\n    outs: [{', '.join(outs)}]\n" for stage, outs in stages.items()
+        )
+        message = f"output '{second[1]}' of stage '{second[0]}' overlaps output '{first[1]}' of stage '{first[0]}'"
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline(text)
+        assert str(exc.value) == message
+
+    def test_sibling_outs_with_a_common_prefix_accepted(self):
+        text = "version: 1\nstages:\n  a:\n    cmd: x\n    outs: [d, d2, d.csv]\n  b:\n    cmd: y\n    outs: [e/d]\n"
+        assert parse_pipeline(text).stages["a"].outs == ("d", "d2", "d.csv")
+
+    @pytest.mark.parametrize("path", [
+        ".locpipe", ".locpipe/cache", "./.locpipe/runs/", "sub/../.locpipe/cache/sha256", "pipeline.lock.json",
+    ])
+    @pytest.mark.parametrize("role", ["deps", "outs", "metrics"])
+    def test_locpipe_state_rejected(self, role, path):
+        paths = {"deps": "[in.txt]", "outs": "[m.json]", "metrics": "[m.json]", role: f"['{path}']"}
+        text = "version: 1\nstages:\n  a:\n    cmd: x\n" + "".join(f"    {key}: {value}\n" for key, value in paths.items())
+        with pytest.raises(ConfigError) as exc:
+            parse_pipeline(text)
+        assert str(exc.value) == f"stage 'a': {role} path '{path}' is locpipe's own state"
+
+    def test_paths_beside_locpipe_state_accepted(self):
+        text = "version: 1\nstages:\n  a:\n    cmd: x\n    deps: [.locpipe-notes, pipeline.lock.json.bak]\n    outs: [locpipe/x]\n"
+        assert parse_pipeline(text).stages["a"].deps == (".locpipe-notes", "pipeline.lock.json.bak")
 
     def test_syntax_error_reports_location(self):
         with pytest.raises(ConfigError, match=r"pipeline\.yaml:\d+"):

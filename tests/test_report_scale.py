@@ -97,6 +97,7 @@ def prepared_table(n=4) -> Table:
 def run_scale(tmp_path, table: Table, factor: int) -> Path:
     """Run the loc.scale builtin on `table` written as its prepared CSV; return the out path."""
     src, out = tmp_path / "prepared.csv", tmp_path / "data" / "scaled.csv"
+    out.parent.mkdir()
     write_table(table, src)
     run_builtin("loc.scale", StageRequest(
         stage="scale", builtin="loc.scale", params={"scale.factor": factor},

@@ -1169,6 +1169,26 @@ class TestBuiltinStage:
         lines = (root / "data/raw.csv").read_text().splitlines()
         assert len(lines) == 11
 
+    def test_outs_in_fresh_nested_directories(self, make_project):
+        """The launcher makes every out's directory, so a builtin writes
+        into one that did not exist, and the bytes stay the golden ones."""
+        from test_golden import GOLDEN
+
+        project = make_project("baseline")
+        moved = {out: f"fresh/nested/{out}" for out in GOLDEN["baseline"] if out.startswith("data/")}
+        text = project.pipeline_path.read_text()
+        for out, nested in moved.items():
+            text = text.replace(out, nested)
+        project.pipeline_path.write_text(text)
+        assert run(project).executed == 6
+        digests = {
+            out: hashlib.sha256((project.root / moved.get(out, out)).read_bytes()).hexdigest()
+            for out in GOLDEN["baseline"]
+        }
+        assert digests == GOLDEN["baseline"]
+        assert not (project.root / "data").exists()
+        assert run(project).cached == 6
+
     def test_unknown_builtin_is_config_error(self, tmp_path):
         root = tmp_path / "proj"
         root.mkdir()

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
 from locpipe.runner import Project, status
 from locpipe.store import (
+    TMP_PREFIX,
     LockEntry,
     ObjectStore,
     cache_lookup,
@@ -24,6 +27,7 @@ from locpipe.store import (
     hash_path,
     load_lock,
     missing_outs,
+    out_files,
     restore_outputs,
     stage_fingerprint,
     write_lock,
@@ -146,7 +150,8 @@ class TestFingerprint:
             assert base != flipped
 
     def test_params_reformat_same_fingerprint(self):
-        from locpipe.configmodel import canonicalize, parse_params, select_params
+        from locpipe.canonical import canonical_bytes as canonicalize
+        from locpipe.configmodel import parse_params, select_params
 
         one = parse_params("split:\n  k: 5\n  seed: 7\n")
         two = parse_params("split: {seed: 7, k: 5}")
@@ -523,6 +528,70 @@ class TestGc:
         _, store, _, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/b": b"2"})
         assert gc({"s": entry}, store) == 0
         assert len(list(store.iter_hexes())) == 3
+
+    def test_removes_every_file_the_live_set_does_not_name(self, make_project):
+        project = make_project("baseline")
+        assert run(project).failed == 0
+        cache = project.cache_dir
+        lock, store = load_lock(project.lock_path), ObjectStore(cache)
+
+        def files() -> set[Path]:
+            return {path for path in cache.rglob("*") if path.is_file()}
+
+        live = files()
+        memo = loctk.table_memo_dir(cache)
+        prepared = hashlib.sha256((project.root / "data/prepared.csv").read_bytes()).hexdigest()
+        orphan = store.put_bytes(b"no lock entry names this")
+        (cache / "sha256" / "ee").mkdir()
+        strays = [
+            cache / "sha256" / orphan[:2] / orphan[2:],
+            cache / "sha256" / "ab" / "not-an-address",
+            cache / "unknown" / "deeper" / "file",
+            cache / "tables" / ("1" * 64) / prepared,  # an entry of older builtin code
+            memo / f"{TMP_PREFIX}1-0123456789abcdef",  # a killed memo write
+            cache / "runcache" / "notes.txt",
+            cache / "runcache" / "stray.json" / "inner" / "file",  # a directory named like an entry
+            cache / "config" / f"{'2' * 64}.json",
+            cache / "stray-at-the-top",
+        ]
+        for path in strays[1:]:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"stray")
+
+        assert gc(lock, store, project.config_key()) == 1  # only the orphan is an object
+        assert files() == live
+        assert not (cache / "sha256" / "ab").exists() and not (cache / "sha256" / "ee").exists()
+        assert not (cache / "tables" / ("1" * 64)).exists() and not (cache / "unknown" / "deeper").exists()
+        assert not (cache / "runcache" / "stray.json").exists()
+        assert sorted(path.name for path in cache.iterdir()) == [
+            "config", "runcache", "sha256", "tables", "tmp", "unknown",
+        ]
+        assert run(project).cached == 6
+
+
+class TestOutFiles:
+    """`out_files` against the files of the committed workspace."""
+
+    def test_file_out(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("sub/out.txt",))
+        _, store, _, entry = _commit(tmp_path, stage, {"sub/out.txt": b"payload"})
+        rec = entry.outs["sub/out.txt"]
+        assert out_files(store, "sub/out.txt", rec) == [("sub/out.txt", hash_bytes(b"payload"))]
+
+    def test_tree_out(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        files = {"d/b": b"2", "d/a": b"1", "d/e/c": b"3"}
+        _, store, _, entry = _commit(tmp_path, stage, files)
+        expected = sorted((path, hash_bytes(data)) for path, data in files.items())
+        assert out_files(store, "d", entry.outs["d"]) == expected
+
+    def test_empty_tree_out(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        root = tmp_path / "ws"
+        (root / "d").mkdir(parents=True)
+        store = ObjectStore(tmp_path / "cache")
+        entry = commit_outputs(store, stage, hash_bytes(b"fp"), {"cmd": "do"}, {}, b"{}", root)
+        assert out_files(store, "d", entry.outs["d"]) == []
 
 
 class TestRunCache:

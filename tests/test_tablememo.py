@@ -397,6 +397,7 @@ def test_scale_stores_the_entry_of_its_output(tmp_path, monkeypatch, factor):
         [(0.0, 1.0), (2.5, -3.25), (1e-7, 4.0)],
     )
     src, out = tmp_path / "prepared.csv", tmp_path / "data" / "scaled.csv"
+    out.parent.mkdir()
     write_table(table, src)
     memo = memo_dir(tmp_path)
     run_builtin("loc.scale", StageRequest(
