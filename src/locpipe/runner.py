@@ -509,7 +509,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         store = ObjectStore(project.cache_dir)
         if _fresh_config is not None:  # the config load above parsed YAML
             key, entry = _fresh_config
-            store.write(config_memo_path(store, key), entry)
+            write_atomic(config_memo_path(store, key), entry)
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
         pending = list(planned)

@@ -32,7 +32,6 @@ import os
 import re
 import shutil
 import stat
-from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -176,21 +175,17 @@ class ObjectStore:
     def has(self, hexd: str) -> bool:
         return self._addr(hexd).is_file()
 
-    def write(self, dest: Path | Callable[[], Path], data: bytes | Iterable[bytes]) -> None:
-        """`write_atomic` for a file of this cache, through its ``tmp`` directory."""
-        write_atomic(dest, data, self.root / _TMP_DIR)
-
     def put_bytes(self, data: bytes) -> str:
         hexd = hash_bytes(data)
         if not self.has(hexd):
-            self.write(self._addr(hexd), data)
+            write_atomic(self._addr(hexd), data, self.root / _TMP_DIR)
         return hexd
 
     def put_file(self, path: Path | str) -> str:
         """Store a regular file's bytes, read once; returns their hash."""
         digest = hashlib.sha256()
         with _open_regular(Path(path)) as handle:
-            self.write(lambda: self._addr(digest.hexdigest()), _chunks(handle, digest))
+            write_atomic(lambda: self._addr(digest.hexdigest()), _chunks(handle, digest), self.root / _TMP_DIR)
         return digest.hexdigest()
 
     def read_bytes(self, hexd: str) -> bytes:
@@ -321,7 +316,6 @@ class LockEntry(NamedTuple):
     deps: dict[str, str]          # dep path -> content hash
     params: str                   # canonical param subset text
     outs: dict[str, OutRecord]    # out path -> committed object
-    committed_at: str
 
     def to_json(self) -> dict:
         return {
@@ -333,7 +327,6 @@ class LockEntry(NamedTuple):
                 path: {"hash": rec.hash, "size": rec.size, "tree": rec.tree}
                 for path, rec in self.outs.items()
             },
-            "committed_at": self.committed_at,
         }
 
     @staticmethod
@@ -358,7 +351,6 @@ class LockEntry(NamedTuple):
                 deps=dict(doc["deps"]),
                 params=doc["params"],
                 outs=outs,
-                committed_at=doc["committed_at"],
             )
         except (KeyError, TypeError, ValueError, AttributeError):
             raise StoreError("corrupt lock file entry") from None
@@ -384,10 +376,6 @@ def write_lock(lock: LockFile, path: Path | str) -> None:
     """Atomically write the lock file in its canonical encoding."""
     doc = {"version": 1, "stages": {name: entry.to_json() for name, entry in sorted(lock.items())}}
     write_atomic(Path(path), canonical_bytes(doc) + b"\n")
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def out_files(store: ObjectStore, out: str, rec: OutRecord) -> list[tuple[str, str]]:
@@ -420,45 +408,40 @@ def _run_path(store: ObjectStore, fingerprint: str) -> Path:
     return store.root / _RUNCACHE_DIR / f"{fingerprint}.json"
 
 
+def _servable(store: ObjectStore, entry: LockEntry, fingerprint: str) -> bool:
+    """True when `entry` names `fingerprint`, its own recorded fields
+    re-derive it, as after no edit, and no object it names is missing."""
+    return entry.fingerprint == fingerprint == _derived_fingerprint(entry) and not missing_outs(store, entry)
+
+
 def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
-    """The run-cache entry for `fingerprint`, or None if it is absent or
-    unreadable, or if its own fingerprint, or the one its recorded fields
-    re-derive, differs, as after an edit."""
+    """The run-cache entry kept under `fingerprint`, or None if it is absent
+    or does not decode."""
     try:
-        entry = LockEntry.from_json(json.loads(_run_path(store, fingerprint).read_bytes()))
-        if entry.fingerprint == _derived_fingerprint(entry) == fingerprint:
-            return entry
+        with _open_regular(_run_path(store, fingerprint)) as handle:
+            return LockEntry.from_json(json.load(handle))
     except (OSError, ValueError, TypeError, RecursionError, StoreError):
-        pass  # malformed entries are misses; gc deletes them
-    return None
+        return None  # malformed entries are misses; gc deletes them
 
 
 def record_run(store: ObjectStore, entry: LockEntry) -> None:
     """Keep a committed execution in the run cache, keyed by its fingerprint."""
-    store.write(_run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
+    write_atomic(_run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
 
 
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: str) -> LockEntry | None:
     """The committed execution with this fingerprint, or None.
 
-    The stage's lock entry is asked first; if it records another execution,
-    the run cache is. Either entry counts only if its own recorded fields
-    re-derive the fingerprint, so an edited entry is never served: a lock
-    entry that names this fingerprint or re-derives it, but not both, is a
-    miss, so the stage runs again and repairs the lock. Either way it is a
-    hit only while every committed object (including tree members) is still
-    present in the store.
+    The stage's lock entry is asked first; if it neither names nor
+    re-derives this fingerprint, the run cache is. The entry found is served
+    only if `_servable`: so a lock entry that names this fingerprint or
+    re-derives it, but not both, as after an edit, is a miss, and the stage
+    runs again and repairs the lock.
     """
     entry = lock.get(stage)
-    derived = None if entry is None else _derived_fingerprint(entry)
-    if entry is not None and fingerprint in (entry.fingerprint, derived):
-        if entry.fingerprint != derived:
-            return None
-    else:
+    if entry is None or entry.fingerprint != fingerprint != _derived_fingerprint(entry):
         entry = _recorded_run(store, fingerprint)
-        if entry is None:
-            return None
-    return None if missing_outs(store, entry) else entry
+    return entry if entry is not None and _servable(store, entry, fingerprint) else None
 
 
 def config_memo_path(store: ObjectStore, key: str) -> Path:
@@ -505,7 +488,6 @@ def commit_outputs(
         deps=dict(dep_hashes),
         params=params_canonical.decode("utf-8"),
         outs=outs,
-        committed_at=_utc_now(),
     )
 
 
@@ -589,7 +571,7 @@ def referenced_hexes(entries: Iterable[LockEntry], store: ObjectStore) -> set[st
 def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None, project=None) -> int:
     """Remove every file of the cache no live record names; returns the count
     of objects removed. Live are: the objects lock entries name; each
-    run-cache entry that reads back, misses no out and names only those; the
+    run-cache entry `_servable` under its own name that names only those; the
     table-memo entries of this code named by a dep or out hash of the lock;
     the config-memo entry under `config_key`. One bottom-up walk removes all
     else and each directory it empties below the cache's top level. Given a
@@ -605,7 +587,7 @@ def gc(lock: LockFile, store: ObjectStore, config_key: str | None = None, projec
         entry = _recorded_run(store, path.stem)
         if entry is not None:
             restorable.append(entry.outs)
-            if not missing_outs(store, entry) and referenced_hexes([entry], store) <= live:
+            if _servable(store, entry, path.stem) and referenced_hexes([entry], store) <= live:
                 keep.add(path)
     recorded = live.union(*(entry.deps.values() for entry in lock.values()))
     keep.update(table_memo_dir(store.root) / hexd for hexd in recorded)

@@ -465,7 +465,6 @@ class TestLockFile:
             deps={"a": hash_bytes(b"1")},
             params="{}",
             outs={"out.txt": OutRecord(hash=hash_bytes(b"p"), size=1)},
-            committed_at="2026-01-01T00:00:00Z",
         )
 
     def test_round_trip(self, tmp_path):
@@ -703,7 +702,6 @@ def test_lock_runcache_and_manifest_layout(baseline_project):
     for name, entry in lock["stages"].items():
         stage = spec.stages[name]
         assert _schema(entry) == {
-            "committed_at": "str",
             "deps": {dep: "str" for dep in sorted(stage.deps)},
             "fingerprint": "str",
             "kind": {"builtin": "str", "code": "str"},
