@@ -70,6 +70,7 @@ from .store import (
     hash_path,
     load_lock,
     missing_outs,
+    open_regular,
     out_files,
     record_run,
     restore_outputs,
@@ -660,10 +661,12 @@ def metrics_show(project: Project) -> list[MetricRow]:
     for name, stage in spec.stages.items():
         for metric in stage.metrics:
             path = project.root / metric
-            if not path.exists():
+            if not os.path.lexists(path):
                 continue
+            with open_regular(path) as handle:
+                data = handle.read()
             try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
+                doc = json.loads(data.decode("utf-8"))
             except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
                 raise ConfigError(f"unparseable metric file {metric}: {exc}") from None
             if not is_flat_scalars(doc):

@@ -9,15 +9,22 @@ built from one walk (`_tree_files`) and read back only by
 ``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
 restores instead of re-executing. The config parse memo keeps a
 `canonical.frame` of the loaded documents of the two config files at
-``<cache>/config/<key>.json`` (see `configmodel.memo_key`). An out
-record's hash and path, and a manifest's members, are joined into paths, so
-`LockEntry.from_json` and `ObjectStore.members` refuse any that is not a hex
-digest or a path `configmodel.is_inside` its root. Every file locpipe
-writes but a stage's outs goes through `write_atomic`: objects and run-cache
-and config-memo entries through ``<cache>/tmp``, all else through a temp
-file beside it. `gc` keeps what live records name and removes every other
-file of the cache. Every file is read through `_open_regular`, which
-refuses a symlink or a FIFO without blocking on it.
+``<cache>/config/<key>.json`` (see `configmodel.memo_key`).
+
+A lock or run-cache entry is a pure function of the execution it records:
+it holds no time, so a forced rerun leaves the lock byte-identical, and a
+cold run writes the same lock and run-cache bytes in any directory.
+`_servable` is the one rule by which a recorded entry is served or kept. A
+dep's or out record's hash and path, and a manifest's members, are joined
+into paths, so `LockEntry.from_json` and `ObjectStore.members` refuse any
+that is not a hex digest or a path `configmodel.is_inside` its root.
+
+Every file locpipe writes but a stage's outs goes through `write_atomic`:
+an object through ``<cache>/tmp``, as its address is known only once its
+bytes are hashed, every other file through a temp file beside it. `gc`
+keeps what live records name and removes every other file of the cache.
+Deps, outs, the lock, run-cache entries and metric files are read through
+`open_regular`, which refuses a symlink or a FIFO without blocking on it.
 
 The records here are named tuples, not dataclasses, so the orchestrator's
 imports stay small; `LockEntry.to_json` spells out the encoded fields.
@@ -78,7 +85,7 @@ def write_atomic(
         raise
 
 
-def _open_regular(path: Path) -> BinaryIO:
+def open_regular(path: Path) -> BinaryIO:
     """`path` opened for reading if it is a regular file. A symlink is not
     followed, and a FIFO, socket, device or directory is refused unread."""
     try:
@@ -113,7 +120,7 @@ def hash_bytes(data: bytes) -> str:
 def hash_file(path: Path | str) -> str:
     """Streamed SHA-256 of a regular file; anything else is refused."""
     digest = hashlib.sha256()
-    with _open_regular(Path(path)) as handle:
+    with open_regular(Path(path)) as handle:
         for chunk in _chunks(handle):
             digest.update(chunk)
     return digest.hexdigest()
@@ -184,7 +191,7 @@ class ObjectStore:
     def put_file(self, path: Path | str) -> str:
         """Store a regular file's bytes, read once; returns their hash."""
         digest = hashlib.sha256()
-        with _open_regular(Path(path)) as handle:
+        with open_regular(Path(path)) as handle:
             write_atomic(lambda: self._addr(digest.hexdigest()), _chunks(handle, digest), self.root / _TMP_DIR)
         return digest.hexdigest()
 
@@ -332,13 +339,18 @@ class LockEntry(NamedTuple):
     @staticmethod
     def from_json(doc: dict) -> "LockEntry":
         """The entry of a decoded lock or run-cache record; StoreError unless
-        every out is a normalized relative path with a hex hash, a
-        non-negative int size and a bool tree flag, as they are used as paths."""
+        every dep and out is a normalized relative path with a hex hash, and
+        every out has a non-negative int size and a bool tree flag, as they
+        are used as paths."""
         try:
+            deps = dict(doc["deps"])
             outs = {
                 path: OutRecord(hash=rec["hash"], size=rec["size"], tree=rec.get("tree", False))
                 for path, rec in doc["outs"].items()
             }
+            for path, hexd in deps.items():
+                if not (is_inside(path) and _is_hex(hexd)):
+                    raise ValueError(path)
             for path, rec in outs.items():
                 if not (
                     is_inside(path) and _is_hex(rec.hash) and type(rec.size) is int
@@ -348,7 +360,7 @@ class LockEntry(NamedTuple):
             return LockEntry(
                 fingerprint=doc["fingerprint"],
                 kind=doc["kind"],
-                deps=dict(doc["deps"]),
+                deps=deps,
                 params=doc["params"],
                 outs=outs,
             )
@@ -361,10 +373,12 @@ LockFile = dict[str, LockEntry]
 
 def load_lock(path: Path | str) -> LockFile:
     path = Path(path)
-    if not path.exists():
+    if not os.path.lexists(path):
         return {}
+    with open_regular(path) as handle:
+        data = handle.read()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(data.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise StoreError(f"corrupt lock file {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("stages"), dict):
@@ -418,7 +432,7 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
     """The run-cache entry kept under `fingerprint`, or None if it is absent
     or does not decode."""
     try:
-        with _open_regular(_run_path(store, fingerprint)) as handle:
+        with open_regular(_run_path(store, fingerprint)) as handle:
             return LockEntry.from_json(json.load(handle))
     except (OSError, ValueError, TypeError, RecursionError, StoreError):
         return None  # malformed entries are misses; gc deletes them

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main()."""
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import tree_snapshot, write_params, write_pipeline
 from locpipe.cli import build_parser, main
+from locpipe.store import load_lock
 from locpipe.templates import TEMPLATES, template_names
 
 
@@ -304,6 +306,64 @@ class TestCorruptOutRecord:
             assert main([command]) == 3
             assert capsys.readouterr().err == "error: corrupt tree manifest\n"
         assert not (tmp_path / "escaped.txt").exists()
+
+
+class TestCorruptDepRecord:
+    """A dep's path and hash are joined into paths (the table memo is keyed
+    by a dep hash), so a lock that records a dep that is not a path inside
+    the project with a hex hash is a store error, exit 3, and `gc` deletes
+    nothing."""
+
+    @pytest.mark.parametrize("deps", [
+        {"in.txt": 5},
+        {"in.txt": "zz"},
+        {"in.txt": hashlib.sha256(b"x\n").hexdigest().upper()},
+        {"../in.txt": hashlib.sha256(b"x\n").hexdigest()},
+        {"/in.txt": hashlib.sha256(b"x\n").hexdigest()},
+        ["ab"],
+    ], ids=["hash-int", "hash-not-hex", "hash-upper-case", "dep-parent", "dep-absolute", "list"])
+    def test_refused(self, cmd_project, capsys, deps):
+        assert main(["repro"]) == 0
+        cache = tree_snapshot(cmd_project / ".locpipe" / "cache")
+        lock_path = cmd_project / "pipeline.lock.json"
+        doc = json.loads(lock_path.read_text())
+        doc["stages"]["copy"]["deps"] = deps
+        lock_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in ("status", "repro", "gc"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err == "error: corrupt lock file entry\n"
+        assert tree_snapshot(cmd_project / ".locpipe" / "cache") == cache
+
+
+class TestSymlinkedDirectoryInATree:
+    """A symlinked directory inside a tree dep or tree out is refused by
+    name; it is never followed."""
+
+    def test_inside_a_tree_dep(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path.resolve()
+        monkeypatch.chdir(root)
+        (root / "src" / "real").mkdir(parents=True)
+        (root / "src" / "real" / "a.txt").write_text("a\n")
+        (root / "src" / "link").symlink_to("real", target_is_directory=True)
+        write_pipeline(root, {"cat": {"cmd": "cat src/real/a.txt > o.txt", "deps": ["src"], "outs": ["o.txt"]}})
+        for command in ("status", "repro"):
+            assert main([command]) == 3
+            assert capsys.readouterr().err == f"error: symlink not allowed: {root / 'src' / 'link'}\n"
+        assert not (root / "o.txt").exists()
+
+    def test_inside_a_tree_out(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path.resolve()
+        monkeypatch.chdir(root)
+        write_pipeline(root, {"emit": {
+            "cmd": "mkdir -p d/real && echo 1 > d/real/a.txt && ln -s real d/link", "outs": ["d"],
+        }})
+        assert main(["repro"]) == 1
+        assert capsys.readouterr().out == (
+            f"emit: failed (never run; declared out d refused: symlink not allowed: {root / 'd' / 'link'})\n"
+            "0 executed, 0 cached, 1 failed, 0 skipped\n"
+        )
+        assert load_lock(root / "pipeline.lock.json") == {}
 
 
 def _edit_lock(root, stage: str, out: str, **fields) -> None:

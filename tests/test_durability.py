@@ -221,3 +221,38 @@ def test_fifo_or_socket_out_fails_only_its_stage(tmp_path, cmd, out, refusal):
     [manifest] = (root / ".locpipe" / "runs").iterdir()
     results = {r["stage"]: r["action"] for r in json.loads(manifest.read_bytes())["results"]}
     assert results == {"make": "failed", "other": "executed"}
+
+
+@pytest.mark.parametrize("kind, refusal", [("fifo", "not a regular file"), ("symlink", "symlink not allowed")])
+def test_fifo_or_symlink_lock_is_refused(tmp_path, kind, refusal):
+    root = tmp_path / "proj"
+    root.mkdir()
+    write_pipeline(root, {"emit": {"cmd": "echo x > o.txt", "outs": ["o.txt"]}})
+    write_params(root, {})
+    assert _locpipe(root, "repro").returncode == 0
+    lock_path = root / "pipeline.lock.json"
+    lock_path.rename(tmp_path / "lock.json")
+    if kind == "fifo":
+        os.mkfifo(lock_path)
+    else:
+        lock_path.symlink_to(tmp_path / "lock.json")
+    for command in ("status", "repro", "gc"):
+        proc = _locpipe(root, command)
+        assert proc.returncode == 3, proc
+        assert proc.stderr == f"error: {refusal}: {lock_path}\n"
+
+
+@pytest.mark.parametrize("kind, refusal", [("fifo", "not a regular file"), ("symlink", "symlink not allowed")])
+def test_fifo_or_symlink_metric_file_is_refused(tmp_path, kind, refusal):
+    root = tmp_path / "proj"
+    root.mkdir()
+    (root / "real.json").write_text('{"n": 1}\n')
+    make = "mkfifo m.json" if kind == "fifo" else "ln -s real.json m.json"
+    write_pipeline(root, {"make": {"cmd": make, "outs": ["m.json"], "metrics": ["m.json"]}})
+    write_params(root, {})
+    proc = _locpipe(root, "repro")
+    assert proc.returncode == 1, proc
+    assert proc.stdout.startswith(f"make: failed (never run; declared out m.json refused: {refusal}")
+    proc = _locpipe(root, "metrics", "show")
+    assert proc.returncode == 3, proc
+    assert proc.stderr == f"error: {refusal}: {root / 'm.json'}\n"

@@ -1,5 +1,6 @@
 """Orchestrator behavior on small hand-built pipelines (real child processes)."""
 
+import errno
 import gc
 import hashlib
 import json
@@ -695,6 +696,50 @@ class TestParallel:
         monkeypatch.setattr(launch.time, "sleep", no_sleep)
         report = run(Project(root=root), jobs=2)
         assert report.executed == 2 and report.failed == 0
+
+    @pytest.mark.parametrize("pidfd_open", ["missing", "raises"])
+    def test_reap_without_pidfds(self, tmp_path, monkeypatch, pidfd_open):
+        """Where `os.pidfd_open` is missing or fails, `reap_first` polls
+        several children and blocks on a lone one."""
+        if pidfd_open == "missing":
+            monkeypatch.delattr(launch.os, "pidfd_open", raising=False)
+        else:
+            def refuse(pid, flags=0):
+                raise OSError(errno.ENOSYS, "pidfd_open refused")
+
+            monkeypatch.setattr(launch.os, "pidfd_open", refuse, raising=False)
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {
+            "a": {"cmd": "sleep 0.2 && echo a > a.txt", "outs": ["a.txt"]},
+            "b": {"cmd": "sleep 0.3 && echo b > b.txt", "outs": ["b.txt"]},
+        })
+        write_params(root, {})
+        report = run(Project(root=root), jobs=2)
+        assert report.executed == 2 and report.failed == 0
+        assert (root / "a.txt").read_text() == "a\n" and (root / "b.txt").read_text() == "b\n"
+
+    def test_an_error_waits_for_the_running_children(self, tmp_path, monkeypatch, capsys):
+        """A store error while a child runs ends `repro` only once the child
+        has exited and been reaped."""
+        root = tmp_path.resolve() / "proj"
+        root.mkdir()
+        os.mkfifo(root / "f")
+        write_pipeline(root, {
+            "a_slow": {"cmd": "sleep 0.5 && echo a > a.txt", "outs": ["a.txt"]},
+            "b_fifo": {"cmd": "echo b > b.txt", "deps": ["f"], "outs": ["b.txt"]},
+        })
+        write_params(root, {})
+        waited = []
+        waitpid = os.waitpid
+        monkeypatch.setattr(runner.os, "waitpid", lambda pid, options: waited.append(pid) or waitpid(pid, options))
+        monkeypatch.chdir(root)
+        assert cli.main(["repro", "--jobs", "2"]) == 3
+        assert capsys.readouterr().err == f"error: not a regular file: {root / 'f'}\n"
+        assert (root / "a.txt").read_text() == "a\n"
+        assert len(waited) == 1
+        with pytest.raises(ChildProcessError):  # reaped: no such child is left
+            waitpid(waited[0], os.WNOHANG)
 
     def test_same_outcome_at_every_jobs_count(self, tmp_path):
         """Cache hits, a failure, a skip, a missing dep and a run, mixed in one

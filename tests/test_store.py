@@ -4,14 +4,16 @@ import os
 import random
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run, write_params, write_pipeline
+from conftest import run, tree_snapshot, write_params, write_pipeline
 from locpipe import loctk
+from locpipe.canonical import canonical_bytes
 from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
 from locpipe.runner import Project, status
@@ -350,6 +352,15 @@ class TestRestoreSkipsOutsInPlace:
         assert not (root / "out.txt").is_symlink() and not (root / "d").is_symlink()
         assert (root / "out.txt").read_bytes() == b"payload"
         assert hash_path(root / "d")[0] == entry.outs["d"].hash
+
+    def test_directory_at_a_file_out_replaced(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
+        root, store, _, entry = _commit(tmp_path, stage, {"out.txt": b"payload"})
+        (root / "out.txt").unlink()
+        (root / "out.txt" / "sub").mkdir(parents=True)
+        (root / "out.txt" / "sub" / "x").write_bytes(b"x")
+        restore_outputs(store, entry, root)
+        assert (root / "out.txt").is_file() and (root / "out.txt").read_bytes() == b"payload"
 
     def test_compared_with_the_object_not_the_recorded_hash(self, tmp_path):
         # a damaged object still reaches the workspace, where checks can see it
@@ -731,3 +742,50 @@ def test_lock_runcache_and_manifest_layout(baseline_project):
             "tool_version": "str",
         }
         assert manifest["results"] == [r.to_json() for r in report.results]
+
+
+class TestPureRecords:
+    """A lock or run-cache entry is a function of the execution it records
+    and holds no time: the same run writes the same bytes, anywhere."""
+
+    def _records(self, project: Project) -> dict[str, bytes]:
+        runcache = project.cache_dir / "runcache"
+        records = {path.name: path.read_bytes() for path in runcache.iterdir()}
+        return {"pipeline.lock.json": project.lock_path.read_bytes(), **records}
+
+    def test_forced_rerun_leaves_the_lock_byte_identical(self, baseline_project):
+        run(baseline_project)
+        before = self._records(baseline_project)
+        time.sleep(1.1)  # a recorded time in seconds would now differ
+        assert run(baseline_project, force=True).executed == 6
+        assert self._records(baseline_project) == before
+
+    def test_cold_runs_in_two_directories_write_the_same_bytes(self, make_project):
+        first, second = make_project(), make_project()
+        run(first)
+        time.sleep(1.1)  # a recorded time in seconds would now differ
+        run(second)
+        records = self._records(first)
+        assert len(records) == 7  # the lock and one run-cache entry per stage
+        assert self._records(second) == records
+        assert tree_snapshot(first.cache_dir) == tree_snapshot(second.cache_dir)
+
+    def test_entries_with_a_commit_time_still_served(self, baseline_project):
+        """Entries written with the former `committed_at` field load, and no
+        stage re-executes."""
+        run(baseline_project)
+        lock = json.loads(baseline_project.lock_path.read_bytes())
+        for entry in lock["stages"].values():
+            entry["committed_at"] = "2026-01-01T00:00:00Z"
+            path = baseline_project.cache_dir / "runcache" / f"{entry['fingerprint']}.json"
+            path.write_bytes(canonical_bytes(entry) + b"\n")
+        baseline_project.lock_path.write_bytes(canonical_bytes(lock) + b"\n")
+        assert [s.state for s in status(baseline_project)] == ["unchanged"] * 6
+        report = run(baseline_project)
+        assert (report.executed, report.cached) == (0, 6)
+        baseline_project.lock_path.unlink()
+        report = run(baseline_project)
+        assert (report.executed, report.cached) == (0, 6)
+        assert {r.reason for r in report.results} == {"run cache"}
+        assert b"committed_at" not in baseline_project.lock_path.read_bytes()
+        assert [s.state for s in status(baseline_project)] == ["unchanged"] * 6
