@@ -1,12 +1,15 @@
 """The orchestrator: plan, execute, record.
 
 `_load_plan` orders the planned stages, and `resolve_stage` turns a stage's
-dep hashes into a fingerprint and a cache decision. `plan` resolves each
-stage once against the workspace `repro` will find, and `status` reads its
-reasons. `repro` runs one loop that either dispatches the next ready stage
-(skip, fail, restore, or fork through `launch.spawn_stage`) or reaps a child
-and commits its outs. Every invocation writes a run manifest, even when
-stages fail.
+dep hashes into the `LockEntry` it is about to run, fingerprinted by
+`store.derive_fingerprint`, and a cache decision; its commit fills in the
+outs of that same record. `plan` resolves each stage once against the
+workspace `repro` will find, and `status` reads its reasons. `repro` runs
+one loop that either dispatches the next ready stage (skip, fail, restore,
+or fork through `launch.spawn_stage`) or reaps a child and commits its outs.
+Every invocation writes a run manifest, even when stages fail or an error
+stops the run: a child an error leaves running is reaped and recorded as
+failed.
 
 `plan`, `status` and `repro` find a dep's hash by one rule, `dep_hash`: a
 dep that overlaps an out the run has restored or committed (in `plan`, will
@@ -43,7 +46,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from . import __version__
-from .canonical import canonical_bytes
+from .canonical import canonical_bytes, canonical_json
 from .configmodel import (
     DOT_DIR,
     LOCK_FILE,
@@ -67,6 +70,7 @@ from .store import (
     cache_lookup,
     commit_outputs,
     config_memo_path,
+    derive_fingerprint,
     hash_path,
     load_lock,
     missing_outs,
@@ -75,7 +79,6 @@ from .store import (
     record_run,
     restore_outputs,
     restored_hash,
-    stage_fingerprint,
     stage_kind,
     write_atomic,
     write_lock,
@@ -292,14 +295,15 @@ def _load_plan(
 class StageState(NamedTuple):
     """One stage resolved against the lock and the store.
 
-    `fingerprint` and `hit` are None when a dep is missing. `reasons` say why
-    the stage misses the cache; they are empty exactly when `hit` is set.
+    `want` is the execution the stage is about to run, in the record its
+    commit fills in: its `outs` name the declared outs until `commit_outputs`
+    replaces them with their records. The fingerprint covers only the out
+    names, so `want` and the committed entry derive the same one. Its
+    `fingerprint`, and `hit`, are None when a dep is missing. `reasons` say
+    why the stage misses the cache; they are empty exactly when `hit` is set.
     """
 
-    kind: dict
-    dep_hashes: dict[str, str]
-    params_canonical: bytes
-    fingerprint: str | None
+    want: LockEntry
     missing_deps: tuple[str, ...]
     hit: LockEntry | None
     reasons: tuple[str, ...] = ()
@@ -330,16 +334,15 @@ def resolve_stage(
     """The one place dep hashes become a fingerprint and a cache decision;
     each dep is hashed by `dep_hash`."""
     found = {dep: dep_hash(store, known, root, dep) for dep in stage.deps}
-    dep_hashes = {dep: ch for dep, ch in found.items() if ch is not None}
-    missing = [dep for dep, ch in found.items() if ch is None]
+    found_deps = {dep: ch for dep, ch in found.items() if ch is not None}
+    missing = tuple(dep for dep, ch in found.items() if ch is None)
     current = select_params(params, stage.params, stage=stage.name)
-    params_canonical = canonical_bytes(current)
-    kind = stage_kind(stage)
-    fingerprint = hit = None
+    want = LockEntry(None, stage_kind(stage), found_deps, canonical_json(current), stage.outs)
+    hit = None
     if not missing:
-        fingerprint = stage_fingerprint(stage, dep_hashes, params_canonical)
-        hit = cache_lookup(lock, store, stage.name, fingerprint)
-    state = StageState(kind, dep_hashes, params_canonical, fingerprint, tuple(missing), hit)
+        want = want._replace(fingerprint=derive_fingerprint(want))
+        hit = cache_lookup(lock, store, stage.name, want.fingerprint)
+    state = StageState(want, missing, hit)
     if hit is None:
         state = state._replace(reasons=_miss_reasons(stage, state, current, lock.get(stage.name), store))
     return state
@@ -365,14 +368,14 @@ def _miss_reasons(
     if entry is None:
         return (NEVER_RUN,)
     reasons: list[str] = []
-    if state.kind != entry.kind:
+    if state.want.kind != entry.kind:
         reasons.append("builtin" if stage.builtin is not None else "cmd")
     for dep in stage.deps:
         if dep not in entry.deps:
             reasons.append(f"deps: {dep} (added)")
-        elif dep not in state.dep_hashes:
+        elif dep not in state.want.deps:
             reasons.append(f"deps: {dep} (missing)")
-        elif state.dep_hashes[dep] != entry.deps[dep]:
+        elif state.want.deps[dep] != entry.deps[dep]:
             reasons.append(f"deps: {dep}")
     reasons.extend(f"deps: {dep} (removed)" for dep in entry.deps if dep not in stage.deps)
     try:
@@ -390,7 +393,7 @@ def _miss_reasons(
         reasons.extend(f"params: {key} (removed)" for key in recorded if key not in stage.params)
     if sorted(stage.outs) != sorted(entry.outs):
         reasons.append("outs")
-    if not reasons and state.fingerprint == entry.fingerprint:
+    if not reasons and state.want.fingerprint == entry.fingerprint:
         reasons = [f"outs: {out} (missing from store)" for out in missing_outs(store, entry)]
     # a lock entry whose fingerprint disagrees with its own recorded fields
     return tuple(reasons) or ("fingerprint",)
@@ -463,7 +466,7 @@ def _stage_failure(
     # A stage must not rewrite its own inputs, nor run on a dep whose bytes
     # differ from its recorded hash (a restore from a damaged store object);
     # either would make the recorded fingerprint a lie.
-    for dep, before in state.dep_hashes.items():
+    for dep, before in state.want.deps.items():
         if not (root / dep).exists() or hash_path(root / dep)[0] != before:
             damaged = _damaged_object(store, known, dep)
             if damaged is not None:
@@ -544,10 +547,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     try:  # a StoreError here is this stage's fault: a dep or out the store refuses
                         failure = _stage_failure(state, result.exit_code, project.root, store, known)
                         if failure is None:
-                            entry = commit_outputs(
-                                store, stage, state.fingerprint, state.kind,
-                                state.dep_hashes, state.params_canonical, project.root,
-                            )
+                            entry = commit_outputs(store, state.want, project.root)
                     except StoreError as exc:
                         failure = str(exc)
                     if failure is not None:

@@ -1,6 +1,12 @@
 """Content hashing, the content-addressed object store, stage fingerprints,
 and the lock file recording committed stage executions.
 
+One record, `LockEntry`, describes an execution both as a stage is about
+to run it, with its declared out paths, and as its commit records it, with
+their records: `commit_outputs` fills in the outs of the record it is given.
+One function, `derive_fingerprint`, gives the fingerprint of either, so a
+stage about to run and a recorded entry are matched by one rule.
+
 Every digest is a lowercase hex SHA-256 string. Objects live at
 ``<cache>/sha256/<2 hex>/<62 hex>`` so every object is self-verifying: its
 content hashes to its own address. A directory hashes to its tree manifest,
@@ -263,7 +269,7 @@ class ObjectStore:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints
+# Execution records
 
 
 def stage_kind(stage: StageSpec) -> dict:
@@ -274,43 +280,6 @@ def stage_kind(stage: StageSpec) -> dict:
     return {"builtin": stage.builtin, "code": builtin_version(stage.builtin)}
 
 
-def stage_fingerprint(
-    stage: StageSpec, dep_hashes: Mapping[str, str], params_canonical: bytes
-) -> str:
-    """Content-derived identity of one stage execution.
-
-    Covers the stage kind (command string, or builtin id + code digest), the
-    sorted dep path -> hash pairs, the canonical param subset, and the sorted
-    out path list. Independent of dep declaration order by construction.
-    """
-    declared = set(stage.deps)
-    provided = set(dep_hashes)
-    if declared != provided:
-        missing = sorted(declared - provided) + sorted(provided - declared)
-        raise StoreError(f"stage '{stage.name}': dep hash set mismatch: {missing}")
-    return _fingerprint(
-        stage_kind(stage), dep_hashes, params_canonical.decode("utf-8"), stage.outs
-    )
-
-
-def _fingerprint(
-    kind: dict, deps: Mapping[str, str], params: str, outs: Iterable[str]
-) -> str:
-    """The one payload every fingerprint hashes, whether of a stage about to
-    run or of a recorded execution."""
-    payload = {
-        "deps": {path: deps[path] for path in sorted(deps)},
-        "kind": kind,
-        "outs": sorted(outs),
-        "params": params,
-    }
-    return hash_bytes(canonical_bytes(payload))
-
-
-# ---------------------------------------------------------------------------
-# Lock file
-
-
 class OutRecord(NamedTuple):
     hash: str
     size: int
@@ -318,11 +287,14 @@ class OutRecord(NamedTuple):
 
 
 class LockEntry(NamedTuple):
-    fingerprint: str
-    kind: dict
+    """One stage execution: about to run, when `outs` is the tuple of its
+    declared out paths, or committed, when `outs` maps each to its record."""
+
+    fingerprint: str | None       # `derive_fingerprint` of the other fields
+    kind: dict                    # `stage_kind`
     deps: dict[str, str]          # dep path -> content hash
     params: str                   # canonical param subset text
-    outs: dict[str, OutRecord]    # out path -> committed object
+    outs: dict[str, OutRecord] | tuple[str, ...]  # out path -> committed object
 
     def to_json(self) -> dict:
         return {
@@ -368,6 +340,21 @@ class LockEntry(NamedTuple):
             raise StoreError("corrupt lock file entry") from None
 
 
+def derive_fingerprint(entry: LockEntry) -> str | None:
+    """Content-derived identity of an execution, about to run or recorded:
+    the hash of its kind, deps, params text and sorted out paths (not their
+    records); None if a recorded entry's fields cannot be encoded."""
+    try:
+        payload = {"deps": entry.deps, "kind": entry.kind, "outs": sorted(entry.outs), "params": entry.params}
+        return hash_bytes(canonical_bytes(payload))
+    except (TypeError, ValueError, RecursionError):
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Lock file
+
+
 LockFile = dict[str, LockEntry]
 
 
@@ -409,15 +396,6 @@ def missing_outs(store: ObjectStore, entry: LockEntry) -> list[str]:
     ]
 
 
-def _derived_fingerprint(entry: LockEntry) -> str | None:
-    """The fingerprint an entry's own recorded fields give; None if they
-    cannot be encoded."""
-    try:
-        return _fingerprint(entry.kind, entry.deps, entry.params, entry.outs)
-    except (TypeError, ValueError, RecursionError):
-        return None
-
-
 def _run_path(store: ObjectStore, fingerprint: str) -> Path:
     return store.root / _RUNCACHE_DIR / f"{fingerprint}.json"
 
@@ -425,7 +403,7 @@ def _run_path(store: ObjectStore, fingerprint: str) -> Path:
 def _servable(store: ObjectStore, entry: LockEntry, fingerprint: str) -> bool:
     """True when `entry` names `fingerprint`, its own recorded fields
     re-derive it, as after no edit, and no object it names is missing."""
-    return entry.fingerprint == fingerprint == _derived_fingerprint(entry) and not missing_outs(store, entry)
+    return entry.fingerprint == fingerprint == derive_fingerprint(entry) and not missing_outs(store, entry)
 
 
 def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
@@ -453,7 +431,7 @@ def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: st
     runs again and repairs the lock.
     """
     entry = lock.get(stage)
-    if entry is None or entry.fingerprint != fingerprint != _derived_fingerprint(entry):
+    if entry is None or entry.fingerprint != fingerprint != derive_fingerprint(entry):
         entry = _recorded_run(store, fingerprint)
     return entry if entry is not None and _servable(store, entry, fingerprint) else None
 
@@ -463,24 +441,17 @@ def config_memo_path(store: ObjectStore, key: str) -> Path:
     return store.root / _CONFIG_DIR / f"{key}.json"
 
 
-def commit_outputs(
-    store: ObjectStore,
-    stage: StageSpec,
-    fingerprint: str,
-    kind: dict,
-    dep_hashes: Mapping[str, str],
-    params_canonical: bytes,
-    root: Path | str,
-) -> LockEntry:
-    """Ingest every declared out into the store and build the lock entry, or
-    raise a StoreError naming the first out that is missing or refused.
+def commit_outputs(store: ObjectStore, want: LockEntry, root: Path | str) -> LockEntry:
+    """Ingest every out `want` names into the store and return `want` with
+    their records, or raise a StoreError naming the first out that is
+    missing or refused.
 
     Directory outs are ingested file-wise plus a manifest object built from
     the digests the ingest returns, so each member is read once.
     """
     root = Path(root)
     outs: dict[str, OutRecord] = {}
-    for out in stage.outs:
+    for out in want.outs:
         path = root / out
         if not os.path.lexists(path):
             raise StoreError(f"declared out not produced: {out}")
@@ -496,13 +467,7 @@ def commit_outputs(
                 outs[out] = OutRecord(hash=store.put_file(path), size=path.stat().st_size, tree=False)
         except StoreError as exc:
             raise StoreError(f"declared out {out} refused: {exc}") from None
-    return LockEntry(
-        fingerprint=fingerprint,
-        kind=kind,
-        deps=dict(dep_hashes),
-        params=params_canonical.decode("utf-8"),
-        outs=outs,
-    )
+    return want._replace(outs=outs)
 
 
 def _tree_in_place(store: ObjectStore, members: list[tuple[str, str]], dest: Path) -> bool:

@@ -21,12 +21,13 @@ from locpipe.loctk.models import RidgeStats
 from locpipe.loctk.split import kfold_folds
 from locpipe.runner import ExecOptions, Project, metrics_show, repro
 from locpipe.store import (
+    LockEntry,
     ObjectStore,
     commit_outputs,
+    derive_fingerprint,
     hash_bytes,
     load_lock,
     restore_outputs,
-    stage_fingerprint,
 )
 from locpipe.templates import init_experiment
 from oracles import brute_metrics, ridge_reference
@@ -282,9 +283,8 @@ def test_8_store_round_trip_and_fingerprint_sensitivity(tmp_path):
             stage = StageSpec(name="s", cmd="do", outs=(out_name,))
             files = {out_name: rng.randbytes(rng.randint(0, 512))}
             (workspace / out_name).write_bytes(files[out_name])
-        entry = commit_outputs(
-            store, stage, hash_bytes(f"fp{case}".encode()), {"cmd": "do"}, {}, b"{}", workspace
-        )
+        want = LockEntry(hash_bytes(f"fp{case}".encode()), {"cmd": "do"}, {}, "{}", stage.outs)
+        entry = commit_outputs(store, want, workspace)
         shutil.rmtree(workspace)
         workspace.mkdir()
         restore_outputs(store, entry, workspace)
@@ -298,10 +298,14 @@ def test_8_store_round_trip_and_fingerprint_sensitivity(tmp_path):
     stage = StageSpec(name="s", cmd="do", deps=("dep.bin",), outs=("out",))
     for _ in range(500):
         data = bytearray(rng.randbytes(rng.randint(1, 128)))
-        before = stage_fingerprint(stage, {"dep.bin": hash_bytes(bytes(data))}, b"{}")
+        before = derive_fingerprint(
+            LockEntry(None, {"cmd": "do"}, {"dep.bin": hash_bytes(bytes(data))}, "{}", stage.outs)
+        )
         pos = rng.randrange(len(data))
         data[pos] ^= 1 << rng.randrange(8)
-        after = stage_fingerprint(stage, {"dep.bin": hash_bytes(bytes(data))}, b"{}")
+        after = derive_fingerprint(
+            LockEntry(None, {"cmd": "do"}, {"dep.bin": hash_bytes(bytes(data))}, "{}", stage.outs)
+        )
         assert before != after
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import run, tree_snapshot, write_params, write_pipeline
 from locpipe import loctk
-from locpipe.canonical import canonical_bytes
+from locpipe.canonical import canonical_bytes, canonical_json
 from locpipe.configmodel import StageSpec
 from locpipe.errors import StoreError
 from locpipe.runner import Project, status
@@ -23,6 +23,7 @@ from locpipe.store import (
     ObjectStore,
     cache_lookup,
     commit_outputs,
+    derive_fingerprint,
     gc,
     hash_bytes,
     hash_file,
@@ -31,7 +32,7 @@ from locpipe.store import (
     missing_outs,
     out_files,
     restore_outputs,
-    stage_fingerprint,
+    stage_kind,
     write_lock,
 )
 from oracles import manifest_digest
@@ -127,55 +128,56 @@ class TestHashTree:
 STAGE = StageSpec(name="s", cmd="do", deps=("a", "b"), outs=("out.txt",))
 
 
+def _want(stage: StageSpec, deps: dict, params: str, fingerprint: str | None = None) -> LockEntry:
+    """The record of `stage` about to run on `deps` with the params text `params`."""
+    return LockEntry(fingerprint, stage_kind(stage), deps, params, stage.outs)
+
+
 class TestFingerprint:
     def hashes(self, a: bytes, b: bytes) -> dict:
         return {"a": hash_bytes(a), "b": hash_bytes(b)}
 
     def test_identical_inputs_identical_fingerprint(self):
-        one = stage_fingerprint(STAGE, self.hashes(b"1", b"2"), b"{}")
-        two = stage_fingerprint(STAGE, self.hashes(b"1", b"2"), b"{}")
+        one = derive_fingerprint(_want(STAGE, self.hashes(b"1", b"2"), "{}"))
+        two = derive_fingerprint(_want(STAGE, self.hashes(b"1", b"2"), "{}"))
         assert one == two
 
     def test_dep_declaration_order_irrelevant(self):
         hashes = self.hashes(b"1", b"2")
         reordered = dict(reversed(list(hashes.items())))
-        assert stage_fingerprint(STAGE, hashes, b"{}") == stage_fingerprint(STAGE, reordered, b"{}")
+        one = derive_fingerprint(_want(STAGE, hashes, "{}"))
+        assert one == derive_fingerprint(_want(STAGE, reordered, "{}"))
 
     def test_single_byte_flip_changes_fingerprint(self):
         rng = random.Random(11)
         for _ in range(50):
             data = bytearray(rng.randbytes(rng.randint(1, 64)))
-            base = stage_fingerprint(STAGE, self.hashes(bytes(data), b"2"), b"{}")
+            base = derive_fingerprint(_want(STAGE, self.hashes(bytes(data), b"2"), "{}"))
             pos = rng.randrange(len(data))
             data[pos] ^= 1 << rng.randrange(8)
-            flipped = stage_fingerprint(STAGE, self.hashes(bytes(data), b"2"), b"{}")
+            flipped = derive_fingerprint(_want(STAGE, self.hashes(bytes(data), b"2"), "{}"))
             assert base != flipped
 
     def test_params_reformat_same_fingerprint(self):
-        from locpipe.canonical import canonical_bytes as canonicalize
         from locpipe.configmodel import parse_params, select_params
 
         one = parse_params("split:\n  k: 5\n  seed: 7\n")
         two = parse_params("split: {seed: 7, k: 5}")
-        fp = lambda tree: stage_fingerprint(
-            STAGE, self.hashes(b"1", b"2"), canonicalize(select_params(tree, ["split"]))
-        )
+        fp = lambda tree: derive_fingerprint(_want(
+            STAGE, self.hashes(b"1", b"2"), canonical_json(select_params(tree, ["split"]))
+        ))
         assert fp(one) == fp(two)
 
     def test_params_change_changes_fingerprint(self):
-        base = stage_fingerprint(STAGE, self.hashes(b"1", b"2"), b'{"k":5}')
-        assert base != stage_fingerprint(STAGE, self.hashes(b"1", b"2"), b'{"k":6}')
-
-    def test_missing_dep_hash_rejected(self):
-        with pytest.raises(StoreError, match="mismatch"):
-            stage_fingerprint(STAGE, {"a": hash_bytes(b"1")}, b"{}")
+        base = derive_fingerprint(_want(STAGE, self.hashes(b"1", b"2"), '{"k":5}'))
+        assert base != derive_fingerprint(_want(STAGE, self.hashes(b"1", b"2"), '{"k":6}'))
 
     def test_builtin_version_enters_fingerprint(self, monkeypatch):
         stage = StageSpec(name="s", builtin="loc.synth", deps=(), outs=("o",))
         monkeypatch.setattr(loctk, "_code_digest", lambda: "1" * 64)
-        one = stage_fingerprint(stage, {}, b"{}")
+        one = derive_fingerprint(_want(stage, {}, "{}"))
         monkeypatch.setattr(loctk, "_code_digest", lambda: "2" * 64)
-        two = stage_fingerprint(stage, {}, b"{}")
+        two = derive_fingerprint(_want(stage, {}, "{}"))
         assert one != two
 
     def test_collision_freedom_at_test_scale(self):
@@ -183,13 +185,55 @@ class TestFingerprint:
         seen: dict[str, tuple] = {}
         for i in range(500):
             dep_bytes = rng.randbytes(rng.randint(0, 32))
-            params = f'{{"knob":{i % 7},"salt":{rng.randint(0, 10**6)}}}'.encode()
+            params = f'{{"knob":{i % 7},"salt":{rng.randint(0, 10**6)}}}'
             key = (dep_bytes, params)
-            fp = stage_fingerprint(STAGE, self.hashes(dep_bytes, b"fixed"), params)
+            fp = derive_fingerprint(_want(STAGE, self.hashes(dep_bytes, b"fixed"), params))
             if fp in seen:
                 assert seen[fp] == key, "distinct inputs produced the same fingerprint"
             seen[fp] = key
         assert len(seen) >= 490  # essentially all distinct inputs stayed distinct
+
+    def test_payload_is_pinned(self):
+        """Any change to what the fingerprint covers, or to its encoding,
+        would make every existing lock entry miss once."""
+        want = LockEntry(
+            None, {"cmd": "do"}, {"b": hash_bytes(b"2"), "a": hash_bytes(b"1")}, '{"k":5}', ("o2", "o1")
+        )
+        assert derive_fingerprint(want) == "aca88dcd103ed3405cbd5e58e25f07d4c7fa188c5d21ceb47c1aa6a025a35658"
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+_hexes = st.binary(max_size=8).map(hash_bytes)
+_params = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_kinds = st.builds(lambda cmd: {"cmd": cmd}, st.text()) | st.builds(
+    lambda name, code: {"builtin": f"loc.{name}", "code": code}, _names, _hexes
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    kind=_kinds,
+    deps=st.dictionaries(st.lists(_names, min_size=1, max_size=3).map("/".join), _hexes, max_size=4),
+    params=st.dictionaries(_names, _params, max_size=3),
+    outs=st.dictionaries(_names.map(lambda name: f"o_{name}"), st.binary(max_size=16), max_size=4),
+)
+def test_want_and_its_committed_entry_share_one_fingerprint(tmp_path_factory, kind, deps, params, outs):
+    """The record a stage is about to run and the entry its commit writes
+    derive one fingerprint, whatever the order of its deps and outs, also once
+    the entry has been encoded and decoded as the lock and run cache keep it."""
+    root = tmp_path_factory.mktemp("want")
+    for out, data in outs.items():
+        (root / out).write_bytes(data)
+    want = LockEntry(None, kind, deps, canonical_json(params), tuple(outs))
+    want = want._replace(fingerprint=derive_fingerprint(want))
+    entry = commit_outputs(ObjectStore(root / "cache"), want, root)
+    assert entry.fingerprint == want.fingerprint is not None
+    decoded = LockEntry.from_json(json.loads(canonical_bytes(entry.to_json())))
+    assert derive_fingerprint(decoded) == want.fingerprint
 
 
 class TestObjectStore:
@@ -231,8 +275,8 @@ def _commit(tmp_path, stage, files: dict[str, bytes]):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(content)
     store = ObjectStore(tmp_path / "cache")
-    fp = stage_fingerprint(stage, {}, b"{}")  # what the entry's own fields derive
-    entry = commit_outputs(store, stage, fp, {"cmd": "do"}, {}, b"{}", root)
+    fp = derive_fingerprint(_want(stage, {}, "{}"))  # what the entry's own fields derive
+    entry = commit_outputs(store, _want(stage, {}, "{}", fp), root)
     return root, store, fp, entry
 
 
@@ -256,7 +300,7 @@ class TestCommitRestore:
         stage = StageSpec(name="s", cmd="do", outs=("never.txt",))
         store = ObjectStore(tmp_path / "cache")
         with pytest.raises(StoreError, match="never.txt"):
-            commit_outputs(store, stage, hash_bytes(b"f"), {"cmd": "do"}, {}, b"{}", tmp_path)
+            commit_outputs(store, _want(stage, {}, "{}", hash_bytes(b"f")), tmp_path)
 
     def test_restore_after_delete(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
@@ -524,7 +568,7 @@ class TestGc:
         stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
         root, store, _, entry1 = _commit(tmp_path, stage, {"out.txt": b"old"})
         (root / "out.txt").write_bytes(b"new")
-        entry2 = commit_outputs(store, stage, hash_bytes(b"fp2"), {"cmd": "do"}, {}, b"{}", root)
+        entry2 = commit_outputs(store, _want(stage, {}, "{}", hash_bytes(b"fp2")), root)
         lock = {"s": entry2}
         # oracle: removable = present - referenced
         present = set(store.iter_hexes())
@@ -600,7 +644,7 @@ class TestOutFiles:
         root = tmp_path / "ws"
         (root / "d").mkdir(parents=True)
         store = ObjectStore(tmp_path / "cache")
-        entry = commit_outputs(store, stage, hash_bytes(b"fp"), {"cmd": "do"}, {}, b"{}", root)
+        entry = commit_outputs(store, _want(stage, {}, "{}", hash_bytes(b"fp")), root)
         assert out_files(store, "d", entry.outs["d"]) == []
 
 
@@ -685,7 +729,7 @@ def test_commit_restore_identity(tmp_path_factory, data):
     root.mkdir()
     (root / "f.bin").write_bytes(data)
     store = ObjectStore(tmp / "cache")
-    entry = commit_outputs(store, stage, hash_bytes(b"fp"), {"cmd": "do"}, {}, b"{}", root)
+    entry = commit_outputs(store, _want(stage, {}, "{}", hash_bytes(b"fp")), root)
     (root / "f.bin").unlink()
     restore_outputs(store, entry, root)
     assert (root / "f.bin").read_bytes() == data
