@@ -144,9 +144,10 @@ class Project(NamedTuple):
         pipeline, params = self._config_bytes(config_hashes)
         key = memo_key(pipeline, params)
         try:
-            memo = config_memo_path(ObjectStore(self.cache_dir), key).read_bytes()
-        except OSError:
-            memo = None
+            with open_regular(config_memo_path(ObjectStore(self.cache_dir), key)) as handle:
+                memo = handle.read()
+        except (OSError, StoreError):
+            memo = None  # an absent or refused entry is a miss, which `repro` writes anew
         spec, tree, entry = load_config(pipeline, params, memo)
         if entry is not None:
             _fresh_config = (key, entry)
@@ -159,18 +160,20 @@ class Project(NamedTuple):
     def _config_bytes(self, config_hashes: dict[str, str] | None = None) -> tuple[bytes, bytes | None]:
         """Both config files' bytes, params None when there is no params
         file; their SHA-256 go to `config_hashes` when given."""
-        try:
-            pipeline = _read_config(self.pipeline_path, config_hashes)
-        except FileNotFoundError:
-            raise ConfigError(f"missing {self.pipeline_path}") from None
+        if not self.pipeline_path.exists():
+            raise ConfigError(f"missing {self.pipeline_path}")
+        pipeline = _read_config(self.pipeline_path, config_hashes)
         if not self.params_path.exists():
             return pipeline, None
         return pipeline, _read_config(self.params_path, config_hashes)
 
 
 def _read_config(path: Path, config_hashes: dict[str, str] | None) -> bytes:
-    """A config file's bytes; their SHA-256 goes to `config_hashes` when given."""
-    data = path.read_bytes()
+    """A config file's bytes, read through `open_regular` once its symlinks
+    are followed, so a FIFO is refused unread; their SHA-256 goes to
+    `config_hashes` when given."""
+    with open_regular(path.resolve()) as handle:
+        data = handle.read()
     if config_hashes is not None:
         config_hashes[path.name] = hashlib.sha256(data).hexdigest()
     return data
@@ -602,9 +605,17 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         run_logs / f"{name}.out", run_logs / f"{name}.err",
                     )
                     running[pid] = (stage, state, started, rss)
+        except BaseException as exc:
+            # an error left these running: let them end, reap them, and commit none
+            for pid, (stage, _, started, _) in running.items():
+                _, wait_status = os.waitpid(pid, 0)
+                results[stage.name] = StageResult(
+                    stage.name, "failed", wall_s=time.perf_counter() - started,
+                    exit_code=os.waitstatus_to_exitcode(wait_status), pid=pid,
+                    reason=f"run stopped by {type(exc).__name__}: {exc}",
+                )
+            raise
         finally:
-            for pid in running:  # an error left these running: let them end, then reap
-                os.waitpid(pid, 0)
             ordered = [results[name] for name in planned if name in results]
             manifest = {
                 "run_id": run_id,

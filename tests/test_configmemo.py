@@ -1,5 +1,6 @@
 """The config parse memo: `configmodel.load_config` under `memo_key`, stored
-by `repro` at ``.locpipe/cache/config/<key>.json``."""
+by `repro` at ``.locpipe/cache/config/<key>.json``; and the reads of the
+config files and memo entries, which refuse a FIFO instead of blocking."""
 
 import os
 import subprocess
@@ -11,13 +12,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run, tree_snapshot
+from conftest import run, tree_snapshot, write_params, write_pipeline
 from locpipe import configmodel, runner
 from locpipe.cli import main
 from locpipe.configmodel import load_config, memo_key
+from locpipe.errors import ConfigError
 from locpipe.runner import Project
 from locpipe.store import ObjectStore, gc, load_lock
 from locpipe.templates import TEMPLATES
+from test_durability import _locpipe
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -206,3 +209,67 @@ def test_cached_repro_imports_no_yaml_dataclasses_or_launch(baseline_project):
     assert "locpipe.runner" in warm
     assert not {"yaml", "dataclasses", "locpipe.launch"} & warm
     assert not any(name.startswith("yaml.") for name in warm)
+
+
+# ---------------------------------------------------------------------------
+# A config file or memo entry that is not a regular file is never read
+
+
+def _warm_one_stage(tmp_path: Path) -> Path:
+    root = tmp_path.resolve() / "proj"
+    root.mkdir()
+    write_pipeline(root, {"emit": {"cmd": "echo x > o.txt", "outs": ["o.txt"]}})
+    write_params(root, {})
+    assert _locpipe(root, "repro").returncode == 0
+    return root
+
+
+def test_fifo_params_file_is_refused(tmp_path):
+    root = _warm_one_stage(tmp_path)
+    (root / "params.yaml").unlink()
+    os.mkfifo(root / "params.yaml")
+    for command in ("status", "repro"):
+        proc = _locpipe(root, command)
+        assert proc.returncode == 3, proc
+        assert proc.stderr == f"error: not a regular file: {root / 'params.yaml'}\n"
+
+
+def test_symlinked_config_files_are_followed(tmp_path):
+    root = _warm_one_stage(tmp_path)
+    elsewhere = tmp_path / "config"
+    elsewhere.mkdir()
+    for name in ("pipeline.yaml", "params.yaml"):
+        (root / name).rename(elsewhere / name)
+        (root / name).symlink_to(elsewhere / name)
+    proc = _locpipe(root, "status")
+    assert (proc.returncode, proc.stdout) == (0, "emit: unchanged\n"), proc
+    # a symlink to a FIFO is refused by the name of the FIFO
+    (elsewhere / "params.yaml").unlink()
+    os.mkfifo(elsewhere / "params.yaml")
+    proc = _locpipe(root, "status")
+    assert proc.returncode == 3, proc
+    assert proc.stderr == f"error: not a regular file: {elsewhere.resolve() / 'params.yaml'}\n"
+
+
+def test_absent_config_files(tmp_path):
+    root = _warm_one_stage(tmp_path)
+    (root / "params.yaml").unlink()
+    proc = _locpipe(root, "status")
+    assert (proc.returncode, proc.stdout) == (0, "emit: unchanged\n"), proc
+    (root / "pipeline.yaml").unlink()
+    with pytest.raises(ConfigError, match=f"missing {root / 'pipeline.yaml'}"):
+        Project(root).load()
+
+
+def test_fifo_config_memo_entry_is_a_miss(tmp_path):
+    root = _warm_one_stage(tmp_path)
+    [memo] = (root / ".locpipe" / "cache" / "config").iterdir()
+    entry = memo.read_bytes()
+    memo.unlink()
+    os.mkfifo(memo)
+    proc = _locpipe(root, "status")
+    assert (proc.returncode, proc.stdout) == (0, "emit: unchanged\n"), proc
+    assert not memo.is_file()  # status writes nothing
+    proc = _locpipe(root, "repro")
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 executed, 1 cached, 0 failed, 0 skipped"), proc
+    assert memo.is_file() and memo.read_bytes() == entry

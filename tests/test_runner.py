@@ -741,6 +741,27 @@ class TestParallel:
         with pytest.raises(ChildProcessError):  # reaped: no such child is left
             waitpid(waited[0], os.WNOHANG)
 
+    def test_a_child_reaped_after_an_error_is_recorded_failed(self, tmp_path, monkeypatch):
+        """The run manifest records a child that `repro` reaps after an error
+        as failed, naming the error, and its outs are not committed."""
+        root = tmp_path.resolve() / "proj"
+        root.mkdir()
+        os.mkfifo(root / "f")
+        write_pipeline(root, {
+            "a_slow": {"cmd": "sleep 0.5 && echo a > a.txt", "outs": ["a.txt"]},
+            "b_fifo": {"cmd": "echo b > b.txt", "deps": ["f"], "outs": ["b.txt"]},
+        })
+        write_params(root, {})
+        monkeypatch.chdir(root)
+        assert cli.main(["repro", "--jobs", "2"]) == 3
+        [manifest] = (root / ".locpipe" / "runs").iterdir()
+        [result] = json.loads(manifest.read_bytes())["results"]
+        assert (result["stage"], result["action"], result["exit_code"]) == ("a_slow", "failed", 0)
+        assert result["reason"] == f"run stopped by StoreError: not a regular file: {root / 'f'}"
+        assert (root / "a.txt").read_text() == "a\n"
+        assert not (root / "pipeline.lock.json").exists()
+        assert not (root / ".locpipe" / "cache" / "runcache").exists()
+
     def test_same_outcome_at_every_jobs_count(self, tmp_path):
         """Cache hits, a failure, a skip, a missing dep and a run, mixed in one
         pipeline, end the same whatever the number of slots."""
