@@ -25,6 +25,10 @@ dep's or out record's hash and path, and a manifest's members, are joined
 into paths, so `LockEntry.from_json` and `ObjectStore.members` refuse any
 that is not a hex digest or a path `configmodel.is_inside` its root.
 
+`restore_outputs` places each file of `out_files` by one rule: a regular
+file holding its object's bytes is kept, anything else there is replaced.
+A tree out is first pruned to its members and their parent directories.
+
 Every file locpipe writes but a stage's outs goes through `write_atomic`:
 an object through ``<cache>/tmp``, as its address is known only once its
 bytes are hashed, every other file through a temp file beside it. `gc`
@@ -470,45 +474,42 @@ def commit_outputs(store: ObjectStore, want: LockEntry, root: Path | str) -> Loc
     return want._replace(outs=outs)
 
 
-def _tree_in_place(store: ObjectStore, members: list[tuple[str, str]], dest: Path) -> bool:
-    """True when directory `dest` holds exactly `members` and no other file or
-    directory, each member with its object's bytes."""
-    if dest.is_symlink() or not dest.is_dir():
-        return False
-    expected = {rel for rel, _ in members}
-    expected |= {str(parent) for rel in expected for parent in PurePosixPath(rel).parents}
-    expected.discard(".")
-    found = set()
+def _prune(dest: Path, members: list[str]) -> None:
+    """Make `dest` a real directory below which nothing is left but regular
+    files at the paths `members`, relative to it, and their parent
+    directories. A symlink is removed, never kept or followed."""
+    files = set(members)
+    parents = {str(parent) for rel in files for parent in PurePosixPath(rel).parents}
+    if dest.is_symlink() or (os.path.lexists(dest) and not dest.is_dir()):
+        dest.unlink()
+    dest.mkdir(parents=True, exist_ok=True)
     for current, dirnames, filenames in os.walk(dest):
         base = Path(current).relative_to(dest)
-        found.update((base / name).as_posix() for name in (*dirnames, *filenames))
-    return found == expected and all(store.same_bytes(hexd, dest / rel) for rel, hexd in members)
+        for name in (*dirnames, *filenames):
+            path, rel = Path(current, name), (base / name).as_posix()
+            mode = path.lstat().st_mode
+            if stat.S_ISDIR(mode) and rel not in parents:
+                shutil.rmtree(path)
+            elif not stat.S_ISDIR(mode) and not (stat.S_ISREG(mode) and rel in files):
+                path.unlink()
+        dirnames[:] = [name for name in dirnames if os.path.isdir(Path(current, name))]  # kept real dirs
 
 
 def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> None:
-    """Materialize every out of a committed entry into the workspace (copy semantics).
-
-    An out whose workspace copy already holds exactly its objects' bytes is
-    left alone: restoring it would rewrite the same bytes.
-    """
+    """Materialize every out of a committed entry into the workspace (copy
+    semantics), file by file, a tree out `_prune`d first. A regular file
+    already holding its object's bytes is left alone: restoring it would
+    rewrite the same bytes."""
     root = Path(root)
     for out, rec in sorted(entry.outs.items()):
-        dest = root / out
         if rec.tree:
-            members = store.members(rec.hash)
-            if _tree_in_place(store, members, dest):
-                continue
-            if dest.is_symlink() or (dest.exists() and not dest.is_dir()):
-                dest.unlink()
-            elif dest.is_dir():
-                shutil.rmtree(dest)
-            dest.mkdir(parents=True, exist_ok=True)
-            for rel, member in members:
-                store.materialize(member, dest / rel)
-        elif not store.same_bytes(rec.hash, dest):
-            if dest.is_dir() and not dest.is_symlink():
-                shutil.rmtree(dest)
-            store.materialize(rec.hash, dest)
+            _prune(root / out, [rel for rel, _ in store.members(rec.hash)])
+        for path, hexd in out_files(store, out, rec):
+            dest = root / path
+            if not store.same_bytes(hexd, dest):
+                if dest.is_dir() and not dest.is_symlink():
+                    shutil.rmtree(dest)
+                store.materialize(hexd, dest)
 
 
 def restored_hash(store: ObjectStore, outs: Mapping[str, OutRecord], root: Path | str, path: str) -> str | None:

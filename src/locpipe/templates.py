@@ -4,6 +4,9 @@
 exactly two files, ``pipeline.yaml`` and ``params.yaml``; the change-study
 templates (``change-*``) differ from ``baseline`` only in those files, so
 every incremental experiment change is a config-only diff.
+
+``baseline`` is stated once: every other template is made from it by
+`_edit`, or for ``change-external`` by appending one stage.
 """
 
 from __future__ import annotations
@@ -76,18 +79,22 @@ model:
       fit_intercept: [true, false]
 """
 
-_TWO_MODEL_PARAMS = _BASELINE_PARAMS.replace(
-    """\
-  grid:
-    ridge:
-      alpha: [0.0]
-      fit_intercept: [true, false]
-""",
-    """\
-  grid:
-    ridge:
-      alpha: [0.0]
-      fit_intercept: [true, false]
+
+def _edit(text: str, old: str, new: str) -> str:
+    """`text` with its one occurrence of `old` replaced by `new`; raises
+    unless `old` occurs exactly once, so no edit is silently lost."""
+    count = text.count(old)
+    if count != 1:
+        raise ValueError(f"template anchor occurs {count} times, not once: {old!r}")
+    return text.replace(old, new)
+
+
+_FIT_INTERCEPT = "      fit_intercept: [true, false]\n"
+
+_TWO_MODEL_PARAMS = _edit(
+    _BASELINE_PARAMS,
+    _FIT_INTERCEPT,
+    _FIT_INTERCEPT + """\
     knn:
       k: [3, 5]
       weights: [uniform, distance]
@@ -95,19 +102,12 @@ _TWO_MODEL_PARAMS = _BASELINE_PARAMS.replace(
 """,
 )
 
-_SCALING_PIPELINE = """\
-version: 1
-stages:
-  synth:
-    builtin: loc.synth
-    params: [synth]
-    outs: [data/raw.csv]
-  prepare:
-    builtin: loc.prepare
-    deps: [data/raw.csv]
-    params: [prepare]
-    outs: [data/prepared.csv, data/prepare_summary.json]
-    metrics: [data/prepare_summary.json]
+# Scaling: a `scale` stage between prepare and the stages that read its rows.
+_SCALING_PIPELINE = _edit(
+    _edit(
+        _BASELINE_PIPELINE,
+        "  featurize:\n    builtin: loc.featurize\n    deps: [data/prepared.csv]\n",
+        """\
   scale:
     builtin: loc.scale
     deps: [data/prepared.csv]
@@ -116,67 +116,27 @@ stages:
   featurize:
     builtin: loc.featurize
     deps: [data/scaled.csv]
-    params: [featurize]
-    outs: [data/features.csv]
-  split:
-    builtin: loc.split
-    deps: [data/scaled.csv]
-    params: [split]
-    outs: [data/folds.json]
-  gridsearch:
-    builtin: loc.gridsearch
-    deps: [data/features.csv, data/folds.json]
-    params: [model]
-    outs: [out/cv_results.json, out/model.json, out/predictions.csv, out/metrics.json]
-    metrics: [out/metrics.json]
-  report:
-    builtin: loc.report
-    deps: [out/cv_results.json, out/metrics.json]
-    outs: [report/report.md, report/summary.csv]
-"""
+""",
+    ),
+    "    builtin: loc.split\n    deps: [data/prepared.csv]\n",
+    "    builtin: loc.split\n    deps: [data/scaled.csv]\n",
+)
 
-_SCALING_PARAMS = """\
-synth:
-  n: 600
-  anchors: 6
-  area:
-    w: 60.0
-    h: 40.0
-  p0: -40.0
-  path_loss_n: 2.2
-  sigma: 2.0
-  seed: 1234
-prepare:
-  fill_value: -100.0
-  drop_policy: targets
-scale:
-  factor: 1
-featurize:
-  transforms: [identity]
-split:
-  strategy: kfold
-  k: 5
-  seed: 7
-model:
-  primary_metric: rmse
-  report_metrics: [rmse, loc_err_mean]
-  grid:
-    ridge:
-      alpha: [0.0, 0.5]
-      fit_intercept: [true, false]
-"""
+_SCALING_PARAMS = _edit(
+    _edit(
+        _edit(_BASELINE_PARAMS, "  n: 300\n", "  n: 600\n"),
+        "featurize:\n",
+        "scale:\n  factor: 1\nfeaturize:\n",
+    ),
+    "      alpha: [0.0]\n",
+    "      alpha: [0.0, 0.5]\n",
+)
 
 # Change study: replace the estimator values and add a second estimator.
-_CHANGE_ESTIMATOR_PARAMS = _BASELINE_PARAMS.replace(
+_CHANGE_ESTIMATOR_PARAMS = _edit(
+    _BASELINE_PARAMS,
+    "      alpha: [0.0]\n" + _FIT_INTERCEPT,
     """\
-  grid:
-    ridge:
-      alpha: [0.0]
-      fit_intercept: [true, false]
-""",
-    """\
-  grid:
-    ridge:
       alpha: [0.1, 1.0]
       fit_intercept: [true, false]
     knn:
@@ -187,9 +147,9 @@ _CHANGE_ESTIMATOR_PARAMS = _BASELINE_PARAMS.replace(
 )
 
 # Change study: switch to a different dataset source (config-only).
-_CHANGE_DATASET_PARAMS = _BASELINE_PARAMS.replace(
+_CHANGE_DATASET_PARAMS = _edit(
+    _BASELINE_PARAMS,
     """\
-synth:
   n: 300
   anchors: 6
   area:
@@ -201,7 +161,6 @@ synth:
   seed: 1234
 """,
     """\
-synth:
   n: 400
   anchors: 8
   area:
@@ -215,21 +174,12 @@ synth:
 )
 
 # Change study: different cross-validation strategy plus an extra metric.
-_CHANGE_CV_PARAMS = _BASELINE_PARAMS.replace(
-    """\
-split:
-  strategy: kfold
-  k: 5
-  seed: 7
-""",
-    """\
-split:
-  strategy: shuffle
-  test_fraction: 0.2
-  repeats: 5
-  seed: 7
-""",
-).replace(
+_CHANGE_CV_PARAMS = _edit(
+    _edit(
+        _BASELINE_PARAMS,
+        "  strategy: kfold\n  k: 5\n",
+        "  strategy: shuffle\n  test_fraction: 0.2\n  repeats: 5\n",
+    ),
     "  report_metrics: [rmse, loc_err_mean]\n",
     "  report_metrics: [rmse, loc_err_mean, loc_err_p95]\n",
 )

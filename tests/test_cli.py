@@ -52,6 +52,41 @@ class TestInit:
         assert "shuffle" in TEMPLATES["change-cv"]["params.yaml"]
 
 
+    def test_template_bytes_are_pinned(self):
+        # every template file's SHA-256, as scaffolded before the derived
+        # templates became edits of baseline
+        assert {
+            (name, filename): hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, files in TEMPLATES.items() for filename, text in files.items()
+        } == _TEMPLATE_SHA256
+
+    @pytest.mark.parametrize("text", ["x\n", "a\na\n"], ids=["absent", "twice"])
+    def test_edit_anchor_must_occur_once(self, text):
+        from locpipe.templates import _edit
+
+        with pytest.raises(ValueError, match="anchor"):
+            _edit(text, "a\n", "b\n")
+        assert _edit("a\nx\n", "a\n", "b\n") == "b\nx\n"
+
+
+_TEMPLATE_SHA256 = {
+    ("baseline", "params.yaml"): "7baef9882a6dd6b9e03ae29940d313018467f0b39ff79e92865cb93f773a709a",
+    ("baseline", "pipeline.yaml"): "db59917cd8cf3e21452c983b95aad5cd19143ef802a4c9c60b0155a6fa9fc399",
+    ("change-cv", "params.yaml"): "7c924ad086bd679b8abfc2732f26a93429278597ba70a1fc23966f7c45e9956a",
+    ("change-cv", "pipeline.yaml"): "db59917cd8cf3e21452c983b95aad5cd19143ef802a4c9c60b0155a6fa9fc399",
+    ("change-dataset", "params.yaml"): "8ea1bb9baf6a391dad8210e1968d322fbab852df340d2cc649d6bd48c4cffe3f",
+    ("change-dataset", "pipeline.yaml"): "db59917cd8cf3e21452c983b95aad5cd19143ef802a4c9c60b0155a6fa9fc399",
+    ("change-estimator", "params.yaml"): "dcd21fd7e23f3583d18fb35a579b4e2bf0a693d26efa5a4e9552f79f9252615a",
+    ("change-estimator", "pipeline.yaml"): "db59917cd8cf3e21452c983b95aad5cd19143ef802a4c9c60b0155a6fa9fc399",
+    ("change-external", "params.yaml"): "7baef9882a6dd6b9e03ae29940d313018467f0b39ff79e92865cb93f773a709a",
+    ("change-external", "pipeline.yaml"): "8868df839704dd3d04930fcd5196b51069c8afd0849b504f420aa718294abdae",
+    ("scaling", "params.yaml"): "4ca6278aa619b807662152c2a7ca641d45f721e97c3e990efcd1c695f55a61c5",
+    ("scaling", "pipeline.yaml"): "80955bc9ab44462cb1cc4b0d06d67b98535db438c738958665404e6f02b37bc8",
+    ("two-model", "params.yaml"): "71165c17a142a464c392b9f480d48bf62b8137ed9825302ababa15c2f6a91806",
+    ("two-model", "pipeline.yaml"): "db59917cd8cf3e21452c983b95aad5cd19143ef802a4c9c60b0155a6fa9fc399",
+}
+
+
 class TestReproCli:
     def test_full_run_then_cached(self, in_project, capsys):
         assert main(["repro"]) == 0

@@ -3,9 +3,11 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
+import tempfile
 import time
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,181 @@ class TestRestoreSkipsOutsInPlace:
         store._addr(entry.outs["out.txt"].hash).write_bytes(b"paxload")
         restore_outputs(store, entry, root)
         assert (root / "out.txt").read_bytes() == b"paxload"
+
+
+# The whole-tree restore rule that per-file placement replaced, kept here as
+# the oracle for the end state of `restore_outputs`.
+def _whole_tree_in_place(store, members, dest):
+    if dest.is_symlink() or not dest.is_dir():
+        return False
+    expected = {rel for rel, _ in members}
+    expected |= {str(parent) for rel in expected for parent in PurePosixPath(rel).parents}
+    expected.discard(".")
+    found = set()
+    for current, dirnames, filenames in os.walk(dest):
+        base = Path(current).relative_to(dest)
+        found.update((base / name).as_posix() for name in (*dirnames, *filenames))
+    return found == expected and all(store.same_bytes(hexd, dest / rel) for rel, hexd in members)
+
+
+def _whole_tree_restore(store, entry, root):
+    root = Path(root)
+    for out, rec in sorted(entry.outs.items()):
+        dest = root / out
+        if rec.tree:
+            members = store.members(rec.hash)
+            if _whole_tree_in_place(store, members, dest):
+                continue
+            if dest.is_symlink() or (dest.exists() and not dest.is_dir()):
+                dest.unlink()
+            elif dest.is_dir():
+                shutil.rmtree(dest)
+            dest.mkdir(parents=True, exist_ok=True)
+            for rel, member in members:
+                store.materialize(member, dest / rel)
+        elif not store.same_bytes(rec.hash, dest):
+            if dest.is_dir() and not dest.is_symlink():
+                shutil.rmtree(dest)
+            store.materialize(rec.hash, dest)
+
+
+_NAME = st.sampled_from(["a", "b", "c"])
+_REL = st.lists(_NAME, min_size=1, max_size=3).map("/".join)
+
+
+def _no_nesting(paths):
+    return not any(other.startswith(path + "/") for path in paths for other in paths)
+
+
+_TREES = st.dictionaries(_REL, st.binary(max_size=6), min_size=1, max_size=5).filter(_no_nesting)
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "delete", "flip", "dir_at_member", "file_at_parent", "extra_file", "extra_dir",
+            "symlink_member", "fifo_member", "symlink_subdir", "tree_file", "tree_symlink",
+        ]),
+        st.integers(0, 4),
+        _REL,
+    ),
+    max_size=4,
+)
+
+
+def _remove(path):
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
+
+
+def _outside_copy(files, prefix, target):
+    """`target` holding the members under `prefix` with their bytes."""
+    for rel, data in files.items():
+        if rel.startswith(prefix):
+            (target / rel[len(prefix):]).parent.mkdir(parents=True, exist_ok=True)
+            (target / rel[len(prefix):]).write_bytes(data)
+    target.mkdir(parents=True, exist_ok=True)
+
+
+def _mutate(tree, outside, files, mutations):
+    for n, (kind, index, rel) in enumerate(mutations):
+        member = sorted(files)[index % len(files)]
+        path, parent = tree / member, (tree / member).parent
+        try:
+            if kind == "delete":
+                path.unlink()
+            elif kind == "flip" and path.is_file():  # never open a FIFO
+                data = path.read_bytes()
+                path.write_bytes(bytes([data[0] ^ 1]) + data[1:] if data else b"\0")
+            elif kind == "dir_at_member":
+                path.unlink()
+                path.mkdir()
+                (path / "x").write_bytes(b"x")
+            elif kind == "file_at_parent" and parent != tree:
+                _remove(parent)
+                parent.write_bytes(b"p")
+            elif kind == "extra_file" and not os.path.lexists(tree / rel):
+                (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tree / rel).write_bytes(b"extra")
+            elif kind == "extra_dir":
+                (tree / rel).mkdir(parents=True, exist_ok=True)
+            elif kind == "symlink_member":
+                (outside / f"file{n}").write_bytes(files[member])
+                path.unlink()
+                path.symlink_to(outside / f"file{n}")
+            elif kind == "fifo_member":
+                path.unlink()
+                os.mkfifo(path)
+            elif kind == "symlink_subdir" and parent != tree:
+                prefix = parent.relative_to(tree).as_posix() + "/"
+                _outside_copy(files, prefix, outside / f"dir{n}")
+                _remove(parent)
+                parent.symlink_to(outside / f"dir{n}", target_is_directory=True)
+            elif kind == "tree_file":
+                _remove(tree)
+                tree.write_bytes(b"t")
+            elif kind == "tree_symlink":
+                _outside_copy(files, "", outside / f"tree{n}")
+                _remove(tree)
+                tree.symlink_to(outside / f"tree{n}", target_is_directory=True)
+        except OSError:
+            pass  # an earlier mutation removed what this one acts on
+
+
+def _listing(top):
+    """Sorted (relpath, type, bytes) of every entry under `top`; symlinks
+    are listed, not followed."""
+    entries = []
+    for current, dirnames, filenames in os.walk(top):
+        for name in (*dirnames, *filenames):
+            path = Path(current, name)
+            mode = path.lstat().st_mode
+            kind = "file" if stat.S_ISREG(mode) else "dir" if stat.S_ISDIR(mode) else "link" if stat.S_ISLNK(mode) else "other"
+            entries.append((path.relative_to(top).as_posix(), kind, path.read_bytes() if kind == "file" else b""))
+    return sorted(entries)
+
+
+def _in_place(tree, files):
+    """Members that are regular files with their bytes, reached through real
+    directories only, mapped to their inode."""
+    kept = {}
+    for rel, data in files.items():
+        path = tree / rel
+        chain = [tree, *(tree / parent for parent in reversed(PurePosixPath(rel).parents[:-1]))]
+        if all(os.path.lexists(p) and stat.S_ISDIR(p.lstat().st_mode) for p in chain) and (
+            os.path.lexists(path) and stat.S_ISREG(path.lstat().st_mode) and path.read_bytes() == data
+        ):
+            kept[rel] = path.lstat().st_ino
+    return kept
+
+
+class TestRestoreMatchesWholeTreeRule:
+    """Per-file placement leaves a tree out in the state the whole-tree rule
+    left it in, and keeps each member already in place."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(files=_TREES, mutations=_MUTATIONS)
+    def test_same_end_state_and_members_in_place_kept(self, files, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            stage = StageSpec(name="s", cmd="do", outs=("d",))
+            root, store, _, entry = _commit(tmp, stage, {f"d/{rel}": data for rel, data in files.items()})
+            shutil.rmtree(root)
+            listings = []
+            for name, restore in (("old", _whole_tree_restore), ("new", restore_outputs)):
+                ws, outside = tmp / name / "ws", tmp / name / "outside"
+                _outside_copy(files, "", ws / "d")
+                (outside / "canary").mkdir(parents=True)
+                (outside / "canary" / "keep").write_bytes(b"keep")
+                _mutate(ws / "d", outside, files, mutations)
+                canary, kept = _listing(outside), _in_place(ws / "d", files)
+                restore(store, entry, ws)
+                assert _listing(outside) == canary
+                listings.append(_listing(ws))
+                if restore is restore_outputs:
+                    assert {rel: (ws / "d" / rel).lstat().st_ino for rel in kept} == kept
+            assert listings[0] == listings[1]
+            assert hash_path(tmp / "new" / "ws" / "d")[0] == entry.outs["d"].hash
 
 
 class TestCacheLookup:
