@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -102,11 +103,14 @@ def _print_plan(plan_entries) -> None:
 
 
 def _tail(path: Path, limit: int = 2000) -> str:
+    """The last `limit` bytes of a stage log, read without the rest."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as handle:
+            handle.seek(max(0, os.fstat(handle.fileno()).st_size - limit))
+            data = handle.read(limit)
     except OSError:
         return ""
-    return data[-limit:].decode("utf-8", errors="replace")
+    return data.decode("utf-8", errors="replace")
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
@@ -206,6 +210,11 @@ def _cmd_gc(args: argparse.Namespace) -> int:
 
     project = Project.discover()
     spec, _ = project.load()
+    # another project's lock may name the objects of a cache reached by a
+    # symlink; `discover` resolved the root, so only such a link moves it
+    cache = os.path.realpath(project.cache_dir)
+    if cache != str(project.cache_dir):
+        raise StoreError(f"refusing to gc {project.cache_dir}: it resolves to {cache}, outside the project")
     with project_lock(project):
         lock, store = load_lock(project.lock_path), ObjectStore(project.cache_dir)
         declared = {name: entry for name, entry in lock.items() if name in spec.stages}

@@ -128,10 +128,12 @@ class Project(NamedTuple):
 
     @staticmethod
     def discover(start: Path | str | None = None) -> "Project":
-        """Locate the project root by walking upward until pipeline.yaml is found."""
+        """Locate the project root by walking upward to the first directory
+        where pipeline.yaml exists in any form; `load` refuses one that is
+        not a regular file or a symlink to one."""
         current = Path(start or Path.cwd()).resolve()
         for candidate in (current, *current.parents):
-            if (candidate / PIPELINE_FILE).is_file():
+            if os.path.lexists(candidate / PIPELINE_FILE):
                 return Project(root=candidate)
         raise ConfigError(f"no {PIPELINE_FILE} found in {current} or any parent directory")
 
@@ -159,20 +161,22 @@ class Project(NamedTuple):
 
     def _config_bytes(self, config_hashes: dict[str, str] | None = None) -> tuple[bytes, bytes | None]:
         """Both config files' bytes, params None when there is no params
-        file; their SHA-256 go to `config_hashes` when given."""
-        if not self.pipeline_path.exists():
+        file; their SHA-256 go to `config_hashes` when given. A file exists
+        in any form, a dangling symlink too, and `_read_config` refuses one
+        that is not a regular file or a symlink to one."""
+        if not os.path.lexists(self.pipeline_path):
             raise ConfigError(f"missing {self.pipeline_path}")
         pipeline = _read_config(self.pipeline_path, config_hashes)
-        if not self.params_path.exists():
+        if not os.path.lexists(self.params_path):
             return pipeline, None
         return pipeline, _read_config(self.params_path, config_hashes)
 
 
 def _read_config(path: Path, config_hashes: dict[str, str] | None) -> bytes:
     """A config file's bytes, read through `open_regular` once its symlinks
-    are followed, so a FIFO is refused unread; their SHA-256 goes to
-    `config_hashes` when given."""
-    with open_regular(path.resolve()) as handle:
+    are followed, so a FIFO, a directory or a dangling or looping symlink is
+    refused unread; their SHA-256 goes to `config_hashes` when given."""
+    with open_regular(Path(os.path.realpath(path))) as handle:
         data = handle.read()
     if config_hashes is not None:
         config_hashes[path.name] = hashlib.sha256(data).hexdigest()

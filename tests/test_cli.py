@@ -536,6 +536,33 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("error: pipeline.yaml: ")
         assert (in_project / "pipeline.lock.json").read_bytes() == lock
 
+    def test_gc_refuses_a_cache_shared_through_a_symlink(self, tmp_path, monkeypatch, capsys):
+        # the baseline's lock names objects that change-cv's lock does not
+        base, other = tmp_path.resolve() / "baseline", tmp_path.resolve() / "change-cv"
+        cache = base / ".locpipe" / "cache"
+        assert main(["init", str(base)]) == 0
+        assert main(["init", "--template", "change-cv", str(other)]) == 0
+        monkeypatch.chdir(base)
+        assert main(["repro"]) == 0
+        (other / ".locpipe").mkdir()
+        (other / ".locpipe" / "cache").symlink_to(cache, target_is_directory=True)
+        monkeypatch.chdir(other)
+        capsys.readouterr()
+        assert main(["repro"]) == 0
+        assert "3 executed, 3 cached, 0 failed, 0 skipped" in capsys.readouterr().out
+        locks = [(root / "pipeline.lock.json").read_bytes() for root in (base, other)]
+        files = sorted(path for path in cache.rglob("*") if path.is_file())
+        assert main(["gc"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: refusing to gc {other / '.locpipe' / 'cache'}: it resolves to {cache}, outside the project\n"
+        )
+        assert [(root / "pipeline.lock.json").read_bytes() for root in (base, other)] == locks
+        assert sorted(path for path in cache.rglob("*") if path.is_file()) == files
+        monkeypatch.chdir(base)
+        assert main(["status"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 6 and all(line.endswith(": unchanged") for line in out), out
+
     def test_unknown_subcommand_exits_2(self, in_project, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -545,6 +572,34 @@ class TestOtherCommands:
         with pytest.raises(SystemExit) as exc:
             main(["repro", "--turbo"])
         assert exc.value.code == 2
+
+
+class TestTail:
+    def test_reads_only_the_end_of_a_large_log(self, tmp_path):
+        import tracemalloc
+
+        from locpipe.cli import _tail
+
+        log = tmp_path / "stage.err"
+        block = "é log line\n".encode() * 4096
+        with open(log, "wb") as handle:
+            for _ in range(20 * (1 << 20) // len(block) + 1):
+                handle.write(block)
+        tracemalloc.start()
+        try:
+            text = _tail(log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == log.read_bytes()[-2000:].decode("utf-8", errors="replace")
+        assert peak < 1 << 20, peak
+
+    def test_short_and_missing_logs(self, tmp_path):
+        from locpipe.cli import _tail
+
+        (tmp_path / "short.err").write_bytes(b"oops\n")
+        assert _tail(tmp_path / "short.err") == "oops\n"
+        assert _tail(tmp_path / "missing.err") == ""
 
 
 def _parsed(parser, argv: list[str], capsys) -> tuple:

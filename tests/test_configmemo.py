@@ -251,6 +251,42 @@ def test_symlinked_config_files_are_followed(tmp_path):
     assert proc.stderr == f"error: not a regular file: {elsewhere.resolve() / 'params.yaml'}\n"
 
 
+def test_fifo_pipeline_file_stops_the_project_search(tmp_path):
+    # a project in the parent directory is not reported in its place
+    root = _warm_one_stage(tmp_path)
+    sub = root / "sub"
+    sub.mkdir()
+    os.mkfifo(sub / "pipeline.yaml")
+    for command in ("status", "repro", "gc"):
+        proc = _locpipe(sub, command)
+        assert (proc.returncode, proc.stdout) == (3, ""), proc
+        assert proc.stderr == f"error: not a regular file: {sub / 'pipeline.yaml'}\n"
+
+
+@pytest.mark.parametrize("name", ["pipeline.yaml", "params.yaml"])
+@pytest.mark.parametrize("kind", ["dangling", "loop", "directory"])
+def test_config_file_in_a_non_regular_form_is_refused(tmp_path, name, kind):
+    root = _warm_one_stage(tmp_path)
+    lock = root / "pipeline.lock.json"
+    lock_bytes = lock.read_bytes()
+    path = root / name
+    path.unlink()
+    if kind == "dangling":
+        path.symlink_to(tmp_path / "gone.yaml")
+        refusal = f"missing file: {tmp_path.resolve() / 'gone.yaml'}"
+    elif kind == "loop":
+        path.symlink_to(root / "other.yaml")
+        (root / "other.yaml").symlink_to(path)
+        refusal = f"symlink not allowed: {path}"
+    else:
+        path.mkdir()
+        refusal = f"not a regular file: {path}"
+    for command in ("status", "repro", "gc"):
+        proc = _locpipe(root, command)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {refusal}\n"), proc
+    assert lock.read_bytes() == lock_bytes
+
+
 def test_absent_config_files(tmp_path):
     root = _warm_one_stage(tmp_path)
     (root / "params.yaml").unlink()

@@ -544,7 +544,7 @@ def _listing(top):
         for name in (*dirnames, *filenames):
             path = Path(current, name)
             mode = path.lstat().st_mode
-            kind = "file" if stat.S_ISREG(mode) else "dir" if stat.S_ISDIR(mode) else "link" if stat.S_ISLNK(mode) else "other"
+            kind = {stat.S_IFREG: "file", stat.S_IFDIR: "dir", stat.S_IFLNK: "link"}.get(stat.S_IFMT(mode), "other")
             entries.append((path.relative_to(top).as_posix(), kind, path.read_bytes() if kind == "file" else b""))
     return sorted(entries)
 
