@@ -209,7 +209,8 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     from .store import ObjectStore, gc, load_lock, write_lock
 
     project = Project.discover()
-    spec, _ = project.load()
+    record: dict = {}
+    spec, _ = project.load(record)
     # another project's lock may name the objects of a cache reached by a
     # symlink; `discover` resolved the root, so only such a link moves it
     cache = os.path.realpath(project.cache_dir)
@@ -221,7 +222,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
         if len(declared) != len(lock):  # drop the entries of stages pipeline.yaml no longer declares
             lock = declared
             write_lock(lock, project.lock_path)
-        removed = gc(lock, store, project.config_key(), project)
+        removed = gc(lock, store, record["key"], project)
     print(f"removed {removed} unreferenced object(s)")
     return EXIT_OK
 

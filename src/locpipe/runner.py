@@ -76,7 +76,6 @@ from .store import (
     missing_outs,
     open_regular,
     out_files,
-    record_run,
     restore_outputs,
     restored_hash,
     stage_kind,
@@ -86,13 +85,6 @@ from .store import (
 
 # The reason a stage with no lock entry misses the cache.
 NEVER_RUN = "never run"
-
-
-# The parse-memo entry the last `Project.load` built from a fresh YAML
-# parse, as (key, entry), for `repro` to store; None after a memo hit. Every
-# load sets it, and `repro` reads it right after its own load, so no other
-# load's entry can reach it.
-_fresh_config: tuple[str, bytes] | None = None
 
 
 class Project(NamedTuple):
@@ -137,50 +129,37 @@ class Project(NamedTuple):
                 return Project(root=candidate)
         raise ConfigError(f"no {PIPELINE_FILE} found in {current} or any parent directory")
 
-    def load(self, config_hashes: dict[str, str] | None = None) -> tuple[PipelineSpec, dict]:
+    def load(self, record: dict | None = None) -> tuple[PipelineSpec, dict]:
         """Parse and validate both config files, through the parse memo.
-        `config_hashes`, when given, receives the SHA-256 of the bytes
-        parsed, keyed by file name."""
-        global _fresh_config
-        _fresh_config = None
-        pipeline, params = self._config_bytes(config_hashes)
-        key = memo_key(pipeline, params)
+        `record`, when given, receives `hashes`, the SHA-256 of the bytes
+        parsed by file name; `key`, their parse-memo key; and `fresh`, the memo
+        entry a fresh parse built, None after a memo hit. A config file exists
+        in any form, and `_read_config` refuses one that is not a regular file
+        or a symlink to one; an absent params file means none."""
+        if not os.path.lexists(self.pipeline_path):
+            raise ConfigError(f"missing {self.pipeline_path}")
+        files = {PIPELINE_FILE: _read_config(self.pipeline_path)}
+        if os.path.lexists(self.params_path):
+            files[PARAMS_FILE] = _read_config(self.params_path)
+        key = memo_key(files[PIPELINE_FILE], files.get(PARAMS_FILE))
         try:
             with open_regular(config_memo_path(ObjectStore(self.cache_dir), key)) as handle:
                 memo = handle.read()
         except (OSError, StoreError):
             memo = None  # an absent or refused entry is a miss, which `repro` writes anew
-        spec, tree, entry = load_config(pipeline, params, memo)
-        if entry is not None:
-            _fresh_config = (key, entry)
+        spec, tree, fresh = load_config(files[PIPELINE_FILE], files.get(PARAMS_FILE), memo)
+        if record is not None:
+            hashes = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+            record.update(hashes=hashes, key=key, fresh=fresh)
         return spec, tree
 
-    def config_key(self) -> str:
-        """The parse-memo key of the config files as they are now."""
-        return memo_key(*self._config_bytes())
 
-    def _config_bytes(self, config_hashes: dict[str, str] | None = None) -> tuple[bytes, bytes | None]:
-        """Both config files' bytes, params None when there is no params
-        file; their SHA-256 go to `config_hashes` when given. A file exists
-        in any form, a dangling symlink too, and `_read_config` refuses one
-        that is not a regular file or a symlink to one."""
-        if not os.path.lexists(self.pipeline_path):
-            raise ConfigError(f"missing {self.pipeline_path}")
-        pipeline = _read_config(self.pipeline_path, config_hashes)
-        if not os.path.lexists(self.params_path):
-            return pipeline, None
-        return pipeline, _read_config(self.params_path, config_hashes)
-
-
-def _read_config(path: Path, config_hashes: dict[str, str] | None) -> bytes:
+def _read_config(path: Path) -> bytes:
     """A config file's bytes, read through `open_regular` once its symlinks
     are followed, so a FIFO, a directory or a dangling or looping symlink is
-    refused unread; their SHA-256 goes to `config_hashes` when given."""
+    refused unread."""
     with open_regular(Path(os.path.realpath(path))) as handle:
-        data = handle.read()
-    if config_hashes is not None:
-        config_hashes[path.name] = hashlib.sha256(data).hexdigest()
-    return data
+        return handle.read()
 
 
 class ExecOptions(NamedTuple):
@@ -274,15 +253,15 @@ class ExecutionPlan(NamedTuple):
 
 
 def _load_plan(
-    project: Project, opts: ExecOptions, config_hashes: dict[str, str] | None = None
-) -> tuple[PipelineSpec, dict, StageGraph, list[str]]:
-    """Load the config (see `Project.load` for `config_hashes`) and order the
-    planned stages: the targets and their upstream closure, or every stage.
-    Fails fast, before anything runs, on an unknown target, an unresolvable
-    param, an unknown builtin or a `jobs` below 1."""
+    project: Project, opts: ExecOptions, record: dict | None = None
+) -> tuple[PipelineSpec, StageGraph, dict[str, dict]]:
+    """Load the config (see `Project.load` for `record`) and select the
+    params of each planned stage, in order: the targets and their upstream
+    closure, or every stage. Fails fast, before anything runs, on an unknown
+    target, an unresolvable param, an unknown builtin or a `jobs` below 1."""
     if opts.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {opts.jobs}")
-    spec, params = project.load(config_hashes)
+    spec, params = project.load(record)
     graph = build_graph(spec)
     planned = topo_order(graph)
     if opts.targets:
@@ -291,12 +270,13 @@ def _load_plan(
                 raise ConfigError(f"unknown target stage '{target}'")
         needed = upstream_closure(graph, opts.targets)
         planned = [name for name in planned if name in needed]
+    selected: dict[str, dict] = {}  # planned stage -> its param subset
     for name in planned:
         stage = spec.stages[name]
-        select_params(params, stage.params, stage=name)
+        selected[name] = select_params(params, stage.params, stage=name)
         if stage.builtin is not None:
             builtin_version(stage.builtin)
-    return spec, params, graph, planned
+    return spec, graph, selected
 
 
 class StageState(NamedTuple):
@@ -332,18 +312,18 @@ def dep_hash(store: ObjectStore, known: Mapping[str, OutRecord], root: Path, dep
 
 def resolve_stage(
     stage: StageSpec,
-    params: dict,
+    current: dict,
     lock: LockFile,
     store: ObjectStore,
     root: Path,
     known: Mapping[str, OutRecord],
 ) -> StageState:
     """The one place dep hashes become a fingerprint and a cache decision;
-    each dep is hashed by `dep_hash`."""
+    each dep is hashed by `dep_hash`. `current` is the stage's param subset,
+    as `_load_plan` selects it."""
     found = {dep: dep_hash(store, known, root, dep) for dep in stage.deps}
     found_deps = {dep: ch for dep, ch in found.items() if ch is not None}
     missing = tuple(dep for dep, ch in found.items() if ch is None)
-    current = select_params(params, stage.params, stage=stage.name)
     want = LockEntry(None, stage_kind(stage), found_deps, canonical_json(current), stage.outs)
     hit = None
     if not missing:
@@ -416,14 +396,14 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
     stage by stage, so a re-run that regenerates identical outputs still
     turns downstream stages into cache hits.
     """
-    spec, params, graph, planned = _load_plan(project, opts)
+    spec, graph, selected = _load_plan(project, opts)
     producers = graph.producers()
     lock = load_lock(project.lock_path)
     store = ObjectStore(project.cache_dir)
     known: dict[str, OutRecord] = {}  # every out a cached stage will restore
     entries: dict[str, PlanEntry] = {}
-    for name in planned:
-        state = resolve_stage(spec.stages[name], params, lock, store, project.root, known)
+    for name, current in selected.items():
+        state = resolve_stage(spec.stages[name], current, lock, store, project.root, known)
         if state.hit is not None:
             known.update(state.hit.outs)
         blocked_up = [p for p in producers[name] if entries[p].action == "blocked"]
@@ -508,8 +488,8 @@ def _make_run_id() -> str:
 def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     """Execute the plan. Raises ConfigError/StoreError for environment-level
     problems; stage failures are reported through the returned RunReport."""
-    config_hashes: dict[str, str] = {}  # of the bytes parsed, not of the files as the run leaves them
-    spec, params, graph, planned = _load_plan(project, opts, config_hashes)
+    record: dict = {}  # of the config bytes parsed, not of the files as the run leaves them
+    spec, graph, selected = _load_plan(project, opts, record)
     producers = graph.producers()
 
     run_id = _make_run_id()
@@ -518,12 +498,11 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
     results: dict[str, StageResult] = {}
     with project_lock(project):
         store = ObjectStore(project.cache_dir)
-        if _fresh_config is not None:  # the config load above parsed YAML
-            key, entry = _fresh_config
-            write_atomic(config_memo_path(store, key), entry)
+        if record["fresh"] is not None:  # the config load above parsed YAML
+            write_atomic(config_memo_path(store, record["key"]), record["fresh"])
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
-        pending = list(planned)
+        pending = list(selected)
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
         try:
@@ -553,14 +532,13 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     )
                     try:  # a StoreError here is this stage's fault: a dep or out the store refuses
                         failure = _stage_failure(state, result.exit_code, project.root, store, known)
-                        if failure is None:
+                        if failure is None:  # the commit also keeps the entry in the run cache
                             entry = commit_outputs(store, state.want, project.root)
                     except StoreError as exc:
                         failure = str(exc)
                     if failure is not None:
                         result = result._replace(action="failed", reason=f"{result.reason}; {failure}")
                     else:
-                        record_run(store, entry)
                         known.update(entry.outs)
                         lock[stage.name] = entry
                         write_lock(lock, project.lock_path)
@@ -574,7 +552,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     results[name] = StageResult(name, "skipped", reason=f"upstream failure: {bad[0]}")
                     continue
                 stage = spec.stages[name]
-                state = resolve_stage(stage, params, lock, store, project.root, known)
+                state = resolve_stage(stage, selected[name], lock, store, project.root, known)
                 if state.missing_deps:
                     results[name] = StageResult(
                         name, "failed", reason=f"missing dependency: {state.missing_deps[0]}"
@@ -597,7 +575,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         request = StageRequest(
                             stage=name,
                             builtin=stage.builtin,
-                            params=select_params(params, stage.params, stage=name),
+                            params=selected[name],
                             deps=stage.deps,
                             outs=stage.outs,
                             table_memo=table_memo_dir(project.cache_dir.absolute()),
@@ -620,7 +598,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 )
             raise
         finally:
-            ordered = [results[name] for name in planned if name in results]
+            ordered = [results[name] for name in selected if name in results]
             manifest = {
                 "run_id": run_id,
                 "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
@@ -631,7 +609,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                 },
                 "results": [r.to_json() for r in ordered],
                 "tool_version": __version__,
-                "config_hashes": config_hashes,
+                "config_hashes": record["hashes"],
             }
             manifest_path = project.runs_dir / f"{run_id}.json"
             write_atomic(manifest_path, canonical_bytes(manifest) + b"\n")

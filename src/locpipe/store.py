@@ -162,16 +162,17 @@ def _manifest(members: Iterable[tuple[str, str]]) -> bytes:
     return "\n".join(f"{rel}{_MANIFEST_SEP}{hexd}" for rel, hexd in sorted(members)).encode("utf-8")
 
 
-def hash_path(path: Path | str) -> tuple[str, bool, int]:
-    """Hash a file or directory. Returns (hash, is_tree, size_bytes)."""
+def hash_path(path: Path | str, put_file=hash_file, put_bytes=hash_bytes) -> tuple[str, bool, int]:
+    """Hash a file or directory: (hash, is_tree, size_bytes). Given a store's
+    `put_file` and `put_bytes`, the same walk ingests it, each file read once."""
     path = Path(path)
     if path.is_symlink():
         raise StoreError(f"symlink not allowed: {path}")
     if path.is_dir():
         files = _tree_files(path)
-        manifest = _manifest((rel, hash_file(member)) for rel, member in files)
-        return hash_bytes(manifest), True, sum(member.stat().st_size for _, member in files)
-    return hash_file(path), False, path.stat().st_size
+        manifest = _manifest((rel, put_file(member)) for rel, member in files)
+        return put_bytes(manifest), True, sum(member.stat().st_size for _, member in files)
+    return put_file(path), False, path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +421,6 @@ def _recorded_run(store: ObjectStore, fingerprint: str) -> LockEntry | None:
         return None  # malformed entries are misses; gc deletes them
 
 
-def record_run(store: ObjectStore, entry: LockEntry) -> None:
-    """Keep a committed execution in the run cache, keyed by its fingerprint."""
-    write_atomic(_run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
-
-
 def cache_lookup(lock: LockFile, store: ObjectStore, stage: str, fingerprint: str) -> LockEntry | None:
     """The committed execution with this fingerprint, or None.
 
@@ -446,13 +442,10 @@ def config_memo_path(store: ObjectStore, key: str) -> Path:
 
 
 def commit_outputs(store: ObjectStore, want: LockEntry, root: Path | str) -> LockEntry:
-    """Ingest every out `want` names into the store and return `want` with
-    their records, or raise a StoreError naming the first out that is
-    missing or refused.
-
-    Directory outs are ingested file-wise plus a manifest object built from
-    the digests the ingest returns, so each member is read once.
-    """
+    """Ingest every out `want` names into the store, each file read once by
+    `hash_path`, then keep the committed entry, `want` with their records, in
+    the run cache under its fingerprint and return it. A StoreError names the
+    first out that is missing or refused, and leaves no run-cache entry."""
     root = Path(root)
     outs: dict[str, OutRecord] = {}
     for out in want.outs:
@@ -462,16 +455,13 @@ def commit_outputs(store: ObjectStore, want: LockEntry, root: Path | str) -> Loc
         try:
             if path.is_symlink():
                 raise StoreError("symlink not allowed")
-            if path.is_dir():
-                files = _tree_files(path)
-                manifest = _manifest((rel, store.put_file(member)) for rel, member in files)
-                size = sum(member.stat().st_size for _, member in files)
-                outs[out] = OutRecord(hash=store.put_bytes(manifest), size=size, tree=True)
-            else:
-                outs[out] = OutRecord(hash=store.put_file(path), size=path.stat().st_size, tree=False)
+            hexd, tree, size = hash_path(path, store.put_file, store.put_bytes)
         except StoreError as exc:
             raise StoreError(f"declared out {out} refused: {exc}") from None
-    return want._replace(outs=outs)
+        outs[out] = OutRecord(hexd, size, tree)
+    entry = want._replace(outs=outs)
+    write_atomic(_run_path(store, entry.fingerprint), canonical_bytes(entry.to_json()) + b"\n")
+    return entry
 
 
 def _prune(dest: Path, members: list[str]) -> None:
@@ -502,9 +492,10 @@ def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> N
     rewrite the same bytes."""
     root = Path(root)
     for out, rec in sorted(entry.outs.items()):
+        files = out_files(store, out, rec)
         if rec.tree:
-            _prune(root / out, [rel for rel, _ in store.members(rec.hash)])
-        for path, hexd in out_files(store, out, rec):
+            _prune(root / out, [path[len(out) + 1:] for path, _ in files])
+        for path, hexd in files:
             dest = root / path
             if not store.same_bytes(hexd, dest):
                 if dest.is_dir() and not dest.is_symlink():

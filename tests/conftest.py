@@ -37,6 +37,13 @@ def run(project: Project, **kwargs):
     return repro(project, ExecOptions(**kwargs))
 
 
+def config_key(project: Project) -> str:
+    """The parse-memo key of the project's config files as they are now."""
+    record: dict = {}
+    project.load(record)
+    return record["key"]
+
+
 def edit_params(project: Project, dotted: str, value) -> None:
     tree = yaml.safe_load(project.params_path.read_text()) or {}
     node = tree

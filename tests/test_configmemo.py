@@ -12,8 +12,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run, tree_snapshot, write_params, write_pipeline
-from locpipe import configmodel, runner
+from conftest import config_key, run, tree_snapshot, write_params, write_pipeline
+from locpipe import configmodel
 from locpipe.cli import main
 from locpipe.configmodel import load_config, memo_key
 from locpipe.errors import ConfigError
@@ -125,7 +125,7 @@ class TestOnDisk:
         spec, params = project.load()
         assert _memo_files(project) == []  # only repro writes entries
         run(project)
-        assert _memo_files(project) == [f"{project.config_key()}.json"]
+        assert _memo_files(project) == [f"{config_key(project)}.json"]
         _no_yaml(monkeypatch)
         assert project.load() == (spec, params)
         assert run(project).cached == 6
@@ -154,9 +154,10 @@ class TestOnDisk:
         (path,) = (project.cache_dir / "config").glob("*.json")
         good = path.read_bytes()
         path.write_bytes(damage(good))
-        spec, _ = project.load()
+        record: dict = {}
+        spec, _ = project.load(record)
         assert spec.stages["synth"].builtin == "loc.synth"
-        assert runner._fresh_config == (path.stem, good)
+        assert (record["key"], record["fresh"]) == (path.stem, good)
         assert run(project).cached == 6
         assert path.read_bytes() == good
 
@@ -173,13 +174,13 @@ class TestOnDisk:
     def test_gc_keeps_only_the_current_key(self, baseline_project, monkeypatch, capsys):
         project = baseline_project
         run(project)
-        old = project.config_key()
+        old = config_key(project)
         project.params_path.write_text(project.params_path.read_text() + "# edited\n")
         run(project)
-        assert sorted(_memo_files(project)) == sorted([f"{old}.json", f"{project.config_key()}.json"])
+        assert sorted(_memo_files(project)) == sorted([f"{old}.json", f"{config_key(project)}.json"])
         monkeypatch.chdir(project.root)
         assert main(["gc"]) == 0
-        assert _memo_files(project) == [f"{project.config_key()}.json"]
+        assert _memo_files(project) == [f"{config_key(project)}.json"]
         gc(load_lock(project.lock_path), ObjectStore(project.cache_dir))
         assert _memo_files(project) == []
 

@@ -18,7 +18,7 @@ import pytest
 from locpipe import cli, runner, store
 from locpipe.store import TMP_PREFIX, ObjectStore, gc, load_lock, write_atomic
 
-from conftest import run, write_params, write_pipeline
+from conftest import config_key, run, write_params, write_pipeline
 from test_golden import GOLDEN
 
 SRC = Path(runner.__file__).resolve().parents[1]
@@ -82,7 +82,7 @@ def test_gc_sweeps_temps_wherever_a_write_can_leave_them(make_project):
     kept = project.root / "data" / "not-a-temp.txt"
     kept.write_bytes(b"user file")
 
-    gc(lock, ObjectStore(project.cache_dir), project.config_key(), project)
+    gc(lock, ObjectStore(project.cache_dir), config_key(project), project)
 
     assert temp_files(project.root) == []
     assert kept.exists()

@@ -1160,6 +1160,52 @@ class TestStoreCallsThroughRunner:
         assert calls == Counter(cache_lookup=3, hash_path=1)
 
 
+class TestEachJobOnce:
+    """The config parse is handed over by `Project.load`, and each planned
+    stage's params are selected once, by `_load_plan`."""
+
+    def test_cold_baseline_selects_each_stage_params_once(self, baseline_project, monkeypatch):
+        calls: Counter = Counter()
+        original = runner.select_params
+
+        def counting(tree, keys, stage=None):
+            calls[stage] += 1
+            return original(tree, keys, stage=stage)
+
+        monkeypatch.setattr(runner, "select_params", counting)
+        assert run(baseline_project).executed == 6
+        assert calls == Counter({name: 1 for name in baseline_project.load()[0].stages})
+
+    def test_gc_reads_each_config_file_once(self, baseline_project, monkeypatch, capsys):
+        run(baseline_project)
+        reads: Counter = Counter()
+        original = runner._read_config
+
+        def counting(path, *args):
+            reads[path.name] += 1
+            return original(path, *args)
+
+        monkeypatch.setattr(runner, "_read_config", counting)
+        monkeypatch.chdir(baseline_project.root)
+        assert cli.main(["gc"]) == 0
+        assert reads == Counter({"pipeline.yaml": 1, "params.yaml": 1})
+        assert len(list((baseline_project.cache_dir / "config").iterdir())) == 1
+
+    def test_load_hands_over_its_parse(self, baseline_project):
+        project = baseline_project
+        cold: dict = {}
+        spec, params = project.load(cold)
+        assert cold["fresh"] is not None  # nothing is memoized before a repro
+        hashes = {name: hashlib.sha256((project.root / name).read_bytes()).hexdigest()
+                  for name in ("pipeline.yaml", "params.yaml")}
+        assert cold["hashes"] == hashes
+        run(project)
+        assert (project.cache_dir / "config" / f"{cold['key']}.json").read_bytes() == cold["fresh"]
+        warm: dict = {}
+        assert project.load(warm) == (spec, params) == project.load()
+        assert warm == {"hashes": hashes, "key": cold["key"], "fresh": None}
+
+
 class TestMetricsShow:
     def make(self, tmp_path, metric_files: dict):
         root = tmp_path / "proj"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run, tree_snapshot, write_params, write_pipeline
+from conftest import config_key, run, tree_snapshot, write_params, write_pipeline
 from locpipe import loctk
 from locpipe.canonical import canonical_bytes, canonical_json
 from locpipe.configmodel import StageSpec
@@ -117,6 +117,19 @@ class TestHashTree:
         with_empty = hash_path(root)[0]
         (root / "sub").rmdir()
         assert hash_path(root)[0] == with_empty
+
+    def test_one_walk_hashes_or_ingests(self, tmp_path):
+        """Given a store's `put_file` and `put_bytes`, `hash_path` ingests the
+        tree it hashes: the same result, and the manifest and members stored."""
+        root = tmp_path / "d"
+        (root / "sub").mkdir(parents=True)
+        (root / "a").write_bytes(b"1")
+        (root / "sub" / "b").write_bytes(b"22")
+        store = ObjectStore(tmp_path / "cache")
+        hashed = hash_path(root)
+        assert hash_path(root, store.put_file, store.put_bytes) == hashed == (hashed[0], True, 3)
+        assert store.members(hashed[0]) == [("a", hash_bytes(b"1")), ("sub/b", hash_bytes(b"22"))]
+        assert all(store.has(hexd) for _, hexd in store.members(hashed[0]))
 
     def test_symlink_inside_tree_rejected(self, tmp_path):
         root = tmp_path / "tree"
@@ -332,6 +345,38 @@ class TestCommitRestore:
         assert {rel: (root / rel).read_bytes() for rel in files} == files
         monkeypatch.undo()
         assert hash_path(root / "d")[0] == entry.outs["d"].hash
+
+    def test_commit_records_its_run(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("out.txt", "d"))
+        _, store, fp, entry = _commit(tmp_path, stage, {"out.txt": b"p", "d/a": b"1", "d/b": b"2"})
+        assert entry.fingerprint == fp
+        record = store.root / "runcache" / f"{fp}.json"
+        assert record.read_bytes() == canonical_bytes(entry.to_json()) + b"\n"
+
+    def test_refused_second_out_leaves_no_run_cache_entry(self, tmp_path):
+        stage = StageSpec(name="s", cmd="do", outs=("a.txt", "link.txt"))
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "a.txt").write_bytes(b"a")
+        (root / "link.txt").symlink_to("a.txt")
+        store = ObjectStore(tmp_path / "cache")
+        with pytest.raises(StoreError, match="^declared out link.txt refused: symlink not allowed$"):
+            commit_outputs(store, _want(stage, {}, "{}", hash_bytes(b"fp")), root)
+        assert store.has(hash_bytes(b"a"))  # the first out was ingested
+        assert not (store.root / "runcache").exists()
+
+    def test_restore_reads_a_tree_manifest_once(self, tmp_path, monkeypatch):
+        stage = StageSpec(name="s", cmd="do", outs=("d",))
+        files = {"d/a": b"1", "d/sub/b": b"22", "d/sub/c": b"333"}
+        root, store, _, entry = _commit(tmp_path, stage, files)
+        shutil.rmtree(root / "d")
+        (root / "d" / "stray").mkdir(parents=True)
+        read: list[str] = []
+        members = ObjectStore.members
+        monkeypatch.setattr(ObjectStore, "members", lambda self, hexd: read.append(hexd) or members(self, hexd))
+        restore_outputs(store, entry, root)
+        assert read == [entry.outs["d"].hash]
+        assert tree_snapshot(root / "d") == {rel[2:]: hash_bytes(data) for rel, data in files.items()}
 
     def test_restore_directory_tree_hash_matches(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("d",))
@@ -789,7 +834,7 @@ class TestGc:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"stray")
 
-        assert gc(lock, store, project.config_key()) == 1  # only the orphan is an object
+        assert gc(lock, store, config_key(project)) == 1  # only the orphan is an object
         assert files() == live
         assert not (cache / "sha256" / "ab").exists() and not (cache / "sha256" / "ee").exists()
         assert not (cache / "tables" / ("1" * 64)).exists() and not (cache / "unknown" / "deeper").exists()
