@@ -1,9 +1,10 @@
 """The orchestrator: plan, execute, record.
 
-`_load_plan` orders the planned stages, and `resolve_stage` turns a stage's
-dep hashes into the `LockEntry` it is about to run, fingerprinted by
-`store.derive_fingerprint`, and a cache decision; its commit fills in the
-outs of that same record. `plan` resolves each stage once against the
+`_load_plan` orders the planned stages and selects each one's params, once,
+and `resolve_stage` turns a stage's dep hashes and params into the
+`LockEntry` it is about to run, fingerprinted by `store.derive_fingerprint`,
+and a cache decision; its commit fills in the outs of that same record and
+keeps it in the run cache. `plan` resolves each stage once against the
 workspace `repro` will find, and `status` reads its reasons. `repro` runs
 one loop that either dispatches the next ready stage (skip, fail, restore,
 or fork through `launch.spawn_stage`) or reaps a child and commits its outs.
@@ -24,12 +25,14 @@ with its cause named, and the run goes on.
 
 A run that forks nothing imports only what it runs. `Project.load` serves
 the config from the parse memo (`configmodel.load_config`) when the files'
-bytes are unchanged, so PyYAML is never imported on a hit; only `repro`
-stores a fresh parse's memo entry, so `plan`, `status` and the read-only
-commands change nothing on disk. `launch`, which brings in the fork
-machinery and the builtin modules, is imported when the first stage is
-forked. The records here are named tuples, not dataclasses, for the same
-reason.
+bytes are unchanged, so PyYAML is never imported on a hit. The load hands
+its parse over in the `record` its caller passes, with no state kept
+between calls: `repro` stores the fresh memo entry from its own record, so
+`plan`, `status` and the read-only commands change nothing on disk, and
+`gc` keeps the entry under its own load's key. `launch`, which brings in
+the fork machinery and the builtin modules, is imported when the first
+stage is forked. The records here are named tuples, not dataclasses, for
+the same reason.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .store import (
     ObjectStore,
     OutRecord,
     cache_lookup,
+    check_out_parents,
     commit_outputs,
     config_memo_path,
     derive_fingerprint,
@@ -434,7 +438,10 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
 def spawn_stage(
     stage: StageSpec, request: StageRequest | None, root: Path, log_out: Path, log_err: Path
 ) -> tuple[int, int]:
-    """`launch.spawn_stage`, with `launch` imported on the first fork."""
+    """`launch.spawn_stage`, with `launch` imported on the first fork, once
+    `check_out_parents` has passed each out whose parents it will make."""
+    for out in stage.outs:
+        check_out_parents(root, out)
     from .launch import spawn_stage
 
     return spawn_stage(stage, request, root, log_out, log_err)

@@ -10,8 +10,10 @@ stage about to run and a recorded entry are matched by one rule.
 Every digest is a lowercase hex SHA-256 string. Objects live at
 ``<cache>/sha256/<2 hex>/<62 hex>`` so every object is self-verifying: its
 content hashes to its own address. A directory hashes to its tree manifest,
-built from one walk (`_tree_files`) and read back only by
-`ObjectStore.members`. The run cache keeps every committed execution at
+read back only by `ObjectStore.members`. `hash_path` is the one walk of a
+file or tree: it hashes a dep, and, given the store's `put_file` and
+`put_bytes`, ingests an out as it hashes it. `commit_outputs` records its
+own run: once the objects are stored, it keeps the committed execution at
 ``<cache>/runcache/<fingerprint>.json``, so a return to an earlier input
 restores instead of re-executing. The config parse memo keeps a
 `canonical.frame` of the loaded documents of the two config files at
@@ -28,6 +30,8 @@ that is not a hex digest or a path `configmodel.is_inside` its root.
 `restore_outputs` places each file of `out_files` by one rule: a regular
 file holding its object's bytes is kept, anything else there is replaced.
 A tree out is first pruned to its members and their parent directories.
+No out is restored, made or committed through a parent directory below the
+project root that is a symlink or not a directory (`check_out_parents`).
 
 Every file locpipe writes but a stage's outs goes through `write_atomic`:
 an object through ``<cache>/tmp``, as its address is known only once its
@@ -173,6 +177,25 @@ def hash_path(path: Path | str, put_file=hash_file, put_bytes=hash_bytes) -> tup
         manifest = _manifest((rel, put_file(member)) for rel, member in files)
         return put_bytes(manifest), True, sum(member.stat().st_size for _, member in files)
     return put_file(path), False, path.stat().st_size
+
+
+def check_out_parents(root: Path, out: str) -> None:
+    """Refuse out path `out` unless each of its parent directories below
+    `root` that exists is a real directory: the first that is a symlink or
+    not a directory is named in a StoreError. So nothing written, read or
+    removed for an out can land outside the project. Components above `root`
+    are not checked, and the out's own path is its caller's to judge."""
+    path = Path(root)
+    for part in PurePosixPath(out).parts[:-1]:
+        path = path / part
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            return  # nothing lies below a missing directory
+        if stat.S_ISLNK(mode):
+            raise StoreError(f"symlink not allowed: {path}")
+        if not stat.S_ISDIR(mode):
+            raise StoreError(f"not a directory: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +476,7 @@ def commit_outputs(store: ObjectStore, want: LockEntry, root: Path | str) -> Loc
         if not os.path.lexists(path):
             raise StoreError(f"declared out not produced: {out}")
         try:
+            check_out_parents(root, out)
             if path.is_symlink():
                 raise StoreError("symlink not allowed")
             hexd, tree, size = hash_path(path, store.put_file, store.put_bytes)
@@ -489,9 +513,11 @@ def restore_outputs(store: ObjectStore, entry: LockEntry, root: Path | str) -> N
     """Materialize every out of a committed entry into the workspace (copy
     semantics), file by file, a tree out `_prune`d first. A regular file
     already holding its object's bytes is left alone: restoring it would
-    rewrite the same bytes."""
+    rewrite the same bytes. An out whose parent directories
+    `check_out_parents` refuses is refused before anything is done for it."""
     root = Path(root)
     for out, rec in sorted(entry.outs.items()):
+        check_out_parents(root, out)
         files = out_files(store, out, rec)
         if rec.tree:
             _prune(root / out, [path[len(out) + 1:] for path, _ in files])
@@ -590,6 +616,10 @@ def _sweep_workspace_temps(root: Path, dirs: set[Path], restorable: list[dict]) 
     """Remove the temp files in `dirs` and wherever `restorable` restores to."""
     for outs in restorable:
         for out, rec in outs.items():
+            try:
+                check_out_parents(root, out)
+            except StoreError:
+                continue  # a restore refuses this out, and its parents may lie outside the project
             dest = root / out
             dirs.add(dest.parent)
             if rec.tree and dest.is_dir() and not dest.is_symlink():

@@ -22,8 +22,9 @@ from locpipe.configmodel import StageSpec
 from locpipe.errors import ConfigError
 from locpipe.graph import build_graph, upstream_closure
 from locpipe.runner import ExecOptions, Project, metrics_show, plan, repro, status
-from locpipe.store import ObjectStore, load_lock
+from locpipe.store import TMP_PREFIX, ObjectStore, load_lock
 from locpipe.templates import init_experiment
+from test_store import _listing
 
 
 @pytest.fixture
@@ -1418,6 +1419,103 @@ class TestRefusedOut:
         assert results["eat"].action == "failed" and results["other"].action == "executed"
         assert results["eat"].reason.startswith(f"never run; {failure}")
         assert set(load_lock(root / "pipeline.lock.json")) == {"other"}
+
+
+class TestOutParentsInsideProject:
+    """No out is restored, made or committed through a parent directory that
+    is a symlink or not a directory: `repro` names the first such parent
+    below the project root, and leaves what lies outside untouched."""
+
+    def _repro(self, root: Path, monkeypatch, capsys) -> tuple[int, str]:
+        monkeypatch.chdir(root)
+        code = cli.main(["repro"])
+        return code, capsys.readouterr().err
+
+    def test_restore_refuses_a_symlinked_parent(self, warm_baseline, tmp_path, monkeypatch, capsys):
+        project = _copy_of(warm_baseline, tmp_path)
+        outside = tmp_path / "outside"
+        shutil.copytree(project.root / "report", outside)
+        (outside / "summary.csv").write_bytes(b"junk\n")
+        shutil.rmtree(project.root / "report")
+        (project.root / "report").symlink_to("../outside")
+        before = _listing(outside)
+        code, err = self._repro(project.root, monkeypatch, capsys)
+        assert (code, err) == (3, f"error: symlink not allowed: {project.root.resolve() / 'report'}\n")
+        assert _listing(outside) == before
+
+    def test_restore_deletes_nothing_through_a_symlinked_ancestor(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {"t": {"cmd": "mkdir -p a/d && echo x > a/d/x.txt", "outs": ["a/d"]}})
+        assert run(Project(root=root)).executed == 1
+        victim = tmp_path / "victim"
+        (victim / "d").mkdir(parents=True)
+        (victim / "d" / "keep.txt").write_bytes(b"keep\n")
+        shutil.rmtree(root / "a")
+        (root / "a").symlink_to("../victim")
+        before = _listing(victim)
+        code, err = self._repro(root, monkeypatch, capsys)
+        assert (code, err) == (3, f"error: symlink not allowed: {root.resolve() / 'a'}\n")
+        assert _listing(victim) == before
+
+    def test_launcher_makes_nothing_through_a_symlinked_parent(self, tmp_path, monkeypatch, capsys):
+        root, victim = tmp_path / "proj", tmp_path / "victim"
+        root.mkdir()
+        victim.mkdir()
+        write_pipeline(root, {"t": {"cmd": "echo x > a/d/x.txt", "outs": ["a/d/x.txt"]}})
+        (root / "a").symlink_to("../victim")
+        code, err = self._repro(root, monkeypatch, capsys)
+        assert (code, err) == (3, f"error: symlink not allowed: {root.resolve() / 'a'}\n")
+        assert _listing(victim) == []
+        assert not (root / "pipeline.lock.json").exists()
+
+    def test_restore_refuses_a_file_at_a_parent(self, warm_baseline, tmp_path, monkeypatch, capsys):
+        project = _copy_of(warm_baseline, tmp_path)
+        shutil.rmtree(project.root / "report")
+        (project.root / "report").write_bytes(b"a file\n")
+        code, err = self._repro(project.root, monkeypatch, capsys)
+        assert (code, err) == (3, f"error: not a directory: {project.root.resolve() / 'report'}\n")
+        assert (project.root / "report").read_bytes() == b"a file\n"
+
+    def test_commit_refuses_an_out_reached_through_a_symlink(self, tmp_path):
+        root, outside = tmp_path / "proj", tmp_path / "outside"
+        root.mkdir()
+        outside.mkdir()
+        (outside / "x.txt").write_bytes(b"outside\n")
+        write_pipeline(root, {
+            "link": {"cmd": "rmdir a && ln -s ../outside a", "outs": ["a/x.txt"]},  # the launcher made a/
+            "other": {"cmd": "echo ok > other.txt", "outs": ["other.txt"]},
+        })
+        before = _listing(outside)
+        results = {r.stage: r for r in run(Project(root=root)).results}
+        assert results["link"].action == "failed" and results["other"].action == "executed"
+        assert results["link"].reason == f"never run; declared out a/x.txt refused: symlink not allowed: {root / 'a'}"
+        assert set(load_lock(root / "pipeline.lock.json")) == {"other"}
+        assert len(list((root / ".locpipe" / "cache" / "runcache").iterdir())) == 1
+        assert _listing(outside) == before
+
+    def test_gc_sweeps_no_temp_file_through_a_symlinked_parent(self, warm_baseline, tmp_path, monkeypatch, capsys):
+        project = _copy_of(warm_baseline, tmp_path)
+        outside = tmp_path / "outside"
+        shutil.copytree(project.root / "report", outside)
+        (outside / f"{TMP_PREFIX}1-not-ours").write_bytes(b"someone else's\n")
+        shutil.rmtree(project.root / "report")
+        (project.root / "report").symlink_to("../outside")
+        before = _listing(outside)
+        monkeypatch.chdir(project.root)
+        assert cli.main(["gc"]) == 0
+        assert _listing(outside) == before
+
+    def test_dep_read_through_a_symlinked_directory(self, tmp_path):
+        root, shared = tmp_path / "proj", tmp_path / "shared"
+        root.mkdir()
+        shared.mkdir()
+        (shared / "in.txt").write_bytes(b"in\n")
+        (root / "data").symlink_to("../shared")
+        write_pipeline(root, {"copy": {"cmd": "cp data/in.txt out.txt", "deps": ["data/in.txt"], "outs": ["out.txt"]}})
+        assert run(Project(root=root)).executed == 1
+        assert run(Project(root=root)).cached == 1
+        assert (root / "out.txt").read_bytes() == b"in\n"
 
 
 class TestProjectDiscovery:
