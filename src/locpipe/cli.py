@@ -150,6 +150,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
             print(f"{entry.stage}: changed ({'; '.join(entry.reasons)})")
         elif entry.state == "never-run":
             print(f"{entry.stage}: never run")
+        elif entry.state == "blocked":
+            print(f"{entry.stage}: blocked ({entry.reasons[0]})")
         else:
             print(f"{entry.stage}: unchanged")
     return EXIT_OK

@@ -4,10 +4,11 @@ project root as cwd and a scrubbed environment. The cache, the lock and the
 stage graph stay in `runner`; this module imports none of them. While
 children run, the orchestrator blocks on their pidfds rather than polling.
 
-A builtin child starts warm: the orchestrator imports the builtin's module
-just before the fork, so each module is compiled once per run rather than
-once per stage, and it freezes its heap around the fork, so the child's
-collections never walk (and copy-on-write) the orchestrator's objects.
+A builtin child starts warm: the orchestrator has imported the builtin's
+module by the fork (while the previous child ran, or here just before it), so
+each module is compiled once per run rather than once per stage, and it
+freezes its heap around the fork, so the child's collections never walk (and
+copy-on-write) the orchestrator's objects.
 """
 
 from __future__ import annotations

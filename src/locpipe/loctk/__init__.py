@@ -2,10 +2,18 @@
 
 Each builtin is a deterministic function from (params, deps) to declared
 outs. The orchestrator forks a child per executed stage, and the child calls
-``run_builtin`` on the stage's in-memory ``StageRequest``. Just before that
-fork the orchestrator imports the builtin's module (``load_builtin``), so the
-child inherits its compiled code; only the child calls the module's ``run``,
-into out directories the launcher has made.
+``run_builtin`` on the stage's in-memory ``StageRequest``. The orchestrator
+imports the builtin's module (``load_builtin``) before that fork, while the
+previous child runs or else just before it, so the child inherits its
+compiled code; only the child calls the module's ``run``, into out
+directories the launcher has made.
+
+A request's ``cpus`` is the number of processes the builtin may run at once:
+the orchestrator gives each stage its share of the usable CPUs, and
+``loc.gridsearch`` deals its candidates over that many. It defaults to 1,
+so a direct ``run_builtin`` caller runs serially, and no output byte
+depends on it.
+
 Every builtin's identity is one digest of the code it runs
 (`builtin_version`), so any edit to this package or to ``canonical.py``
 invalidates every cached builtin stage.
@@ -77,6 +85,7 @@ class StageRequest(NamedTuple):
     deps: tuple[str, ...] = ()
     outs: tuple[str, ...] = ()
     table_memo: Path | None = None  # a `table_memo_dir`; None parses every table afresh
+    cpus: int = 1  # the processes the builtin may run at once; no output depends on it
 
     def dep(self, index: int, label: str) -> Path:
         if index >= len(self.deps):

@@ -24,16 +24,30 @@ assembled from the selected candidate's per-fold prediction arrays, each
 fold's truth columns and its test indices, and `write_predictions` renders it
 through `tables.render_csv`, column-wise, with ``repr`` called once per
 distinct float and ids quoted by csv.writer.
+
+The candidates are scored on every CPU the stage may use
+(`StageRequest.cpus`). Once the shared work above is done, they are dealt
+round-robin over this process and ``cpus - 1`` forked workers; each scores
+its candidates on every fold and sends back their fold metrics and the
+predictions of its own best candidate. The results are read in candidate
+order and selected by the same `select_index`, so no output byte depends on
+the number of processes. A search with less scoring work than
+`FANOUT_MIN_WORK` forks nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import io
+import marshal
 import operator
+import os
+import signal
+import sys
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from typing import Callable, Sequence, TextIO
+from typing import Callable, NamedTuple, NoReturn, Sequence, TextIO
 
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
@@ -42,6 +56,11 @@ from .metrics import METRIC_KEYS, left_sum, score_columns, truth_columns
 from .models import KNN_METRICS, KNN_WEIGHTS, KnnModel, RidgeStats, artifact_doc
 from .split import load_fold_file
 from .tables import Table, read_table, render_csv
+
+# The scoring work (`run_grid_search`'s predicted rows) below which the
+# candidates are scored in this process alone: forking and collecting a
+# worker costs about 3 ms, which 2 CPUs win back from about 5,000 rows.
+FANOUT_MIN_WORK = 5000
 
 _RIDGE_PARAMS = ("alpha", "fit_intercept")
 _KNN_PARAMS = ("k", "metric", "weights")
@@ -221,14 +240,22 @@ def run_grid_search(
     grid_cfg: dict,
     primary_metric: str = "rmse",
     report_metrics: list[str] | None = None,
+    cpus: int = 1,
 ) -> tuple[dict, dict, Predictions, dict]:
     """Returns (cv_results, model_artifact, predictions, metrics_doc).
 
     Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
     kNN candidates are fit on each fold's train rows. Each fold's test
     columns and truth are gathered once, then predicted (``predict_columns``)
-    and scored column-wise for every candidate, and the running-best
-    candidate's predictions are kept for the predictions CSV.
+    and scored column-wise for every candidate.
+
+    The candidates are dealt round-robin over ``width = min(cpus,
+    candidates)`` processes (`_score_shares`), or scored here alone when
+    their work is below `FANOUT_MIN_WORK`: candidate ``i`` is scored on
+    every fold by process ``i % width``, this one or a forked worker. Each
+    keeps the predictions of its own best candidate, and the results are
+    read in candidate order, so every output is the same for any `cpus`; a
+    failure is the one a serial search meets first.
     """
     if primary_metric not in METRIC_KEYS:
         raise BuiltinError(f"gridsearch: unknown primary metric '{primary_metric}'")
@@ -274,11 +301,9 @@ def run_grid_search(
 
     # per fold: (test feature columns, truth)
     test_views = [(columns[:-2], truth_columns(*columns[-2:])) for columns in test_columns]
-    rows = []
-    aggregates = []
-    mean_primary = []
-    best_preds: list[tuple] = []  # per fold (pred_x, pred_y) of the best candidate so far
-    for cand in candidates:
+
+    def score(cand: Candidate) -> tuple[list[dict], list[tuple[array, array]]]:
+        """(metrics, (pred_x, pred_y)) of `cand` on each fold, in fold order."""
         fold_metrics = []
         fold_preds = []
         for fold_idx, (test_cols, truth) in enumerate(test_views):
@@ -293,20 +318,53 @@ def run_grid_search(
             except BuiltinError as exc:
                 raise BuiltinError(f"gridsearch: candidate {cand.index} ({cand.model}): {exc}") from None
             preds = fitted.predict_columns(test_cols, len(truth.x))
-            metrics = score_columns(*preds, truth)
-            fold_metrics.append(metrics)
+            fold_metrics.append(score_columns(*preds, truth))
             fold_preds.append((array("d", preds[0]), array("d", preds[1])))  # floats, unboxed
-            rows.append({
-                "candidate": cand.index,
-                "fold": fold_idx,
-                "model": cand.model,
-                "params": cand.params,
-                "metrics": metrics,
-            })
-        means = {
-            key: left_sum(fm[key] for fm in fold_metrics) / len(fold_metrics)
-            for key in METRIC_KEYS
-        }
+        return fold_metrics, fold_preds
+
+    def mean_of(fold_metrics: list[dict], key: str) -> float:
+        return left_sum(fm[key] for fm in fold_metrics) / len(fold_metrics)
+
+    def score_share(share: Sequence[Candidate]) -> Share:
+        """Score `share` in order, stopping at its first failing candidate,
+        and keep the predictions of its `select_index` choice."""
+        metrics: list[list[dict]] = []
+        means: list[float] = []
+        best, best_preds = None, []
+        for cand in share:
+            try:
+                fold_metrics, fold_preds = score(cand)
+            except BuiltinError as exc:
+                return Share(metrics, best, best_preds, (cand.index, str(exc)))
+            metrics.append(fold_metrics)
+            means.append(mean_of(fold_metrics, primary_metric))
+            if select_index(means) == len(means) - 1:
+                best, best_preds = cand.index, fold_preds
+        return Share(metrics, best, best_preds, None)
+
+    # rows the candidates predict, a kNN prediction counting once per train row it scans
+    test_rows = sum(len(fold["test"]) for fold in folds)
+    knn_scans = sum(len(fold["test"]) * len(fold["train"]) for fold in folds)
+    work = sum(knn_scans if cand.model == "knn" else test_rows for cand in candidates)
+    width = min(cpus, len(candidates)) if work >= FANOUT_MIN_WORK else 1
+    shares = _score_shares(score_share, [candidates[p::width] for p in range(width)])
+    failures = [share.failure for share in shares if share.failure is not None]
+    if failures:  # the one a serial search meets first
+        raise BuiltinError(min(failures)[1])
+
+    rows = []
+    aggregates = []
+    mean_primary = []
+    for cand in candidates:
+        fold_metrics = shares[cand.index % width].metrics[cand.index // width]
+        rows.extend({
+            "candidate": cand.index,
+            "fold": fold_idx,
+            "model": cand.model,
+            "params": cand.params,
+            "metrics": metrics,
+        } for fold_idx, metrics in enumerate(fold_metrics))
+        means = {key: mean_of(fold_metrics, key) for key in METRIC_KEYS}
         aggregates.append({
             "candidate": cand.index,
             "model": cand.model,
@@ -314,11 +372,12 @@ def run_grid_search(
             "metrics": means,
         })
         mean_primary.append(means[primary_metric])
-        if select_index(mean_primary) == cand.index:
-            best_preds = fold_preds
 
     selected = select_index(mean_primary)
     chosen = candidates[selected]
+    holder = shares[selected % width]
+    # a share's own choice is the overall one unless a NaN mean led it astray
+    best_preds = holder.best_preds if holder.best == selected else score(chosen)[1]
 
     truths = [truth for _, truth in test_views]
     predictions = Predictions(
@@ -350,6 +409,118 @@ def run_grid_search(
     return cv_results, artifact, predictions, metrics_doc
 
 
+class Share(NamedTuple):
+    """What one process's share of the candidates gave: per candidate scored,
+    its metrics per fold; the index and per-fold (pred_x, pred_y) of the
+    share's `select_index` choice; and (candidate index, message) of the
+    failure that stopped it, or None."""
+    metrics: list[list[dict]]
+    best: int | None
+    best_preds: list[tuple[array, array]]
+    failure: tuple[int, str] | None
+
+
+def _score_shares(score_share: Callable[[list[Candidate]], Share], shares: list[list[Candidate]]) -> list[Share]:
+    """`score_share` of each share: the first here, each other in a worker
+    forked from this process, which sends its `Share` back through a pipe
+    (`marshal`, each prediction column as raw ``array('d')`` bytes) and
+    leaves through ``os._exit``. A worker writes no file.
+
+    Each pipe is drained before its worker is reaped, and every worker is
+    reaped on every path, killed first if this process raises. A worker
+    that dies counts as failing at its first candidate, with a message that
+    names it; one whose reader is gone exits on the BrokenPipeError.
+    """
+    if len(shares) == 1:
+        return [score_share(shares[0])]
+    workers: dict[int, tuple[int, int]] = {}  # pid -> (share number, read end of its pipe)
+    try:
+        sys.stdout.flush()  # bytes buffered here must not be written again by a worker
+        sys.stderr.flush()
+        frozen = gc.get_freeze_count()
+        gc.freeze()  # a worker's collections never walk (and copy) this process's objects
+        try:
+            for number in range(1, len(shares)):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(score_share, shares[number], write_fd, [read_fd, *(fd for _, fd in workers.values())])
+                except BaseException:
+                    os.close(read_fd)
+                    raise
+                finally:
+                    os.close(write_fd)
+                workers[pid] = (number, read_fd)
+        finally:
+            if not frozen:  # a stage child, forked frozen by the launcher, stays frozen
+                gc.unfreeze()
+        results = [score_share(shares[0])]
+        for pid, (number, read_fd) in list(workers.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            wait_status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            os.close(read_fd)
+            results.append(_received(data, wait_status, number, pid, shares[number][0].index))
+        return results
+    finally:
+        for pid, (_, read_fd) in workers.items():
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so the pid is still its own
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+
+
+def _worker(
+    score_share: Callable[[list[Candidate]], Share], share: list[Candidate], write_fd: int, inherited: list[int]
+) -> NoReturn:
+    """A forked worker: score `share` and send the result through `write_fd`.
+    It first closes the `inherited` read ends, its own pipe's and those of
+    earlier workers, so each pipe has one reader. It never returns."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        result = score_share(share)
+        payload = marshal.dumps((
+            result.metrics, result.best,
+            [(pred_x.tobytes(), pred_y.tobytes()) for pred_x, pred_y in result.best_preds],
+            result.failure,
+        ))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    except BrokenPipeError:
+        pass  # the process that forked this one is gone
+    except BaseException:  # the worker's top level: report, then leave through os._exit
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+
+def _received(data: bytes, wait_status: int, number: int, pid: int, first: int) -> Share:
+    """The `Share` a worker sent, or, if it died, a failure at its first candidate."""
+    code = os.waitstatus_to_exitcode(wait_status)
+    if code == 0:
+        metrics, best, preds, failure = marshal.loads(data)
+        best_preds = [(array("d", pred_x), array("d", pred_y)) for pred_x, pred_y in preds]
+        return Share(metrics, best, best_preds, failure)
+    if code < 0:
+        try:
+            died = f"was killed by signal {signal.Signals(-code).name}"
+        except ValueError:
+            died = f"was killed by signal {-code}"
+    else:
+        died = f"exited with status {code}"
+    return Share([], None, [], (first, f"gridsearch: CV worker {number} (pid {pid}) {died}"))
+
+
 def write_predictions(predictions: Predictions, handle: TextIO) -> None:
     """Render `predictions` to `handle` through `tables.render_csv`: a header
     of the field names, and ``repr`` (`canonical.fmt_num`'s text for an int
@@ -376,7 +547,7 @@ def run(request: StageRequest) -> None:
     table = read_table(request.dep(0, "feature CSV"), request.table_memo)
     folds_doc = load_fold_file(request.dep(1, "fold file JSON"))
     cv_results, artifact, predictions, metrics_doc = run_grid_search(
-        table, folds_doc, grid_cfg, primary, list(report_metrics)
+        table, folds_doc, grid_cfg, primary, list(report_metrics), request.cpus
     )
 
     dump_canonical(cv_results, request.out(0, "cv results"))

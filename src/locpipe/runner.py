@@ -12,6 +12,14 @@ Every invocation writes a run manifest, even when stages fail or an error
 stops the run: a child an error leaves running is reaped and recorded as
 failed.
 
+Each builtin stage's request carries its share of the CPUs this process may
+use, ``max(1, usable // jobs)`` (`_usable_cpus`), which `loc.gridsearch`
+spends on its candidates; `plan` blocks a stage whose outs
+`check_out_parents` refuses, with the refusal `repro` would meet, and
+`status` reports it. While a child runs, `repro` imports the module of the
+next pending builtin stage (`_preload_next`), so its compile overlaps that
+child rather than delaying the next fork.
+
 `plan`, `status` and `repro` find a dep's hash by one rule, `dep_hash`: a
 dep that overlaps an out the run has restored or committed (in `plan`, will
 restore) gets the hash of that out's recorded bytes, so `repro` never hashes
@@ -64,7 +72,7 @@ from .configmodel import (
 )
 from .errors import EXIT_OK, EXIT_STAGE_FAILURE, ConfigError, StoreError
 from .graph import StageGraph, build_graph, topo_order, upstream_closure
-from .loctk import StageRequest, builtin_version, table_memo_dir
+from .loctk import StageRequest, builtin_version, load_builtin, table_memo_dir
 from .store import (
     LockEntry,
     LockFile,
@@ -249,7 +257,13 @@ class PlanEntry(NamedTuple):
     stage: str
     action: str  # run | cached | blocked
     reason: str = ""
-    reasons: tuple[str, ...] = ()  # the stage's own miss reasons (`StageState.reasons`)
+    # the stage's own miss reasons (`StageState.reasons`); for a stage whose
+    # outs `check_out_parents` refuses, blocked by it, that refusal alone
+    reasons: tuple[str, ...] = ()
+
+    @property
+    def refused(self) -> bool:
+        return self.action == "blocked" and self.reasons == (self.reason,)
 
 
 class ExecutionPlan(NamedTuple):
@@ -419,6 +433,9 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
             action, reason = "blocked", f"upstream blocked: {blocked_up[0]}"
         elif missing:
             action, reason = "blocked", f"missing dependency: {missing[0]}"
+        elif (refusal := _out_refusal(project.root, spec.stages[name])) is not None:
+            action, reason = "blocked", refusal
+            state = state._replace(reasons=(refusal,))
         elif opts.force:
             action, reason = "run", "forced"
         elif running_up:
@@ -429,6 +446,18 @@ def plan(project: Project, opts: ExecOptions = ExecOptions()) -> ExecutionPlan:
             action, reason = "run", "; ".join(state.reasons)
         entries[name] = PlanEntry(name, action, reason, state.reasons)
     return ExecutionPlan(tuple(entries.values()))
+
+
+def _out_refusal(root: Path, stage: StageSpec) -> str | None:
+    """The refusal `check_out_parents` gives the first out of `stage` it
+    refuses, which `repro` would meet restoring or forking the stage; None
+    if it refuses none."""
+    try:
+        for out in stage.outs:
+            check_out_parents(root, out)
+    except StoreError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +513,27 @@ def _damaged_object(store: ObjectStore, known: Mapping[str, OutRecord], dep: str
     return None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _preload_next(spec: PipelineSpec, pending: list[str]) -> None:
+    """Import the module of the first pending builtin stage while children
+    run, so its compile overlaps them instead of delaying its fork. A
+    failed import is left for that fork, whose child reports it."""
+    builtin = next((spec.stages[n].builtin for n in pending if spec.stages[n].builtin is not None), None)
+    if builtin is not None:
+        try:
+            load_builtin(builtin)
+        except (Exception, SystemExit):
+            pass
+
+
 def _make_run_id() -> str:
     now = datetime.now(timezone.utc)
     salt = hashlib.sha256(
@@ -510,6 +560,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         lock = load_lock(project.lock_path)
         known: dict[str, OutRecord] = {}  # every out restored or committed so far
         pending = list(selected)
+        cpus = max(1, _usable_cpus() // opts.jobs)  # each builtin's share, with `jobs` stages at once
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
         try:
@@ -520,6 +571,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     # reap: a stage is resolved only once a slot is free to run it
                     if not running:  # pragma: no cover
                         raise StoreError(f"scheduler stalled on stages: {pending}")
+                    _preload_next(spec, pending)
                     from .launch import reap_first  # loaded by the fork of every running stage
 
                     pid, wait_status, usage = reap_first(list(running))
@@ -586,6 +638,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             deps=stage.deps,
                             outs=stage.outs,
                             table_memo=table_memo_dir(project.cache_dir.absolute()),
+                            cpus=cpus,
                         )
                     run_logs.mkdir(parents=True, exist_ok=True)
                     started = time.perf_counter()
@@ -629,7 +682,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
 
 class StageStatus(NamedTuple):
     stage: str
-    state: str                  # unchanged | changed | never-run
+    state: str                  # unchanged | changed | never-run | blocked
     reasons: tuple[str, ...] = ()
 
 
@@ -638,10 +691,14 @@ def status(project: Project) -> list[StageStatus]:
 
     It reads `plan`'s own reasons for each stage, named against the stage's
     own lock entry: a stage is never reported changed only because an
-    upstream stage is.
+    upstream stage is. A stage whose outs `repro` would refuse is
+    ``blocked``, with the refusal as its reason.
     """
     states = {(): "unchanged", (NEVER_RUN,): "never-run"}
-    return [StageStatus(e.stage, states.get(e.reasons, "changed"), e.reasons) for e in plan(project).entries]
+    return [
+        StageStatus(e.stage, "blocked" if e.refused else states.get(e.reasons, "changed"), e.reasons)
+        for e in plan(project).entries
+    ]
 
 
 class MetricRow(NamedTuple):

@@ -1,12 +1,20 @@
 import csv
 import io
+import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from array import array
+from pathlib import Path
 
 import pytest
 
 from locpipe.canonical import canonical_bytes
 from locpipe.errors import BuiltinError
+from locpipe.loctk import StageRequest, gridsearch, run_builtin
 from locpipe.loctk.gridsearch import (
     Candidate,
     Predictions,
@@ -18,8 +26,8 @@ from locpipe.loctk.gridsearch import (
 )
 from locpipe.loctk.metrics import METRIC_KEYS, score_columns, truth_columns
 from locpipe.loctk.models import RidgeStats, load_artifact
-from locpipe.loctk.split import make_fold_file
-from locpipe.loctk.tables import Table
+from locpipe.loctk.split import make_fold_file, write_fold_file
+from locpipe.loctk.tables import Table, write_table
 
 
 def make_table(n=30, m=3, seed=0) -> Table:
@@ -40,6 +48,19 @@ def folds_for(table: Table, k=5, seed=7) -> dict:
 
 
 RIDGE_GRID = {"ridge": {"alpha": [0.0], "fit_intercept": [True, False]}}
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """A one-item list counting the `os.fork` calls of this process from now on."""
+    forks = [0]
+    fork = os.fork
+
+    def counted():
+        forks[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestExpandGrid:
@@ -126,11 +147,18 @@ class TestRunGridSearch:
         means = [a["metrics"]["rmse"] for a in cv["aggregates"]]
         assert cv["selected"] == means.index(min(means))
 
-    def test_duplicate_candidates_tie_to_lowest_index(self):
+    def test_duplicate_candidates_tie_to_lowest_index(self, monkeypatch):
         table = make_table()
         grid = {"ridge": {"alpha": [0.0, 0.0], "fit_intercept": [True]}}
         cv, _, _, _ = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"])
         assert cv["selected"] == 0
+        # dealt over 2 processes, the tied candidates are scored in different ones
+        monkeypatch.setattr(gridsearch, "FANOUT_MIN_WORK", 0)
+        forks = count_forks(monkeypatch)
+        fanned = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"], cpus=2)
+        assert forks == [1]
+        assert fanned[0]["selected"] == 0
+        assert canonical_bytes(fanned[0]) == canonical_bytes(cv)
 
     def test_predictions_cover_each_sample_once(self):
         table = make_table()
@@ -381,3 +409,223 @@ class TestRidgeFromStatistics:
         for row in selected_rows:
             pred_x, pred_y, true_x, true_y = by_fold[row["fold"]]
             assert score_columns(pred_x, pred_y, truth_columns(true_x, true_y)) == row["metrics"]
+
+
+KNN_SWEEP = {"knn": {"k": [1, 3, 5], "weights": ["uniform", "distance"], "metric": ["euclidean", "manhattan"]}}
+GRIDS = {"ridge": RIDGE_SWEEP, "knn": KNN_SWEEP, "mixed": {**RIDGE_SWEEP, **KNN_SWEEP}}
+OUT_NAMES = ("cv_results.json", "model.json", "predictions.csv", "metrics.json")
+
+
+class TestFanOut:
+    """The candidates dealt over 1, 2 or 3 processes give the same bytes."""
+
+    @pytest.mark.parametrize("kind", ["kfold", "shuffle", "groupkfold", "hand", "many-repeats"])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_outs_are_byte_identical_for_any_cpus(self, grid, kind, tmp_path, monkeypatch):
+        monkeypatch.setattr(gridsearch, "FANOUT_MIN_WORK", 0)
+        table = make_table(n=40, m=4, seed=3)
+        write_table(table, tmp_path / "features.csv")
+        write_fold_file(fold_files(table)[kind], tmp_path / "folds.json")
+        params = {"model": {"primary_metric": "rmse", "report_metrics": ["rmse", "loc_err_p95"], "grid": GRIDS[grid]}}
+        outs = {}
+        for cpus in (1, 2, 3):
+            out_dir = tmp_path / f"cpus{cpus}"
+            out_dir.mkdir()
+            request = StageRequest(
+                stage="gridsearch", builtin="loc.gridsearch", params=params,
+                deps=(str(tmp_path / "features.csv"), str(tmp_path / "folds.json")),
+                outs=tuple(str(out_dir / name) for name in OUT_NAMES), cpus=cpus,
+            )
+            forks = count_forks(monkeypatch)
+            run_builtin("loc.gridsearch", request)
+            assert forks == [cpus - 1]
+            outs[cpus] = [(out_dir / name).read_bytes() for name in OUT_NAMES]
+        assert outs[2] == outs[1]
+        assert outs[3] == outs[1]
+
+    def test_little_work_forks_nothing(self, monkeypatch):
+        table = make_table()
+        forks = count_forks(monkeypatch)
+        run_grid_search(table, folds_for(table), RIDGE_GRID, "rmse", ["rmse"], cpus=2)
+        assert forks == [0]
+
+    def test_a_nan_mean_still_gives_the_selected_predictions(self, monkeypatch):
+        """A share whose first candidate scores NaN keeps that candidate as its
+        own choice; the predictions are those of the overall choice all the same."""
+        table = make_table()
+        grid = {"ridge": {"alpha": [0.0, 1.0, 2.0, 3.0], "fit_intercept": [True]}}
+        score = gridsearch.score_columns
+
+        def nan_for_alpha_one(pred_x, pred_y, truth):
+            metrics = score(pred_x, pred_y, truth)
+            return {**metrics, "rmse": float("nan")} if nan_for_alpha_one.nan else metrics
+
+        def fit(stats, alpha, fit_intercept):
+            nan_for_alpha_one.nan = alpha == 1.0
+            return solve(stats, alpha, fit_intercept)
+
+        solve = RidgeStats.solve
+        monkeypatch.setattr(RidgeStats, "solve", fit)
+        monkeypatch.setattr(gridsearch, "score_columns", nan_for_alpha_one)
+        monkeypatch.setattr(gridsearch, "FANOUT_MIN_WORK", 0)
+        serial = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"])
+        fanned = run_grid_search(table, folds_for(table), grid, "rmse", ["rmse"], cpus=2)
+        # share 1 holds candidates 1 and 3, and its own choice stays at the NaN candidate 1
+        assert serial[0]["selected"] == 3
+        assert json.dumps(fanned[0], sort_keys=True) == json.dumps(serial[0], sort_keys=True)
+        assert predictions_csv(fanned[2]) == predictions_csv(serial[2])
+
+
+def _kill_in_worker(parent: int):
+    """A `score_columns` that SIGKILLs any process but `parent` calling it."""
+    score = gridsearch.score_columns
+
+    def scored(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return score(*args)
+
+    return scored
+
+
+def _raise_in_parent(parent: int):
+    """A `score_columns` that raises a RuntimeError in `parent` alone."""
+    score = gridsearch.score_columns
+
+    def scored(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed")
+        return score(*args)
+
+    return scored
+
+
+def _dead_parent(parent: int, pid_file: str):
+    """A `score_columns` under which `parent` exits at once, and a worker
+    writes its pid to `pid_file` and outlives it before it sends."""
+    score = gridsearch.score_columns
+
+    def scored(*args):
+        if os.getpid() == parent:
+            os._exit(0)
+        if not os.path.exists(pid_file):
+            Path(pid_file).write_text(str(os.getpid()))
+            time.sleep(0.3)
+        return score(*args)
+
+    return scored
+
+
+def _duplicate_column(n: int = 12) -> Table:
+    table = make_table(n=n, m=2)
+    table.cols[1][:] = table.cols[0]
+    return table
+
+
+# name -> (table, folds at k, grid, `score_columns` patch or None); the grid of a
+# failing case fails first, in serial order, at a candidate a worker scores
+FAILURE_CASES = {
+    "knn-k": (lambda: make_table(n=10), 5, {"knn": {"k": [3, 8], "weights": ["uniform"], "metric": ["euclidean"]}}, None),
+    "singular": (_duplicate_column, 3, {"ridge": {"alpha": [1.0, 0.0], "fit_intercept": [False]}}, None),
+    # candidate 2 fails in this process before its worker's candidate 1 is known
+    "serial-first": (_duplicate_column, 3, {"ridge": {"alpha": [1.0, 0.0, 0.0], "fit_intercept": [False]}}, None),
+    "worker-killed": (make_table, 5, RIDGE_SWEEP, _kill_in_worker),
+    "parent-raises": (make_table, 5, RIDGE_SWEEP, _raise_in_parent),
+}
+
+FAILURE_SCRIPT = """
+import json, os, sys
+from test_gridsearch import FAILURE_CASES, folds_for
+from locpipe.loctk import gridsearch
+make, k, grid, patch = FAILURE_CASES[sys.argv[1]]
+gridsearch.FANOUT_MIN_WORK = 0
+if patch is not None:
+    gridsearch.score_columns = patch(os.getpid(), *sys.argv[3:])
+table = make()
+try:
+    gridsearch.run_grid_search(table, folds_for(table, k=k), grid, "rmse", ["rmse"], cpus=int(sys.argv[2]))
+    message = None
+except Exception as exc:
+    message = f"{type(exc).__name__}: {exc}"
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({"message": message, "children_left": left}))
+"""
+
+
+def run_failure_case(name: str, cpus: int, *args: str) -> dict:
+    """Run FAILURE_CASES[name] with `cpus` in a fresh interpreter: the error
+    it raised, and whether any child process was left."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILURE_SCRIPT, name, str(cpus), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestFanOutFailures:
+    """A failure in any process gives the error a serial search gives, and
+    leaves no child process behind."""
+
+    @pytest.mark.parametrize("name, expected", [
+        ("knn-k", "BuiltinError: gridsearch: candidate 1 (knn) has k=8 >= training fold size 8"),
+        ("singular", "BuiltinError: gridsearch: candidate 1 (ridge): normal equations are singular"),
+        ("serial-first", "BuiltinError: gridsearch: candidate 1 (ridge): normal equations are singular"),
+    ])
+    def test_same_error_as_serial(self, name, expected):
+        for cpus in (1, 2, 3):
+            assert run_failure_case(name, cpus) == {"message": expected, "children_left": False}
+
+    def test_worker_killed_by_a_signal_is_named(self):
+        result = run_failure_case("worker-killed", 2)
+        assert result["children_left"] is False
+        assert result["message"].startswith("BuiltinError: gridsearch: CV worker 1 (pid ")
+        assert result["message"].endswith(") was killed by signal SIGKILL")
+
+    def test_parent_error_kills_and_reaps_every_worker(self):
+        result = run_failure_case("parent-raises", 3)
+        assert result == {"message": "RuntimeError: parent failed", "children_left": False}
+
+    def test_worker_exits_once_its_parent_is_gone(self, tmp_path):
+        pid_file = tmp_path / "worker.pid"
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        # 5,000 rows: the worker's predictions outgrow a pipe's buffer, so only a
+        # pipe with no reader left ends its write
+        big = "(lambda: make_table(n=5000), 5, RIDGE_SWEEP, _dead_parent)"
+        script = FAILURE_SCRIPT.replace("FAILURE_CASES[sys.argv[1]]", big)
+        script = script.replace("import FAILURE_CASES, folds_for", "import RIDGE_SWEEP, _dead_parent, folds_for, make_table")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "-", "2", str(pid_file)], env=env, capture_output=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (0, b"")
+            worker = int(pid_file.read_text())
+            deadline = time.monotonic() + 30
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:  # a worker that outlived the test is not left behind
+            if pid_file.exists() and _running(int(pid_file.read_text())):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            return stat.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc: ask the process itself
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True

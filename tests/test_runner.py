@@ -1506,6 +1506,29 @@ class TestOutParentsInsideProject:
         assert cli.main(["gc"]) == 0
         assert _listing(outside) == before
 
+    @pytest.mark.parametrize("linked, stage, downstream", [("report", "report", None), ("out", "gridsearch", "report")])
+    def test_status_dry_run_and_repro_name_the_refused_parent(
+        self, linked, stage, downstream, warm_baseline, tmp_path, monkeypatch, capsys
+    ):
+        project = _copy_of(warm_baseline, tmp_path)
+        shutil.copytree(project.root / linked, tmp_path / "outside")
+        shutil.rmtree(project.root / linked)
+        (project.root / linked).symlink_to("../outside")
+        refusal = f"symlink not allowed: {project.root.resolve() / linked}"
+        monkeypatch.chdir(project.root)
+        assert cli.main(["status"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{stage}: blocked ({refusal})" in lines
+        assert [line for line in lines if not line.endswith(": unchanged")] == [f"{stage}: blocked ({refusal})"]
+        assert cli.main(["repro", "--dry-run"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  {stage}: blocked ({refusal})" in lines
+        if downstream is not None:
+            assert f"  {downstream}: blocked (upstream blocked: {stage})" in lines
+        assert sum(line.endswith(": would use cache") for line in lines) == 6 - 1 - (downstream is not None)
+        code, err = self._repro(project.root, monkeypatch, capsys)
+        assert (code, err) == (3, f"error: {refusal}\n")
+
     def test_dep_read_through_a_symlinked_directory(self, tmp_path):
         root, shared = tmp_path / "proj", tmp_path / "shared"
         root.mkdir()
@@ -1516,6 +1539,58 @@ class TestOutParentsInsideProject:
         assert run(Project(root=root)).executed == 1
         assert run(Project(root=root)).cached == 1
         assert (root / "out.txt").read_bytes() == b"in\n"
+
+
+class TestCpuShareAndPreload:
+    """`repro` gives each builtin its share of the usable CPUs, and imports
+    the next builtin's module while the running child works."""
+
+    @pytest.mark.parametrize("usable, jobs, share", [(4, 1, 4), (4, 2, 2), (3, 2, 1), (1, 3, 1)])
+    def test_each_builtin_gets_its_share(self, usable, jobs, share, tmp_path, monkeypatch):
+        root = tmp_path / "exp"
+        init_experiment(root, "baseline")
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: usable)
+        requests = []
+        spawn = runner.spawn_stage
+
+        def recorded(stage, request, *args):
+            requests.append(request)
+            return spawn(stage, request, *args)
+
+        monkeypatch.setattr(runner, "spawn_stage", recorded)
+        assert run(Project(root=root), jobs=jobs).executed == 6
+        assert [request.cpus for request in requests] == [share] * 6
+
+    def test_usable_cpus_are_the_affinity_set_or_the_cpu_count(self, monkeypatch):
+        assert runner._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert runner._usable_cpus() == 3
+
+    def test_direct_requests_run_serially(self):
+        assert loctk.StageRequest(stage="s", builtin="loc.synth").cpus == 1
+
+    def test_next_builtin_is_imported_while_a_child_runs(self, tmp_path, monkeypatch):
+        root = tmp_path / "exp"
+        init_experiment(root, "baseline")
+        events = []
+        load, reap = runner.load_builtin, launch.reap_first
+
+        def loaded(builtin):
+            events.append(builtin)
+            return load(builtin)
+
+        def reaped(pids):
+            events.append(f"reap {len(pids)}")
+            return reap(pids)
+
+        monkeypatch.setattr(runner, "load_builtin", loaded)
+        monkeypatch.setattr(launch, "reap_first", reaped)
+        assert run(Project(root=root)).executed == 6
+        assert events == [
+            "loc.prepare", "reap 1", "loc.featurize", "reap 1", "loc.split", "reap 1",
+            "loc.gridsearch", "reap 1", "loc.report", "reap 1", "reap 1",
+        ]
 
 
 class TestProjectDiscovery:
