@@ -6,25 +6,22 @@ children run, the orchestrator blocks on their pidfds rather than polling.
 
 A builtin child starts warm: the orchestrator has imported the builtin's
 module by the fork (while the previous child ran, or here just before it), so
-each module is compiled once per run rather than once per stage, and it
-freezes its heap around the fork, so the child's collections never walk (and
-copy-on-write) the orchestrator's objects.
+each module is compiled once per run rather than once per stage. The fork is
+`loctk.fork_child`, shared with the CV workers; this module adds the child's
+setup.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import select
 import signal
 import sys
 import time
 from pathlib import Path
-from typing import NoReturn
 
 from .configmodel import StageSpec
-from .errors import LocpipeError
-from .loctk import StageRequest, load_builtin, run_builtin
+from .loctk import StageRequest, fork_child, load_builtin, run_builtin
 
 # Environment scrubbing: stages see only this allowlist plus names they
 # declare in `env`, so nothing can silently depend on ambient variables.
@@ -55,18 +52,9 @@ def spawn_stage(
     for out in stage.outs:
         (root / out).parent.mkdir(parents=True, exist_ok=True)
     env = {key: os.environ[key] for key in (*ENV_ALLOWLIST, *stage.env) if key in os.environ}
-    # bytes buffered here must not reach a stage log through the child's copy
-    sys.stdout.flush()
-    sys.stderr.flush()
     with open(log_out, "wb") as stdout, open(log_err, "wb") as stderr:
         rss = _resident_bytes()
-        gc.freeze()  # the child never unfreezes; this process does, right after the fork
-        try:
-            pid = os.fork()
-            if pid == 0:
-                _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno())
-        finally:
-            gc.unfreeze()
+        pid = fork_child(lambda: _run_child(stage, request, root, env, stdout.fileno(), stderr.fileno()))
     return pid, rss
 
 
@@ -82,38 +70,23 @@ def _resident_bytes() -> int:
 
 def _run_child(
     stage: StageSpec, request: StageRequest | None, root: Path, env: dict[str, str], out_fd: int, err_fd: int
-) -> NoReturn:
+) -> None:
     """The forked child: stage logs on fds 1 and 2, no other fd from 3 up,
-    the project root as cwd and the scrubbed env. It never returns."""
-    status = 1
-    try:
-        os.dup2(out_fd, 1)
-        os.dup2(err_fd, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
-        sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
-        os.chdir(root)
-        os.environ.clear()
-        os.environ.update(env)
-        if request is None:
-            # the signal dispositions a shell started by Popen gets
-            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-            signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
-            os.execve("/bin/sh", ["/bin/sh", "-c", stage.cmd], env)
-        run_builtin(request.builtin, request)
-        status = 0
-    except LocpipeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-    except BaseException:  # the child's top level: report, then leave through os._exit
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
+    the project root as cwd and the scrubbed env; then the shell or the builtin."""
+    os.dup2(out_fd, 1)
+    os.dup2(err_fd, 2)
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+    sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+    sys.stderr = open(2, "w", encoding="utf-8", errors="backslashreplace", closefd=False)
+    os.chdir(root)
+    os.environ.clear()
+    os.environ.update(env)
+    if request is None:
+        # the signal dispositions a shell started by Popen gets
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        signal.signal(signal.SIGXFSZ, signal.SIG_DFL)
+        os.execve("/bin/sh", ["/bin/sh", "-c", stage.cmd], env)
+    run_builtin(request.builtin, request)
 
 
 def reap_first(pids: list[int]) -> tuple[int, int, os.struct_rusage]:

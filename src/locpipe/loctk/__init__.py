@@ -8,6 +8,10 @@ previous child runs or else just before it, so the child inherits its
 compiled code; only the child calls the module's ``run``, into out
 directories the launcher has made.
 
+Every process locpipe forks, a stage child or a CV worker, comes from
+`fork_child`: one rule that flushes stdio, freezes the heap across the fork
+and runs the child under one top-level handler. `exit_text` names its end.
+
 A request's ``cpus`` is the number of processes the builtin may run at once:
 the orchestrator gives each stage its share of the usable CPUs, and
 ``loc.gridsearch`` deals its candidates over that many. It defaults to 1,
@@ -27,13 +31,16 @@ code digest, so a code edit never reads an older parse.
 from __future__ import annotations
 
 import functools
+import gc
 import importlib
+import os
+import sys
 from pathlib import Path
 from types import MappingProxyType, ModuleType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from ..canonical import source_digest
-from ..errors import BuiltinError, ConfigError
+from ..errors import BuiltinError, ConfigError, LocpipeError
 
 # builtin id -> module
 _REGISTRY: dict[str, str] = {
@@ -119,6 +126,56 @@ def run_builtin(builtin_id: str, request: StageRequest) -> None:
     if request.builtin != builtin_id:
         raise BuiltinError(f"request was built for '{request.builtin}', not '{builtin_id}'")
     module.run(request)
+
+
+def fork_child(body: Callable[[], object]) -> int:
+    """Fork a child that runs `body`, and return its pid.
+
+    Stdio is flushed first, so the child writes no byte buffered here again.
+    The heap is frozen across the fork, so the child's collections never walk
+    (and copy) what it inherited; this process unfreezes it unless it was
+    frozen already (as in a stage child). The child exits 0 if `body`
+    returns, else 1, reporting a LocpipeError as one ``error:`` line and
+    anything else as a traceback."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    frozen = gc.get_freeze_count()
+    gc.freeze()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                body()
+                status = 0
+            except LocpipeError as exc:
+                sys.stderr.write(f"error: {exc}\n")
+            except BaseException:  # the child's top level: report, then leave through os._exit
+                import traceback
+
+                traceback.print_exc()
+            finally:
+                try:
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+    finally:
+        if not frozen:
+            gc.unfreeze()
+    return pid
+
+
+def exit_text(code: int) -> str:
+    """How a child ended, from its ``os.waitstatus_to_exitcode`` value."""
+    if code >= 0:
+        return f"exited with status {code}"
+    import signal
+
+    try:
+        return f"was killed by signal {signal.Signals(-code).name}"
+    except ValueError:  # a signal with no name, such as SIGRTMIN + 1
+        return f"was killed by signal {-code}"
 
 
 # ---------------------------------------------------------------------------

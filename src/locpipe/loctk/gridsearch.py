@@ -27,9 +27,9 @@ distinct float and ids quoted by csv.writer.
 
 The candidates are scored on every CPU the stage may use
 (`StageRequest.cpus`). Once the shared work above is done, they are dealt
-round-robin over this process and ``cpus - 1`` forked workers; each scores
-its candidates on every fold and sends back their fold metrics and the
-predictions of its own best candidate. The results are read in candidate
+round-robin over this process and ``cpus - 1`` workers (`fork_child`); each
+scores its candidates on every fold and sends back their fold metrics and
+the predictions of its own best candidate. The results are read in candidate
 order and selected by the same `select_index`, so no output byte depends on
 the number of processes. A search with less scoring work than
 `FANOUT_MIN_WORK` forks nothing.
@@ -37,21 +37,19 @@ the number of processes. A search with less scoring work than
 
 from __future__ import annotations
 
-import gc
 import io
 import marshal
 import operator
 import os
 import signal
-import sys
 from array import array
 from dataclasses import dataclass, fields
 from itertools import chain, product
-from typing import Callable, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from ..canonical import dump_canonical
 from ..errors import BuiltinError
-from . import StageRequest, get, section
+from . import StageRequest, exit_text, fork_child, get, section
 from .metrics import METRIC_KEYS, left_sum, score_columns, truth_columns
 from .models import KNN_METRICS, KNN_WEIGHTS, KnnModel, RidgeStats, artifact_doc
 from .split import load_fold_file
@@ -422,39 +420,41 @@ class Share(NamedTuple):
 
 def _score_shares(score_share: Callable[[list[Candidate]], Share], shares: list[list[Candidate]]) -> list[Share]:
     """`score_share` of each share: the first here, each other in a worker
-    forked from this process, which sends its `Share` back through a pipe
-    (`marshal`, each prediction column as raw ``array('d')`` bytes) and
-    leaves through ``os._exit``. A worker writes no file.
+    (`fork_child`) that holds no fd from 3 up but its pipe's write end and
+    sends its `Share` through it (`marshal`, each prediction column as raw
+    ``array('d')`` bytes). A worker writes no file.
 
     Each pipe is drained before its worker is reaped, and every worker is
     reaped on every path, killed first if this process raises. A worker
     that dies counts as failing at its first candidate, with a message that
-    names it; one whose reader is gone exits on the BrokenPipeError.
+    names it; one whose reader is gone fails its write and exits.
     """
     if len(shares) == 1:
         return [score_share(shares[0])]
+
+    def work(share: list[Candidate], write_fd: int) -> None:
+        os.closerange(3, write_fd)
+        os.closerange(write_fd + 1, os.sysconf("SC_OPEN_MAX"))
+        result = score_share(share)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(marshal.dumps((
+                result.metrics, result.best,
+                [(pred_x.tobytes(), pred_y.tobytes()) for pred_x, pred_y in result.best_preds],
+                result.failure,
+            )))
+
     workers: dict[int, tuple[int, int]] = {}  # pid -> (share number, read end of its pipe)
     try:
-        sys.stdout.flush()  # bytes buffered here must not be written again by a worker
-        sys.stderr.flush()
-        frozen = gc.get_freeze_count()
-        gc.freeze()  # a worker's collections never walk (and copy) this process's objects
-        try:
-            for number in range(1, len(shares)):
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _worker(score_share, shares[number], write_fd, [read_fd, *(fd for _, fd in workers.values())])
-                except BaseException:
-                    os.close(read_fd)
-                    raise
-                finally:
-                    os.close(write_fd)
-                workers[pid] = (number, read_fd)
-        finally:
-            if not frozen:  # a stage child, forked frozen by the launcher, stays frozen
-                gc.unfreeze()
+        for number in range(1, len(shares)):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = fork_child(lambda: work(shares[number], write_fd))
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            workers[pid] = (number, read_fd)
         results = [score_share(shares[0])]
         for pid, (number, read_fd) in list(workers.items()):
             with open(read_fd, "rb", closefd=False) as pipe:
@@ -471,39 +471,6 @@ def _score_shares(score_share: Callable[[list[Candidate]], Share], shares: list[
             os.waitpid(pid, 0)
 
 
-def _worker(
-    score_share: Callable[[list[Candidate]], Share], share: list[Candidate], write_fd: int, inherited: list[int]
-) -> NoReturn:
-    """A forked worker: score `share` and send the result through `write_fd`.
-    It first closes the `inherited` read ends, its own pipe's and those of
-    earlier workers, so each pipe has one reader. It never returns."""
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        result = score_share(share)
-        payload = marshal.dumps((
-            result.metrics, result.best,
-            [(pred_x.tobytes(), pred_y.tobytes()) for pred_x, pred_y in result.best_preds],
-            result.failure,
-        ))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    except BrokenPipeError:
-        pass  # the process that forked this one is gone
-    except BaseException:  # the worker's top level: report, then leave through os._exit
-        import traceback
-
-        traceback.print_exc()
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(status)
-
-
 def _received(data: bytes, wait_status: int, number: int, pid: int, first: int) -> Share:
     """The `Share` a worker sent, or, if it died, a failure at its first candidate."""
     code = os.waitstatus_to_exitcode(wait_status)
@@ -511,14 +478,7 @@ def _received(data: bytes, wait_status: int, number: int, pid: int, first: int) 
         metrics, best, preds, failure = marshal.loads(data)
         best_preds = [(array("d", pred_x), array("d", pred_y)) for pred_x, pred_y in preds]
         return Share(metrics, best, best_preds, failure)
-    if code < 0:
-        try:
-            died = f"was killed by signal {signal.Signals(-code).name}"
-        except ValueError:
-            died = f"was killed by signal {-code}"
-    else:
-        died = f"exited with status {code}"
-    return Share([], None, [], (first, f"gridsearch: CV worker {number} (pid {pid}) {died}"))
+    return Share([], None, [], (first, f"gridsearch: CV worker {number} (pid {pid}) {exit_text(code)}"))
 
 
 def write_predictions(predictions: Predictions, handle: TextIO) -> None:

@@ -72,7 +72,7 @@ from .configmodel import (
 )
 from .errors import EXIT_OK, EXIT_STAGE_FAILURE, ConfigError, StoreError
 from .graph import StageGraph, build_graph, topo_order, upstream_closure
-from .loctk import StageRequest, builtin_version, load_builtin, table_memo_dir
+from .loctk import StageRequest, builtin_version, exit_text, load_builtin, table_memo_dir
 from .store import (
     LockEntry,
     LockFile,
@@ -485,7 +485,7 @@ def _stage_failure(
     `known` maps every out this run restored or committed to its record.
     """
     if exit_code != 0:
-        return f"command exited with status {exit_code}"
+        return f"command {exit_text(exit_code)}"
     # A stage must not rewrite its own inputs, nor run on a dep whose bytes
     # differ from its recorded hash (a restore from a damaged store object);
     # either would make the recorded fingerprint a lie.
