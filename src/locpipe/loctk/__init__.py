@@ -31,7 +31,6 @@ code digest, so a code edit never reads an older parse.
 from __future__ import annotations
 
 import functools
-import gc
 import importlib
 import os
 import sys
@@ -137,6 +136,8 @@ def fork_child(body: Callable[[], object]) -> int:
     frozen already (as in a stage child). The child exits 0 if `body`
     returns, else 1, reporting a LocpipeError as one ``error:`` line and
     anything else as a traceback."""
+    import gc  # here, so that a run which forks nothing does not import it
+
     sys.stdout.flush()
     sys.stderr.flush()
     frozen = gc.get_freeze_count()

@@ -283,9 +283,6 @@ class ObjectStore:
                 if _is_hex(hexd := prefix.name + obj.name):
                     yield hexd
 
-    def remove(self, hexd: str) -> None:
-        self._addr(hexd).unlink(missing_ok=True)
-
     def intact(self, hexd: str) -> bool:
         """True when object `hexd` is stored and its bytes hash to `hexd`."""
         addr = self._addr(hexd)

@@ -616,6 +616,47 @@ class TestFanOutFailures:
                 os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
+# a worker records, in the file argv[1] names, whether the extra pipe this
+# script opened is still open in it
+FD_SCRIPT = """
+import errno, fcntl, json, os, sys
+from test_gridsearch import RIDGE_SWEEP, folds_for, make_table
+from locpipe.loctk import gridsearch
+fds = os.pipe()
+parent = os.getpid()
+score = gridsearch.score_columns
+
+def scored(*args):
+    if os.getpid() != parent and not os.path.exists(sys.argv[1]):
+        seen = []
+        for fd in fds:
+            try:
+                fcntl.fcntl(fd, fcntl.F_GETFD)
+                seen.append("open")
+            except OSError as exc:
+                seen.append(errno.errorcode[exc.errno])
+        with open(sys.argv[1], "w") as out:
+            json.dump(seen, out)
+    return score(*args)
+
+gridsearch.FANOUT_MIN_WORK = 0
+gridsearch.score_columns = scored
+table = make_table()
+gridsearch.run_grid_search(table, folds_for(table), RIDGE_SWEEP, "rmse", ["rmse"], cpus=2)
+"""
+
+
+def test_a_worker_holds_no_fd_of_its_caller(tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    record = tmp_path / "worker-fds.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", FD_SCRIPT, str(record)], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(record.read_text()) == ["EBADF", "EBADF"]
+
+
 def _running(pid: int) -> bool:
     """Whether `pid` is a process that has not exited (a zombie has)."""
     try:

@@ -555,6 +555,80 @@ class TestLaunchBoundary:
         assert proc.stdout == "[]\n"
 
 
+class TestSignalledStage:
+    def test_a_stage_killed_by_a_signal_names_the_signal(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {"boom": {"cmd": "kill -9 $$", "outs": ["boom.txt"]}})
+        write_params(root, {})
+        monkeypatch.chdir(root)
+        assert cli.main(["repro"]) == 1
+        assert "boom: failed (never run; command was killed by signal SIGKILL)\n" in capsys.readouterr().out
+        [manifest] = (root / ".locpipe" / "runs").iterdir()
+        [result] = json.loads(manifest.read_bytes())["results"]
+        assert (result["action"], result["exit_code"]) == ("failed", -9)
+
+
+def _raise_runtime_error():
+    raise RuntimeError("boom")
+
+
+class TestForkChild:
+    """`loctk.fork_child`, the one fork of stage children and CV workers."""
+
+    @staticmethod
+    def forked(body, tmp_path, written: str = "") -> tuple[int, str, str]:
+        """Write `written` to a file as `sys.stdout`, unflushed, then fork `body`
+        with `sys.stderr` on another file and reap it: (its exit code, the
+        text of each file)."""
+        saved = sys.stdout, sys.stderr
+        try:
+            with open(tmp_path / "out.txt", "w") as sys.stdout, open(tmp_path / "err.txt", "w") as sys.stderr:
+                sys.stdout.write(written)
+                _, status = os.waitpid(loctk.fork_child(body), 0)
+        finally:
+            sys.stdout, sys.stderr = saved
+        return os.waitstatus_to_exitcode(status), (tmp_path / "out.txt").read_text(), (tmp_path / "err.txt").read_text()
+
+    def test_a_body_that_returns_exits_0(self, tmp_path):
+        assert self.forked(lambda: print("done"), tmp_path) == (0, "done\n", "")
+
+    def test_a_locpipe_error_is_one_error_line(self, tmp_path):
+        def body():
+            raise ConfigError("bad knob")
+
+        assert self.forked(body, tmp_path) == (1, "", "error: bad knob\n")
+
+    @pytest.mark.parametrize("body, last_line", [
+        (_raise_runtime_error, "RuntimeError: boom"),
+        (lambda: sys.exit(0), "SystemExit: 0"),
+    ], ids=["runtime-error", "sys-exit-0"])
+    def test_any_other_exception_is_a_traceback(self, body, last_line, tmp_path):
+        code, out, err = self.forked(body, tmp_path)
+        assert (code, out) == (1, "")
+        assert err.startswith("Traceback (most recent call last)") and err.splitlines()[-1] == last_line
+
+    def test_unflushed_caller_text_appears_once(self, tmp_path):
+        assert self.forked(lambda: None, tmp_path, written="once\n") == (0, "once\n", "")
+
+    def test_an_unfrozen_caller_is_unfrozen_after(self, tmp_path):
+        def body():  # the child stays frozen
+            if gc.get_freeze_count() == 0:
+                raise RuntimeError("the child is not frozen")
+
+        assert gc.get_freeze_count() == 0
+        assert self.forked(body, tmp_path) == (0, "", "")
+        assert gc.get_freeze_count() == 0
+
+    def test_a_frozen_caller_stays_frozen(self, tmp_path):
+        gc.freeze()
+        try:
+            assert self.forked(lambda: None, tmp_path) == (0, "", "")
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+
 @pytest.fixture(params=[
     ('raise RuntimeError("broken at import")\n', "RuntimeError: broken at import"),
     ("import sys\nsys.exit(3)\n", "SystemExit: 3"),

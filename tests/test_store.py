@@ -651,13 +651,13 @@ class TestCacheLookup:
     def test_deleted_object_self_heals_to_miss(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("out.txt",))
         _, store, fp, entry = _commit(tmp_path, stage, {"out.txt": b"p"})
-        store.remove(entry.outs["out.txt"].hash)
+        store._addr(entry.outs["out.txt"].hash).unlink()
         assert cache_lookup({"s": entry}, store, "s", fp) is None
 
     def test_deleted_tree_member_misses(self, tmp_path):
         stage = StageSpec(name="s", cmd="do", outs=("d",))
         _, store, fp, entry = _commit(tmp_path, stage, {"d/a": b"1", "d/b": b"2"})
-        store.remove(hash_bytes(b"1"))
+        store._addr(hash_bytes(b"1")).unlink()
         assert cache_lookup({"s": entry}, store, "s", fp) is None
 
     def test_corrupt_lock_file(self, tmp_path):
@@ -922,7 +922,7 @@ class TestRunCache:
 
     def test_entry_with_removed_object_reexecutes(self, tmp_path):
         project, first = self.there_and_back(tmp_path)
-        ObjectStore(project.cache_dir).remove(first.outs["out.txt"].hash)
+        ObjectStore(project.cache_dir)._addr(first.outs["out.txt"].hash).unlink()
         report = run(project)
         assert report.executed == 1
         assert (project.root / "out.txt").read_text() == "  value: 1\n"
