@@ -192,7 +192,6 @@ def write_bench_report(project: Project, rows: list[BenchRow], csv_path: Path | 
     csv_path = Path(csv_path)
     md_path = csv_path.with_suffix(".md")
     markdown, csv_text = emit_bench_report(rows, stage_order=_stage_order(project))
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(csv_text, encoding="utf-8")
-    md_path.write_text(markdown, encoding="utf-8")
+    write_atomic(csv_path, csv_text.encode("utf-8"))
+    write_atomic(md_path, markdown.encode("utf-8"))
     return csv_path, md_path

@@ -189,6 +189,7 @@ def _cmd_metrics_show(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from .loctk.report import build_report, load_input
+    from .store import write_atomic
 
     try:
         inputs = [(name, load_input(name)) for name in args.inputs]
@@ -196,13 +197,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except BuiltinError as exc:
         raise ConfigError(str(exc)) from None
     if args.md:
-        Path(args.md).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.md).write_text(markdown, encoding="utf-8")
+        write_atomic(Path(args.md), markdown.encode("utf-8"))
     else:
         sys.stdout.write(markdown)
     if args.csv:
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.csv).write_text(table, encoding="utf-8")
+        write_atomic(Path(args.csv), table.encode("utf-8"))
     return EXIT_OK
 
 

@@ -9,15 +9,22 @@ of the selected candidate, and a compact metrics JSON.
 The feature table is column-major (`tables.Table`), and the search works on
 its columns. The fold file is decoded by ``json.load`` with each fold's
 index lists as ``array('q')`` (`split.load_fold_file`), which `check_folds`
-takes as ints without scanning their types. Each fold's test rows are
-gathered column by column through one ``operator.itemgetter`` (`gatherer`),
-and its test feature columns and `metrics.Truth` come from those gathers.
-The ridge statistics group the rows by one per-fold count of their train
-occurrences (a ``bytearray`` per fold) and are built from each group's
-columns (`RidgeStats.from_columns`); a group that is exactly one fold's test
-rows, as every group is under k-fold, reuses that fold's gathers. Rows are
-formed only for kNN, whose model scans rows; both kinds predict through
-``predict_columns``.
+takes as ints without scanning their types. `check_folds` counts each
+fold's train occurrences per row (a ``bytearray`` per fold), refuses a fold
+with a test row among them, and returns the counts. Each fold's test rows
+are gathered column by column through one ``operator.itemgetter``
+(`gatherer`), and its test feature columns and `metrics.Truth` come from
+those gathers. The ridge statistics group the rows by those counts and are
+built from each group's columns (`RidgeStats.from_columns`); a group that
+is exactly one fold's test rows, as every group is under k-fold, reuses
+that fold's gathers. Rows are formed only for kNN, whose model scans rows;
+both kinds predict through ``predict_columns``.
+
+The search holds one copy of the feature values. `run` passes the table
+`read_table` gives straight to `run_grid_search`, which keeps only its ids
+once the gathers, statistics and kNN rows are made. Under k-fold the
+gathers are a permutation of the whole table, so the parsed columns are
+freed before scoring and before any worker is forked.
 
 The predictions CSV is built as columns, never as rows: `Predictions` is
 assembled from the selected candidate's per-fold prediction arrays, each
@@ -165,22 +172,22 @@ def _train_counts(train: Sequence[int], n: int) -> bytearray | array:
 
 
 def ridge_fold_stats(
-    table: Table, folds: list[dict], gathered: dict[bytes, list[array]] | None = None
+    table: Table, counts: list[bytearray | array], gathered: dict[bytes, list[array]] | None = None
 ) -> tuple[list[RidgeStats | None], RidgeStats | None]:
     """One statistics pass over the rows: (train statistics per fold, statistics of all rows).
 
-    Rows are grouped by how many times each fold's train list holds them
-    (one count per fold per row); each group's columns are gathered and
-    reduced to statistics, each fold merges the groups it holds, once per
-    occurrence, in group order, and the all-rows statistics merge every
-    group once. A fold with no train rows gets None.
+    `counts` holds each fold's `_train_counts`, as `check_folds` returns
+    them. Rows are grouped by those counts (one per fold per row); each
+    group's columns are gathered and reduced to statistics, each fold merges
+    the groups it holds, once per occurrence, in group order, and the
+    all-rows statistics merge every group once. A fold with no train rows
+    gets None.
 
     `gathered` maps the ``array('q')`` bytes of an index list to the
     table's columns (value columns, then x and y) already gathered at it; a
     group whose ascending rows are such a list reuses them. Under k-fold
     each group is exactly one fold's test rows.
     """
-    counts = [_train_counts(fold["train"], table.n_rows) for fold in folds]
     groups: dict[tuple[int, ...], array] = {}
     for idx, signature in enumerate(zip(*counts)):
         rows = groups.get(signature)
@@ -189,7 +196,7 @@ def ridge_fold_stats(
         rows.append(idx)
 
     gathered = gathered or {}
-    fold_stats: list[RidgeStats | None] = [None] * len(folds)
+    fold_stats: list[RidgeStats | None] = [None] * len(counts)
     all_stats: RidgeStats | None = None
     for signature, rows in groups.items():
         columns = gathered.get(rows.tobytes())
@@ -204,14 +211,18 @@ def ridge_fold_stats(
     return fold_stats, all_stats
 
 
-def check_folds(folds: object, n_rows: int) -> None:
-    """Raise a BuiltinError naming the first fold that is not a mapping of
+def check_folds(folds: object, n_rows: int) -> list[bytearray | array]:
+    """Each fold's `_train_counts` over ``[0, n_rows)``.
+
+    Raise a BuiltinError naming the first fold that is not a mapping of
     ``train`` and ``test`` lists of int row indices in ``[0, n_rows)``, or
-    whose test indices also appear in its train list, or if there is no fold.
-    An ``array('q')`` (as `split.load_fold_file` decodes a list of ints)
-    counts as a list of ints without a scan of its types."""
+    that has a test row its train counts hold (the message names the
+    smallest such index), or if there is no fold. An ``array('q')`` (as
+    `split.load_fold_file` decodes a list of ints) counts as a list of ints
+    without a scan of its types."""
     if not isinstance(folds, list) or not folds:
         raise BuiltinError("gridsearch: the fold file's 'folds' must be a non-empty list")
+    counts = []
     for fold_idx, fold in enumerate(folds):
         where = f"gridsearch: fold {fold_idx}"
         if not isinstance(fold, dict):
@@ -227,9 +238,12 @@ def check_folds(folds: object, n_rows: int) -> None:
             if idxs and not (min(idxs) >= 0 and max(idxs) < n_rows):
                 bad = next(i for i in idxs if not 0 <= i < n_rows)
                 raise BuiltinError(f"{where}: {part} index {bad} out of range for {n_rows} rows")
-        leaked = set(fold["test"]).intersection(fold["train"])
-        if leaked:
-            raise BuiltinError(f"{where}: test index {min(leaked)} is also a train index")
+        train_counts = _train_counts(fold["train"], n_rows)
+        if any(map(train_counts.__getitem__, fold["test"])):
+            leaked = min(idx for idx in fold["test"] if train_counts[idx])
+            raise BuiltinError(f"{where}: test index {leaked} is also a train index")
+        counts.append(train_counts)
+    return counts
 
 
 def run_grid_search(
@@ -242,10 +256,15 @@ def run_grid_search(
 ) -> tuple[dict, dict, Predictions, dict]:
     """Returns (cv_results, model_artifact, predictions, metrics_doc).
 
-    Ridge candidates are solved from ``ridge_fold_stats``, built in one pass;
-    kNN candidates are fit on each fold's train rows. Each fold's test
-    columns and truth are gathered once, then predicted (``predict_columns``)
-    and scored column-wise for every candidate.
+    Ridge candidates are solved from ``ridge_fold_stats``, built in one pass
+    from the train counts `check_folds` returns; kNN candidates are fit on
+    each fold's train rows. Each fold's test columns and truth are gathered
+    once, then predicted (``predict_columns``) and scored column-wise for
+    every candidate. Once those are prepared, the search keeps only the
+    table's ids, and no nested function refers to `table`: a caller that
+    passes the table unnamed (as `run` does) has its columns freed before
+    any candidate is scored or worker forked. (Python 3.10 holds a call's
+    arguments in the caller until it returns, so there they live on.)
 
     The candidates are dealt round-robin over ``width = min(cpus,
     candidates)`` processes (`_score_shares`), or scored here alone when
@@ -270,13 +289,13 @@ def run_grid_search(
             f"gridsearch: fold file covers {n_samples} samples, "
             f"feature table has {table.n_rows}"
         )
-    check_folds(folds, table.n_rows)
+    counts = check_folds(folds, table.n_rows)
 
     candidates = expand_grid(grid_cfg)
     # per fold: the table's columns (value columns, then x and y) at its test rows
     test_columns = [list(map(gatherer(fold["test"]), table.columns())) for fold in folds]
     fold_stats, all_stats = (
-        ridge_fold_stats(table, folds, {
+        ridge_fold_stats(table, counts, {
             array("q", fold["test"]).tobytes(): columns for fold, columns in zip(folds, test_columns)
         })
         if any(c.model == "ridge" for c in candidates) else ([], None)
@@ -286,6 +305,11 @@ def run_grid_search(
         (list(zip(*table.cols)), list(zip(table.x, table.y)))
         if any(c.model == "knn" for c in candidates) else ([], [])
     )
+    # the search reads nothing more of the table but its ids: a caller that
+    # keeps no reference (as `run`) has the columns freed here, before any
+    # scoring or fork
+    ids = table.ids
+    del table, counts
 
     def fit_fold(cand: Candidate, fold_idx: int):
         if cand.model == "ridge":
@@ -379,7 +403,7 @@ def run_grid_search(
 
     truths = [truth for _, truth in test_views]
     predictions = Predictions(
-        sample_id=[table.ids[idx] for fold in folds for idx in fold["test"]],
+        sample_id=[ids[idx] for fold in folds for idx in fold["test"]],
         fold=[fold_idx for fold_idx, fold in enumerate(folds) for _ in fold["test"]],
         pred_x=array("d", chain.from_iterable(pred_x for pred_x, _ in best_preds)),
         pred_y=array("d", chain.from_iterable(pred_y for _, pred_y in best_preds)),
@@ -498,16 +522,19 @@ def predictions_csv(predictions: Predictions) -> str:
 
 
 def run(request: StageRequest) -> None:
+    """The ``loc.gridsearch`` builtin: search the grid of ``model`` on the
+    feature table and fold file, and write the four outs. The table is
+    passed to `run_grid_search` unnamed, so that it can free the columns."""
     cfg = section(request, "model")
     where = f"stage '{request.stage}'"
     primary = get(cfg, "primary_metric", "str", where, default="rmse")
     report_metrics = get(cfg, "report_metrics", "list", where, default=[primary])
     grid_cfg = get(cfg, "grid", "mapping", where)
 
-    table = read_table(request.dep(0, "feature CSV"), request.table_memo)
-    folds_doc = load_fold_file(request.dep(1, "fold file JSON"))
     cv_results, artifact, predictions, metrics_doc = run_grid_search(
-        table, folds_doc, grid_cfg, primary, list(report_metrics), request.cpus
+        read_table(request.dep(0, "feature CSV"), request.table_memo),
+        load_fold_file(request.dep(1, "fold file JSON")),
+        grid_cfg, primary, list(report_metrics), request.cpus,
     )
 
     dump_canonical(cv_results, request.out(0, "cv results"))

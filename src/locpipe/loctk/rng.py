@@ -6,6 +6,12 @@ high 53 bits of each output word; Gaussian deviates come from Box-Muller
 with the pair consumed in order. No global state anywhere: every stage
 builds its own generator from a seed that is an ordinary, versioned
 parameter.
+
+Each step is one call with no helper below it: `Rng.next_u64` reads the
+four state words into locals, spells out both rotations and stores the
+state back once. `Rng.shuffle` (Fisher-Yates) draws ``next_u64() % (i +
+1)`` straight for each position; `Rng.next_below` is the same draw with a
+check of its bound, for a caller with any ``n``.
 """
 
 from __future__ import annotations
@@ -13,10 +19,6 @@ from __future__ import annotations
 import math
 
 MASK64 = (1 << 64) - 1
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
@@ -33,22 +35,26 @@ class Rng:
 
     def __init__(self, seed: int):
         state = seed & MASK64
-        self._s = []
+        words = []
         for _ in range(4):
             state, word = splitmix64_next(state)
-            self._s.append(word)
+            words.append(word)
+        self._s = tuple(words)
         self._gauss_spare: float | None = None
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[0] + s[3]) & MASK64, 23) + s[0]) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
+        """One xoshiro256++ step: the state is read into locals and written
+        back once, and each rotation is spelled out in place."""
+        s0, s1, s2, s3 = self._s
+        word = (s0 + s3) & MASK64
+        result = (((word << 23) | (word >> 41)) + s0) & MASK64
+        t = (s1 << 17) & MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s = (s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK64)
         return result
 
     def next_float(self) -> float:
@@ -76,6 +82,7 @@ class Rng:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
+        next_u64 = self.next_u64
         for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+            j = next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]

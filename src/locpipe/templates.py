@@ -11,6 +11,7 @@ every incremental experiment change is a config-only diff.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .errors import ConfigError
@@ -229,15 +230,24 @@ def template_names() -> list[str]:
 
 
 def init_experiment(directory: Path | str, template: str = "baseline") -> Path:
-    """Scaffold `template` into `directory`; refuses to overwrite an existing project."""
+    """Scaffold `template` into `directory`.
+
+    Refuses, before writing anything, if either template file exists in
+    any form: a file, a directory, a FIFO or a symlink, even a dangling
+    one. Each file is then created exclusively, which never follows a
+    symlink, so `init` writes only files it made.
+    """
     if template not in TEMPLATES:
         raise ConfigError(
             f"unknown template '{template}' (available: {', '.join(template_names())})"
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if (directory / "pipeline.yaml").exists():
-        raise ConfigError(f"{directory} already contains a pipeline.yaml")
-    for filename, text in TEMPLATES[template].items():
-        (directory / filename).write_text(text, encoding="utf-8")
+    files = TEMPLATES[template]
+    for filename in files:
+        if os.path.lexists(directory / filename):
+            raise ConfigError(f"{directory} already contains a {filename}")
+    for filename, text in files.items():
+        with open(directory / filename, "x", encoding="utf-8") as handle:
+            handle.write(text)
     return directory

@@ -2,7 +2,7 @@ import pytest
 import yaml
 
 from conftest import edit_params
-from locpipe.bench import BenchRow, emit_bench_report, run_scaling_bench, set_scale_factor
+from locpipe.bench import BenchRow, emit_bench_report, run_scaling_bench, set_scale_factor, write_bench_report
 from locpipe.cli import main
 from locpipe.errors import ConfigError
 from locpipe.runner import Project
@@ -101,6 +101,24 @@ def synthetic_rows() -> list[BenchRow]:
         )
 
     return [row(1, 100.0, 200.0, 1.0), row(5, 300.0, 760.0, 1.2)]
+
+
+def test_write_bench_report_replaces_symlinks_and_leaves_no_temp_file(make_project, tmp_path):
+    project = make_project("scaling")
+    target = tmp_path / "target.csv"
+    target.write_text("mine\n")
+    (tmp_path / "bench.csv").symlink_to(target)
+    (tmp_path / "bench.md").symlink_to(tmp_path / "missing" / "target.md")
+    rows = synthetic_rows()
+    csv_path, md_path = write_bench_report(project, rows, tmp_path / "bench.csv")
+    markdown, csv_text = emit_bench_report(rows, stage_order=[
+        "synth", "prepare", "scale", "featurize", "split", "gridsearch", "report",
+    ])
+    assert not csv_path.is_symlink() and csv_path.read_text() == csv_text
+    assert not md_path.is_symlink() and md_path.read_text() == markdown
+    assert target.read_text() == "mine\n"
+    assert not (tmp_path / "missing").exists()
+    assert list(tmp_path.rglob(".locpipe-tmp-*")) == []
 
 
 class TestEmitBenchReport:

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import pytest
@@ -35,6 +36,32 @@ class TestInit:
 
     def test_refuses_overwrite(self, in_project):
         assert main(["init", "."]) == 2
+
+    @pytest.mark.parametrize("existing", ["pipeline.yaml", "params.yaml"])
+    def test_refuses_a_dangling_symlink_and_writes_nothing_through_it(self, existing, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp").mkdir()
+        (tmp_path / "exp" / existing).symlink_to("../outside_target.yaml")
+        assert main(["init", "exp"]) == 2
+        assert capsys.readouterr().err == f"error: exp already contains a {existing}\n"
+        assert not os.path.lexists(tmp_path / "outside_target.yaml")
+        assert sorted(os.listdir(tmp_path / "exp")) == [existing]
+
+    def test_refuses_an_existing_params_yaml_without_a_pipeline_yaml(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.yaml").write_text("mine: 1\n")
+        assert main(["init", "."]) == 2
+        assert "already contains a params.yaml" in capsys.readouterr().err
+        assert (tmp_path / "params.yaml").read_text() == "mine: 1\n"
+        assert not os.path.lexists(tmp_path / "pipeline.yaml")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_refuses_a_fifo_unopened(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkfifo(tmp_path / "pipeline.yaml")
+        assert main(["init", "."]) == 2  # opening the FIFO to write would block
+        assert "already contains a pipeline.yaml" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["pipeline.yaml"]
 
     def test_all_templates_parse_and_differ_where_expected(self, tmp_path):
         from locpipe.configmodel import parse_params, parse_pipeline
@@ -446,6 +473,24 @@ class TestOtherCommands:
         assert out.startswith("# Experiment report")
         rebuilt = (in_project / "rebuilt.csv").read_text()
         assert rebuilt == (in_project / "report" / "summary.csv").read_text()
+
+    def test_report_replaces_a_symlink_at_md_and_csv(self, in_project, capsys):
+        """`--md` and `--csv` are written through a temp file renamed onto
+        the path: a symlink there is replaced, never followed."""
+        assert main(["repro"]) == 0
+        (in_project / "target.md").write_text("mine\n")
+        (in_project / "r.md").symlink_to("target.md")
+        (in_project / "r.csv").symlink_to("missing/target.csv")
+        capsys.readouterr()
+        assert main(["report", "out/cv_results.json", "out/metrics.json", "--md", "r.md", "--csv", "r.csv"]) == 0
+        assert capsys.readouterr().out == ""
+        for name in ("r.md", "r.csv"):
+            assert not (in_project / name).is_symlink()
+        assert (in_project / "r.md").read_text() == (in_project / "report" / "report.md").read_text()
+        assert (in_project / "r.csv").read_text() == (in_project / "report" / "summary.csv").read_text()
+        assert (in_project / "target.md").read_text() == "mine\n"
+        assert not (in_project / "missing").exists()
+        assert [path.name for path in in_project.rglob(".locpipe-tmp-*")] == []
 
     def test_report_bad_input(self, in_project, capsys):
         (in_project / "junk.json").write_text("[1,2]")

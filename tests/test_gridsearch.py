@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from array import array
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from locpipe.loctk import StageRequest, gridsearch, run_builtin
 from locpipe.loctk.gridsearch import (
     Candidate,
     Predictions,
+    check_folds,
     expand_grid,
     gatherer,
     predictions_csv,
@@ -28,6 +31,8 @@ from locpipe.loctk.metrics import METRIC_KEYS, score_columns, truth_columns
 from locpipe.loctk.models import RidgeStats, load_artifact
 from locpipe.loctk.split import make_fold_file, write_fold_file
 from locpipe.loctk.tables import Table, write_table
+from locpipe.store import load_lock
+from locpipe.templates import init_experiment
 
 
 def make_table(n=30, m=3, seed=0) -> Table:
@@ -355,6 +360,16 @@ def test_gather_takes_one_many_or_no_index():
     assert gatherer([])(column) == array("d")
 
 
+def test_check_folds_returns_each_folds_train_counts():
+    folds = fold_files(make_table(n=40, m=4, seed=3))
+    for kind in FOLD_KINDS:
+        counts = check_folds(folds[kind]["folds"], 40)
+        expected = [[list(fold["train"]).count(idx) for idx in range(40)] for fold in folds[kind]["folds"]]
+        assert [list(fold_counts) for fold_counts in counts] == expected, kind
+    # a row held 301 times outgrows a byte
+    assert [type(fold_counts) for fold_counts in check_folds(folds["many-repeats"]["folds"], 40)] == [array, bytearray]
+
+
 def assert_close(ours: float, ref: float) -> None:
     assert abs(ours - ref) <= 1e-9 * max(abs(ref), 1.0), (ours, ref)
 
@@ -474,6 +489,76 @@ class TestFanOut:
         assert serial[0]["selected"] == 3
         assert json.dumps(fanned[0], sort_keys=True) == json.dumps(serial[0], sort_keys=True)
         assert predictions_csv(fanned[2]) == predictions_csv(serial[2])
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="before 3.11 the caller's frame holds a call's arguments until it returns"
+)
+@pytest.mark.parametrize("grid", GRIDS)
+def test_the_parsed_table_is_freed_before_scoring(grid, tmp_path, monkeypatch):
+    """`run` keeps no name for the table `read_table` gives, and
+    `run_grid_search` drops its own once the folds are gathered: the table
+    and its columns are gone when the first candidate is scored."""
+    table = make_table(n=40, m=4, seed=3)
+    write_table(table, tmp_path / "features.csv")
+    write_fold_file(folds_for(table), tmp_path / "folds.json")
+    del table
+    refs = []
+    read, score = gridsearch.read_table, gridsearch.score_columns
+
+    def reading(*args):
+        table = read(*args)
+        refs.extend([weakref.ref(table), weakref.ref(table.cols[0])])
+        return table
+
+    alive_at_scoring = []
+
+    def scoring(*args):
+        if not alive_at_scoring:
+            alive_at_scoring.append([ref() is not None for ref in refs])
+        return score(*args)
+
+    monkeypatch.setattr(gridsearch, "read_table", reading)
+    monkeypatch.setattr(gridsearch, "score_columns", scoring)
+    request = StageRequest(
+        stage="gridsearch", builtin="loc.gridsearch", params={"model": {"grid": GRIDS[grid]}},
+        deps=(str(tmp_path / "features.csv"), str(tmp_path / "folds.json")),
+        outs=tuple(str(tmp_path / name) for name in OUT_NAMES), cpus=1,
+    )
+    gridsearch.run(request)
+    assert alive_at_scoring == [[False, False]]
+
+
+def _usable_cpus() -> set[int]:
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_usable_cpus()) < 2,
+    reason="needs os.sched_setaffinity and at least two usable CPUs",
+)
+@pytest.mark.parametrize("template, factor", [("two-model", None), ("scaling", 5)])
+def test_forced_repro_writes_the_same_bytes_on_one_cpu_and_on_every_cpu(template, factor, tmp_path):
+    """A forced `repro` whose builtins get one CPU, and one whose grid search
+    deals its candidates over every CPU, commit the same out bytes."""
+    project = init_experiment(tmp_path / "exp", template)
+    if factor is not None:
+        params = project / "params.yaml"
+        params.write_text(params.read_text().replace("  factor: 1\n", f"  factor: {factor}\n"))
+        assert f"  factor: {factor}\n" in params.read_text()
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    digests = []
+    for cpus in ({min(_usable_cpus())}, None):
+        proc = subprocess.run(
+            [sys.executable, "-m", "locpipe", "repro", "--force"], cwd=project, env=env,
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outs = [out for entry in load_lock(project / "pipeline.lock.json").values() for out in entry.outs]
+        digests.append({out: hashlib.sha256((project / out).read_bytes()).hexdigest() for out in outs})
+    assert len(digests[0]) == (12 if template == "scaling" else 11)
+    assert digests[0] == digests[1]
 
 
 def _kill_in_worker(parent: int):
