@@ -1,8 +1,9 @@
-"""The fork launcher: run one stage in a child forked from the orchestrator,
-and reap children. The child gets the stage's logs on fds 1 and 2, the
-project root as cwd and a scrubbed environment. The cache, the lock and the
-stage graph stay in `runner`; this module imports none of them. While
-children run, the orchestrator blocks on their pidfds rather than polling.
+"""The fork launcher: `runner.repro` starts every stage child with
+`spawn_stage` and reaps every one, after an error too, with `reap_first`.
+The child gets the stage's logs on fds 1 and 2, the project root as cwd and
+a scrubbed environment. The cache, the lock and the stage graph stay in
+`runner`; this module imports none of them. While children run, the
+orchestrator blocks on their pidfds rather than polling.
 
 A builtin child starts warm: the orchestrator has imported the builtin's
 module by the fork (while the previous child ran, or here just before it), so
@@ -42,7 +43,8 @@ def spawn_stage(
     a process that has started no threads. A builtin runs `request` in the
     child, which inherits the builtin's module imported here; a `cmd` stage
     (request None) execs `/bin/sh -c`. Each out's parent directory is made
-    here, the one place that makes it.
+    here, the one place that makes it, so the caller must have passed each
+    out through `store.check_out_parents`.
     """
     if request is not None:
         try:

@@ -18,9 +18,12 @@ the orchestrator gives each stage its share of the usable CPUs, and
 so a direct ``run_builtin`` caller runs serially, and no output byte
 depends on it.
 
-Every builtin's identity is one digest of the code it runs
-(`builtin_version`), so any edit to this package or to ``canonical.py``
-invalidates every cached builtin stage.
+``loc.<name>`` is ``locpipe.loctk.<name>`` exactly when that module's source
+has a line that starts ``def run(``: `_code` finds these in the one read of
+the sources that also gives every builtin's identity, their digest
+(`builtin_version`), and an id is looked up only among them. So adding a
+builtin is adding its file, and any edit to this package or to
+``canonical.py`` invalidates every cached builtin stage.
 
 The table readers and writers share a parse memo under `table_memo_dir`: a
 writer stores the table it wrote, a reader the table it parsed. An entry is
@@ -41,29 +44,37 @@ from typing import Callable, Mapping, NamedTuple
 from ..canonical import source_digest
 from ..errors import BuiltinError, ConfigError, LocpipeError
 
-# builtin id -> module
-_REGISTRY: dict[str, str] = {
-    "loc.synth": "locpipe.loctk.synth",
-    "loc.prepare": "locpipe.loctk.prepare",
-    "loc.featurize": "locpipe.loctk.featurize",
-    "loc.split": "locpipe.loctk.split",
-    "loc.gridsearch": "locpipe.loctk.gridsearch",
-    "loc.report": "locpipe.loctk.report",
-    "loc.scale": "locpipe.loctk.scale",
-}
 
-
-def builtin_ids() -> list[str]:
-    return sorted(_REGISTRY)
+class _Code(NamedTuple):
+    digest: str  # the `canonical.source_digest` of the sources read
+    builtins: dict[str, str]  # builtin id -> module
 
 
 @functools.cache
-def _code_digest() -> str:
-    """`canonical.source_digest` of every ``loctk/*.py`` (sorted) and of
-    ``canonical.py``, each named by its path under the package."""
+def _code() -> _Code:
+    """The one read of every ``loctk/*.py`` (sorted) and of ``canonical.py``,
+    each named by its path under the package: their digest, and the builtin
+    of each ``loctk`` module with a line that starts ``def run(``."""
     package = Path(__file__).parent
     paths = sorted(package.glob("*.py")) + [package.parent / "canonical.py"]
-    return source_digest((path.relative_to(package.parent).as_posix(), path.read_bytes()) for path in paths)
+    sources = [(path.relative_to(package.parent).as_posix(), path.read_bytes()) for path in paths]
+    builtins = {f"loc.{path.stem}": f"{__name__}.{path.stem}" for path, (_, data) in zip(paths, sources)
+                if path.parent == package and (data.startswith(b"def run(") or b"\ndef run(" in data)}
+    return _Code(source_digest(sources), builtins)
+
+
+def _code_digest() -> str:
+    return _code().digest
+
+
+def builtin_ids() -> list[str]:
+    return sorted(_code().builtins)
+
+
+def _module_of(builtin_id: str) -> str:
+    if builtin_id not in _code().builtins:
+        raise ConfigError(f"unknown builtin '{builtin_id}' (known: {', '.join(builtin_ids())})")
+    return _code().builtins[builtin_id]
 
 
 def table_memo_dir(cache_root: Path | str) -> Path:
@@ -77,8 +88,7 @@ def table_memo_dir(cache_root: Path | str) -> Path:
 
 def builtin_version(builtin_id: str) -> str:
     """The identity of a builtin's code: one digest shared by every builtin."""
-    if builtin_id not in _REGISTRY:
-        raise ConfigError(f"unknown builtin '{builtin_id}' (known: {', '.join(builtin_ids())})")
+    _module_of(builtin_id)
     return _code_digest()
 
 
@@ -115,9 +125,7 @@ def load_builtin(builtin_id: str) -> ModuleType:
     neither the working directory nor the environment, so the orchestrator
     may import it before it forks.
     """
-    if builtin_id not in _REGISTRY:
-        raise ConfigError(f"unknown builtin '{builtin_id}'")
-    return importlib.import_module(_REGISTRY[builtin_id])
+    return importlib.import_module(_module_of(builtin_id))
 
 
 def run_builtin(builtin_id: str, request: StageRequest) -> None:

@@ -10,8 +10,7 @@ parameter.
 Each step is one call with no helper below it: `Rng.next_u64` reads the
 four state words into locals, spells out both rotations and stores the
 state back once. `Rng.shuffle` (Fisher-Yates) draws ``next_u64() % (i +
-1)`` straight for each position; `Rng.next_below` is the same draw with a
-check of its bound, for a caller with any ``n``.
+1)`` straight for each position.
 """
 
 from __future__ import annotations
@@ -60,12 +59,6 @@ class Rng:
     def next_float(self) -> float:
         """Uniform double in [0, 1) from the high 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
-
-    def next_below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n); modulo bias is negligible for n << 2**64."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
 
     def next_gauss(self) -> float:
         """Standard normal deviate; Box-Muller pairs are consumed in order."""

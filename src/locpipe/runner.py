@@ -7,10 +7,10 @@ and a cache decision; its commit fills in the outs of that same record and
 keeps it in the run cache. `plan` resolves each stage once against the
 workspace `repro` will find, and `status` reads its reasons. `repro` runs
 one loop that either dispatches the next ready stage (skip, fail, restore,
-or fork through `launch.spawn_stage`) or reaps a child and commits its outs.
-Every invocation writes a run manifest, even when stages fail or an error
-stops the run: a child an error leaves running is reaped and recorded as
-failed.
+or fork through `launch.spawn_stage`) or reaps a child through
+`launch.reap_first` and commits its outs. Every invocation writes a run
+manifest, even when stages fail or an error stops the run: a child an error
+leaves running is reaped the same way and recorded as failed.
 
 Each builtin stage's request carries its share of the CPUs this process may
 use, ``max(1, usable // jobs)`` (`_usable_cpus`), which `loc.gridsearch`
@@ -464,18 +464,6 @@ def _out_refusal(root: Path, stage: StageSpec) -> str | None:
 # Execution
 
 
-def spawn_stage(
-    stage: StageSpec, request: StageRequest | None, root: Path, log_out: Path, log_err: Path
-) -> tuple[int, int]:
-    """`launch.spawn_stage`, with `launch` imported on the first fork, once
-    `check_out_parents` has passed each out whose parents it will make."""
-    for out in stage.outs:
-        check_out_parents(root, out)
-    from .launch import spawn_stage
-
-    return spawn_stage(stage, request, root, log_out, log_err)
-
-
 def _stage_failure(
     state: StageState, exit_code: int, root: Path, store: ObjectStore, known: Mapping[str, OutRecord]
 ) -> str | None:
@@ -563,6 +551,27 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
         cpus = max(1, _usable_cpus() // opts.jobs)  # each builtin's share, with `jobs` stages at once
         # pid -> (stage, state, start, orchestrator RSS) of every child not yet reaped
         running: dict[int, tuple[StageSpec, StageState, float, int]] = {}
+
+        def reap() -> tuple[StageState, StageResult]:
+            """Reap the first running child to exit: its state and its executed result."""
+            from .launch import reap_first  # loaded by the fork of every running stage
+
+            pid, wait_status, usage = reap_first(list(running))
+            stage, state, started, rss = running.pop(pid)
+            return state, StageResult(
+                stage=stage.name,
+                action="executed",
+                wall_s=time.perf_counter() - started,
+                cpu_s=usage.ru_utime + usage.ru_stime,
+                peak_rss_bytes=usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024),
+                orchestrator_rss_bytes=rss,
+                exit_code=os.waitstatus_to_exitcode(wait_status),
+                pid=pid,
+                reason="forced" if opts.force else "; ".join(state.reasons),
+                log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
+                log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
+            )
+
         try:
             while pending or running:
                 # the first pending stage whose producers all have results
@@ -572,23 +581,7 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     if not running:  # pragma: no cover
                         raise StoreError(f"scheduler stalled on stages: {pending}")
                     _preload_next(spec, pending)
-                    from .launch import reap_first  # loaded by the fork of every running stage
-
-                    pid, wait_status, usage = reap_first(list(running))
-                    stage, state, started, rss = running.pop(pid)
-                    result = StageResult(
-                        stage=stage.name,
-                        action="executed",
-                        wall_s=time.perf_counter() - started,
-                        cpu_s=usage.ru_utime + usage.ru_stime,
-                        peak_rss_bytes=usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024),
-                        orchestrator_rss_bytes=rss,
-                        exit_code=os.waitstatus_to_exitcode(wait_status),
-                        pid=pid,
-                        reason="forced" if opts.force else "; ".join(state.reasons),
-                        log_out=os.path.relpath(run_logs / f"{stage.name}.out", project.root),
-                        log_err=os.path.relpath(run_logs / f"{stage.name}.err", project.root),
-                    )
+                    state, result = reap()
                     try:  # a StoreError here is this stage's fault: a dep or out the store refuses
                         failure = _stage_failure(state, result.exit_code, project.root, store, known)
                         if failure is None:  # the commit also keeps the entry in the run cache
@@ -599,9 +592,9 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                         result = result._replace(action="failed", reason=f"{result.reason}; {failure}")
                     else:
                         known.update(entry.outs)
-                        lock[stage.name] = entry
+                        lock[result.stage] = entry
                         write_lock(lock, project.lock_path)
-                    results[stage.name] = result
+                    results[result.stage] = result
                     continue
 
                 # dispatch: skip, fail on a missing dep, restore, or fork
@@ -640,6 +633,10 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                             table_memo=table_memo_dir(project.cache_dir.absolute()),
                             cpus=cpus,
                         )
+                    for out in stage.outs:  # each out whose parents the fork makes
+                        check_out_parents(project.root, out)
+                    from .launch import spawn_stage  # the first fork imports the fork machinery
+
                     run_logs.mkdir(parents=True, exist_ok=True)
                     started = time.perf_counter()
                     pid, rss = spawn_stage(
@@ -649,13 +646,10 @@ def repro(project: Project, opts: ExecOptions = ExecOptions()) -> RunReport:
                     running[pid] = (stage, state, started, rss)
         except BaseException as exc:
             # an error left these running: let them end, reap them, and commit none
-            for pid, (stage, _, started, _) in running.items():
-                _, wait_status = os.waitpid(pid, 0)
-                results[stage.name] = StageResult(
-                    stage.name, "failed", wall_s=time.perf_counter() - started,
-                    exit_code=os.waitstatus_to_exitcode(wait_status), pid=pid,
-                    reason=f"run stopped by {type(exc).__name__}: {exc}",
-                )
+            stopped = f"run stopped by {type(exc).__name__}: {exc}"
+            while running:
+                result = reap()[1]
+                results[result.stage] = result._replace(action="failed", reason=stopped)
             raise
         finally:
             ordered = [results[name] for name in selected if name in results]

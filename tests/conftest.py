@@ -33,6 +33,29 @@ def baseline_project(make_project) -> Project:
     return make_project("baseline")
 
 
+@pytest.fixture(scope="session")
+def warm_template(tmp_path_factory):
+    """Factory: the root of a template's project, fully run once per session.
+    Copy it before changing anything, a repro's run manifest included."""
+    roots: dict[str, Path] = {}
+
+    def _warm(template: str) -> Path:
+        if template not in roots:
+            root = tmp_path_factory.mktemp("warm") / template
+            init_experiment(root, template)
+            report = repro(Project(root=root))
+            assert report.executed == len(report.results) and report.failed == 0
+            roots[template] = root
+        return roots[template]
+
+    return _warm
+
+
+@pytest.fixture
+def warm_baseline(warm_template) -> Path:
+    return warm_template("baseline")
+
+
 def run(project: Project, **kwargs):
     return repro(project, ExecOptions(**kwargs))
 

@@ -46,15 +46,6 @@ def committed_outs(project: Project) -> list[str]:
     return [out for entry in load_lock(project.lock_path).values() for out in entry.outs]
 
 
-@pytest.fixture(scope="module")
-def warm_baseline(tmp_path_factory):
-    root = tmp_path_factory.mktemp("warm") / "baseline"
-    init_experiment(root, "baseline")
-    report = run(Project(root=root))
-    assert executed_stages(report) == BASELINE_STAGES
-    return root
-
-
 @pytest.mark.parametrize("template", EXECUTED)
 def test_a_change_study_in_place_reruns_only_its_changed_stages(template, warm_baseline, tmp_path):
     project = Project(root=tmp_path / "study")

@@ -3,6 +3,7 @@ by `repro` at ``.locpipe/cache/config/<key>.json``; and the reads of the
 config files and memo entries, which refuse a FIFO instead of blocking."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,27 @@ def test_cached_repro_imports_no_yaml_dataclasses_or_launch(baseline_project):
     assert "locpipe.runner" in warm
     assert not {"yaml", "dataclasses", "locpipe.launch"} & warm
     assert not any(name.startswith("yaml.") for name in warm)
+
+
+@pytest.mark.parametrize("template, stages", [("baseline", 6), ("two-model", 6), ("scaling", 7)])
+def test_console_repro_of_a_warm_project_imports_no_yaml_dataclasses_launch_or_builtin(
+    template, stages, warm_template, tmp_path
+):
+    """A fully cached ``python -m locpipe repro`` loads its config from the
+    parse memo and forks nothing, so it imports none of the modules only a
+    YAML parse, a fork or a builtin stage needs."""
+    root = tmp_path / template
+    shutil.copytree(warm_template(template), root)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "locpipe", "repro"],
+        cwd=root, env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 executed, {stages} cached, 0 failed, 0 skipped"
+    imported = _imported(proc.stderr)
+    assert "locpipe.runner" in imported
+    unwanted = {"yaml", "dataclasses", "locpipe.launch"}
+    assert sorted(n for n in imported if n in unwanted or n.startswith(("yaml.", "locpipe.loctk."))) == []
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,3 @@ class TestRng:
         Rng(7).shuffle(a)
         Rng(7).shuffle(b)
         assert a == b
-
-    def test_next_below_bounds(self):
-        rng = Rng(3)
-        for n in (1, 2, 7, 1000):
-            for _ in range(50):
-                assert 0 <= rng.next_below(n) < n

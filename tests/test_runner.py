@@ -346,17 +346,18 @@ def _raise_runtime_error(request):
 
 @pytest.fixture
 def probe(monkeypatch, tmp_path):
-    """Register the builtin `test.probe` and return (root, actions, make).
+    """Add the builtin `test.probe` to the builtin table and return (root,
+    actions, make).
 
     `actions[stage]` is called with the stage's StageRequest in its child,
-    which inherits the registration and the functions through fork.
+    which inherits the table entry and the functions through fork.
     `make(stages)` writes a pipeline of probe stages, name -> extra fields.
     """
     actions: dict = {}
     module = types.ModuleType("locpipe_test_probe")
     module.run = lambda request: actions[request.stage](request)
     monkeypatch.setitem(sys.modules, module.__name__, module)
-    monkeypatch.setitem(loctk._REGISTRY, "test.probe", module.__name__)
+    monkeypatch.setitem(loctk._code().builtins, "test.probe", module.__name__)
     root = tmp_path / "probe"
     root.mkdir()
 
@@ -634,14 +635,14 @@ class TestForkChild:
     ("import sys\nsys.exit(3)\n", "SystemExit: 3"),
 ], ids=["raises", "sys-exit"])
 def broken_builtin(request, monkeypatch, tmp_path):
-    """Register the builtin `test.broken`, whose module fails at import, and
-    return the last line of that failure's traceback."""
+    """Add the builtin `test.broken`, whose module fails at import, to the
+    builtin table, and return the last line of that failure's traceback."""
     source, expected = request.param
     modules = tmp_path / "modules"
     modules.mkdir()
     (modules / "locpipe_test_broken.py").write_text(source)
     monkeypatch.syspath_prepend(str(modules))
-    monkeypatch.setitem(loctk._REGISTRY, "test.broken", "locpipe_test_broken")
+    monkeypatch.setitem(loctk._code().builtins, "test.broken", "locpipe_test_broken")
     return expected
 
 
@@ -678,7 +679,7 @@ class TestWarmFork:
             "from locpipe.runner import ExecOptions, Project, repro\n"
             f"report = repro(Project(root=Path({str(root)!r})), ExecOptions(targets=('split',)))\n"
             "assert report.executed == 3\n"
-            "print(sorted(b for b, m in loctk._REGISTRY.items() if m in sys.modules))\n"
+            "print(sorted(b for b, m in loctk._code().builtins.items() if m in sys.modules))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
@@ -711,7 +712,7 @@ class TestWarmFork:
             "before = state()\n"
             "for builtin in loctk.builtin_ids():\n"
             "    loctk.load_builtin(builtin)\n"
-            "print(state() == before, sorted(set(loctk._REGISTRY.values()) - set(sys.modules)))\n"
+            "print(state() == before, sorted(set(loctk._code().builtins.values()) - set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
@@ -806,19 +807,21 @@ class TestParallel:
         })
         write_params(root, {})
         waited = []
-        waitpid = os.waitpid
-        monkeypatch.setattr(runner.os, "waitpid", lambda pid, options: waited.append(pid) or waitpid(pid, options))
+        reap_first = launch.reap_first
+        monkeypatch.setattr(launch, "reap_first", lambda pids: waited.append(pids) or reap_first(pids))
         monkeypatch.chdir(root)
         assert cli.main(["repro", "--jobs", "2"]) == 3
         assert capsys.readouterr().err == f"error: not a regular file: {root / 'f'}\n"
         assert (root / "a.txt").read_text() == "a\n"
-        assert len(waited) == 1
+        [[pid]] = waited
         with pytest.raises(ChildProcessError):  # reaped: no such child is left
-            waitpid(waited[0], os.WNOHANG)
+            os.waitpid(pid, os.WNOHANG)
 
     def test_a_child_reaped_after_an_error_is_recorded_failed(self, tmp_path, monkeypatch):
         """The run manifest records a child that `repro` reaps after an error
-        as failed, naming the error, and its outs are not committed."""
+        as failed, naming the error, and its outs are not committed. It is
+        reaped by the rule of every stage child, so its entry records its
+        usage and logs."""
         root = tmp_path.resolve() / "proj"
         root.mkdir()
         os.mkfifo(root / "f")
@@ -833,6 +836,8 @@ class TestParallel:
         [result] = json.loads(manifest.read_bytes())["results"]
         assert (result["stage"], result["action"], result["exit_code"]) == ("a_slow", "failed", 0)
         assert result["reason"] == f"run stopped by StoreError: not a regular file: {root / 'f'}"
+        assert result["peak_rss_bytes"] > 0 and "orchestrator_rss_bytes" in result
+        assert (root / result["log_out"]).is_file() and (root / result["log_err"]).is_file()
         assert (root / "a.txt").read_text() == "a\n"
         assert not (root / "pipeline.lock.json").exists()
         assert not (root / ".locpipe" / "cache" / "runcache").exists()
@@ -960,15 +965,6 @@ class TestStatus:
         by_stage = {s.stage: s for s in status(shell_project)}
         assert by_stage["transform"].state == "changed"
         assert "cmd" in by_stage["transform"].reasons
-
-
-@pytest.fixture(scope="module")
-def warm_baseline(tmp_path_factory):
-    """A fully run baseline project; copy it before changing anything."""
-    root = tmp_path_factory.mktemp("warm") / "exp"
-    init_experiment(root, "baseline")
-    assert run(Project(root=root)).executed == 6
-    return root
 
 
 def _store_object(project: Project, stage: str, out: str):
@@ -1179,14 +1175,16 @@ class TestStoreCallsThroughRunner:
     """Every hash and cache lookup goes through the `runner` module names,
     which the benchmark's tracer rebinds from outside."""
 
-    def count_calls(self, monkeypatch, *extra: str) -> Counter:
+    def count_calls(self, monkeypatch, *extra: tuple) -> Counter:
+        """Count the calls of `runner`'s `hash_path` and `cache_lookup`, and
+        of each extra (module, name)."""
         calls: Counter = Counter()
-        for name in ("hash_path", "cache_lookup", *extra):
-            def counting(*args, _name=name, _original=getattr(runner, name), **kwargs):
+        for module, name in ((runner, "hash_path"), (runner, "cache_lookup"), *extra):
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(runner, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_baseline_plan_status_noop_repro(self, baseline_project, monkeypatch):
@@ -1220,7 +1218,7 @@ class TestStoreCallsThroughRunner:
     def test_return_to_earlier_value_spawns_nothing(self, warm_baseline, tmp_path, monkeypatch):
         project = _copy_of(warm_baseline, tmp_path)
         _alpha_there_and_back(project)
-        calls = self.count_calls(monkeypatch, "spawn_stage")
+        calls = self.count_calls(monkeypatch, (launch, "spawn_stage"))
         assert run(project).cached == 6
         # the same lookups as a no-op, no hash and no stage process
         assert calls == Counter(cache_lookup=6)
@@ -1625,13 +1623,13 @@ class TestCpuShareAndPreload:
         init_experiment(root, "baseline")
         monkeypatch.setattr(runner, "_usable_cpus", lambda: usable)
         requests = []
-        spawn = runner.spawn_stage
+        spawn = launch.spawn_stage
 
         def recorded(stage, request, *args):
             requests.append(request)
             return spawn(stage, request, *args)
 
-        monkeypatch.setattr(runner, "spawn_stage", recorded)
+        monkeypatch.setattr(launch, "spawn_stage", recorded)
         assert run(Project(root=root), jobs=jobs).executed == 6
         assert [request.cpus for request in requests] == [share] * 6
 
@@ -1744,9 +1742,10 @@ class TestBuiltinIdentity:
 
     def test_cmd_only_pipeline_reads_no_source(self, shell_project, monkeypatch):
         def unreadable():
-            raise AssertionError("builtin code digested for a cmd-only pipeline")
+            raise AssertionError("builtin code read for a cmd-only pipeline")
 
         monkeypatch.setattr(loctk, "_code_digest", unreadable)
+        monkeypatch.setattr(loctk, "_code", unreadable)  # the one reader of the sources
         assert run(shell_project).executed == 3
         assert [s.state for s in status(shell_project)] == ["unchanged"] * 3
         assert run(shell_project).cached == 3
@@ -1769,3 +1768,70 @@ class TestBuiltinIdentity:
         params = baseline_project.params_path
         params.write_text(params.read_text().replace(": ", ":   ").replace("\n", "\n\n"))
         assert run(baseline_project).executed == 0
+
+
+SEVEN_BUILTINS = ("loc.featurize", "loc.gridsearch", "loc.prepare", "loc.report", "loc.scale", "loc.split", "loc.synth")
+
+
+class TestBuiltinTable:
+    """`loc.<name>` is known exactly when ``loctk/<name>.py`` has a line that
+    starts ``def run(``; no list names the builtins."""
+
+    def test_table_is_the_modules_that_define_run(self):
+        code = (
+            "import importlib\n"
+            "from pathlib import Path\n"
+            "from locpipe import loctk\n"
+            "names = sorted(p.stem for p in Path(loctk.__file__).parent.glob('*.py'))\n"
+            "modules = {n: importlib.import_module('locpipe.loctk' + ('' if n == '__init__' else '.' + n)) for n in names}\n"
+            "print(len(names), sorted(f'loc.{n}' for n, m in modules.items() if hasattr(m, 'run')) == loctk.builtin_ids())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_locpipe_env(SRC), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert proc.stdout == f"{len(list((SRC / 'locpipe' / 'loctk').glob('*.py')))} True\n"
+        assert tuple(loctk.builtin_ids()) == SEVEN_BUILTINS
+
+    @pytest.mark.parametrize("builtin", ["loc.tables", "loc.rng", "loc.models", "loc.metrics", "loc.__init__", "loc.nope"])
+    def test_a_module_without_run_is_refused_with_one_text(self, builtin, tmp_path, monkeypatch, capsys):
+        refusal = f"unknown builtin '{builtin}' (known: {', '.join(SEVEN_BUILTINS)})"
+        root = tmp_path / "proj"
+        root.mkdir()
+        write_pipeline(root, {"x": {"builtin": builtin, "outs": ["o.txt"]}})
+        write_params(root, {})
+        monkeypatch.chdir(root)
+        for command in (["status"], ["repro", "--dry-run"], ["repro"]):
+            assert cli.main(command) == 2, command
+            assert capsys.readouterr().err == f"error: {refusal}\n", command
+        with pytest.raises(ConfigError) as refused:
+            loctk.load_builtin(builtin)
+        assert str(refused.value) == refusal
+        assert not (root / ".locpipe" / "runs").exists()
+
+    def test_adding_a_module_with_run_adds_a_builtin(self, tmp_path):
+        """A copy of the package with one more file knows `loc.echo`, and a
+        pipeline runs it."""
+        src = tmp_path / "src"
+        shutil.copytree(SRC / "locpipe", src / "locpipe", ignore=shutil.ignore_patterns("__pycache__"))
+        (src / "locpipe" / "loctk" / "echo.py").write_text(
+            '"""Copy the one dep to the one out."""\n\n\n'
+            "def run(request):\n"
+            '    request.out(0, "copy").write_bytes(request.dep(0, "source").read_bytes())\n'
+        )
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "in.txt").write_bytes(b"echoed\n")
+        write_pipeline(root, {"echo": {"builtin": "loc.echo", "deps": ["in.txt"], "outs": ["out/copy.txt"]}})
+        write_params(root, {})
+
+        def locpipe(*args: str) -> str:
+            return subprocess.run(
+                [sys.executable, "-m", "locpipe", *args], cwd=root, env=_locpipe_env(src),
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+
+        assert locpipe("repro").splitlines()[-1] == "1 executed, 0 cached, 0 failed, 0 skipped"
+        assert (root / "out" / "copy.txt").read_bytes() == b"echoed\n"
+        assert locpipe("status") == "echo: unchanged\n"
+        assert "loc.echo" not in loctk.builtin_ids()
